@@ -1,8 +1,9 @@
-"""Lie triple systems as dense structure-constant tensors.
+"""Lie triple systems stored as their nonzero structure constants.
 
-A system of dimension n is stored as c[i][j][k][p] (0-based internally) with
-[e_i, e_j, e_k] = sum_p c[i][j][k][p] e_p.  Public indices, table keys and
-JSON documents are 1-based.  The defining identities:
+A system of dimension n is stored as its nonzero rows: 0-based (i, j, k) maps
+to {p: c_{ijk}^p} with [e_i, e_j, e_k] = sum_p c_{ijk}^p e_p, and a product
+that vanishes has no row.  Public indices, table keys and JSON documents are
+1-based.  The defining identities:
 
     (A1)  [x,y,z] + [y,x,z] = 0
     (A2)  [x,y,z] + [y,z,x] + [z,x,y] = 0
@@ -10,13 +11,14 @@ JSON documents are 1-based.  The defining identities:
 
 Partial multiplication tables list only generating products; completion closes
 them under (A1) and the two-known-one-forced case of (A2), zero-fills the rest
-and then checks all three identities exhaustively.
+and then checks all three identities on the rows they touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import (
@@ -39,6 +41,7 @@ __all__ = [
     "direct_sum",
     "lts_from_lie",
     "change_basis_tensor",
+    "first_axiom_failure",
     "lts_to_dict",
     "lts_from_dict",
 ]
@@ -99,61 +102,73 @@ class Fingerprint:
 
 
 class Lts:
-    """Immutable Lie triple system over an exact scalar field."""
+    """Immutable Lie triple system over an exact scalar field.
+
+    ``constants`` is a dense nested list c[i][j][k][p]; ``Lts.from_rows``
+    builds a system from its nonzero rows without a dense tensor.
+    """
 
     def __init__(self, constants, verified=False):
         n = len(constants)
-        c = [[[[_normalize_scalar(constants[i][j][k][p]) for p in range(n)]
-               for k in range(n)] for j in range(n)] for i in range(n)]
-        self._c = c
-        self.dim = n
+        self._set_rows(n, {(i, j, k): dict(enumerate(constants[i][j][k]))
+                           for i in range(n) for j in range(n) for k in range(n)}, verified)
+
+    @classmethod
+    def from_rows(cls, dim, rows, verified=False):
+        """System of dimension ``dim`` from 0-based (i, j, k) -> {p: value}."""
+        system = cls.__new__(cls)
+        system._set_rows(dim, rows, verified)
+        return system
+
+    def _set_rows(self, dim, rows, verified):
+        clean = {}
+        for key in sorted(rows):
+            row = {}
+            for p, val in sorted(rows[key].items()):
+                val = _normalize_scalar(val)
+                if val != 0:
+                    row[p] = val
+            if row:
+                clean[key] = row
+        self._rows = clean
+        first = next(iter(clean.values()), None)
+        self._zero = _zero_like(next(iter(first.values()))) if first else QI_ZERO
+        self.dim = dim
         self.verified = verified
         self._cache = {}
 
     # -- raw access ---------------------------------------------------------
 
+    def rows(self):
+        """Read-only map of 0-based (i, j, k) to {p: value}, nonzero rows only."""
+        return MappingProxyType(self._rows)
+
     def constant(self, i, j, k, p):
         """1-based structure constant c_{ijk}^p."""
-        return self._c[i - 1][j - 1][k - 1][p - 1]
+        return self._rows.get((i - 1, j - 1, k - 1), {}).get(p - 1, self._zero)
 
     def product(self, i, j, k):
         """1-based basis product [e_i, e_j, e_k] as a coordinate vector."""
-        return list(self._c[i - 1][j - 1][k - 1])
+        row = self._rows.get((i - 1, j - 1, k - 1), {})
+        return [row.get(p, self._zero) for p in range(self.dim)]
 
     def nonzero_entries(self):
         """Iterate (i, j, k, p, value) over nonzero constants, 0-based."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    row = self._c[i][j][k]
-                    for p in range(self.dim):
-                        if row[p] != 0:
-                            yield i, j, k, p, row[p]
-
-    def tensor_key(self):
-        return tuple(
-            tuple(tuple(tuple(row) for row in plane) for plane in block)
-            for block in self._c
-        )
+        for (i, j, k), row in self._rows.items():
+            for p, val in row.items():
+                yield i, j, k, p, val
 
     def __eq__(self, other):
         if not isinstance(other, Lts):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(
-            a == b
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-            for a, b in zip(self._c[i][j][k], other._c[i][j][k])
-        )
+        return self.dim == other.dim and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.tensor_key())
+        return hash((self.dim, tuple((key, tuple(row.items()))
+                                     for key, row in self._rows.items())))
 
     def __repr__(self):
-        nz = sum(1 for _ in self.nonzero_entries())
+        nz = sum(len(row) for row in self._rows.values())
         return f"Lts(dim={self.dim}, nonzero={nz})"
 
     # -- evaluation ----------------------------------------------------------
@@ -163,78 +178,23 @@ class Lts:
         n = self.dim
         if len(x) != n or len(y) != n or len(z) != n:
             raise DimensionMismatch(f"expected vectors of length {n}")
-        if n == 0:
-            return []
-        zero = _zero_like(self._c[0][0][0][0])
-        out = [zero] * n
-        for i in range(n):
-            xi = x[i]
-            if xi == 0:
+        out = [self._zero] * n
+        for (i, j, k), row in self._rows.items():
+            if x[i] == 0 or y[j] == 0 or z[k] == 0:
                 continue
-            ci = self._c[i]
-            for j in range(n):
-                yj = y[j]
-                if yj == 0:
-                    continue
-                cij = ci[j]
-                f = xi * yj
-                for k in range(n):
-                    zk = z[k]
-                    if zk == 0:
-                        continue
-                    row = cij[k]
-                    g = f * zk
-                    for p in range(n):
-                        if row[p] != 0:
-                            out[p] = out[p] + g * row[p]
+            g = x[i] * y[j] * z[k]
+            for p, val in row.items():
+                out[p] = out[p] + g * val
         return out
 
     # -- axioms ---------------------------------------------------------------
 
     def check_axioms(self) -> AxiomReport:
-        n = self.dim
-        c = self._c
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = [a + b for a, b in zip(c[i][j][k], c[j][i][k])]
-                    if any(x != 0 for x in res):
-                        return AxiomReport(False, "A1", (i + 1, j + 1, k + 1), tuple(res))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = [a + b + d for a, b, d in zip(c[i][j][k], c[j][k][i], c[k][i][j])]
-                    if any(x != 0 for x in res):
-                        return AxiomReport(False, "A2", (i + 1, j + 1, k + 1), tuple(res))
-        for u in range(n):
-            for v in range(u + 1, n):  # A3 is antisymmetric in (u, v); u = v is trivial
-                for x in range(n):
-                    for y in range(n):
-                        for z in range(n):
-                            res = self._a3_residual(u, v, x, y, z)
-                            if any(w != 0 for w in res):
-                                return AxiomReport(
-                                    False, "A3", (u + 1, v + 1, x + 1, y + 1, z + 1), tuple(res)
-                                )
+        failure = first_axiom_failure(self.dim, self._rows)
+        if failure is not None:
+            return AxiomReport(False, *failure)
         self.verified = True
         return AxiomReport(True)
-
-    def _a3_residual(self, u, v, x, y, z):
-        c = self._c
-        n = self.dim
-        inner = c[x][y][z]
-        lhs = [sum((inner[p] * c[u][v][p][q] for p in range(n) if inner[p] != 0), start=inner[0] * 0)
-               for q in range(n)]
-        t1 = c[u][v][x]
-        r1 = [sum((t1[p] * c[p][y][z][q] for p in range(n) if t1[p] != 0), start=t1[0] * 0)
-              for q in range(n)]
-        t2 = c[u][v][y]
-        r2 = [sum((t2[p] * c[x][p][z][q] for p in range(n) if t2[p] != 0), start=t2[0] * 0)
-              for q in range(n)]
-        t3 = c[u][v][z]
-        r3 = [sum((t3[p] * c[x][y][p][q] for p in range(n) if t3[p] != 0), start=t3[0] * 0)
-              for q in range(n)]
-        return [a - b - d - e for a, b, d, e in zip(lhs, r1, r2, r3)]
 
     # -- structural invariants -------------------------------------------------
 
@@ -243,14 +203,10 @@ class Lts:
         if "ann" in self._cache:
             return self._cache["ann"]
         n = self.dim
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                for p in range(n):
-                    row = [self._c[i][j][k][p] for i in range(n)]
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-        space = Subspace(n, nullspace(rows, n))
+        columns = {}  # (j, k, p) -> the row (c_{ijk}^p)_i
+        for i, j, k, p, val in self.nonzero_entries():
+            columns.setdefault((j, k, p), [self._zero] * n)[i] = val
+        space = Subspace(n, nullspace([columns[key] for key in sorted(columns)], n))
         self._cache["ann"] = space
         return space
 
@@ -258,14 +214,9 @@ class Lts:
         """T^(1) = [T, T, T], the span of all basis products."""
         if "derived" in self._cache:
             return self._cache["derived"]
-        vectors = []
         n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    row = self._c[i][j][k]
-                    if any(x != 0 for x in row):
-                        vectors.append(list(row))
+        vectors = [[row.get(p, self._zero) for p in range(n)]
+                   for (i, j, _k), row in self._rows.items() if i < j]
         space = Subspace(n, vectors)
         self._cache["derived"] = space
         return space
@@ -303,35 +254,35 @@ class Lts:
 
         D is a derivation when D[x,y,z] = [Dx,y,z] + [x,Dy,z] + [x,y,Dz];
         unknowns are the n^2 entries D_{ab} with D e_j = sum_a D_{ab} e_a at
-        b = j, giving an n^4-row homogeneous system.
+        b = j.  The equation at (i, j, k, p) is written only when a nonzero
+        constant enters it; equations are taken in lexicographic order.
         """
         if "derivations" in self._cache:
             return self._cache["derivations"]
         n = self.dim
-        c = self._c
 
         def unknown(a, b):
             return a * n + b
 
+        forms = {}  # (i, j, k, p) -> {unknown: coefficient}
+
+        def add(key, pos, val):
+            form = forms.setdefault(key, {})
+            form[pos] = form[pos] + val if pos in form else val
+
+        for i, j, k, p, val in self.nonzero_entries():
+            for a in range(n):
+                add((i, j, k, a), unknown(a, p), val)    # (D[e_i,e_j,e_k])_a
+                add((a, j, k, p), unknown(i, a), -val)   # [D e_a, e_j, e_k]
+                add((i, a, k, p), unknown(j, a), -val)   # [e_i, D e_a, e_k]
+                add((i, j, a, p), unknown(k, a), -val)   # [e_i, e_j, D e_a]
         rows = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    cijk = c[i][j][k]
-                    for p in range(n):
-                        row = [QI_ZERO] * (n * n)
-                        for b in range(n):
-                            if cijk[b] != 0:
-                                row[unknown(p, b)] = row[unknown(p, b)] + cijk[b]
-                        for a in range(n):
-                            if c[a][j][k][p] != 0:
-                                row[unknown(a, i)] = row[unknown(a, i)] - c[a][j][k][p]
-                            if c[i][a][k][p] != 0:
-                                row[unknown(a, j)] = row[unknown(a, j)] - c[i][a][k][p]
-                            if c[i][j][a][p] != 0:
-                                row[unknown(a, k)] = row[unknown(a, k)] - c[i][j][a][p]
-                        if any(x != 0 for x in row):
-                            rows.append(row)
+        for key in sorted(forms):
+            row = [QI_ZERO] * (n * n)
+            for pos, val in forms[key].items():
+                row[pos] = val
+            if any(x != 0 for x in row):
+                rows.append(row)
         basis_vectors = nullspace(rows, n * n)
         matrices = [[[vec[unknown(a, b)] for b in range(n)] for a in range(n)]
                     for vec in basis_vectors]
@@ -347,11 +298,7 @@ class Lts:
 
     def change_basis(self, g) -> "Lts":
         """Conjugated product (g*mu)(x,y,z) = g mu(g^{-1}x, g^{-1}y, g^{-1}z)."""
-        try:
-            new_constants = change_basis_tensor(self._c, g)
-        except SingularMatrix:
-            raise
-        return Lts(new_constants, verified=self.verified)
+        return Lts(change_basis_tensor(self, g), verified=self.verified)
 
     def fingerprint(self) -> Fingerprint:
         if "fingerprint" in self._cache:
@@ -374,45 +321,101 @@ class Lts:
         return fp
 
 
+def _add_row(cell, row, factor):
+    """cell += factor * row, for sparse {p: value} rows."""
+    for q, val in row.items():
+        val = factor * val
+        cell[q] = cell[q] + val if q in cell else val
+
+
+def first_axiom_failure(dim, rows):
+    """The lexicographically first failing identity, read from nonzero rows.
+
+    ``rows`` maps 0-based (i, j, k) to {p: value}.  Returns None or
+    (identity, 1-based indices, residual of length ``dim``), with (A1) before
+    (A2) before (A3) and (u, v, x, y, z), u < v, ordered lexicographically as
+    in an exhaustive scan.
+    """
+    def first(candidates, residual):
+        for key in sorted(candidates):
+            cell = residual(key)
+            if any(val != 0 for val in cell.values()):
+                zero = _zero_like(next(iter(cell.values())))
+                return key, tuple(cell.get(q, zero) for q in range(dim))
+        return None
+
+    def row_sum(keys):
+        cell = {}
+        for key in keys:
+            _add_row(cell, rows.get(key, {}), 1)
+        return cell
+
+    found = first({t for i, j, k in rows for t in ((i, j, k), (j, i, k))},
+                  lambda t: row_sum((t, (t[1], t[0], t[2]))))
+    if found:
+        return "A1", tuple(x + 1 for x in found[0]), found[1]
+    found = first({t for i, j, k in rows for t in ((i, j, k), (j, k, i), (k, i, j))},
+                  lambda t: row_sum((t, (t[1], t[2], t[0]), (t[2], t[0], t[1]))))
+    if found:
+        return "A2", tuple(x + 1 for x in found[0]), found[1]
+
+    ad = {}  # (u, v) -> {w: row (u, v, w)}
+    for (u, v, w), row in rows.items():
+        ad.setdefault((u, v), {})[w] = row
+    by_target = {}  # p -> [((x, y, z), c_{xyz}^p)] over rows
+    for key, row in rows.items():
+        for p, val in row.items():
+            by_target.setdefault(p, []).append((key, val))
+    by_slot = ({}, {}, {})  # slot s, index p -> [(key, row)] with key[s] = p
+    for key, row in rows.items():
+        for s in range(3):
+            by_slot[s].setdefault(key[s], []).append((key, row))
+    for u, v in sorted(pair for pair in ad if pair[0] < pair[1]):
+        residuals = {}  # (x, y, z) -> {q: value}
+        for p, row in ad[(u, v)].items():  # ad(u,v) [x,y,z]
+            for key, val in by_target.get(p, ()):
+                _add_row(residuals.setdefault(key, {}), row, val)
+        for w, ad_w in ad[(u, v)].items():  # ad(u,v) e_w put in each slot
+            for p, val in ad_w.items():
+                for s in range(3):
+                    for key, row in by_slot[s].get(p, ()):
+                        target = key[:s] + (w,) + key[s + 1:]
+                        _add_row(residuals.setdefault(target, {}), row, -val)
+        found = first(residuals, residuals.get)
+        if found:
+            return "A3", (u + 1, v + 1) + tuple(x + 1 for x in found[0]), found[1]
+    return None
+
+
 def change_basis_tensor(constants, g):
-    """Structure constants of g*mu given c[i][j][k][p]; sparse in the source."""
-    n = len(constants)
+    """Dense structure constants of g*mu, given an Lts or a dense c[i][j][k][p]."""
+    source = constants if isinstance(constants, Lts) else Lts(constants)
+    n = source.dim
     if len(g) != n or any(len(row) != n for row in g):
         raise DimensionMismatch("basis-change matrix has wrong shape")
     g = [[_normalize_scalar(x) for x in row] for row in g]
     h = mat_inverse(g)
     zero = _zero_like(g[0][0])
     out = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for cc in range(n):
-                row = constants[a][b][cc]
-                for q in range(n):
-                    val = row[q]
-                    if val == 0:
+    for a, b, cc, q, val in source.nonzero_entries():
+        gcol = [g[p][q] * val for p in range(n)]
+        ha, hb, hc = h[a], h[b], h[cc]
+        for i in range(n):
+            if ha[i] == 0:
+                continue
+            for j in range(n):
+                if hb[j] == 0:
+                    continue
+                f = ha[i] * hb[j]
+                for k in range(n):
+                    if hc[k] == 0:
                         continue
-                    gcol = [g[p][q] * val for p in range(n)]
-                    ha, hb, hc = h[a], h[b], h[cc]
-                    for i in range(n):
-                        if ha[i] == 0:
-                            continue
-                        for j in range(n):
-                            if hb[j] == 0:
-                                continue
-                            f = ha[i] * hb[j]
-                            for k in range(n):
-                                if hc[k] == 0:
-                                    continue
-                                fk = f * hc[k]
-                                cell = out[i][j][k]
-                                for p in range(n):
-                                    if gcol[p] != 0:
-                                        cell[p] = cell[p] + fk * gcol[p]
+                    fk = f * hc[k]
+                    cell = out[i][j][k]
+                    for p in range(n):
+                        if gcol[p] != 0:
+                            cell[p] = cell[p] + fk * gcol[p]
     return out
-
-
-def _zero_tensor(n, zero=QI_ZERO):
-    return [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
 
 def complete_table(dim, generators):
@@ -420,9 +423,9 @@ def complete_table(dim, generators):
 
     ``generators`` maps 1-based triples (i, j, k) with i != j to coefficient
     vectors of length ``dim``.  Products still undetermined at the fixpoint are
-    zero.  The completed tensor is axiom-checked before being returned.
+    zero.  The completed system is axiom-checked before being returned.
     """
-    known = {}
+    known = {}  # 0-based (i, j, k), i != j -> coefficient tuple
 
     def tuple_of(vec):
         return tuple(_normalize_scalar(x) for x in vec)
@@ -439,7 +442,6 @@ def complete_table(dim, generators):
         known[(i, j, k)] = vec
         return True
 
-    zero_vec = tuple([QI_ZERO] * dim)
     for (i, j, k), vec in generators.items():
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise MalformedInput("products", f"index out of range in ({i},{j},{k})")
@@ -450,9 +452,6 @@ def complete_table(dim, generators):
             raise MalformedInput("products", f"value for ({i},{j},{k}) must have length {dim}")
         set_value(i - 1, j - 1, k - 1, v)
         set_value(j - 1, i - 1, k - 1, tuple(-x for x in v))
-    for i in range(dim):
-        for k in range(dim):
-            set_value(i, i, k, zero_vec)
 
     changed = True
     while changed:
@@ -460,30 +459,22 @@ def complete_table(dim, generators):
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    cyc = [(i, j, k), (j, k, i), (k, i, j)]
-                    vals = [known.get(t) for t in cyc]
-                    missing = [t for t, v in zip(cyc, vals) if v is None]
-                    if len(missing) == 1:
-                        total = [QI_ZERO] * dim
-                        for v in vals:
-                            if v is not None:
-                                total = [a + b for a, b in zip(total, v)]
-                        forced = tuple(-x for x in total)
-                        mi, mj, mk = missing[0]
-                        if set_value(mi, mj, mk, forced):
-                            changed = True
-                        if mi != mj:
-                            if set_value(mj, mi, mk, tuple(-x for x in forced)):
-                                changed = True
-                        elif any(x != 0 for x in forced):
-                            raise InconsistentTable(
-                                f"(A2) forces nonzero [e{mi+1},e{mi+1},e{mk+1}]"
-                            )
+                    cyc = (i, j, k), (j, k, i), (k, i, j)
+                    missing = [t for t in cyc if t[0] != t[1] and t not in known]
+                    if len(missing) != 1:  # [e_i, e_i, e_k] = 0 is known
+                        continue
+                    total = [QI_ZERO] * dim
+                    for t in cyc:
+                        if t in known:
+                            total = [a + b for a, b in zip(total, known[t])]
+                    forced = tuple(-x for x in total)
+                    mi, mj, mk = missing[0]
+                    if set_value(mi, mj, mk, forced):
+                        changed = True
+                    if set_value(mj, mi, mk, tuple(-x for x in forced)):
+                        changed = True
 
-    tensor = _zero_tensor(dim)
-    for (i, j, k), vec in known.items():
-        tensor[i][j][k] = list(vec)
-    system = Lts(tensor)
+    system = Lts.from_rows(dim, {key: dict(enumerate(vec)) for key, vec in known.items()})
     report = system.check_axioms()
     if not report.ok:
         raise AxiomViolation(report.identity, report.indices, report.residual)
@@ -492,15 +483,11 @@ def complete_table(dim, generators):
 
 def direct_sum(a: Lts, b: Lts) -> Lts:
     """Block sum on dim(a) + dim(b); all mixed products vanish."""
-    n, m = a.dim, b.dim
-    total = n + m
-    tensor = _zero_tensor(total)
-    for i, j, k, p, val in a.nonzero_entries():
-        tensor[i][j][k][p] = val
-    for i, j, k, p, val in b.nonzero_entries():
-        tensor[n + i][n + j][n + k][n + p] = val
-    out = Lts(tensor, verified=a.verified and b.verified)
-    return out
+    n = a.dim
+    rows = dict(a.rows())
+    for (i, j, k), row in b.rows().items():
+        rows[(n + i, n + j, n + k)] = {n + p: val for p, val in row.items()}
+    return Lts.from_rows(n + b.dim, rows, verified=a.verified and b.verified)
 
 
 def lts_from_lie(bracket) -> Lts:
@@ -527,17 +514,16 @@ def lts_from_lie(bracket) -> Lts:
                                   + b[k][i][p] * b[p][j][q])
                 if any(x != 0 for x in res):
                     raise NotALieAlgebra(f"Jacobi identity fails at ({i+1},{j+1},{k+1})")
-    tensor = _zero_tensor(n)
+    rows = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                vec = [QI_ZERO] * n
+                row = rows.setdefault((i, j, k), {})
                 for p in range(n):
                     if b[i][j][p] != 0:
                         for q in range(n):
-                            vec[q] = vec[q] + b[i][j][p] * b[p][k][q]
-                tensor[i][j][k] = vec
-    system = Lts(tensor)
+                            row[q] = row.get(q, QI_ZERO) + b[i][j][p] * b[p][k][q]
+    system = Lts.from_rows(n, rows)
     report = system.check_axioms()
     if not report.ok:
         raise AxiomViolation(report.identity, report.indices, report.residual)
@@ -552,22 +538,18 @@ def lts_to_dict(system: Lts, field=None) -> dict:
     """{"dim": n, "field": ..., "products": [...]} listing i<j nonzero generators."""
     products = []
     rational_only = True
-    n = system.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                vec = system.product(i, j, k)
-                value = {}
-                for p, x in enumerate(vec, start=1):
-                    if x != 0:
-                        value[str(p)] = scalar_str(x)
-                        if not GaussianRational.of(x).is_rational:
-                            rational_only = False
-                if value:
-                    products.append({"args": [i, j, k], "value": value})
+    for (i, j, k), row in system.rows().items():
+        if i >= j:
+            continue
+        value = {}
+        for p, x in row.items():
+            value[str(p + 1)] = scalar_str(x)
+            if not GaussianRational.of(x).is_rational:
+                rational_only = False
+        products.append({"args": [i + 1, j + 1, k + 1], "value": value})
     if field is None:
         field = "Q" if rational_only else "Q(i)"
-    return {"dim": n, "field": field, "products": products}
+    return {"dim": system.dim, "field": field, "products": products}
 
 
 def lts_from_dict(doc: dict, require_field=None) -> Lts:
@@ -578,25 +560,31 @@ def lts_from_dict(doc: dict, require_field=None) -> Lts:
         dim = doc["dim"]
     except KeyError:
         raise MalformedInput("dim", "missing")
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise MalformedInput("dim", "must be a non-negative integer")
     field = doc.get("field", "Q(i)")
     if field not in ("Q", "Q(i)"):
         raise MalformedInput("field", f"unknown field {field!r}")
     if require_field == "Q" and field != "Q":
         raise MalformedInput("field", "document requires Q(i) but field Q was requested")
+    products = doc.get("products", [])
+    if not isinstance(products, list):
+        raise MalformedInput("products", "expected a list")
     generators = {}
-    for entry in doc.get("products", []):
+    for entry in products:
         try:
             i, j, k = entry["args"]
-            value = entry["value"]
-        except (KeyError, TypeError, ValueError):
+            value = [(int(key), text) for key, text in entry["value"].items()]
+        except (KeyError, TypeError, ValueError, AttributeError):
             raise MalformedInput("products", f"bad product entry {entry!r}")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
+            raise MalformedInput("products", f"args must be integers in {entry!r}")
         vec = [QI_ZERO] * dim
-        for key, text in value.items():
-            p = int(key)
+        for p, text in value:
             if not 1 <= p <= dim:
                 raise MalformedInput("products", f"target index {p} out of range")
+            if not isinstance(text, str):
+                raise MalformedInput("products", f"value for e{p} must be a string")
             vec[p - 1] = parse_scalar(text)
         if require_field == "Q" and any(not x.is_rational for x in vec):
             raise MalformedInput("field", "input needs i but field Q was requested")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NotClosed, PreconditionViolated, ZeroVector
 from .core import Lts
-from .cohomology import coboundary_space
+from .cohomology import coboundary_space, extension_rows
 from .linalg import Subspace, rref
 from .scalars import QI_ZERO
 
@@ -61,18 +61,7 @@ def _ensure_closed(spec: ExtensionSpec):
 def extend(spec: ExtensionSpec) -> Lts:
     """The extended system on dim(base) + s coordinates."""
     _ensure_closed(spec)
-    base = spec.base
-    n, s = base.dim, spec.s
-    total = n + s
-    tensor = [[[[QI_ZERO for _ in range(total)] for _ in range(total)]
-               for _ in range(total)] for _ in range(total)]
-    for i, j, k, p, val in base.nonzero_entries():
-        tensor[i][j][k][p] = val
-    for r, theta in enumerate(spec.thetas):
-        for (i, j, k), val in theta.coeffs.items():
-            tensor[i - 1][j - 1][k - 1][n + r] = val
-            tensor[j - 1][i - 1][k - 1][n + r] = -val
-    out = Lts(tensor)
+    out = Lts.from_rows(spec.base.dim + spec.s, extension_rows(spec.base, spec.thetas))
     report = out.check_axioms()
     if not report.ok:  # unreachable for closed cocycles on a verified base
         raise NotClosed(str(report))

@@ -24,9 +24,7 @@ __all__ = [
     "rank",
     "nullspace",
     "mat_mul",
-    "mat_vec",
     "identity_matrix",
-    "transpose",
     "mat_inverse",
     "determinant",
     "Subspace",
@@ -114,16 +112,8 @@ def mat_mul(A, B):
     return [[sum((A[i][k] * B[k][j] for k in range(inner)), start=A[i][0] * 0) for j in range(m)] for i in range(n)]
 
 
-def mat_vec(A, v):
-    return [sum((A[i][k] * v[k] for k in range(len(v))), start=A[i][0] * 0) for i in range(len(A))]
-
-
 def identity_matrix(n, one=1, zero=0):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def mat_inverse(A):

@@ -1,0 +1,201 @@
+"""The sparse axiom kernel against exhaustive dense scans.
+
+``reference_check_axioms`` and ``reference_check_closed`` scan every index
+tuple of the dense tensor in lexicographic order.  The kernel, which reads
+only nonzero rows, must report the same first failing identity, the same
+indices and the same residual.
+"""
+
+import pytest
+
+from lietriple import catalog
+from lietriple.errors import AxiomViolation
+from lietriple.cohomology import Cocycle, cocycle_space, delta_indices
+from lietriple.core import Lts
+from lietriple.sampling import ExactRandom
+from lietriple.scalars import GaussianRational
+
+
+def dense(system):
+    n = system.dim
+    return [[[system.product(i + 1, j + 1, k + 1) for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
+def _a3_residual(c, n, u, v, x, y, z):
+    inner = c[x][y][z]
+    lhs = [sum((inner[p] * c[u][v][p][q] for p in range(n) if inner[p] != 0), start=inner[0] * 0)
+           for q in range(n)]
+    t1 = c[u][v][x]
+    r1 = [sum((t1[p] * c[p][y][z][q] for p in range(n) if t1[p] != 0), start=t1[0] * 0)
+          for q in range(n)]
+    t2 = c[u][v][y]
+    r2 = [sum((t2[p] * c[x][p][z][q] for p in range(n) if t2[p] != 0), start=t2[0] * 0)
+          for q in range(n)]
+    t3 = c[u][v][z]
+    r3 = [sum((t3[p] * c[x][y][p][q] for p in range(n) if t3[p] != 0), start=t3[0] * 0)
+          for q in range(n)]
+    return [a - b - d - e for a, b, d, e in zip(lhs, r1, r2, r3)]
+
+
+def reference_check_axioms(system):
+    """(identity, indices, residual) of the first failure in a full scan, or None."""
+    n = system.dim
+    c = dense(system)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                res = [a + b for a, b in zip(c[i][j][k], c[j][i][k])]
+                if any(x != 0 for x in res):
+                    return "A1", (i + 1, j + 1, k + 1), tuple(res)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                res = [a + b + d for a, b, d in zip(c[i][j][k], c[j][k][i], c[k][i][j])]
+                if any(x != 0 for x in res):
+                    return "A2", (i + 1, j + 1, k + 1), tuple(res)
+    for u in range(n):
+        for v in range(u + 1, n):
+            for x in range(n):
+                for y in range(n):
+                    for z in range(n):
+                        res = _a3_residual(c, n, u, v, x, y, z)
+                        if any(w != 0 for w in res):
+                            return "A3", (u + 1, v + 1, x + 1, y + 1, z + 1), tuple(res)
+    return None
+
+
+def reference_check_closed(theta):
+    """(B2|B3, indices) of the first failure in a full scan, or None."""
+    ambient = theta.ambient
+    n = ambient.dim
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if theta.value(i, j, k) + theta.value(j, k, i) + theta.value(k, i, j) != 0:
+                    return "B2", (i, j, k)
+    basis = [[1 if c == i else 0 for c in range(n)] for i in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            for x in range(n):
+                for y in range(n):
+                    for z in range(n):
+                        inner = ambient.product(x + 1, y + 1, z + 1)
+                        px = ambient.product(v + 1, u + 1, x + 1)
+                        py = ambient.product(v + 1, u + 1, y + 1)
+                        pz = ambient.product(v + 1, u + 1, z + 1)
+                        total = theta.eval(basis[u], basis[v], inner)
+                        total = total + theta.eval(px, basis[y], basis[z])
+                        total = total + theta.eval(basis[x], py, basis[z])
+                        total = total + theta.eval(basis[x], basis[y], pz)
+                        if total != 0:
+                            return "B3", (u + 1, v + 1, x + 1, y + 1, z + 1)
+    return None
+
+
+def kernel_failure(tensor):
+    report = Lts(tensor).check_axioms()
+    if report.ok:
+        return None
+    return report.identity, report.indices, report.residual
+
+
+def assert_same(tensor):
+    got = kernel_failure(tensor)
+    assert got == reference_check_axioms(Lts(tensor))
+    return None if got is None else got[0]
+
+
+def perturb(tensor, kind, rng):
+    """Copy of ``tensor`` with one product changed so that (A<kind>) is the target."""
+    n = len(tensor)
+    out = [[[list(row) for row in plane] for plane in block] for block in tensor]
+    delta = GaussianRational(rng.rng.choice([-2, -1, 1, 3]), rng.rng.choice([0, 0, 1]))
+    p = rng.rng.randrange(n)
+    if kind == "A1":  # one constant alone breaks antisymmetry
+        i, j, k = (rng.rng.randrange(n) for _ in range(3))
+        out[i][j][k][p] = out[i][j][k][p] + delta
+        return out
+    i, j = rng.rng.sample(range(n), 2)
+    if kind == "A2":  # antisymmetric change with i, j, k distinct
+        k = rng.rng.choice([t for t in range(n) if t not in (i, j)])
+    else:  # [e_i, e_j, e_i] keeps (A1) and (A2); (A3) may break
+        k = i
+    out[i][j][k][p] = out[i][j][k][p] + delta
+    out[j][i][k][p] = out[j][i][k][p] - delta
+    return out
+
+
+CATALOG = [(name, None) for name, entry in catalog.ENTRIES.items()
+           if not entry.family and entry.dim >= 3] + [("T4,6", 2), ("T4,6", -3)]
+
+
+@pytest.mark.parametrize("name,lam", CATALOG)
+def test_perturbed_catalog_tensors(name, lam):
+    system = catalog.instantiate(name, None if lam is None else GaussianRational(lam))
+    base = dense(system)
+    assert assert_same(base) is None
+    rng = ExactRandom(sum(map(ord, name)) + (lam or 0))
+    for kind in ("A1", "A2", "A3"):
+        for _ in range(3):
+            assert_same(perturb(base, kind, rng))
+
+
+def test_perturbations_reach_every_identity():
+    rng = ExactRandom(5)
+    seen = set()
+    for name in ("T3,2", "T4,5", "T4,8", "T4,9"):
+        base = dense(catalog.instantiate(name))
+        for kind in ("A1", "A2", "A3"):
+            for _ in range(4):
+                seen.add(assert_same(perturb(base, kind, rng)))
+    assert {"A1", "A2", "A3"} <= seen
+
+
+@pytest.mark.parametrize("name,seed", [("T3,2", 1), ("T4,5", 2), ("T4,8", 3), ("T4,9", 4)])
+def test_seeded_dense_conjugates(name, seed):
+    rng = ExactRandom(seed)
+    system = catalog.instantiate(name)
+    moved = system.change_basis(rng.invertible(system.dim, height=3))
+    base = dense(moved)
+    assert sum(x != 0 for block in base for plane in block for row in plane for x in row) > \
+        sum(1 for _ in system.nonzero_entries())
+    assert assert_same(base) is None
+    for kind in ("A1", "A2", "A3"):
+        assert_same(perturb(base, kind, rng))
+
+
+def _closed_pair(theta):
+    got = theta.check_closed()
+    expected = reference_check_closed(Cocycle(theta.ambient, dict(theta.coeffs)))
+    assert got == ((True, None) if expected is None else (False, expected))
+    return None if expected is None else expected[0]
+
+
+@pytest.mark.parametrize("name", ["T3,2", "T4,8"])
+def test_non_closed_cochains(name):
+    system = catalog.instantiate(name)
+    rng = ExactRandom(41)
+    idx = delta_indices(system.dim)
+    seen = set()
+    for _ in range(12):  # sparse random cochains: mostly (B2) failures
+        coeffs = {t: GaussianRational(rng.rng.randint(-3, 3), rng.rng.choice([0, 1]))
+                  for t in rng.rng.sample(idx, rng.rng.randint(1, 3))}
+        seen.add(_closed_pair(Cocycle(system, coeffs)))
+    z3 = cocycle_space(system)
+    for theta in z3.basis:  # cocycles, then cocycles plus a (B2)-preserving change
+        assert _closed_pair(Cocycle(system, dict(theta.coeffs))) is None
+        i, j, k = rng.rng.choice([t for t in idx if t[2] == t[0]])  # theta(e_i, e_j, e_i)
+        coeffs = dict(theta.coeffs)
+        coeffs[(i, j, k)] = coeffs.get((i, j, k), 0) + 1
+        seen.add(_closed_pair(Cocycle(system, coeffs)))
+    assert {"B2", "B3"} <= seen
+
+
+def test_closedness_needs_an_lts_ambient():
+    base = perturb(dense(catalog.instantiate("T3,2")), "A3", ExactRandom(7))
+    expected = reference_check_axioms(Lts(base))
+    assert expected is not None
+    with pytest.raises(AxiomViolation) as err:
+        Cocycle(Lts(base), {(1, 2, 1): 1}).check_closed()
+    assert (err.value.identity, err.value.indices, err.value.residual) == expected

@@ -46,6 +46,21 @@ def test_malformed_input(tmp_path, capsys):
     assert "dim" in err
 
 
+@pytest.mark.parametrize("value", [{"x": "1"}, {"2": 5}, ["1"]])
+def test_malformed_product_value(tmp_path, capsys, value):
+    path = tmp_path / "bad_value.json"
+    path.write_text(json.dumps({"dim": 3, "products": [{"args": [1, 2, 1], "value": value}]}))
+    assert main(["check", str(path)]) == 2
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+def test_boolean_dim_rejected(tmp_path, capsys):
+    path = tmp_path / "bool_dim.json"
+    path.write_text(json.dumps({"dim": True, "products": []}))
+    assert main(["check", str(path)]) == 2
+    assert "MalformedInput" in capsys.readouterr().err
+
+
 def test_invariants_reports_derivations(t47_file, capsys):
     assert main(["invariants", t47_file]) == 0
     out = capsys.readouterr().out

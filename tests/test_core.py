@@ -1,6 +1,7 @@
 """Structure-constant systems: completion, axioms, invariants, transforms."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -345,11 +346,27 @@ class TestJsonRoundTrip:
         with pytest.raises(MalformedInput):
             lts_from_dict(doc, require_field="Q")
 
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(MalformedInput):
+            lts_from_dict({"dim": True, "products": []})
+
+    def test_large_empty_document_loads(self):
+        # loading reads the listed products only; the empty table costs next to nothing
+        start = time.monotonic()
+        system = lts_from_dict({"dim": 12, "products": []})
+        assert time.monotonic() - start < 10
+        assert system.dim == 12 and system.verified
+        assert not any(True for _ in system.nonzero_entries())
+
     def test_schema_errors(self):
         with pytest.raises(MalformedInput):
             lts_from_dict({"products": []})
         with pytest.raises(MalformedInput):
             lts_from_dict({"dim": 2, "products": [{"args": [1, 2], "value": {}}]})
+        with pytest.raises(MalformedInput):
+            lts_from_dict({"dim": 2, "products": [{"args": ["1", 2, 1], "value": {}}]})
+        with pytest.raises(MalformedInput):
+            lts_from_dict({"dim": 2, "products": 5})
 
 
 class TestRandomizedIdentities:
