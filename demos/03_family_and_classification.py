@@ -53,4 +53,4 @@ print("\n=== The published derivation table, recomputed ===")
 for row in catalog.table1_report():
     lam = f" lambda={row['lambda']}" if row["lambda"] else ""
     flag = "ok" if row["match"] else "MISMATCH"
-    print(f"{row['system']}{lam}: computed {row['computed']}, published {row['paper']} [{flag}]")
+    print(f"{row['system']}{lam}: computed {row['computed']}, published {row['published']} [{flag}]")

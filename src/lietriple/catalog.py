@@ -13,6 +13,7 @@ orbit identification exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -331,12 +332,6 @@ def _char_poly_pq(matrix):
     return p, q
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
-
-
 def _mpf_to_fraction(x) -> Fraction:
     """Exact conversion of an mpmath float to a Fraction."""
     sign, man, exp, _ = x._mpf_
@@ -356,8 +351,7 @@ def family_lambda_candidates(xi_value):
     xi-equality, never by the numerics alone.
     """
     xi_value = GaussianRational.of(xi_value)
-    den = xi_value.re.denominator
-    den = den * xi_value.im.denominator // _gcd(den, xi_value.im.denominator)
+    den = math.lcm(xi_value.re.denominator, xi_value.im.denominator)
     s = xi_value * den
     n = GaussianRational(den)
     # N (x^2+x+1)^3 - S x^2 (x+1)^2, coefficients listed by descending degree

@@ -23,6 +23,7 @@ from .errors import (
     NotAbelianDim3,
     NotAnAutomorphism,
     RelationViolated,
+    SingularMatrix,
 )
 from .core import Lts, first_axiom_failure
 from .linalg import Subspace, nullspace, rref
@@ -367,7 +368,7 @@ def is_automorphism(system: Lts, phi) -> bool:
     """phi is an automorphism iff the conjugated product equals the original."""
     try:
         return system.change_basis(phi) == system
-    except Exception:
+    except (SingularMatrix, DimensionMismatch):
         return False
 
 

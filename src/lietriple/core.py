@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# Documents may not ask for more: completion passes over dim^3 triples and the
+# derivation system has dim^2 unknowns.  The catalog stops at 4, extensions at 5.
+MAX_DIM = 16
+
+
 def _normalize_scalar(x):
     if isinstance(x, (int, Fraction)):
         return GaussianRational.of(x)
@@ -126,7 +131,7 @@ class Lts:
             row = {}
             for p, val in sorted(rows[key].items()):
                 val = _normalize_scalar(val)
-                if val != 0:
+                if val:
                     row[p] = val
             if row:
                 clean[key] = row
@@ -298,7 +303,8 @@ class Lts:
 
     def change_basis(self, g) -> "Lts":
         """Conjugated product (g*mu)(x,y,z) = g mu(g^{-1}x, g^{-1}y, g^{-1}z)."""
-        return Lts(change_basis_tensor(self, g), verified=self.verified)
+        h, g = _basis_change(self.dim, g)
+        return Lts.from_rows(self.dim, _conjugate_rows(self._rows, h, g), verified=self.verified)
 
     def fingerprint(self) -> Fingerprint:
         if "fingerprint" in self._cache:
@@ -387,35 +393,57 @@ def first_axiom_failure(dim, rows):
     return None
 
 
-def change_basis_tensor(constants, g):
-    """Dense structure constants of g*mu, given an Lts or a dense c[i][j][k][p]."""
-    source = constants if isinstance(constants, Lts) else Lts(constants)
-    n = source.dim
+def _conjugate_rows(rows, h, g):
+    """Nonzero rows of sum h[a][i] h[b][j] h[c][k] (g . row_abc)[p] at (i, j, k), p.
+
+    With h = g^{-1} this is g*mu.  Ring-generic: w = g . row is formed once per
+    nonzero row and spread over the nonzero entries of h; zero tests are by
+    truthiness.
+    """
+    n = len(g)
+    h_support = [[(i, x) for i, x in enumerate(row) if x] for row in h]
+    g_columns = [[(p, g[p][q]) for p in range(n) if g[p][q]] for q in range(n)]
+    out = {}
+    for (a, b, c), row in rows.items():
+        w = {}
+        for q, val in row.items():
+            for p, x in g_columns[q]:
+                x = x * val
+                w[p] = w[p] + x if p in w else x
+        w = {p: val for p, val in w.items() if val}
+        if not w:
+            continue
+        for i, x in h_support[a]:
+            for j, y in h_support[b]:
+                xy = x * y
+                for k, z in h_support[c]:
+                    _add_row(out.setdefault((i, j, k), {}), w, xy * z)
+    cleaned = ((key, {p: val for p, val in row.items() if val}) for key, row in out.items())
+    return {key: row for key, row in cleaned if row}
+
+
+def _basis_change(n, g):
+    """(g^{-1}, g) for a square basis-change matrix of size n."""
     if len(g) != n or any(len(row) != n for row in g):
         raise DimensionMismatch("basis-change matrix has wrong shape")
     g = [[_normalize_scalar(x) for x in row] for row in g]
-    h = mat_inverse(g)
-    zero = _zero_like(g[0][0])
-    out = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a, b, cc, q, val in source.nonzero_entries():
-        gcol = [g[p][q] * val for p in range(n)]
-        ha, hb, hc = h[a], h[b], h[cc]
-        for i in range(n):
-            if ha[i] == 0:
-                continue
-            for j in range(n):
-                if hb[j] == 0:
-                    continue
-                f = ha[i] * hb[j]
-                for k in range(n):
-                    if hc[k] == 0:
-                        continue
-                    fk = f * hc[k]
-                    cell = out[i][j][k]
-                    for p in range(n):
-                        if gcol[p] != 0:
-                            cell[p] = cell[p] + fk * gcol[p]
+    return mat_inverse(g), g
+
+
+def _dense_tensor(n, rows, zero):
+    """Dense c[i][j][k][p] from 0-based nonzero rows, ``zero`` elsewhere."""
+    out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), row in rows.items():
+        for p, val in row.items():
+            out[i][j][k][p] = val
     return out
+
+
+def change_basis_tensor(constants, g):
+    """Dense structure constants of g*mu, given an Lts or a dense c[i][j][k][p]."""
+    source = constants if isinstance(constants, Lts) else Lts(constants)
+    h, g = _basis_change(source.dim, g)
+    return _dense_tensor(source.dim, _conjugate_rows(source.rows(), h, g), _zero_like(g[0][0]))
 
 
 def complete_table(dim, generators):
@@ -562,6 +590,8 @@ def lts_from_dict(doc: dict, require_field=None) -> Lts:
         raise MalformedInput("dim", "missing")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise MalformedInput("dim", "must be a non-negative integer")
+    if dim > MAX_DIM:
+        raise MalformedInput("dim", f"must be at most {MAX_DIM}")
     field = doc.get("field", "Q(i)")
     if field not in ("Q", "Q(i)"):
         raise MalformedInput("field", f"unknown field {field!r}")

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import Lts, change_basis_tensor
-from .errors import InconsistentGraph, MalformedInput, SingularBasis
-from .linalg import determinant, mat_inverse
+from .core import Lts, _conjugate_rows, _dense_tensor, change_basis_tensor
+from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
+from .linalg import mat_inverse
 from .multipoly import MultiPoly
 from .sampling import ExactRandom
 from .scalars import (
@@ -70,9 +70,12 @@ class ParametrizedBasis:
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise MalformedInput("basis", "parametrized basis must be square")
-        self.det = determinant([list(r) for r in self.rows])
-        if not self.det:
-            raise SingularBasis("parametrized basis is singular over Q(i)(t)")
+        # transport conjugates by g = (A^T)^{-1}; its inverse is A^T itself
+        self._transposed = [list(col) for col in zip(*self.rows)]
+        try:
+            self._inverse_transposed = mat_inverse(self._transposed)
+        except SingularMatrix:
+            raise SingularBasis("parametrized basis is singular over Q(i)(t)") from None
 
     @property
     def dim(self):
@@ -134,11 +137,10 @@ def transport_constants(system: Lts, basis: ParametrizedBasis):
     """
     if basis.dim != system.dim:
         raise MalformedInput("basis", "basis dimension differs from the system")
-    n = system.dim
-    lifted = [[[[RationalFunction.of(system.constant(i + 1, j + 1, k + 1, p + 1))
-                 for p in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-    g = mat_inverse([[basis.rows[j][i] for j in range(n)] for i in range(n)])
-    return change_basis_tensor(lifted, g)
+    lifted = {key: {p: RationalFunction.of(val) for p, val in row.items()}
+              for key, row in system.rows().items()}
+    moved = _conjugate_rows(lifted, basis._transposed, basis._inverse_transposed)
+    return _dense_tensor(system.dim, moved, RationalFunction.of(0))
 
 
 @dataclass
@@ -169,23 +171,23 @@ def verify_degeneration(witness: DegenerationWitness) -> DegenerationReport:
         return DegenerationReport(False, witness, problems, time.monotonic() - start)
     transported = transport_constants(source, witness.basis)
     n = source.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for p in range(n):
-                    value = RationalFunction.of(transported[i][j][k][p])
-                    expected = target.constant(i + 1, j + 1, k + 1, p + 1)
-                    try:
-                        lim = value.limit_at_zero()
-                    except Exception:
-                        problems.append(("pole", (i + 1, j + 1, k + 1, p + 1),
-                                         rational_function_str(value)))
-                        continue
-                    if lim != expected:
-                        problems.append(
-                            ("mismatch", (i + 1, j + 1, k + 1, p + 1),
-                             f"limit {scalar_str(lim)} != "
-                             f"{scalar_str(GaussianRational.of(expected))}"))
+    cells = {(i, j, k, p) for i, j, k, p, _ in target.nonzero_entries()}
+    cells.update((i, j, k, p) for i in range(n) for j in range(n) for k in range(n)
+                 for p in range(n) if transported[i][j][k][p])
+    for i, j, k, p in sorted(cells):  # elsewhere both sides vanish
+        value = transported[i][j][k][p]
+        expected = target.constant(i + 1, j + 1, k + 1, p + 1)
+        try:
+            lim = value.limit_at_zero()
+        except PoleAtZero:
+            problems.append(("pole", (i + 1, j + 1, k + 1, p + 1),
+                             rational_function_str(value)))
+            continue
+        if lim != expected:
+            problems.append(
+                ("mismatch", (i + 1, j + 1, k + 1, p + 1),
+                 f"limit {scalar_str(lim)} != "
+                 f"{scalar_str(GaussianRational.of(expected))}"))
     return DegenerationReport(not problems, witness, problems, time.monotonic() - start)
 
 
@@ -297,23 +299,22 @@ class SeparatingSet:
     # -- solving the relations --------------------------------------------
 
     def zero_forced(self):
-        """Indices forced to vanish, e.g. by a self-relation c = -c."""
-        out = set()
-        for a, b, f in self.relations:
-            if a == b and f != 1:
-                out.add(a)
-        return out
+        """Indices forced to vanish: by a self-relation c = f*c, f != 1, or by c_a = 0*c_b."""
+        return {a for a, b, f in self.relations if (a == b and f != 1) or not f}
 
     def _components(self):
         """Connected components of the relation graph with path factors.
 
         Each component maps index -> factor relative to its root, so assigning
-        the root determines the component; inconsistent cycles surface later
-        through the exact containment re-check.
+        the root determines the component.  Relations with factor 0 add no
+        edge, and a component that holds a forced zero vanishes and is left
+        out.  Inconsistent cycles surface later through the exact containment
+        re-check.
         """
+        forced = self.zero_forced()
         adjacency = {}
         for a, b, f in self.relations:
-            if a == b:
+            if a == b or not f:
                 continue
             adjacency.setdefault(a, []).append((b, f, True))
             adjacency.setdefault(b, []).append((a, f, False))
@@ -334,7 +335,8 @@ class SeparatingSet:
                     comp[other] = comp[node] / f if forward else comp[node] * f
                     seen.add(other)
                     queue.append(other)
-            components.append(comp)
+            if forced.isdisjoint(comp):
+                components.append(comp)
         return components
 
     def random_point(self, rng: ExactRandom):
@@ -342,13 +344,9 @@ class SeparatingSet:
         n = self.dim
         tensor = [[[[QI_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
                   for _ in range(n)]
-        forced = self.zero_forced()
         for comp in self._components():
             value = rng.gaussian(height=5)
-            for idx, factor in comp.items():
-                if idx in forced:
-                    continue
-                i, j, k, p = idx
+            for (i, j, k, p), factor in comp.items():
                 tensor[i - 1][j - 1][k - 1][p - 1] = factor * value
         if not self.contains_tensor(tensor):  # inconsistent cycle: keep the zero point
             return [[[[QI_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -362,13 +360,9 @@ class SeparatingSet:
         zero = MultiPoly(var_names, {})
         tensor = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
                   for _ in range(n)]
-        forced = self.zero_forced()
         for pos, comp in enumerate(comps):
             var = MultiPoly.variable(var_names, f"r{pos}")
-            for idx, factor in comp.items():
-                if idx in forced:
-                    continue
-                i, j, k, p = idx
+            for (i, j, k, p), factor in comp.items():
                 tensor[i - 1][j - 1][k - 1][p - 1] = factor * var
         return var_names, tensor
 
@@ -448,50 +442,24 @@ def borel_stability_evidence(separating: SeparatingSet, mode="randomized",
     var_names, tensor = separating.symbolic_point(extra_vars=lower_names)
     zero = MultiPoly(var_names, {})
     g = _lower_triangular_symbols(n, var_names)
-    adj = _adjugate(g, zero)
-    moved = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-             for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for q in range(n):
-                    val = tensor[a][b][c][q]
-                    if not val:
-                        continue
-                    for i in range(n):
-                        if not adj[a][i]:
-                            continue
-                        for j in range(n):
-                            if not adj[b][j]:
-                                continue
-                            fij = adj[a][i] * adj[b][j]
-                            for k in range(n):
-                                if not adj[c][k]:
-                                    continue
-                                term = fij * adj[c][k] * val
-                                for p in range(q, n):
-                                    if g[p][q]:
-                                        moved[i][j][k][p] = moved[i][j][k][p] + term * g[p][q]
+    moved = _conjugate_rows(Lts(tensor).rows(), _adjugate(g, zero), g)
+
+    def entry(idx):
+        i, j, k, p = idx
+        return moved.get((i - 1, j - 1, k - 1), {}).get(p - 1, zero)
+
     for a_idx, b_idx, factor in separating.relations:
-        i, j, k, p = a_idx
-        lhs = moved[i - 1][j - 1][k - 1][p - 1]
-        i, j, k, p = b_idx
-        rhs = moved[i - 1][j - 1][k - 1][p - 1]
-        if not (lhs - factor * rhs).is_zero():
+        if not (entry(a_idx) - factor * entry(b_idx)).is_zero():
             return EvidenceReport("borel-symbolic", False,
                                   f"relation {a_idx} = {scalar_str(factor)}*{b_idx} breaks")
     if separating.zero_otherwise:
         support = set(separating.support)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for p in range(n):
-                        if (i + 1, j + 1, k + 1, p + 1) in support:
-                            continue
-                        if not moved[i][j][k][p].is_zero():
-                            return EvidenceReport(
-                                "borel-symbolic", False,
-                                f"constant ({i+1},{j+1},{k+1},{p+1}) becomes nonzero")
+        for (i, j, k), row in sorted(moved.items()):
+            for p in sorted(row):
+                if (i + 1, j + 1, k + 1, p + 1) not in support:
+                    return EvidenceReport(
+                        "borel-symbolic", False,
+                        f"constant ({i+1},{j+1},{k+1},{p+1}) becomes nonzero")
     return EvidenceReport("borel-symbolic", True,
                           "relations hold as polynomial identities")
 

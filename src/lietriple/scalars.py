@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import ParseError, PoleAtPoint, PoleAtZero
 
@@ -311,25 +311,44 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
+_POLY_ONE = Polynomial([QI_ONE])
+
+
+def _cancel(num, den):
+    """num and den divided by a common divisor that leaves them coprime.
+
+    Both must have positive degree.  A denominator c*t^k only shares powers of
+    t with the numerator, so shifting coefficients replaces the gcd there.
+    """
+    if any(den.coeffs[:-1]):
+        g = poly_gcd(num, den)
+        return (num // g, den // g) if g.degree > 0 else (num, den)
+    shift = min(den.degree, next(k for k, c in enumerate(num.coeffs) if c))
+    if not shift:
+        return num, den
+    return Polynomial(num.coeffs[shift:]), Polynomial(den.coeffs[shift:])
+
+
 class RationalFunction:
     """Element of Q(i)(t): reduced num/den with monic denominator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
+    def __init__(self, num, den=_POLY_ONE):
         num = Polynomial.of(num) if not isinstance(num, Polynomial) else num
         den = Polynomial.of(den) if not isinstance(den, Polynomial) else den
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = Polynomial.of(1)
+            den = _POLY_ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            inv = den.lead.inverse()
-            num = num * inv
-            den = den * inv
+            if num.degree > 0 and den.degree > 0:
+                num, den = _cancel(num, den)
+            lead = den.lead
+            if lead != 1:
+                inv = lead.inverse()
+                num = Polynomial([c * inv for c in num.coeffs])
+                den = Polynomial([c * inv for c in den.coeffs])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -360,7 +379,7 @@ class RationalFunction:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = RationalFunction.of(other)
+            return self.is_constant and self.constant_value() == other
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -568,27 +587,13 @@ def _poly_str(p: Polynomial) -> str:
 
 
 def _coeff_den_lcm(p: Polynomial) -> int:
-    d = 1
-    for c in p.coeffs:
-        for f in (c.re, c.im):
-            d = d * f.denominator // _gcd_int(d, f.denominator)
-    return d
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
-
-
-def _lcm_int(a: int, b: int) -> int:
-    return a * b // _gcd_int(a, b)
+    return lcm(1, *(f.denominator for c in p.coeffs for f in (c.re, c.im)))
 
 
 def rational_function_str(f: RationalFunction) -> str:
     """Text form "(num)/(den)" with Gaussian-integer coefficients; "num" if den = 1."""
     f = RationalFunction.of(f)
-    scale = _lcm_int(_coeff_den_lcm(f.num), _coeff_den_lcm(f.den))
+    scale = lcm(_coeff_den_lcm(f.num), _coeff_den_lcm(f.den))
     num = f.num * scale
     den = f.den * scale
     if den.degree == 0 and den.coeffs[0] == 1:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,15 @@ def test_boolean_dim_rejected(tmp_path, capsys):
     path = tmp_path / "bool_dim.json"
     path.write_text(json.dumps({"dim": True, "products": []}))
     assert main(["check", str(path)]) == 2
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+def test_huge_dim_rejected_at_once(tmp_path, capsys):
+    path = tmp_path / "huge_dim.json"
+    path.write_text(json.dumps({"dim": 100000, "products": []}))
+    start = time.monotonic()
+    assert main(["invariants", str(path)]) == 2
+    assert time.monotonic() - start < 5
     assert "MalformedInput" in capsys.readouterr().err
 
 

@@ -127,6 +127,10 @@ class TestAutAction:
         eye = [[1, 0], [0, 1]]
         assert aut_action(eye, theta) == theta
 
+    def test_singular_or_misshapen_matrix_is_no_automorphism(self, t32):
+        assert not is_automorphism(t32, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+        assert not is_automorphism(t32, [[1, 0], [0, 1]])
+
     def test_generic_formula_on_t21(self, t21):
         rng = ExactRandom(31)
         for _ in range(10):

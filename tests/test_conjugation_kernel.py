@@ -1,0 +1,218 @@
+"""The sparse conjugation kernel against the dense loops it replaced.
+
+The reference implementations below are the earlier code paths: the dense
+``change_basis_tensor`` loop, the transport that lifted all n^4 constants to
+Q(i)(t) and inverted twice, the eight-deep loop of the symbolic Borel check,
+and the reduction of a rational function by a full polynomial gcd.  The kernel
+reads only nonzero rows and must give the same tensors exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from lietriple import catalog
+from lietriple import degeneration as dg
+from lietriple.core import Lts, _conjugate_rows, change_basis_tensor
+from lietriple.linalg import mat_inverse
+from lietriple.multipoly import MultiPoly
+from lietriple.sampling import ExactRandom
+from lietriple.scalars import (
+    GaussianRational,
+    Polynomial,
+    RationalFunction,
+    poly_gcd,
+)
+
+G = GaussianRational
+T = RationalFunction.variable()
+
+
+def reference_change_basis_tensor(constants, g):
+    """Dense g*mu: every nonzero constant spread over all n^4 target cells."""
+    source = constants if isinstance(constants, Lts) else Lts(constants)
+    n = source.dim
+    g = [[G.of(x) if isinstance(x, (int, Fraction)) else x for x in row] for row in g]
+    h = mat_inverse(g)
+    zero = g[0][0] * 0
+    out = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a, b, cc, q, val in source.nonzero_entries():
+        gcol = [g[p][q] * val for p in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    f = h[a][i] * h[b][j] * h[cc][k]
+                    for p in range(n):
+                        out[i][j][k][p] = out[i][j][k][p] + f * gcol[p]
+    return out
+
+
+def reference_transport(system, basis):
+    """All n^4 constants lifted to Q(i)(t), conjugated by (A^T)^{-1}."""
+    n = system.dim
+    lifted = [[[[RationalFunction.of(system.constant(i + 1, j + 1, k + 1, p + 1))
+                 for p in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
+    g = mat_inverse([[basis.rows[j][i] for j in range(n)] for i in range(n)])
+    return reference_change_basis_tensor(lifted, g)
+
+
+def reference_borel_moved(tensor, adj, g, zero):
+    """The hand-written loop of the symbolic Borel check, g lower triangular."""
+    n = len(g)
+    moved = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for q in range(n):
+                    val = tensor[a][b][c][q]
+                    if not val:
+                        continue
+                    for i in range(n):
+                        for j in range(n):
+                            for k in range(n):
+                                term = adj[a][i] * adj[b][j] * adj[c][k] * val
+                                for p in range(q, n):
+                                    moved[i][j][k][p] = moved[i][j][k][p] + term * g[p][q]
+    return moved
+
+
+def reference_reduce(num, den):
+    """Canonical (num, den): divide out the monic gcd, make den monic."""
+    if not num:
+        return Polynomial(), Polynomial.of(1)
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    inv = den.lead.inverse()
+    return num * inv, den * inv
+
+
+def assert_same_tensor(got, expected):
+    n = len(expected)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for p in range(n):
+                    assert got[i][j][k][p] == expected[i][j][k][p], (i, j, k, p)
+
+
+MEMBERS = [(name, None) for name, entry in catalog.ENTRIES.items() if not entry.family] + [
+    ("T4,6", lam) for lam in ("2", "1", "0", "-1", "1/2*i")]
+
+
+@pytest.mark.parametrize("name,lam", MEMBERS)
+def test_change_basis_agrees_on_catalog(name, lam):
+    system = catalog.instantiate(name, lam)
+    rng = ExactRandom(sum(map(ord, f"{name}{lam}")))
+    for g in (rng.invertible(system.dim, height=3), rng.unimodularish(system.dim)):
+        expected = reference_change_basis_tensor(system, g)
+        assert_same_tensor(change_basis_tensor(system, g), expected)
+        assert system.change_basis(g) == Lts(expected)
+
+
+def test_change_basis_agrees_on_a_dense_input():
+    rng = ExactRandom(17)
+    dense = change_basis_tensor(catalog.instantiate("T3,2"), rng.invertible(3, height=3))
+    g = rng.invertible(3, height=2)
+    assert_same_tensor(change_basis_tensor(dense, g), reference_change_basis_tensor(dense, g))
+
+
+def builtin_witnesses():
+    rows = [dg.table2_witness(row) for row in range(1, len(dg.TABLE2_WITNESSES) + 1)]
+    rows.append(dg.table2_witness(13, lam=GaussianRational(0, 1)))
+    return rows + [dg.table4_witness(), dg.dim3_witness()]
+
+
+@pytest.mark.parametrize("witness", builtin_witnesses(), ids=lambda w: w.label)
+def test_transport_agrees_on_builtin_witnesses(witness):
+    source = witness.source_system()
+    assert_same_tensor(dg.transport_constants(source, witness.basis),
+                       reference_transport(source, witness.basis))
+
+
+def test_transport_agrees_on_the_family_source():
+    # the index (1-t)/(1+t) puts non-Laurent constants into the source itself
+    witness = dg.table4_witness()
+    source = witness.source_system()
+    assert any(not val.is_constant for *_, val in source.nonzero_entries())
+    basis = random_laurent_basis(ExactRandom(5), 4)
+    assert_same_tensor(dg.transport_constants(source, basis),
+                       reference_transport(source, basis))
+
+
+def random_laurent_basis(rng, n):
+    """Invertible matrix of monomials c*t^k, -2 <= k <= 2, off the diagonal mostly zero."""
+    while True:
+        rows = [[rng.gaussian(height=3) * T ** rng.rng.randint(-2, 2)
+                 if rng.rng.random() < 0.25 or i == j else RationalFunction.of(0)
+                 for j in range(n)] for i in range(n)]
+        if not any(rows[i][j] for i in range(n) for j in range(n) if i != j):
+            continue
+        try:
+            return dg.ParametrizedBasis(rows)
+        except dg.SingularBasis:
+            continue
+
+
+@pytest.mark.parametrize("name", ["T3,2", "T4,3", "T4,5", "T4,7", "T4,8"])
+def test_transport_agrees_on_random_laurent_bases(name):
+    system = catalog.instantiate(name)
+    basis = random_laurent_basis(ExactRandom(sum(map(ord, name))), system.dim)
+    assert_same_tensor(dg.transport_constants(system, basis),
+                       reference_transport(system, basis))
+
+
+@pytest.mark.parametrize("separating", [
+    dg.table3_separating_set(1), dg.table3_separating_set(2, G(2)),
+    dg.table3_separating_set(2, G(-1)), dg.table3_separating_set(3),
+    dg.table5_separating_set(),
+], ids=lambda s: s.label)
+def test_kernel_agrees_on_the_symbolic_borel_point(separating):
+    n = separating.dim
+    lower = [f"l{i+1}{j+1}" for i in range(n) for j in range(i + 1)]
+    names, tensor = separating.symbolic_point(extra_vars=lower)
+    zero = MultiPoly(names, {})
+    g = dg._lower_triangular_symbols(n, names)
+    adj = dg._adjugate(g, zero)
+    expected = reference_borel_moved(tensor, adj, g, zero)
+    moved = _conjugate_rows(Lts(tensor).rows(), adj, g)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for p in range(n):
+                    got = moved.get((i, j, k), {}).get(p, zero)
+                    assert (got - expected[i][j][k][p]).is_zero(), (i, j, k, p)
+
+
+def polys():
+    t = Polynomial.variable()
+    c = Polynomial.of
+    return {
+        "zero": Polynomial(),
+        "constant": c(G(3, -2)),
+        "t": t,
+        "t^3": t * t * t,
+        "2i*t^2": c(G(0, 2)) * t * t,
+        "t^2+t^4": t * t + t * t * t * t,
+        "1+t": c(1) + t,
+        "(1+t)(2-t)t": (c(1) + t) * (c(2) - t) * t,
+        "(1-t)^2": (c(1) - t) * (c(1) - t),
+        "3t^5-1/2*t^2": c(3) * t * t * t * t * t - c(Fraction(1, 2)) * t * t,
+    }
+
+
+@pytest.mark.parametrize("num_name", list(polys()))
+@pytest.mark.parametrize("den_name", [name for name in polys() if name != "zero"])
+def test_fast_reduction_matches_the_gcd(num_name, den_name):
+    table = polys()
+    num, den = table[num_name], table[den_name]
+    f = RationalFunction(num, den)
+    assert (f.num, f.den) == reference_reduce(num, den)
+
+
+def test_scalar_comparison_reads_constants():
+    assert RationalFunction.of(G(2, 1)) == G(2, 1)
+    assert RationalFunction.of(0) == 0 and not RationalFunction.of(0)
+    assert T != 0 and T * T / T == T
+    assert (T + 1) / (T + 1) == 1
+    assert RationalFunction(Polynomial.of(2), Polynomial.of(4)) == Fraction(1, 2)

@@ -9,6 +9,7 @@ import pytest
 from conftest import basis_vector, oracle_annihilator_dim, oracle_derived_dim
 from lietriple import catalog
 from lietriple.core import (
+    MAX_DIM,
     Lts,
     complete_table,
     direct_sum,
@@ -357,6 +358,13 @@ class TestJsonRoundTrip:
         assert time.monotonic() - start < 10
         assert system.dim == 12 and system.verified
         assert not any(True for _ in system.nonzero_entries())
+
+    def test_dim_cap(self):
+        assert lts_from_dict({"dim": MAX_DIM, "products": []}).dim == MAX_DIM
+        with pytest.raises(MalformedInput):
+            lts_from_dict({"dim": MAX_DIM + 1, "products": []})
+        with pytest.raises(MalformedInput):
+            lts_from_dict({"dim": 100000, "products": []})
 
     def test_schema_errors(self):
         with pytest.raises(MalformedInput):

@@ -96,6 +96,17 @@ class TestVerifyDegeneration:
         assert any(kind == "pole" for kind, _, _ in report.problems)
 
 
+    def test_only_poles_are_reported_as_poles(self, monkeypatch):
+        # a fault in the transport must surface, not read as a pole verdict
+        def broken(system, basis):
+            n = system.dim
+            return [[[[object()] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+        monkeypatch.setattr(dg, "transport_constants", broken)
+        with pytest.raises(AttributeError):
+            dg.verify_degeneration(dg.dim3_witness())
+
+
 class TestWitnessConsistency:
     @pytest.mark.parametrize("t0", [Fraction(1), Fraction(1, 2)])
     def test_sample_instantiation_is_isomorphic_copy(self, t0):
@@ -235,6 +246,21 @@ class TestSeparatingSets:
                 assert sep.contains_tensor(point)
 
 
+    @pytest.mark.parametrize("lam,forced", [(G(-1), (1, 2, 3, 4)), (G(0), (2, 3, 1, 4))])
+    def test_zero_factor_forces_its_component_to_vanish(self, lam, forced):
+        # row 2 relates c_1234 = (1+lam) c_1324 and c_2314 = -lam c_1324
+        separating = dg.table3_separating_set(2, lam)
+        assert separating.zero_forced() == {forced}
+        rng = ExactRandom(29)
+        for _ in range(10):
+            point = separating.random_point(rng)
+            assert separating.contains_tensor(point)
+            assert any(x for a in point for b in a for c in b for x in c)
+            i, j, k, p = forced
+            assert not point[i - 1][j - 1][k - 1][p - 1]
+            assert not point[j - 1][i - 1][k - 1][p - 1]
+
+
 class TestBorelStability:
     @pytest.mark.parametrize("factory", [
         lambda: dg.table3_separating_set(1),
@@ -257,6 +283,22 @@ class TestBorelStability:
     def test_symbolic_proof(self, factory):
         report = dg.borel_stability_evidence(factory(), "symbolic")
         assert report.ok, report.detail
+
+    @pytest.mark.parametrize("mode", ["randomized", "symbolic"])
+    @pytest.mark.parametrize("lam", [G(-1), G(0)])
+    def test_row2_where_a_factor_vanishes(self, mode, lam):
+        report = dg.borel_stability_evidence(dg.table3_separating_set(2, lam), mode,
+                                             trials=25, seed=7)
+        assert report.ok, report.detail
+
+    def test_zero_factor_relation_document(self):
+        # c_1234 = 0 * c_1324 leaves c_1324 alone in the locus, which a
+        # lower-triangular change of basis spreads to other constants
+        separating = dg.separating_set_from_dict(
+            {"dim": 4, "equal": [[[1, 2, 3, 4], [1, 3, 2, 4], "0"]]})
+        assert separating.zero_forced() == {(1, 2, 3, 4)}
+        assert not dg.borel_stability_evidence(separating, "symbolic").ok
+        assert not dg.borel_stability_evidence(separating, "randomized", trials=10).ok
 
     def test_unstable_set_detected(self):
         # a single off-diagonal constant without its antisymmetry partner is
