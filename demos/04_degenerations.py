@@ -30,18 +30,17 @@ family = dg.table4_witness()
 print("index function f(t) =", family.index_fn)
 print(dg.verify_degeneration(family))
 
-print("\n=== Non-degenerations at three evidence levels ===")
-# strongest: a necessary-condition certificate
+print("\n=== Non-degenerations: two exact levels plus the escape search ===")
+# exact: a necessary-condition certificate
 cert = dg.necessary_conditions(catalog.instantiate("T4,5"), catalog.instantiate("T4,9"))
 print("T4,5 -/-> T4,9 :", cert)
 
-# next: separating-set membership with stability evidence
+# exact: separating-set membership with a symbolic Borel-stability proof
 separating = dg.table3_separating_set(3)
 print("T4,9 in its separating set:", separating.contains(catalog.instantiate("T4,9")))
-print(dg.borel_stability_evidence(separating, "randomized", trials=50, seed=4))
-print(dg.borel_stability_evidence(separating, "symbolic"))
+print(dg.borel_stability_evidence(separating))
 
-# weakest: randomized no-escape searches
+# evidence, never proof: the randomized no-escape search
 print(dg.orbit_escape_search(separating, catalog.instantiate("T4,3"),
                              trials=100, seed=5))
 

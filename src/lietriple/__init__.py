@@ -13,7 +13,6 @@ from .scalars import (
     QI_ONE,
     QI_ZERO,
     evaluate_at,
-    field_arithmetic,
     limit_at_zero,
     parse_rational_function,
     parse_scalar,

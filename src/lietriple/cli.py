@@ -243,17 +243,15 @@ def _cmd_degen(args):
         separating = degeneration.separating_set_from_dict(_load_json(args.file))
         target = catalog.instantiate(args.target,
                                      parse_scalar(args.lam) if args.lam else None)
-        stability = degeneration.borel_stability_evidence(
-            separating, mode=args.mode, trials=args.trials, seed=args.seed)
+        stability = degeneration.borel_stability_evidence(separating)
         escape = degeneration.orbit_escape_search(
-            separating, target, trials=args.trials * 2, seed=args.seed + 1)
+            separating, target, trials=args.trials, seed=args.seed)
         payload = {
             "stability": {"kind": stability.kind, "ok": stability.ok,
                           "detail": stability.detail, "trials": stability.trials},
             "escape": {"kind": escape.kind, "ok": escape.ok,
                        "detail": escape.detail, "trials": escape.trials},
-            "evidenceLevel": "separating-set (evidence, not proof)"
-            if args.mode == "randomized" else "separating-set (symbolic stability proof)",
+            "evidenceLevel": "separating-set (symbolic stability proof)",
         }
         ok = stability.ok and escape.ok
         _emit(args, payload, [str(stability), str(escape)])
@@ -309,10 +307,8 @@ def build_parser():
     nondegen.add_argument("file")
     nondegen.add_argument("--target", required=True)
     nondegen.add_argument("--lambda", dest="lam", default=None, metavar="VALUE")
-    nondegen.add_argument("--mode", choices=("randomized", "symbolic"),
-                          default="randomized")
-    nondegen.add_argument("--trials", type=int, default=100)
-    nondegen.add_argument("--seed", type=int, default=0)
+    nondegen.add_argument("--trials", type=int, default=200, help="escape-search trials")
+    nondegen.add_argument("--seed", type=int, default=0, help="escape-search seed")
     p.set_defaults(func=_cmd_degen)
 
     return parser

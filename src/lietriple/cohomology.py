@@ -392,11 +392,6 @@ def aut_action(phi, theta: Cocycle, check=True) -> Cocycle:
     return Cocycle(system, coeffs, closed=theta.closed)
 
 
-def gl_action(psi_scalar, theta: Cocycle) -> Cocycle:
-    """Value-side action of GL_1: scale a scalar-valued cocycle."""
-    return psi_scalar * theta
-
-
 def matrix_form(theta: Cocycle):
     """Antisymmetric blocks C_1..C_n with (C_t)_{ij} = theta(e_i, e_j, e_t)."""
     n = theta.ambient.dim

@@ -6,12 +6,12 @@ every transported constant has a finite limit at t = 0 equal to the target
 constant.  Family witnesses first substitute a parametrized index f(t) for the
 family parameter.
 
-Non-degenerations come at three evidence levels, strongest first:
-necessary-condition certificates (annihilator / derived-subspace / derivation
-dimensions), separating-set membership plus Borel-stability evidence
-(randomized or symbolic), and randomized no-escape searches.  The graph
-assembly stitches the verified witnesses into the degeneration diagram and
-reports its maximal nodes.
+Non-degenerations come at two exact levels plus a search: necessary-condition
+certificates (annihilator / derived-subspace / derivation dimensions),
+separating-set membership with a symbolic Borel-stability proof, and the
+randomized no-escape search (evidence, never proof).  The graph assembly
+stitches the verified witnesses into the degeneration diagram and reports its
+maximal nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import Lts, _conjugate_rows, _dense_tensor, change_basis_tensor
+from .core import Lts, _conjugate_rows, _dense_tensor
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
 from .linalg import mat_inverse
 from .multipoly import MultiPoly
@@ -269,32 +269,32 @@ class SeparatingSet:
                     support.append(idx)
         self.support = support
 
-    def _entry(self, tensor, idx):
-        i, j, k, p = idx
-        return tensor[i - 1][j - 1][k - 1][p - 1]
+    def first_violation(self, rows):
+        """First relation, then first off-support constant, that ``rows`` breaks.
 
-    def contains_tensor(self, tensor) -> bool:
+        ``rows`` maps 0-based (i, j, k) to {p: value}; zero is tested by
+        truthiness, so Q(i) and polynomial values both work.  Returns None when
+        the rows lie in the locus, else a description of the violation.
+        """
+        def value(idx):
+            i, j, k, p = idx
+            return rows.get((i - 1, j - 1, k - 1), {}).get(p - 1, 0)
+
         for a, b, factor in self.relations:
-            if self._entry(tensor, a) != factor * self._entry(tensor, b):
-                return False
+            left, right = value(a), value(b)
+            if (left - factor * right) if right else left:
+                return f"relation {a} = {scalar_str(factor)}*{b} fails"
         if self.zero_otherwise:
-            n = self.dim
             support = set(self.support)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for p in range(n):
-                            if (i + 1, j + 1, k + 1, p + 1) in support:
-                                continue
-                            if tensor[i][j][k][p] != 0:
-                                return False
-        return True
+            for (i, j, k), row in sorted(rows.items()):
+                for p in sorted(row):
+                    idx = (i + 1, j + 1, k + 1, p + 1)
+                    if row[p] and idx not in support:
+                        return f"constant {idx} is nonzero"
+        return None
 
     def contains(self, system: Lts) -> bool:
-        tensor = [[[[system.constant(i, j, k, p) for p in range(1, self.dim + 1)]
-                    for k in range(1, self.dim + 1)] for j in range(1, self.dim + 1)]
-                  for i in range(1, self.dim + 1)]
-        return self.contains_tensor(tensor)
+        return self.first_violation(system.rows()) is None
 
     # -- solving the relations --------------------------------------------
 
@@ -307,9 +307,9 @@ class SeparatingSet:
 
         Each component maps index -> factor relative to its root, so assigning
         the root determines the component.  Relations with factor 0 add no
-        edge, and a component that holds a forced zero vanishes and is left
-        out.  Inconsistent cycles surface later through the exact containment
-        re-check.
+        edge.  A component vanishes, and is left out, when it holds a forced
+        zero or when one of its relations disagrees with the path factors (a
+        cycle whose factors do not multiply to 1 forces the root to 0).
         """
         forced = self.zero_forced()
         adjacency = {}
@@ -335,36 +335,22 @@ class SeparatingSet:
                     comp[other] = comp[node] / f if forward else comp[node] * f
                     seen.add(other)
                     queue.append(other)
-            if forced.isdisjoint(comp):
+            consistent = all(comp[a] == f * comp[b] for a, b, f in self.relations
+                             if f and a in comp)
+            if consistent and forced.isdisjoint(comp):
                 components.append(comp)
         return components
 
-    def random_point(self, rng: ExactRandom):
-        """Random tensor satisfying the linear relations (not necessarily an LTS)."""
-        n = self.dim
-        tensor = [[[[QI_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-                  for _ in range(n)]
-        for comp in self._components():
-            value = rng.gaussian(height=5)
-            for (i, j, k, p), factor in comp.items():
-                tensor[i - 1][j - 1][k - 1][p - 1] = factor * value
-        if not self.contains_tensor(tensor):  # inconsistent cycle: keep the zero point
-            return [[[[QI_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        return tensor
-
     def symbolic_point(self, extra_vars=()):
-        """Generic point with one polynomial variable per relation component."""
-        n = self.dim
+        """Generic point of the locus as 0-based rows, one variable per component."""
         comps = self._components()
         var_names = [f"r{k}" for k in range(len(comps))] + list(extra_vars)
-        zero = MultiPoly(var_names, {})
-        tensor = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-                  for _ in range(n)]
+        rows = {}
         for pos, comp in enumerate(comps):
             var = MultiPoly.variable(var_names, f"r{pos}")
             for (i, j, k, p), factor in comp.items():
-                tensor[i - 1][j - 1][k - 1][p - 1] = factor * var
-        return var_names, tensor
+                rows.setdefault((i - 1, j - 1, k - 1), {})[p - 1] = factor * var
+        return var_names, rows
 
 
 def _lower_triangular_symbols(n, var_names):
@@ -413,53 +399,25 @@ class EvidenceReport:
         return f"{self.kind}{suffix}: {status} - {self.detail}"
 
 
-def borel_stability_evidence(separating: SeparatingSet, mode="randomized",
-                             trials=100, seed=0) -> EvidenceReport:
-    """Evidence that the locus is stable under lower-triangular basis changes.
+def borel_stability_evidence(separating: SeparatingSet, mode="symbolic") -> EvidenceReport:
+    """Proof that the locus is stable under lower-triangular basis changes.
 
-    Randomized mode transports random points of the linear locus by random
-    invertible lower-triangular matrices and checks containment exactly.
-    Symbolic mode conjugates a generic point by a generic lower-triangular
+    A generic point of the locus is conjugated by a generic lower-triangular
     matrix, with inverse denominators cleared by the adjugate (a det^3 factor
     scales every constant and cancels from the homogeneous linear relations),
-    and checks the relations as polynomial identities: that one is a proof.
+    and the locus is checked as polynomial identities.
     """
-    n = separating.dim
-    if mode == "randomized":
-        rng = ExactRandom(seed)
-        for trial in range(trials):
-            point = separating.random_point(rng)
-            g = rng.lower_triangular_invertible(n, height=5)
-            moved = change_basis_tensor(point, g)
-            if not separating.contains_tensor(moved):
-                return EvidenceReport("borel-randomized", False,
-                                      f"escape at trial {trial}", trials)
-        return EvidenceReport("borel-randomized", True,
-                              "all transported points stayed in the locus", trials)
     if mode != "symbolic":
         raise MalformedInput("mode", f"unknown mode {mode!r}")
+    n = separating.dim
     lower_names = [f"l{i+1}{j+1}" for i in range(n) for j in range(i + 1)]
-    var_names, tensor = separating.symbolic_point(extra_vars=lower_names)
-    zero = MultiPoly(var_names, {})
+    var_names, rows = separating.symbolic_point(extra_vars=lower_names)
     g = _lower_triangular_symbols(n, var_names)
-    moved = _conjugate_rows(Lts(tensor).rows(), _adjugate(g, zero), g)
-
-    def entry(idx):
-        i, j, k, p = idx
-        return moved.get((i - 1, j - 1, k - 1), {}).get(p - 1, zero)
-
-    for a_idx, b_idx, factor in separating.relations:
-        if not (entry(a_idx) - factor * entry(b_idx)).is_zero():
-            return EvidenceReport("borel-symbolic", False,
-                                  f"relation {a_idx} = {scalar_str(factor)}*{b_idx} breaks")
-    if separating.zero_otherwise:
-        support = set(separating.support)
-        for (i, j, k), row in sorted(moved.items()):
-            for p in sorted(row):
-                if (i + 1, j + 1, k + 1, p + 1) not in support:
-                    return EvidenceReport(
-                        "borel-symbolic", False,
-                        f"constant ({i+1},{j+1},{k+1},{p+1}) becomes nonzero")
+    moved = _conjugate_rows(rows, _adjugate(g, MultiPoly(var_names, {})), g)
+    violation = separating.first_violation(moved)
+    if violation:
+        return EvidenceReport("borel-symbolic", False,
+                              f"{violation} after a lower-triangular change of basis")
     return EvidenceReport("borel-symbolic", True,
                           "relations hold as polynomial identities")
 
@@ -516,15 +474,11 @@ def orbit_escape_search(separating: SeparatingSet, target: Lts, trials=200,
     n = target.dim
     if n != separating.dim:
         raise MalformedInput("target", "dimension mismatch with separating set")
-    rng = ExactRandom(seed)
-    base = [[[[target.constant(i, j, k, p) for p in range(1, n + 1)]
-              for k in range(1, n + 1)] for j in range(1, n + 1)] for i in range(1, n + 1)]
-    if separating.contains_tensor(base):
+    if separating.contains(target):
         return EvidenceReport("escape-search", False,
                               "target already satisfies the relations", 0)
-    nonzeros = [(a, b, c, q, base[a][b][c][q])
-                for a in range(n) for b in range(n) for c in range(n) for q in range(n)
-                if base[a][b][c][q] != 0]
+    rng = ExactRandom(seed)
+    nonzeros = list(target.nonzero_entries())
     for trial in range(trials):
         g = rng.invertible(n, height=5)
         if _transported_in_locus(separating, nonzeros, g):

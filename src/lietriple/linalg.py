@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularMatrix
-from .scalars import GaussianRational
 
 
 def _inv(x):
@@ -118,7 +117,9 @@ def identity_matrix(n, one=1, zero=0):
 
 def mat_inverse(A):
     n = len(A)
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    zero = A[0][0] - A[0][0] if n else 0  # the identity block takes the entries' own type
+    one = zero + 1
+    aug = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
     reduced, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
@@ -207,9 +208,6 @@ class Subspace:
                     vec = [x + s[k] * y for x, y in zip(vec, self.basis[k])]
             vectors.append(vec)
         return Subspace(self.ambient, vectors)
-
-    def normalized_entries(self):
-        return [[GaussianRational.of(x) if isinstance(x, int) else x for x in row] for row in self.basis]
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"

@@ -48,15 +48,6 @@ class ExactRandom:
             if determinant(m) != 0:
                 return m
 
-    def lower_triangular_invertible(self, n, height=DEFAULT_HEIGHT, imaginary=True):
-        m = [[GaussianRational(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i):
-                m[i][j] = self.gaussian(height, imaginary)
-            while not m[i][i]:
-                m[i][i] = self.gaussian(height, imaginary)
-        return m
-
     def unimodularish(self, n, steps=6):
         """Product of elementary matrices with unit determinant factors.
 

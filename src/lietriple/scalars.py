@@ -10,7 +10,6 @@ reduced denominator.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -23,7 +22,6 @@ __all__ = [
     "QI_ZERO",
     "QI_ONE",
     "QI_I",
-    "field_arithmetic",
     "limit_at_zero",
     "evaluate_at",
     "parse_scalar",
@@ -463,24 +461,6 @@ def limit_at_zero(f: RationalFunction) -> GaussianRational:
 
 def evaluate_at(f: RationalFunction, t0) -> GaussianRational:
     return RationalFunction.of(f).evaluate_at(t0)
-
-
-_FIELD_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-    "eq": operator.eq,
-}
-
-
-def field_arithmetic(a, b=None, op="add"):
-    """Dispatch-style field arithmetic; unary ops are 'neg' and 'inv'."""
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return 1 / a
-    return _FIELD_OPS[op](a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from lietriple import catalog
 from lietriple import degeneration as dg
-from lietriple.cli import main
+from lietriple.cli import build_parser, main
 from lietriple.core import lts_from_dict, lts_to_dict
 from lietriple.scalars import GaussianRational
 
@@ -151,10 +153,32 @@ def test_degen_nondegen(tmp_path, capsys):
                  "--trials", "20", "--seed", "5"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "borel-randomized" in out and "escape-search" in out
-    code = main(["degen", "nondegen", str(path), "--target", "T4,3",
-                 "--mode", "symbolic", "--trials", "20"])
+    assert "borel-symbolic: pass" in out and "escape-search [20 trials]: pass" in out
+    code = main(["--format", "json", "degen", "nondegen", str(path), "--target", "T4,3",
+                 "--trials", "20"])
     assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["evidenceLevel"] == "separating-set (symbolic stability proof)"
+    assert payload["stability"]["kind"] == "borel-symbolic"
+
+
+def test_degen_nondegen_has_no_mode_flag(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
+    with pytest.raises(SystemExit) as exc:
+        main(["degen", "nondegen", str(path), "--target", "T4,3", "--mode", "randomized"])
+    assert exc.value.code == 2
+
+
+def test_readme_usage_lines_parse():
+    # every `lts ...` line of the README must be accepted by the real parser
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("lts ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func), line
 
 
 def test_field_restriction(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from lietriple import catalog
 from lietriple import degeneration as dg
-from lietriple.core import Lts, _conjugate_rows, change_basis_tensor
+from lietriple.core import Lts, _conjugate_rows, _dense_tensor, change_basis_tensor
 from lietriple.linalg import mat_inverse
 from lietriple.multipoly import MultiPoly
 from lietriple.sampling import ExactRandom
@@ -170,12 +170,12 @@ def test_transport_agrees_on_random_laurent_bases(name):
 def test_kernel_agrees_on_the_symbolic_borel_point(separating):
     n = separating.dim
     lower = [f"l{i+1}{j+1}" for i in range(n) for j in range(i + 1)]
-    names, tensor = separating.symbolic_point(extra_vars=lower)
+    names, rows = separating.symbolic_point(extra_vars=lower)
     zero = MultiPoly(names, {})
     g = dg._lower_triangular_symbols(n, names)
     adj = dg._adjugate(g, zero)
-    expected = reference_borel_moved(tensor, adj, g, zero)
-    moved = _conjugate_rows(Lts(tensor).rows(), adj, g)
+    expected = reference_borel_moved(_dense_tensor(n, rows, zero), adj, g, zero)
+    moved = _conjugate_rows(rows, adj, g)
     for i in range(n):
         for j in range(n):
             for k in range(n):

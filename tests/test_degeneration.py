@@ -238,58 +238,78 @@ class TestSeparatingSets:
         assert not literal.contains(catalog.instantiate("T4,6", G(2)))
 
     def test_random_points_satisfy_relations(self):
-        rng = ExactRandom(101)
+        # the generic point satisfies every relation identically
         for sep in (dg.table3_separating_set(1), dg.table3_separating_set(2, G(3)),
                     dg.table5_separating_set()):
-            for _ in range(10):
-                point = sep.random_point(rng)
-                assert sep.contains_tensor(point)
+            names, rows = sep.symbolic_point()
+            assert sep.first_violation(rows) is None
+            assert names and rows
 
+    def test_first_violation_names_the_broken_constraint(self):
+        separating = dg.table3_separating_set(3)
+        rows = dict(catalog.instantiate("T4,9").rows())
+        assert separating.first_violation(rows) is None
+        rows[(0, 1, 0)] = {2: G(3)}  # c_1213 = 3 while c_2113 = -1
+        assert separating.first_violation(rows) == "relation (1, 2, 1, 3) = -1*(2, 1, 1, 3) fails"
+        rows = {(0, 0, 0): {0: G(2)}}
+        assert separating.first_violation(rows) == "constant (1, 1, 1, 1) is nonzero"
+        assert dg.SeparatingSet(4, [], zero_otherwise=False).first_violation(rows) is None
 
     @pytest.mark.parametrize("lam,forced", [(G(-1), (1, 2, 3, 4)), (G(0), (2, 3, 1, 4))])
     def test_zero_factor_forces_its_component_to_vanish(self, lam, forced):
         # row 2 relates c_1234 = (1+lam) c_1324 and c_2314 = -lam c_1324
         separating = dg.table3_separating_set(2, lam)
         assert separating.zero_forced() == {forced}
-        rng = ExactRandom(29)
-        for _ in range(10):
-            point = separating.random_point(rng)
-            assert separating.contains_tensor(point)
-            assert any(x for a in point for b in a for c in b for x in c)
-            i, j, k, p = forced
-            assert not point[i - 1][j - 1][k - 1][p - 1]
-            assert not point[j - 1][i - 1][k - 1][p - 1]
+        names, rows = separating.symbolic_point()
+        assert separating.first_violation(rows) is None
+        assert rows
+        i, j, k, p = forced
+        assert p - 1 not in rows.get((i - 1, j - 1, k - 1), {})
+        assert p - 1 not in rows.get((j - 1, i - 1, k - 1), {})
+
+    def test_inconsistent_cycle_vanishes(self):
+        # c_1213 = 2 c_2113 and c_2113 = c_1213 force both constants to 0
+        separating = dg.SeparatingSet(4, [((1, 2, 1, 3), (2, 1, 1, 3), G(2)),
+                                          ((2, 1, 1, 3), (1, 2, 1, 3), G(1))])
+        names, rows = separating.symbolic_point()
+        assert names == [] and rows == {}
+
+    def test_consistent_cycle_keeps_its_variable(self):
+        # factors 2 and 1/2 multiply to 1: the locus is the line c_1213 = 2 c_2113
+        separating = dg.SeparatingSet(4, [((1, 2, 1, 3), (2, 1, 1, 3), G(2)),
+                                          ((2, 1, 1, 3), (1, 2, 1, 3), G(1) / 2)])
+        names, rows = separating.symbolic_point()
+        assert names == ["r0"]
+        assert separating.first_violation(rows) is None
+        assert rows[(0, 1, 0)][2] == 2 * rows[(1, 0, 0)][2] and rows[(1, 0, 0)][2]
 
 
 class TestBorelStability:
-    @pytest.mark.parametrize("factory", [
-        lambda: dg.table3_separating_set(1),
-        lambda: dg.table3_separating_set(2, G(2)),
-        lambda: dg.table3_separating_set(2, GaussianRational(0, 1)),
-        lambda: dg.table3_separating_set(3),
-        lambda: dg.table5_separating_set(),
-    ])
-    def test_randomized(self, factory):
-        report = dg.borel_stability_evidence(factory(), "randomized", trials=25, seed=7)
-        assert report.ok, report.detail
-
     @pytest.mark.parametrize("factory", [
         lambda: dg.SeparatingSet(4, []),  # the zero locus, trivially stable
         lambda: dg.table3_separating_set(1),
         lambda: dg.table3_separating_set(2, G(2)),
         lambda: dg.table3_separating_set(3),
         lambda: dg.table5_separating_set(),
+        lambda: dg.table3_separating_set(2, GaussianRational(0, 1)),
+        # a cycle with factor product 2 forces both constants to 0: the locus is {0}
+        lambda: dg.SeparatingSet(4, [((1, 2, 1, 3), (2, 1, 1, 3), 2),
+                                     ((2, 1, 1, 3), (1, 2, 1, 3), 1)]),
     ])
     def test_symbolic_proof(self, factory):
         report = dg.borel_stability_evidence(factory(), "symbolic")
         assert report.ok, report.detail
+        assert str(report) == "borel-symbolic: pass - relations hold as polynomial identities"
 
-    @pytest.mark.parametrize("mode", ["randomized", "symbolic"])
+    @pytest.mark.parametrize("mode", ["symbolic"])
     @pytest.mark.parametrize("lam", [G(-1), G(0)])
     def test_row2_where_a_factor_vanishes(self, mode, lam):
-        report = dg.borel_stability_evidence(dg.table3_separating_set(2, lam), mode,
-                                             trials=25, seed=7)
+        report = dg.borel_stability_evidence(dg.table3_separating_set(2, lam), mode)
         assert report.ok, report.detail
+
+    def test_randomized_mode_is_gone(self):
+        with pytest.raises(MalformedInput):
+            dg.borel_stability_evidence(dg.table3_separating_set(3), mode="randomized")
 
     def test_zero_factor_relation_document(self):
         # c_1234 = 0 * c_1324 leaves c_1324 alone in the locus, which a
@@ -298,16 +318,14 @@ class TestBorelStability:
             {"dim": 4, "equal": [[[1, 2, 3, 4], [1, 3, 2, 4], "0"]]})
         assert separating.zero_forced() == {(1, 2, 3, 4)}
         assert not dg.borel_stability_evidence(separating, "symbolic").ok
-        assert not dg.borel_stability_evidence(separating, "randomized", trials=10).ok
 
     def test_unstable_set_detected(self):
         # a single off-diagonal constant without its antisymmetry partner is
-        # not Borel stable; the randomized check finds an escape
+        # not Borel stable; a lower-triangular change spreads it to c_1113
         bad = dg.SeparatingSet(4, [((1, 2, 1, 3), (1, 2, 1, 3), G(1))])
-        randomized = dg.borel_stability_evidence(bad, "randomized", trials=60, seed=3)
         symbolic = dg.borel_stability_evidence(bad, "symbolic")
         assert not symbolic.ok
-        assert not randomized.ok
+        assert symbolic.detail.startswith("constant (1, 1, 1, 3) is nonzero")
 
 
 class TestEscapeSearch:

@@ -17,7 +17,7 @@ from lietriple.linalg import (
     rref,
 )
 from lietriple.sampling import ExactRandom
-from lietriple.scalars import GaussianRational
+from lietriple.scalars import GaussianRational, RationalFunction
 
 
 def test_rref_canonical():
@@ -58,6 +58,17 @@ def test_inverse_and_determinant():
         assert prod == identity_matrix(n, one=prod[0][0] * 0 + 1, zero=prod[0][0] * 0) or \
             all(prod[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
         assert determinant(g) * determinant(inv) == 1
+
+
+def test_inverse_holds_field_elements_only():
+    # the identity block of the augmented matrix takes the entries' own type
+    g = ExactRandom(13).invertible(4, height=5)
+    assert {type(x) for row in mat_inverse(g) for x in row} == {GaussianRational}
+    t = RationalFunction.variable()
+    diagonal = [t, 1, t * t, t]  # the basis of the T4,8 -> T4,3 witness
+    a = [[RationalFunction.of(diagonal[i] if i == j else 0) for j in range(4)] for i in range(4)]
+    assert {type(x) for row in mat_inverse(a) for x in row} == {RationalFunction}
+    assert mat_inverse([]) == []
 
 
 def test_singular_matrix_raises():
