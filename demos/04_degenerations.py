@@ -35,7 +35,8 @@ print("\n=== Non-degenerations: two exact levels plus the escape search ===")
 cert = dg.necessary_conditions(catalog.instantiate("T4,5"), catalog.instantiate("T4,9"))
 print("T4,5 -/-> T4,9 :", cert)
 
-# exact: separating-set membership with a symbolic Borel-stability proof
+# exact: separating-set membership with a Borel-stability proof; the locus is
+# stable under the lower-triangular Lie algebra, hence under its connected group
 separating = dg.table3_separating_set(3)
 print("T4,9 in its separating set:", separating.contains(catalog.instantiate("T4,9")))
 print(dg.borel_stability_evidence(separating))

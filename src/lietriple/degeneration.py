@@ -8,10 +8,11 @@ family parameter.
 
 Non-degenerations come at two exact levels plus a search: necessary-condition
 certificates (annihilator / derived-subspace / derivation dimensions),
-separating-set membership with a symbolic Borel-stability proof, and the
-randomized no-escape search (evidence, never proof).  The graph assembly
-stitches the verified witnesses into the degeneration diagram and reports its
-maximal nodes.
+separating-set membership with a Borel-stability proof (each basis vector of
+the locus, moved by each matrix unit of the lower-triangular Lie algebra, is
+checked exactly over Q(i)), and the randomized no-escape search (evidence,
+never proof).  The graph assembly stitches the verified witnesses into the
+degeneration diagram and reports its maximal nodes.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import Lts, _conjugate_rows, _dense_tensor
+from .core import MAX_DIM, Lts, _add_row, _conjugate_rows, _dense_tensor
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
 from .linalg import mat_inverse
-from .multipoly import MultiPoly
 from .sampling import ExactRandom
 from .scalars import (
     GaussianRational,
@@ -84,10 +84,6 @@ class ParametrizedBasis:
     @staticmethod
     def from_strings(rows):
         return ParametrizedBasis([[parse_rational_function(s) for s in row] for row in rows])
-
-    def at(self, t0):
-        """Numeric basis matrix at a sample parameter value."""
-        return [[x.evaluate_at(t0) for x in row] for row in self.rows]
 
     def to_strings(self):
         return [[rational_function_str(x) for x in row] for row in self.rows]
@@ -253,7 +249,7 @@ class SeparatingSet:
     ``relations`` is a list of (idx_a, idx_b, factor) meaning
     c_{idx_a} = factor * c_{idx_b} with 1-based (i, j, k, p) indices; every
     constant not mentioned in any relation must vanish (the printed
-    "otherwise zero" convention).
+    "otherwise zero" convention), or is free when ``zero_otherwise`` is False.
     """
 
     def __init__(self, dim, relations, zero_otherwise=True, label=""):
@@ -273,7 +269,7 @@ class SeparatingSet:
         """First relation, then first off-support constant, that ``rows`` breaks.
 
         ``rows`` maps 0-based (i, j, k) to {p: value}; zero is tested by
-        truthiness, so Q(i) and polynomial values both work.  Returns None when
+        truthiness, so Q(i) and Q(i)(t) values both work.  Returns None when
         the rows lie in the locus, else a description of the violation.
         """
         def value(idx):
@@ -341,49 +337,50 @@ class SeparatingSet:
                 components.append(comp)
         return components
 
-    def symbolic_point(self, extra_vars=()):
-        """Generic point of the locus as 0-based rows, one variable per component."""
-        comps = self._components()
-        var_names = [f"r{k}" for k in range(len(comps))] + list(extra_vars)
-        rows = {}
-        for pos, comp in enumerate(comps):
-            var = MultiPoly.variable(var_names, f"r{pos}")
+    def basis(self):
+        """Basis of the locus, as far as its Borel stability depends on it.
+
+        One sparse Q(i) row dict, 0-based (i, j, k) -> {p: value}, per
+        component of ``_components``.  Without "otherwise zero" every constant
+        off the support is free as well.  A matrix unit changes an index in at
+        most one position, so only the free constants whose index differs from
+        a support index in exactly one position are listed, as unit tensors;
+        the Lie algebra moves the other free constants among free constants,
+        inside the locus.
+        """
+        vectors = []
+        for comp in self._components():
+            rows = {}
             for (i, j, k, p), factor in comp.items():
-                rows.setdefault((i - 1, j - 1, k - 1), {})[p - 1] = factor * var
-        return var_names, rows
+                rows.setdefault((i - 1, j - 1, k - 1), {})[p - 1] = factor
+            vectors.append(rows)
+        if not self.zero_otherwise:
+            support = set(self.support)
+            neighbours = {idx[:pos] + (value,) + idx[pos + 1:]
+                          for idx in support for pos in range(4)
+                          for value in range(1, self.dim + 1)}
+            for i, j, k, p in sorted(neighbours - support):
+                vectors.append({(i - 1, j - 1, k - 1): {p - 1: GaussianRational(1)}})
+        return vectors
 
 
-def _lower_triangular_symbols(n, var_names):
-    zero = MultiPoly(var_names, {})
-    return [[MultiPoly.variable(var_names, f"l{i+1}{j+1}") if j <= i else zero
-             for j in range(n)] for i in range(n)]
+def _lie_action(rows, x, y):
+    """E_xy . mu for the 0-based matrix unit E_xy, on sparse rows.
 
-
-def _poly_det(matrix, zero):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = zero
-    for c in range(n):
-        entry = matrix[0][c]
-        if not entry:
-            continue
-        sub = [[matrix[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = entry * _poly_det(sub, zero)
-        total = total + term if c % 2 == 0 else total - term
-    return total
-
-
-def _adjugate(matrix, zero):
-    n = len(matrix)
-    adj = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows = [r for r in range(n) if r != j]
-            cols = [c for c in range(n) if c != i]
-            minor = _poly_det([[matrix[r][c] for c in cols] for r in rows], zero)
-            adj[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return adj
+    The derivative at t = 0 of the conjugation by I + t E_xy, in the
+    convention of ``_conjugate_rows(rows, g^-1, g)``: the output index gains
+    row[y] at x, and each input slot holding x hands its row, negated, to y.
+    """
+    out = {}
+    for key, row in rows.items():
+        if y in row:
+            _add_row(out.setdefault(key, {}), {x: row[y]}, 1)
+        for slot in range(3):
+            if key[slot] == x:
+                moved = key[:slot] + (y,) + key[slot + 1:]
+                _add_row(out.setdefault(moved, {}), row, -1)
+    cleaned = ((key, {p: val for p, val in row.items() if val}) for key, row in out.items())
+    return {key: row for key, row in cleaned if row}
 
 
 @dataclass
@@ -402,24 +399,28 @@ class EvidenceReport:
 def borel_stability_evidence(separating: SeparatingSet, mode="symbolic") -> EvidenceReport:
     """Proof that the locus is stable under lower-triangular basis changes.
 
-    A generic point of the locus is conjugated by a generic lower-triangular
-    matrix, with inverse denominators cleared by the adjugate (a det^3 factor
-    scales every constant and cancels from the homogeneous linear relations),
-    and the locus is checked as polynomial identities.
+    The group B of invertible lower-triangular matrices is connected and the
+    field has characteristic 0, so the linear locus R is B-stable iff it is
+    stable under the Lie algebra of B: E_xy . v lies in R for every matrix
+    unit E_xy with x >= y and every basis vector v of R.  Free constants whose
+    index differs from every support index in two or more positions stay free
+    under E_xy, so ``SeparatingSet.basis`` leaves them out.  Membership is
+    ``first_violation``; all arithmetic is exact in Q(i).
     """
     if mode != "symbolic":
         raise MalformedInput("mode", f"unknown mode {mode!r}")
     n = separating.dim
-    lower_names = [f"l{i+1}{j+1}" for i in range(n) for j in range(i + 1)]
-    var_names, rows = separating.symbolic_point(extra_vars=lower_names)
-    g = _lower_triangular_symbols(n, var_names)
-    moved = _conjugate_rows(rows, _adjugate(g, MultiPoly(var_names, {})), g)
-    violation = separating.first_violation(moved)
-    if violation:
-        return EvidenceReport("borel-symbolic", False,
-                              f"{violation} after a lower-triangular change of basis")
+    for vector in separating.basis():
+        for x in range(n):
+            for y in range(x + 1):
+                violation = separating.first_violation(_lie_action(vector, x, y))
+                if violation:
+                    return EvidenceReport(
+                        "borel-symbolic", False,
+                        f"{violation} under E_{(x + 1, y + 1)} of the lower-triangular "
+                        "Lie algebra")
     return EvidenceReport("borel-symbolic", True,
-                          "relations hold as polynomial identities")
+                          "locus stable under the lower-triangular Lie algebra")
 
 
 def _transported_in_locus(separating: SeparatingSet, nonzeros, g):
@@ -852,14 +853,26 @@ def separating_set_from_dict(doc: dict) -> SeparatingSet:
         rels = doc["equal"]
     except (KeyError, TypeError):
         raise MalformedInput("separating set", "needs dim and equal relations")
-    if not isinstance(dim, int) or dim < 1:
-        raise MalformedInput("dim", "must be a positive integer")
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
+        raise MalformedInput("dim", f"must be an integer from 1 to {MAX_DIM}")
+    zero_otherwise = doc.get("zero_otherwise", True)
+    if not isinstance(zero_otherwise, bool):
+        raise MalformedInput("zero_otherwise", "must be true or false")
+    if not isinstance(rels, (list, tuple)):
+        raise MalformedInput("equal", "expected a list of relations")
+
+    def index(idx):
+        if not (isinstance(idx, (list, tuple)) and len(idx) == 4
+                and all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= dim
+                        for x in idx)):
+            raise ValueError(f"index {idx!r} is not four integers from 1 to {dim}")
+        return tuple(idx)
+
     relations = []
     for item in rels:
         try:
             a, b, f = item
-            relations.append((tuple(int(x) for x in a), tuple(int(x) for x in b),
-                              parse_scalar(str(f))))
+            relations.append((index(a), index(b), parse_scalar(str(f))))
         except (TypeError, ValueError) as exc:
             raise MalformedInput("equal", f"bad relation {item!r}: {exc}")
-    return SeparatingSet(dim, relations, doc.get("zero_otherwise", True))
+    return SeparatingSet(dim, relations, zero_otherwise)

@@ -162,6 +162,19 @@ def test_degen_nondegen(tmp_path, capsys):
     assert payload["stability"]["kind"] == "borel-symbolic"
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": 4, "equal": [[[1, 2, 1, 9], [2, 1, 1, 3], "-1"]]},  # was an IndexError
+    {"dim": 4, "equal": [[[0, 2, 1, 3], [2, 1, 1, 3], "-1"]]},  # was read as index -1
+    {"dim": 4, "equal": [[[1, 2, 1], [2, 1, 1, 3], "-1"]]},  # was a ValueError
+    {"dim": 4, "equal": [], "zero_otherwise": "no"},  # was read as true
+], ids=["index-9", "index-0", "three-indices", "zero-otherwise-string"])
+def test_degen_nondegen_rejects_malformed_sets(tmp_path, capsys, doc):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["degen", "nondegen", str(path), "--target", "T4,3", "--trials", "1"]) == 2
+    assert "borel-symbolic" not in capsys.readouterr().out
+
+
 def test_degen_nondegen_has_no_mode_flag(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))

@@ -2,20 +2,21 @@
 
 The reference implementations below are the earlier code paths: the dense
 ``change_basis_tensor`` loop, the transport that lifted all n^4 constants to
-Q(i)(t) and inverted twice, the eight-deep loop of the symbolic Borel check,
-and the reduction of a rational function by a full polynomial gcd.  The kernel
-reads only nonzero rows and must give the same tensors exactly.
+Q(i)(t) and inverted twice, and the reduction of a rational function by a full
+polynomial gcd.  The kernel reads only nonzero rows and must give the same
+tensors exactly.  The Lie-algebra action of the Borel check is pinned to the
+kernel as the derivative at t = 0 of the conjugation by I + t E_xy.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from lietriple import catalog
 from lietriple import degeneration as dg
-from lietriple.core import Lts, _conjugate_rows, _dense_tensor, change_basis_tensor
+from lietriple.core import Lts, _conjugate_rows, change_basis_tensor
 from lietriple.linalg import mat_inverse
-from lietriple.multipoly import MultiPoly
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import (
     GaussianRational,
@@ -56,25 +57,22 @@ def reference_transport(system, basis):
     return reference_change_basis_tensor(lifted, g)
 
 
-def reference_borel_moved(tensor, adj, g, zero):
-    """The hand-written loop of the symbolic Borel check, g lower triangular."""
-    n = len(g)
-    moved = [[[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-             for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for q in range(n):
-                    val = tensor[a][b][c][q]
-                    if not val:
-                        continue
-                    for i in range(n):
-                        for j in range(n):
-                            for k in range(n):
-                                term = adj[a][i] * adj[b][j] * adj[c][k] * val
-                                for p in range(q, n):
-                                    moved[i][j][k][p] = moved[i][j][k][p] + term * g[p][q]
-    return moved
+def reference_lie_action(rows, n, x, y):
+    """((g*v - v)/t) at t = 0 for g = I + t E_xy, through the kernel over Q(i)(t)."""
+    zero = RationalFunction.of(0)
+    g = [[(zero + 1 if i == j else zero) + (T if (i, j) == (x, y) else zero)
+          for j in range(n)] for i in range(n)]
+    lifted = {key: {p: RationalFunction.of(val) for p, val in row.items()}
+              for key, row in rows.items()}
+    moved = _conjugate_rows(lifted, mat_inverse(g), g)
+    out = {}
+    for key in set(moved) | set(lifted):
+        before, after = lifted.get(key, {}), moved.get(key, {})
+        for p in set(before) | set(after):
+            value = ((after.get(p, zero) - before.get(p, zero)) / T).limit_at_zero()
+            if value:
+                out.setdefault(key, {})[p] = value
+    return out
 
 
 def reference_reduce(num, den):
@@ -162,26 +160,58 @@ def test_transport_agrees_on_random_laurent_bases(name):
                        reference_transport(system, basis))
 
 
-@pytest.mark.parametrize("separating", [
+BOREL_SETS = [
     dg.table3_separating_set(1), dg.table3_separating_set(2, G(2)),
     dg.table3_separating_set(2, G(-1)), dg.table3_separating_set(3),
     dg.table5_separating_set(),
-], ids=lambda s: s.label)
+]
+
+
+@pytest.mark.parametrize("separating", BOREL_SETS, ids=lambda s: s.label)
 def test_kernel_agrees_on_the_symbolic_borel_point(separating):
+    # every basis vector moved by every lower-triangular matrix unit
     n = separating.dim
-    lower = [f"l{i+1}{j+1}" for i in range(n) for j in range(i + 1)]
-    names, rows = separating.symbolic_point(extra_vars=lower)
-    zero = MultiPoly(names, {})
-    g = dg._lower_triangular_symbols(n, names)
-    adj = dg._adjugate(g, zero)
-    expected = reference_borel_moved(_dense_tensor(n, rows, zero), adj, g, zero)
-    moved = _conjugate_rows(rows, adj, g)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for p in range(n):
-                    got = moved.get((i, j, k), {}).get(p, zero)
-                    assert (got - expected[i][j][k][p]).is_zero(), (i, j, k, p)
+    vectors = separating.basis()
+    assert vectors
+    for vector in vectors:
+        for x in range(n):
+            for y in range(x + 1):
+                assert dg._lie_action(vector, x, y) == reference_lie_action(vector, n, x, y), \
+                    (vector, x, y)
+
+
+PASSING_SETS = BOREL_SETS + [
+    dg.table3_separating_set(2, lam) for lam in (G(0), G(3), G(0, 1), G(1, 3))
+] + [
+    dg.table5_separating_set(literal=True),
+    # c_4441 = 0 and every other constant free: row 4 of g and column 1 of g^-1 are diagonal
+    dg.SeparatingSet(4, [((4, 4, 4, 1), (4, 4, 4, 1), 0)], zero_otherwise=False,
+                     label="c_4441 = 0, otherwise free"),
+]
+
+
+@pytest.mark.parametrize("separating", PASSING_SETS, ids=lambda s: s.label)
+def test_borel_pass_survives_random_lower_triangular_changes(separating):
+    # soundness of the Lie-algebra proof: group elements keep the locus too;
+    # a free locus also moves the point with every free constant set, which
+    # covers the constants that ``basis`` leaves out
+    assert dg.borel_stability_evidence(separating).ok
+    n = separating.dim
+    vectors = separating.basis()
+    if not separating.zero_otherwise:
+        support = {(i - 1, j - 1, k - 1, p - 1) for i, j, k, p in separating.support}
+        free = {}
+        for i, j, k, p in itertools.product(range(n), repeat=4):
+            if (i, j, k, p) not in support:
+                free.setdefault((i, j, k), {})[p] = G(1)
+        vectors.append(free)
+    rng = ExactRandom(sum(map(ord, separating.label)))
+    for _ in range(4):
+        g = [[rng.nonzero_gaussian(height=3) if i == j else
+              rng.gaussian(height=3) if j < i else G(0) for j in range(n)] for i in range(n)]
+        h = mat_inverse(g)
+        for vector in vectors:
+            assert separating.first_violation(_conjugate_rows(vector, h, g)) is None
 
 
 def polys():

@@ -7,7 +7,7 @@ import pytest
 
 from lietriple import catalog
 from lietriple import degeneration as dg
-from lietriple.core import Lts
+from lietriple.core import Lts, _conjugate_rows
 from lietriple.errors import MalformedInput, SingularBasis
 from lietriple.linalg import mat_inverse, mat_mul
 from lietriple.sampling import ExactRandom
@@ -116,7 +116,7 @@ class TestWitnessConsistency:
             witness = dg.table2_witness(row)
             source = witness.source_system()
             transported = dg.transport_constants(source, witness.basis)
-            numeric = witness.basis.at(t0)
+            numeric = [[evaluate_at(x, t0) for x in row] for row in witness.basis.rows]
             g = mat_inverse([[numeric[j][i] for j in range(4)] for i in range(4)])
             direct = source.change_basis(g)
             for i in range(4):
@@ -238,12 +238,13 @@ class TestSeparatingSets:
         assert not literal.contains(catalog.instantiate("T4,6", G(2)))
 
     def test_random_points_satisfy_relations(self):
-        # the generic point satisfies every relation identically
+        # every basis vector of the locus satisfies every relation
         for sep in (dg.table3_separating_set(1), dg.table3_separating_set(2, G(3)),
                     dg.table5_separating_set()):
-            names, rows = sep.symbolic_point()
-            assert sep.first_violation(rows) is None
-            assert names and rows
+            vectors = sep.basis()
+            assert vectors
+            for rows in vectors:
+                assert rows and sep.first_violation(rows) is None
 
     def test_first_violation_names_the_broken_constraint(self):
         separating = dg.table3_separating_set(3)
@@ -260,26 +261,25 @@ class TestSeparatingSets:
         # row 2 relates c_1234 = (1+lam) c_1324 and c_2314 = -lam c_1324
         separating = dg.table3_separating_set(2, lam)
         assert separating.zero_forced() == {forced}
-        names, rows = separating.symbolic_point()
-        assert separating.first_violation(rows) is None
-        assert rows
+        vectors = separating.basis()
+        assert vectors
         i, j, k, p = forced
-        assert p - 1 not in rows.get((i - 1, j - 1, k - 1), {})
-        assert p - 1 not in rows.get((j - 1, i - 1, k - 1), {})
+        for rows in vectors:
+            assert separating.first_violation(rows) is None
+            assert p - 1 not in rows.get((i - 1, j - 1, k - 1), {})
+            assert p - 1 not in rows.get((j - 1, i - 1, k - 1), {})
 
     def test_inconsistent_cycle_vanishes(self):
         # c_1213 = 2 c_2113 and c_2113 = c_1213 force both constants to 0
         separating = dg.SeparatingSet(4, [((1, 2, 1, 3), (2, 1, 1, 3), G(2)),
                                           ((2, 1, 1, 3), (1, 2, 1, 3), G(1))])
-        names, rows = separating.symbolic_point()
-        assert names == [] and rows == {}
+        assert separating.basis() == []
 
     def test_consistent_cycle_keeps_its_variable(self):
         # factors 2 and 1/2 multiply to 1: the locus is the line c_1213 = 2 c_2113
         separating = dg.SeparatingSet(4, [((1, 2, 1, 3), (2, 1, 1, 3), G(2)),
                                           ((2, 1, 1, 3), (1, 2, 1, 3), G(1) / 2)])
-        names, rows = separating.symbolic_point()
-        assert names == ["r0"]
+        [rows] = separating.basis()
         assert separating.first_violation(rows) is None
         assert rows[(0, 1, 0)][2] == 2 * rows[(1, 0, 0)][2] and rows[(1, 0, 0)][2]
 
@@ -299,7 +299,7 @@ class TestBorelStability:
     def test_symbolic_proof(self, factory):
         report = dg.borel_stability_evidence(factory(), "symbolic")
         assert report.ok, report.detail
-        assert str(report) == "borel-symbolic: pass - relations hold as polynomial identities"
+        assert str(report) == "borel-symbolic: pass - locus stable under the lower-triangular Lie algebra"
 
     @pytest.mark.parametrize("mode", ["symbolic"])
     @pytest.mark.parametrize("lam", [G(-1), G(0)])
@@ -318,6 +318,46 @@ class TestBorelStability:
             {"dim": 4, "equal": [[[1, 2, 3, 4], [1, 3, 2, 4], "0"]]})
         assert separating.zero_forced() == {(1, 2, 3, 4)}
         assert not dg.borel_stability_evidence(separating, "symbolic").ok
+
+    def test_free_locus_with_a_forced_zero_is_not_stable(self):
+        # c_1214 = 0 with every other constant free: E_43 carries the free
+        # c_1213 into c_1214, so the locus is not Borel stable
+        separating = dg.SeparatingSet(4, [((1, 2, 1, 4), (1, 2, 1, 4), 0)], zero_otherwise=False)
+        report = dg.borel_stability_evidence(separating, "symbolic")
+        assert not report.ok
+        assert report.detail.startswith("relation (1, 2, 1, 4) = 0*(1, 2, 1, 4) fails")
+        point = catalog.instantiate("T4,9").rows()  # c_1213 = 1 = -c_2113
+        assert separating.first_violation(point) is None
+        g = [[G(1) if i == j or (i, j) == (3, 2) else G(0) for j in range(4)] for i in range(4)]
+        assert not separating.contains(catalog.instantiate("T4,9").change_basis(g))
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_all_free_locus_is_stable(self, dim):
+        separating = dg.separating_set_from_dict({"dim": dim, "equal": [],
+                                                  "zero_otherwise": False})
+        assert separating.basis() == []
+        assert dg.borel_stability_evidence(separating, "symbolic").ok
+
+    def test_free_locus_lists_only_neighbours_of_the_support(self):
+        separating = dg.SeparatingSet(16, [((16, 16, 16, 1), (16, 16, 16, 1), 0)],
+                                      zero_otherwise=False)
+        vectors = separating.basis()
+        assert len(vectors) == 4 * 15
+        assert dg.borel_stability_evidence(separating, "symbolic").ok
+
+    def test_diagonal_matrix_units_are_checked(self):
+        # e_1212 - e_2112 + e_1112 is killed by E_21 but is no weight vector:
+        # its line is stable under unipotent changes, not under diagonal ones
+        separating = dg.SeparatingSet(2, [((1, 2, 1, 2), (2, 1, 1, 2), G(-1)),
+                                          ((1, 1, 1, 2), (1, 2, 1, 2), G(1))])
+        report = dg.borel_stability_evidence(separating, "symbolic")
+        assert not report.ok
+        assert report.detail.endswith("under E_(1, 1) of the lower-triangular Lie algebra")
+        [rows] = separating.basis()
+        assert dg._lie_action(rows, 1, 0) == {}
+        scaled = _conjugate_rows(rows, [[G(1) / 2, G(0)], [G(0), G(1)]],
+                                 [[G(2), G(0)], [G(0), G(1)]])
+        assert separating.first_violation(scaled) is not None
 
     def test_unstable_set_detected(self):
         # a single off-diagonal constant without its antisymmetry partner is
@@ -417,3 +457,32 @@ class TestJsonForms:
         again = dg.separating_set_from_dict(doc)
         assert again.contains(catalog.instantiate("T4,6", G(3)))
         assert not again.contains(catalog.instantiate("T4,6", G(1)))
+
+    @pytest.mark.parametrize("separating", [
+        dg.table3_separating_set(1), dg.table3_separating_set(2, G(3)),
+        dg.table3_separating_set(2, G(1, 3)), dg.table3_separating_set(3),
+        dg.table5_separating_set(), dg.table5_separating_set(literal=True),
+    ], ids=lambda s: s.label)
+    def test_shipped_separating_sets_load(self, separating):
+        doc = json.loads(json.dumps(dg.separating_set_to_dict(separating)))
+        again = dg.separating_set_from_dict(doc)
+        assert (again.dim, again.relations, again.zero_otherwise) == \
+            (separating.dim, separating.relations, separating.zero_otherwise)
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": True, "equal": []},
+        {"dim": 0, "equal": []},
+        {"dim": 17, "equal": []},
+        {"dim": "4", "equal": []},
+        {"dim": 4, "equal": [[[1, 2, 1, 9], [2, 1, 1, 3], "-1"]]},
+        {"dim": 4, "equal": [[[0, 2, 1, 3], [2, 1, 1, 3], "-1"]]},
+        {"dim": 4, "equal": [[[1, 2, 1], [2, 1, 1, 3], "-1"]]},
+        {"dim": 4, "equal": [[[1, 2, 1, 3], [2, 1, True, 3], "-1"]]},
+        {"dim": 4, "equal": [[[1, 2, 1, 3], [2, 1, 1, 3]]]},
+        {"dim": 4, "equal": {"a": 1}},
+        {"dim": 4, "equal": [], "zero_otherwise": "no"},
+        {"dim": 4, "equal": [], "zero_otherwise": 0},
+    ])
+    def test_separating_set_schema_errors(self, doc):
+        with pytest.raises(MalformedInput):
+            dg.separating_set_from_dict(doc)
