@@ -285,7 +285,7 @@ def family_cocycle_matrix(system: Lts):
     der = system.derived()
     if ann.dim != 1 or der.dim != 1 or not ann.contains(der.basis[0]):
         return None
-    w = [GaussianRational.of(x) if isinstance(x, int) else x for x in ann.basis[0]]
+    w = ann.basis[0]
     pivot = next(p for p, x in enumerate(w) if x != 0)
     complement = [p for p in range(4) if p != pivot]
     basis = {c: [QI_ONE if q == c else QI_ZERO for q in range(4)] for c in complement}

@@ -91,21 +91,24 @@ class Cocycle:
         idx = delta_indices(ambient.dim)
         return Cocycle(ambient, dict(zip(idx, vector)), closed=closed)
 
+    # Z^3 is a subspace: sums, negatives and multiples of closed cochains stay closed.
     def __add__(self, other):
         if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise DimensionMismatch("cochains on different systems")
         keys = set(self.coeffs) | set(other.coeffs)
         return Cocycle(self.ambient,
-                       {t: self.coeffs.get(t, QI_ZERO) + other.coeffs.get(t, QI_ZERO) for t in keys})
+                       {t: self.coeffs.get(t, QI_ZERO) + other.coeffs.get(t, QI_ZERO) for t in keys},
+                       closed=self.closed and other.closed)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Cocycle(self.ambient, {t: -v for t, v in self.coeffs.items()})
+        return Cocycle(self.ambient, {t: -v for t, v in self.coeffs.items()}, closed=self.closed)
 
     def __rmul__(self, scalar):
-        return Cocycle(self.ambient, {t: v * scalar for t, v in self.coeffs.items()})
+        return Cocycle(self.ambient, {t: v * scalar for t, v in self.coeffs.items()},
+                       closed=self.closed)
 
     __mul__ = __rmul__
 

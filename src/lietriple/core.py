@@ -231,16 +231,17 @@ class Lts:
         if "nilpotency" in self._cache:
             return self._cache["nilpotency"]
         n = self.dim
-        current = Subspace(n, [[1 if c == i else 0 for c in range(n)] for i in range(n)])
+        one = self._zero + 1
+        units = [[one if c == i else self._zero for c in range(n)] for i in range(n)]
+        current = Subspace(n, units)
         series = [current]
         nilpotent = True
         while current.dim > 0:
             vectors = []
             for v in current.basis:
-                for j in range(n):
-                    for k in range(n):
-                        w = self.eval(v, [1 if c == j else 0 for c in range(n)],
-                                      [1 if c == k else 0 for c in range(n)])
+                for y in units:
+                    for z in units:
+                        w = self.eval(v, y, z)
                         if any(x != 0 for x in w):
                             vectors.append(w)
             nxt = Subspace(n, vectors)

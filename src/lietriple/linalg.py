@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularMatrix
+from .scalars import QI_ONE, QI_ZERO
 
 
 def _inv(x):
@@ -85,19 +86,29 @@ def _dedupe_nonzero(rows):
     return out
 
 
+def _zero_one(rows):
+    """Zero and one of the field the entries live in; Q(i)'s when there are no entries."""
+    for row in rows:
+        for x in row:
+            zero = x - x
+            return zero, zero + 1
+    return QI_ZERO, QI_ONE
+
+
 def nullspace(rows, ncols=None):
     """Canonical basis of the right nullspace {x : rows . x = 0}."""
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
+    zero, one = _zero_one(rows)
     reduced, pivots = rref(_dedupe_nonzero(rows))
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
+        vec = [zero] * ncols
+        vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
@@ -117,8 +128,7 @@ def identity_matrix(n, one=1, zero=0):
 
 def mat_inverse(A):
     n = len(A)
-    zero = A[0][0] - A[0][0] if n else 0  # the identity block takes the entries' own type
-    one = zero + 1
+    zero, one = _zero_one(A)  # the identity block takes the entries' own type
     aug = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
     reduced, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -200,9 +210,10 @@ class Subspace:
             rows.append([self.basis[k][c] for k in range(self.dim)]
                         + [-other.basis[k][c] for k in range(other.dim)])
         sols = nullspace(rows, self.dim + other.dim)
+        zero, _ = _zero_one(self.basis)
         vectors = []
         for s in sols:
-            vec = [0] * self.ambient
+            vec = [zero] * self.ambient
             for k in range(self.dim):
                 if s[k] != 0:
                     vec = [x + s[k] * y for x, y in zip(vec, self.basis[k])]

@@ -1,17 +1,18 @@
 """Exact scalar tower: Q, Q(i), and the rational-function field Q(i)(t).
 
 Everything here is immutable and exact.  Rationals are ``fractions.Fraction``;
-Gaussian rationals are pairs of fractions; rational functions are reduced
-fractions of univariate polynomials over the Gaussian rationals with a monic
-denominator.  Canonical forms are restored eagerly after every operation, so
-equality is plain component comparison and limits at t = 0 can be read off the
-reduced denominator.
+a Gaussian rational (a + b*i)/d is a reduced triple of Python integers;
+rational functions are reduced fractions of univariate polynomials over the
+Gaussian rationals with a monic denominator.  Canonical forms are restored
+eagerly after every operation, so equality is plain component comparison and
+limits at t = 0 can be read off the reduced denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from sys import hash_info
 
 from .errors import ParseError, PoleAtPoint, PoleAtZero
 
@@ -33,118 +34,189 @@ __all__ = [
 ]
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-_ZERO_FRACTION = Fraction(0)
-
-
-def _make_gaussian(re, im):
-    """Internal fast constructor; both components must already be Fractions."""
-    z = object.__new__(GaussianRational)
-    object.__setattr__(z, "re", re)
-    object.__setattr__(z, "im", im)
-    return z
-
-
 class GaussianRational:
-    """An element re + im*i of Q(i), with Fraction components."""
+    """An element (a + b*i)/d of Q(i), stored as integers with d > 0, gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    The triple ``_t = (a, b, d)`` is canonical, so equality compares integers.
+    ``re`` and ``im`` are the Fraction components a/d and b/d.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        a, q = _ratio(re)
+        b, s = _ratio(im)
+        d = lcm(q, s)  # re and im are in lowest terms, so this leaves gcd(a, b, d) = 1
+        _set_t(self, (a * (d // q), b * (d // s), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
 
     @staticmethod
     def of(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_as_fraction(x))
+        p, q = _ratio(x)
+        return _make(p, 0, q)
 
     @property
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self._t[1] == 0
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._t
+        return _make(a, -b, d)
 
     def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._t
+        return Fraction(a * a + b * b, d * d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self._t
+        return a != 0 or b != 0
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            a, b, d = self._t
+            return b == 0 and d == 1 and a == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._t == other._t
+        if isinstance(other, Fraction):
+            return self._t == (other.numerator, 0, other.denominator)
+        return NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, int):
+            a, b, d = self._t
+            return b != 0 or d != 1 or a != other
+        if isinstance(other, GaussianRational):
+            return self._t != other._t
+        if isinstance(other, Fraction):
+            return self._t != (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        # Agrees with Fraction/int hashing on the rational subfield.
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        a, b, d = self._t
+        if b:
+            return hash(self._t)
+        if d == 1:
+            return hash(a)
+        # hash(Fraction(a, d)) without building the Fraction: Python's numeric
+        # hash of a/d is |a| / d modulo the hash prime, or inf if the prime divides d.
+        if d % _HASH_MODULUS:
+            h = hash(hash(abs(a)) * pow(d, -1, _HASH_MODULUS))
+        else:
+            h = _HASH_INF
+        if a < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     def __neg__(self):
-        return _make_gaussian(-self.re, -self.im)
+        a, b, d = self._t
+        return _make(-a, -b, d)
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            return _make_gaussian(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return _make_gaussian(self.re + other, self.im)
-        return NotImplemented
+            a2, b2, d2 = other._t
+        elif isinstance(other, int):
+            a, b, d = self._t
+            return _make(a + other * d, b, d)
+        elif isinstance(other, Fraction):
+            a2, b2, d2 = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        a1, b1, d1 = self._t
+        return _add(a1, b1, d1, a2, b2, d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, GaussianRational):
-            return _make_gaussian(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return _make_gaussian(self.re - other, self.im)
-        return NotImplemented
+            a2, b2, d2 = other._t
+        elif isinstance(other, int):
+            a, b, d = self._t
+            return _make(a - other * d, b, d)
+        elif isinstance(other, Fraction):
+            a2, b2, d2 = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        a1, b1, d1 = self._t
+        return _add(a1, b1, d1, -a2, -b2, d2)
 
     def __rsub__(self, other):
-        return (-self) + other
+        a, b, d = self._t
+        if isinstance(other, int):
+            return _make(other * d - a, -b, d)
+        if isinstance(other, Fraction):
+            return _add(-a, -b, d, other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if not b and not d:  # the common all-real case
-                return _make_gaussian(a * c, _ZERO_FRACTION)
-            return _make_gaussian(a * c - b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return _make_gaussian(self.re * other, self.im * other)
-        return NotImplemented
+            a2, b2, d2 = other._t
+        elif isinstance(other, int):
+            a, b, d = self._t
+            g = gcd(other, d)
+            other //= g
+            return _make(a * other, b * other, d // g)
+        elif isinstance(other, Fraction):
+            a2, b2, d2 = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        a1, b1, d1 = self._t
+        if b1 or b2:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        else:
+            a, b = a1 * a2, 0
+        d = d1 * d2
+        if d != 1:  # the full gcd: (1+i)/2 * (1-i) = 2/2 cancels past any cross gcd
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        z = _new(GaussianRational)
+        _set_t(z, (a, b, d))
+        return z
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
+        if not self:
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _div(1, 0, 1, *self._t)
 
     def __truediv__(self, other):
+        if isinstance(other, GaussianRational):
+            return _div(*self._t, *other._t)
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self * other.inverse()
+            p, q = _ratio(other)
+            return _div(*self._t, p, 0, q)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            p, q = _ratio(other)
+            return _div(p, 0, q, *self._t)
+        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -167,6 +239,61 @@ class GaussianRational:
         return scalar_str(self)
 
 
+# The hot constructors fill the one slot through its descriptor, which
+# bypasses the immutability guard in __setattr__.
+_set_t = GaussianRational._t.__set__
+_new = object.__new__
+_HASH_MODULUS = hash_info.modulus
+_HASH_INF = hash_info.inf
+
+
+def _make(a, b, d):
+    """(a + b*i)/d from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    _set_t(z, (a, b, d))
+    return z
+
+
+def _reduced(a, b, d):
+    """(a + b*i)/d for any nonzero d: divide out gcd(a, b, d) and make d positive."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
+
+
+def _add(a1, b1, d1, a2, b2, d2):
+    """Sum of two canonical triples (Henrici: only gcd(d1, d2) can cancel)."""
+    if d1 == 1 and d2 == 1:
+        t = (a1 + a2, b1 + b2, 1)
+    else:
+        g = gcd(d1, d2)
+        if g == 1:
+            t = (a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        else:
+            s, u = d1 // g, d2 // g
+            a, b = a1 * u + a2 * s, b1 * u + b2 * s
+            g = gcd(a, b, g)
+            t = (a // g, b // g, s * (d2 // g))
+    z = _new(GaussianRational)
+    _set_t(z, t)
+    return z
+
+
+def _div(a1, b1, d1, a2, b2, d2):
+    """Quotient of two canonical triples: multiply through by d2 times the conjugate."""
+    if b2:
+        n = a2 * a2 + b2 * b2
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
+    if not a2:
+        raise ZeroDivisionError("division by zero")
+    return _reduced(a1 * d2, b1 * d2, d1 * a2)
+
+
 QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
 QI_I = GaussianRational(0, 1)
@@ -185,6 +312,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
 
     @staticmethod
     def of(x) -> "Polynomial":
@@ -353,6 +483,9 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):
+        return RationalFunction, (self.num, self.den)
+
     @staticmethod
     def of(x) -> "RationalFunction":
         if isinstance(x, RationalFunction):
@@ -469,11 +602,11 @@ def evaluate_at(f: RationalFunction, t0) -> GaussianRational:
 
 def frac_sqrt(x: Fraction):
     """Exact square root of a non-negative rational, or None."""
-    x = _as_fraction(x)
-    if x < 0:
+    p, q = _ratio(x)
+    if p < 0:
         return None
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
+    pn, pd = isqrt(p), isqrt(q)
+    if pn * pn == p and pd * pd == q:
         return Fraction(pn, pd)
     return None
 
@@ -503,41 +636,41 @@ def gaussian_sqrt(z: GaussianRational):
 # ---------------------------------------------------------------------------
 # printing
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)  # "p/q" or "p"
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, printed as Fraction prints it: "p/q" or "p"."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def scalar_str(z: GaussianRational) -> str:
     """Canonical text form: "p/q", "r/s*i", or "p/q+r/s*i"."""
-    z = GaussianRational.of(z)
-    if z.im == 0:
-        return _frac_str(z.re)
-    if z.im == 1:
+    a, b, d = GaussianRational.of(z)._t
+    if b == 0:
+        return _ratio_str(a, d)
+    if b == d:
         im = "i"
-    elif z.im == -1:
+    elif b == -d:
         im = "-i"
     else:
-        im = f"{_frac_str(z.im)}*i"
-    if z.re == 0:
+        im = f"{_ratio_str(b, d)}*i"
+    if a == 0:
         return im
-    sign = "+" if z.im > 0 else ""
-    return f"{_frac_str(z.re)}{sign}{im}"
+    sign = "+" if b > 0 else ""
+    return f"{_ratio_str(a, d)}{sign}{im}"
 
 
 def _coeff_str(c: GaussianRational, with_monomial: bool):
     """Render one coefficient; returns (sign, body) with body suitable for 'body*t^k'."""
-    if c.im == 0:
-        sign = "-" if c.re < 0 else "+"
-        mag = abs(c.re)
-        if with_monomial and mag == 1:
-            return sign, ""
-        return sign, _frac_str(mag)
-    if c.re == 0:
-        sign = "-" if c.im < 0 else "+"
-        mag = abs(c.im)
-        body = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-        return sign, body
-    return "+", f"({scalar_str(c)})"
+    a, b, d = c._t
+    if a and b:
+        return "+", f"({scalar_str(c)})"
+    n = b or a
+    sign = "-" if n < 0 else "+"
+    mag = "" if abs(n) == d else _ratio_str(abs(n), d)
+    if b:
+        return sign, f"{mag}*i" if mag else "i"
+    return sign, mag if mag or with_monomial else "1"
 
 
 def _poly_str(p: Polynomial) -> str:
@@ -567,7 +700,7 @@ def _poly_str(p: Polynomial) -> str:
 
 
 def _coeff_den_lcm(p: Polynomial) -> int:
-    return lcm(1, *(f.denominator for c in p.coeffs for f in (c.re, c.im)))
+    return lcm(1, *(c._t[2] for c in p.coeffs))
 
 
 def rational_function_str(f: RationalFunction) -> str:

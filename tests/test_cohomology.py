@@ -64,6 +64,21 @@ class TestCocycleSpace:
                 assert ok, (name, witness)
 
 
+    def test_linear_combinations_of_closed_cocycles_stay_closed(self, t32):
+        a, b = cocycle_space(t32).basis[:2]
+        assert a.closed and b.closed
+        for combo in (a + b, a - b, -a, 3 * a, a * GaussianRational(0, 2)):
+            assert combo.closed
+            assert combo.check_closed()[0]
+
+    def test_sum_with_unchecked_cochain_is_not_marked_closed(self, t32):
+        a = cocycle_space(t32).basis[0]
+        unchecked = D(t32, {(1, 2, 1): 1})  # closed, but nothing has checked it
+        assert not unchecked.closed
+        for combo in (a + unchecked, unchecked + a, a - unchecked, -unchecked, 2 * unchecked):
+            assert not combo.closed
+
+
 class TestCoboundarySpace:
     def test_t32(self, t32):
         space = coboundary_space(t32)

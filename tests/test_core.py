@@ -222,6 +222,19 @@ class TestDerivations:
                         assert lhs == rhs
 
 
+class TestFieldElementsOnly:
+    @pytest.mark.parametrize("name", ["T4,7", "T4,9", "T3,2", "T4,1", "T1,1"])
+    def test_invariant_entries_are_gaussian_rationals(self, name):
+        # T4,7's annihilator basis used to end in a Python int from nullspace's seed vector
+        system = catalog.instantiate(name)
+        ann = [x for row in system.annihilator().basis for x in row]
+        series = [x for space in system.nilpotency().series for row in space.basis for x in row]
+        der = [x for mat in system.derivations()[1] for row in mat for x in row]
+        assert series and der
+        for entries in (ann, series, der):
+            assert {type(x) for x in entries} <= {GaussianRational}
+
+
 class TestOrbitDimension:
     def test_t47(self):
         assert catalog.instantiate("T4,7").orbit_dimension() == 11

@@ -71,6 +71,21 @@ def test_inverse_holds_field_elements_only():
     assert mat_inverse([]) == []
 
 
+def test_nullspace_holds_field_elements_only():
+    # the basis vectors take the rows' own zero and one, or Q(i)'s without rows
+    assert {type(x) for row in nullspace([], 3) for x in row} == {GaussianRational}
+    rows = [[GaussianRational(1), GaussianRational(0, 1), GaussianRational(0)]]
+    assert {type(x) for row in nullspace(rows) for x in row} == {GaussianRational}
+    t = RationalFunction.variable()
+    rows = [[t, RationalFunction.of(0), RationalFunction.of(1)]]
+    assert {type(x) for row in nullspace(rows) for x in row} == {RationalFunction}
+    u = Subspace(3, [[GaussianRational(1), GaussianRational(1), GaussianRational(0)]])
+    w = Subspace(3, [[GaussianRational(1), GaussianRational(1), GaussianRational(2)],
+                     [GaussianRational(0), GaussianRational(0), GaussianRational(1)]])
+    meet = u.intersection(w)
+    assert meet.dim == 1 and {type(x) for x in meet.basis[0]} == {GaussianRational}
+
+
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrix):
         mat_inverse([[1, 2], [2, 4]])

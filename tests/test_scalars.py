@@ -1,6 +1,10 @@
 """Exact scalar tower: arithmetic, limits, parsing, canonical forms."""
 
+import copy
+import operator
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from lietriple.scalars import (
 )
 
 T = RationalFunction.variable()
+BIG = Fraction(2 ** 70 + 1, 3 ** 30)  # the large-height family parameter
 
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -184,3 +189,194 @@ class TestPolynomialRing:
         q, r = divmod(pa, pb)
         assert q * pb + r == pa
         assert r.degree < pb.degree
+
+
+# ---------------------------------------------------------------------------
+# the integer triple against the Fraction-pair class it replaced
+
+
+class PairGaussian:
+    """Reference Q(i): re + im*i as two Fractions, the representation GaussianRational replaced."""
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, PairGaussian) else PairGaussian(x)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        other = PairGaussian.of(other)
+        return self.re == other.re and self.im == other.im
+
+    def __add__(self, other):
+        other = PairGaussian.of(other)
+        return PairGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PairGaussian(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-PairGaussian.of(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = PairGaussian.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return PairGaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return PairGaussian(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * PairGaussian.of(other).inverse()
+
+    def __rtruediv__(self, other):
+        return PairGaussian.of(other) * self.inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = PairGaussian(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def text(self):
+        """The printed form, as scalar_str wrote it from the two Fractions."""
+        if self.im == 0:
+            return str(self.re)
+        im = {1: "i", -1: "-i"}.get(self.im, f"{self.im}*i")
+        if self.re == 0:
+            return im
+        return f"{self.re}{'+' if self.im > 0 else ''}{im}"
+
+
+def assert_canonical(z, expected):
+    """z is the reduced triple (a + b*i)/d of the reference value: d > 0, gcd(a, b, d) = 1."""
+    assert type(z) is GaussianRational
+    a, b, d = z._t
+    assert all(type(x) is int for x in (a, b, d))
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (expected.re, expected.im)
+    assert (z.re, z.im) == (expected.re, expected.im)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
+heights_st = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(Fraction, st.integers(-2 ** 90, 2 ** 90), st.integers(1, 3 ** 40)),
+    st.just(BIG),
+    st.integers(-3, 3).map(Fraction),
+)
+# (library operand, reference operand): a Gaussian rational, an int or a Fraction
+operand_st = st.one_of(
+    st.builds(lambda re, im: (GaussianRational(re, im), PairGaussian(re, im)),
+              heights_st, heights_st),
+    st.integers(-(2 ** 80), 2 ** 80).map(lambda n: (n, n)),
+    heights_st.map(lambda q: (q, q)),
+)
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+class TestAgainstFractionPairs:
+    @given(x=operand_st, y=operand_st)
+    @settings(max_examples=300, deadline=None)
+    def test_binary_operators_mixed_operands(self, x, y):
+        (x_lib, x_ref), (y_lib, y_ref) = x, y
+        if not isinstance(x_lib, GaussianRational) and not isinstance(y_lib, GaussianRational):
+            x_lib, x_ref = GaussianRational(x_lib), PairGaussian(x_ref)
+        for op in BINARY:
+            try:
+                expected = op(PairGaussian.of(x_ref), y_ref)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(x_lib, y_lib)
+                continue
+            assert_canonical(op(x_lib, y_lib), expected)
+
+    @given(x=operand_st, y=operand_st)
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash(self, x, y):
+        (x_lib, x_ref), (y_lib, y_ref) = x, y
+        z = GaussianRational.of(x_lib)
+        same = PairGaussian.of(x_ref) == y_ref
+        assert (z == y_lib) is same and (y_lib == z) is same
+        assert (z != y_lib) is (not same) and (y_lib != z) is (not same)
+        if same:
+            assert hash(z) == hash(y_lib)
+        if z.im == 0:
+            assert hash(z) == hash(z.re)  # agrees with int and Fraction hashing
+        # the same value reached through arithmetic hashes the same
+        assert hash((z + 7) - 7) == hash(z) and hash(z * 3 / 3) == hash(z)
+
+    @given(x=operand_st, k=st.integers(-3, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_unary_operations_and_printing(self, x, k):
+        z, ref = GaussianRational.of(x[0]), PairGaussian.of(x[1])
+        assert_canonical(-z, -ref)
+        assert_canonical(z.conjugate(), PairGaussian(ref.re, -ref.im))
+        assert z.norm() == ref.norm() and type(z.norm()) is Fraction
+        assert bool(z) is (ref.norm() != 0)
+        assert z.is_rational is (ref.im == 0)
+        assert scalar_str(z) == ref.text()
+        assert parse_scalar(scalar_str(z)) == z
+        if not z:
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+            return
+        assert_canonical(z.inverse(), ref.inverse())
+        assert_canonical(z ** k, ref ** k)
+
+    def test_constructor_accepts_keywords_and_rejects_floats(self):
+        assert_canonical(GaussianRational(im=Fraction(2, 4), re=Fraction(3, 6)),
+                         PairGaussian(Fraction(1, 2), Fraction(1, 2)))
+        assert_canonical(GaussianRational(True), PairGaussian(1))
+        with pytest.raises(TypeError):
+            GaussianRational(0.5)
+        with pytest.raises(TypeError):
+            GaussianRational.of("1")
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            QI_I.re = Fraction(1)
+        with pytest.raises(AttributeError):
+            QI_I._t = (0, 2, 1)
+        assert QI_I == GaussianRational(0, 1)
+
+
+class TestCopying:
+    @pytest.mark.parametrize("value", [
+        GaussianRational(BIG),
+        GaussianRational(BIG, -BIG / 7),
+        QI_ZERO,
+        QI_I,
+        Polynomial([BIG, QI_I, 3]),
+        Polynomial(),
+        RationalFunction(Polynomial([1, -1]), Polynomial([BIG, 1])),
+        parse_rational_function("(1-t)/(1+t)"),
+    ], ids=repr)
+    def test_round_trip(self, value):
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+            assert repr(clone) == repr(value)
+
+    def test_large_height_parameter_survives_pickling(self):
+        lam = GaussianRational(BIG)
+        clone = pickle.loads(pickle.dumps(lam))
+        assert_canonical(clone, PairGaussian(BIG))
+        assert clone.re == BIG
