@@ -55,4 +55,4 @@ rng = ExactRandom(1)
 system = catalog.instantiate("T4,9")
 moved = system.change_basis(rng.unimodularish(4))
 print("fingerprint:", system.fingerprint())
-print("after a random basis change:", moved.fingerprint().matches(system.fingerprint()))
+print("after a random basis change:", moved.fingerprint() == system.fingerprint())

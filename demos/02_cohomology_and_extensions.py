@@ -57,7 +57,7 @@ for coeffs, name in (
     built = extend(ExtensionSpec(t32, [Cocycle(t32, coeffs)]))
     target = catalog.instantiate(name)
     print(f"class {sorted(coeffs)} -> {name}:",
-          built.fingerprint().matches(target.fingerprint()))
+          built.fingerprint() == target.fingerprint())
 
 print("\n=== Cohomologous cocycles give isomorphic extensions ===")
 from lietriple.cohomology import coboundary_of
@@ -68,4 +68,4 @@ theta = rng.cocycle(cocycle_space(t32))
 shifted = theta + coboundary_of(t32, rng.functional(3))
 a = extend(ExtensionSpec(t32, [theta]))
 b = extend(ExtensionSpec(t32, [shifted]))
-print("fingerprints agree:", a.fingerprint().matches(b.fingerprint()))
+print("fingerprints agree:", a.fingerprint() == b.fingerprint())

@@ -12,7 +12,6 @@ orbit identification exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .errors import (
     SingularParameter,
     UnknownName,
 )
-from .core import Fingerprint, Lts, complete_table
+from .core import Lts, complete_table
 from .linalg import determinant
 from .scalars import GaussianRational, QI_ONE, QI_ZERO, parse_scalar, scalar_str
 
@@ -235,7 +234,6 @@ class ClassifyResult:
     name: str
     lam: Optional[GaussianRational]
     confidence: str  # "certified" | "fingerprint-only"
-    fingerprint: Fingerprint
     xi: Optional[GaussianRational] = None
     note: str = ""
 
@@ -384,10 +382,15 @@ def _scalar_sort_key(z: GaussianRational):
 
 
 def _certify_family(system: Lts, candidates):
-    """Exact tensor match against explicit family members, if any."""
-    for lam in candidates:
-        if system == instantiate(FAMILY_NAME, lam):
-            return lam
+    """Exact tensor match against the one family member the input can equal.
+
+    A literal member carries its parameter as c_{2,3,1}^4, so only that
+    member is instantiated, and only when it lies among the candidates the
+    invariants allow: a conjugate carries an arbitrary value there.
+    """
+    lam = system.constant(2, 3, 1, 4)
+    if lam in candidates and system == instantiate(FAMILY_NAME, lam):
+        return lam
     return None
 
 
@@ -404,7 +407,6 @@ def classify(system: Lts) -> ClassifyResult:
     nil = system.nilpotency()
     if not nil.is_nilpotent:
         raise NotNilpotent("input is not nilpotent")
-    fp = system.fingerprint()
     key = _invariant_key(system)
     names = _buckets_table().get(key)
     if not names:
@@ -414,18 +416,18 @@ def classify(system: Lts) -> ClassifyResult:
         if name == FAMILY_NAME:
             continue
         if system == instantiate(name):
-            return ClassifyResult(name, None, "certified", fp)
+            return ClassifyResult(name, None, "certified")
 
     if FAMILY_NAME not in names:
         name = names[0]
-        return ClassifyResult(name, None, "fingerprint-only", fp)
+        return ClassifyResult(name, None, "fingerprint-only")
 
     matrix = family_cocycle_matrix(system)
     pq = _char_poly_pq(matrix) if matrix is not None else None
     if pq is None:
         non_family = [n for n in names if n != FAMILY_NAME]
         if non_family:
-            return ClassifyResult(non_family[0], None, "fingerprint-only", fp)
+            return ClassifyResult(non_family[0], None, "fingerprint-only")
         raise NoMatch("family-shaped invariants but no cocycle reconstruction")
     p, q = pq
     disc = -4 * p * p * p - 27 * q * q
@@ -434,40 +436,36 @@ def classify(system: Lts) -> ClassifyResult:
     if disc == 0 and dim_der == 6:
         # repeated eigenvalue with too few derivations for the family branch
         confidence = "certified" if system == instantiate("T4,5") else "fingerprint-only"
-        return ClassifyResult("T4,5", None, confidence, fp)
+        return ClassifyResult("T4,5", None, confidence)
 
     if dim_der == 8:
-        orbit = [GaussianRational(1), GaussianRational(-2), GaussianRational(-1) / 2]
-        value = xi(GaussianRational(1))
-        fp = dataclasses.replace(fp, family_xi=value)
-        lam = _certify_family(system, orbit)
+        value = xi(QI_ONE)
+        lam = _certify_family(system, FAMILY_SPECIAL_LAMBDAS)
         if lam is not None:
-            return ClassifyResult(FAMILY_NAME, lam, "certified", fp, xi=value)
-        return ClassifyResult(FAMILY_NAME, GaussianRational(1), "fingerprint-only", fp,
+            return ClassifyResult(FAMILY_NAME, lam, "certified", xi=value)
+        return ClassifyResult(FAMILY_NAME, GaussianRational(1), "fingerprint-only",
                               xi=value)
 
     if q == 0:
         # one eigenvalue vanishes: the lambda in {0, -1} bucket, xi singular
-        orbit = [QI_ZERO, GaussianRational(-1)]
-        lam = _certify_family(system, orbit)
+        lam = _certify_family(system, (QI_ZERO, GaussianRational(-1)))
         if lam is not None:
-            return ClassifyResult(FAMILY_NAME, lam, "certified", fp,
+            return ClassifyResult(FAMILY_NAME, lam, "certified",
                                   note="xi singular at this parameter")
-        return ClassifyResult(FAMILY_NAME, QI_ZERO, "fingerprint-only", fp,
+        return ClassifyResult(FAMILY_NAME, QI_ZERO, "fingerprint-only",
                               note="xi singular at this parameter")
 
     xi_value = -(p * p * p) / (q * q)
-    fp = dataclasses.replace(fp, family_xi=xi_value)
     candidates = family_lambda_candidates(xi_value)
     if not candidates:
-        return ClassifyResult(FAMILY_NAME, None, "fingerprint-only", fp, xi=xi_value,
+        return ClassifyResult(FAMILY_NAME, None, "fingerprint-only", xi=xi_value,
                               note="parameter not recovered over Q(i)")
     orbit = lambda_orbit(candidates[0])
     lam = _certify_family(system, orbit)
     if lam is not None:
-        return ClassifyResult(FAMILY_NAME, lam, "certified", fp, xi=xi(lam))
+        return ClassifyResult(FAMILY_NAME, lam, "certified", xi=xi(lam))
     lam = min(orbit, key=_scalar_sort_key)
-    return ClassifyResult(FAMILY_NAME, lam, "fingerprint-only", fp, xi=xi_value)
+    return ClassifyResult(FAMILY_NAME, lam, "fingerprint-only", xi=xi_value)
 
 
 def multiplication_table_text(name, lam=None):
@@ -505,8 +503,7 @@ def table1_report():
 
     for name in ("T4,1", "T4,2", "T4,3", "T4,4", "T4,5"):
         add(name, None)
-    for lam in (GaussianRational(1), GaussianRational(-2), GaussianRational(-1) / 2,
-                GaussianRational(2), GaussianRational(3)):
+    for lam in FAMILY_SPECIAL_LAMBDAS + (GaussianRational(2), GaussianRational(3)):
         add(FAMILY_NAME, lam)
     for name in ("T4,7", "T4,8", "T4,9"):
         add(name, None)

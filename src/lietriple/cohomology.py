@@ -18,7 +18,6 @@ order.
 from __future__ import annotations
 
 from .errors import (
-    AxiomViolation,
     DimensionMismatch,
     NotAbelianDim3,
     NotAnAutomorphism,
@@ -53,7 +52,7 @@ def delta_indices(n):
 class Cocycle:
     """Scalar-valued trilinear cochain on an ambient system, antisymmetric in (x, y)."""
 
-    def __init__(self, ambient: Lts, coeffs=None, closed=False):
+    def __init__(self, ambient: Lts, coeffs=None):
         self.ambient = ambient
         clean = {}
         for (i, j, k), val in (coeffs or {}).items():
@@ -63,7 +62,21 @@ class Cocycle:
             if v != 0:
                 clean[(i, j, k)] = v
         self.coeffs = clean
-        self.closed = closed
+        self._closed = False
+
+    @classmethod
+    def _known(cls, ambient, coeffs, closed=True):
+        """A cochain with a closedness flag that the library itself has established."""
+        theta = cls(ambient, coeffs)
+        theta._closed = closed
+        return theta
+
+    @property
+    def closed(self):
+        """True for Z^3/B^3 basis vectors, coboundaries, their linear
+        combinations, their images under a checked automorphism and
+        cochains that passed check_closed; callers cannot set it."""
+        return self._closed
 
     def value(self, a, b, c):
         """theta(e_a, e_b, e_c) with 1-based indices."""
@@ -86,29 +99,25 @@ class Cocycle:
         idx = delta_indices(self.ambient.dim)
         return [self.coeffs.get(t, QI_ZERO) for t in idx]
 
-    @staticmethod
-    def from_coordinates(ambient, vector, closed=False):
-        idx = delta_indices(ambient.dim)
-        return Cocycle(ambient, dict(zip(idx, vector)), closed=closed)
-
     # Z^3 is a subspace: sums, negatives and multiples of closed cochains stay closed.
     def __add__(self, other):
         if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise DimensionMismatch("cochains on different systems")
         keys = set(self.coeffs) | set(other.coeffs)
-        return Cocycle(self.ambient,
-                       {t: self.coeffs.get(t, QI_ZERO) + other.coeffs.get(t, QI_ZERO) for t in keys},
-                       closed=self.closed and other.closed)
+        return Cocycle._known(
+            self.ambient,
+            {t: self.coeffs.get(t, QI_ZERO) + other.coeffs.get(t, QI_ZERO) for t in keys},
+            self.closed and other.closed)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Cocycle(self.ambient, {t: -v for t, v in self.coeffs.items()}, closed=self.closed)
+        return Cocycle._known(self.ambient, {t: -v for t, v in self.coeffs.items()}, self.closed)
 
     def __rmul__(self, scalar):
-        return Cocycle(self.ambient, {t: v * scalar for t, v in self.coeffs.items()},
-                       closed=self.closed)
+        return Cocycle._known(self.ambient, {t: v * scalar for t, v in self.coeffs.items()},
+                              self.closed)
 
     __mul__ = __rmul__
 
@@ -130,16 +139,12 @@ class Cocycle:
         residual vanishes on every other coordinate of a verified ambient, so
         the axiom kernel reports them at the same indices as an exhaustive scan.
         """
-        ambient = self.ambient
-        if not ambient.verified:
-            report = ambient.check_axioms()
-            if not report.ok:
-                raise AxiomViolation(report.identity, report.indices, report.residual)
+        ambient = self.ambient.require_axioms()
         failure = first_axiom_failure(ambient.dim + 1, extension_rows(ambient, [self]))
         if failure is not None:
             identity, indices, _ = failure
             return False, ("B" + identity[1:], indices)
-        self.closed = True
+        self._closed = True
         return True, None
 
     def radical(self) -> Subspace:
@@ -172,12 +177,13 @@ def extension_rows(base: Lts, thetas):
 class CochainSpace:
     """A subspace of cochains with a canonical reduced-echelon basis."""
 
-    def __init__(self, ambient: Lts, vectors, closed=False):
+    def __init__(self, ambient: Lts, vectors, _closed=False):
         self.ambient = ambient
         reduced, _ = rref([list(v) for v in vectors])
         rows = [row for row in reduced if any(x != 0 for x in row)]
         self.coordinates = rows
-        self.basis = [Cocycle.from_coordinates(ambient, row, closed=closed) for row in rows]
+        idx = delta_indices(ambient.dim)
+        self.basis = [Cocycle._known(ambient, dict(zip(idx, row)), _closed) for row in rows]
 
     @property
     def dim(self):
@@ -265,7 +271,7 @@ def cocycle_space(system: Lts) -> CochainSpace:
     rows = _b2_rows(system, idx_pos)
     rows.update(_b3_rows(system, idx_pos))
     vectors = nullspace([list(r) for r in rows], len(idx))
-    return CochainSpace(system, vectors, closed=True)
+    return CochainSpace(system, vectors, _closed=True)
 
 
 def coboundary_of(system: Lts, functional) -> Cocycle:
@@ -276,7 +282,7 @@ def coboundary_of(system: Lts, functional) -> Cocycle:
             val = sum((functional[p] * x for p, x in row.items()), start=QI_ZERO)
             if val != 0:
                 coeffs[(i + 1, j + 1, k + 1)] = val
-    return Cocycle(system, coeffs, closed=True)
+    return Cocycle._known(system, coeffs)
 
 
 def coboundary_space(system: Lts) -> CochainSpace:
@@ -286,7 +292,7 @@ def coboundary_space(system: Lts) -> CochainSpace:
     for p in range(n):
         functional = [1 if q == p else 0 for q in range(n)]
         vectors.append(coboundary_of(system, functional).coordinates())
-    return CochainSpace(system, vectors, closed=True)
+    return CochainSpace(system, vectors, _closed=True)
 
 
 def cohomology(system: Lts):
@@ -318,7 +324,7 @@ def cohomology(system: Lts):
         reps.append(reduced)
     reps, _ = rref(reps)
     reps = [r for r in reps if any(x != 0 for x in r)]
-    space = CochainSpace(system, reps, closed=True)
+    space = CochainSpace(system, reps, _closed=True)
     return z3.dim - b3.dim, space
 
 
@@ -392,7 +398,8 @@ def aut_action(phi, theta: Cocycle, check=True) -> Cocycle:
                 val = theta.eval(cols[i - 1], cols[j - 1], cols[k - 1])
                 if val != 0:
                     coeffs[(i, j, k)] = val
-    return Cocycle(system, coeffs, closed=theta.closed)
+    # phi theta is closed for closed theta only when phi is an automorphism
+    return Cocycle._known(system, coeffs, theta.closed and check)
 
 
 def matrix_form(theta: Cocycle):

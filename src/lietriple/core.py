@@ -97,13 +97,6 @@ class Fingerprint:
     nilpotency_index: Optional[int]
     dim_z3: int
     dim_h3: int
-    family_xi: Optional[GaussianRational] = None
-
-    def matches(self, other: "Fingerprint") -> bool:
-        return (self.dim, self.dim_ann, self.dim_derived, self.dim_der,
-                self.nilpotency_index, self.dim_z3, self.dim_h3) == (
-                other.dim, other.dim_ann, other.dim_derived, other.dim_der,
-                other.nilpotency_index, other.dim_z3, other.dim_h3)
 
 
 class Lts:
@@ -200,6 +193,14 @@ class Lts:
             return AxiomReport(False, *failure)
         self.verified = True
         return AxiomReport(True)
+
+    def require_axioms(self) -> "Lts":
+        """Check an unverified system once; raise AxiomViolation if it fails."""
+        if not self.verified:
+            report = self.check_axioms()
+            if not report.ok:
+                raise AxiomViolation(report.identity, report.indices, report.residual)
+        return self
 
     # -- structural invariants -------------------------------------------------
 
@@ -310,19 +311,19 @@ class Lts:
     def fingerprint(self) -> Fingerprint:
         if "fingerprint" in self._cache:
             return self._cache["fingerprint"]
-        from .cohomology import cocycle_space, coboundary_space  # cycle-free at runtime
+        from .cohomology import cocycle_space  # cycle-free at runtime
 
         nil = self.nilpotency()
         z3 = cocycle_space(self)
-        b3 = coboundary_space(self)
+        derived = self.derived().dim
         fp = Fingerprint(
             dim=self.dim,
             dim_ann=self.annihilator().dim,
-            dim_derived=self.derived().dim,
+            dim_derived=derived,
             dim_der=self.derivations()[0],
             nilpotency_index=nil.index,
             dim_z3=z3.dim,
-            dim_h3=z3.dim - b3.dim,
+            dim_h3=z3.dim - derived,  # dim B^3 = dim [T,T,T]
         )
         self._cache["fingerprint"] = fp
         return fp
@@ -504,10 +505,7 @@ def complete_table(dim, generators):
                         changed = True
 
     system = Lts.from_rows(dim, {key: dict(enumerate(vec)) for key, vec in known.items()})
-    report = system.check_axioms()
-    if not report.ok:
-        raise AxiomViolation(report.identity, report.indices, report.residual)
-    return system
+    return system.require_axioms()
 
 
 def direct_sum(a: Lts, b: Lts) -> Lts:
@@ -553,10 +551,7 @@ def lts_from_lie(bracket) -> Lts:
                         for q in range(n):
                             row[q] = row.get(q, QI_ZERO) + b[i][j][p] * b[p][k][q]
     system = Lts.from_rows(n, rows)
-    report = system.check_axioms()
-    if not report.ok:
-        raise AxiomViolation(report.identity, report.indices, report.residual)
-    return system
+    return system.require_axioms()
 
 
 # ---------------------------------------------------------------------------

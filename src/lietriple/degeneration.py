@@ -535,9 +535,8 @@ TABLE2_WITNESSES = [
 def _family_to_t44_rows(lam: GaussianRational):
     """Basis rows for the family -> T4,4 witness; needs lam outside {1, -2, -1/2}."""
     lam = GaussianRational.of(lam)
-    for bad in (GaussianRational(1), GaussianRational(-2), GaussianRational.of(-1) / 2):
-        if lam == bad:
-            raise MalformedInput("lambda", f"witness undefined at lambda = {scalar_str(bad)}")
+    if lam in catalog.FAMILY_SPECIAL_LAMBDAS:
+        raise MalformedInput("lambda", f"witness undefined at lambda = {scalar_str(lam)}")
     c1 = scalar_str(1 / (lam - 1))
     c2 = scalar_str(-1 / (2 * lam + 1))
     c3 = scalar_str(-1 / (lam * lam + lam - 2))
@@ -697,7 +696,6 @@ class DegenerationGraph:
 
 FAMILY_NODE = "T4,6*"
 _GENERIC_FAMILY_SAMPLE = GaussianRational(2)
-_ORBIT_OF_ONE = (GaussianRational(1), GaussianRational(-2), GaussianRational.of(-1) / 2)
 
 
 def _node_name(system_name, lam=None):
@@ -758,7 +756,7 @@ def degeneration_graph(dim=4) -> DegenerationGraph:
         if witness.source == "T4,6":
             if family_closure_source:
                 src_name = FAMILY_NODE
-            elif witness.source_lambda in _ORBIT_OF_ONE:
+            elif witness.source_lambda in catalog.FAMILY_SPECIAL_LAMBDAS:
                 src_name = _node_name("T4,6", GaussianRational(1))
             else:
                 src_name = FAMILY_NODE  # generic-parameter row, e.g. -> T4,4

@@ -102,7 +102,7 @@ def test_criterion_04_extension_reconstructions(t21, t31, t32):
     ok = ok and extend(ExtensionSpec(
         t21, [D(t21, {(1, 2, 1): 1}), D(t21, {(1, 2, 2): 1})])) == catalog.instantiate("T4,3")
     ok = ok and extend(ExtensionSpec(
-        t31, [D(t31, {(2, 3, 2): 1, (1, 3, 3): -1})])).fingerprint().matches(
+        t31, [D(t31, {(2, 3, 2): 1, (1, 3, 3): -1})])).fingerprint() == (
         catalog.instantiate("T4,4").fingerprint())
     pairs = [
         ({(1, 2, 3): 1, (1, 3, 2): 1}, "T4,7"),
@@ -111,7 +111,7 @@ def test_criterion_04_extension_reconstructions(t21, t31, t32):
     ]
     for coeffs, name in pairs:
         built = extend(ExtensionSpec(t32, [D(t32, coeffs)]))
-        ok = ok and built.fingerprint().matches(catalog.instantiate(name).fingerprint())
+        ok = ok and built.fingerprint() == catalog.instantiate(name).fingerprint()
     _report(4, "annihilator extensions rebuild T3,2 / T4,3 / T4,4 / T4,7 / T4,8 / T4,9", ok)
 
 
@@ -263,7 +263,7 @@ class TestCriterion10PropertySuites:
             shift = coboundary_of(base, rng.functional(base.dim))
             a = extend(ExtensionSpec(base, [theta]))
             b = extend(ExtensionSpec(base, [theta + shift]))
-            ok = ok and a.fingerprint().matches(b.fingerprint())
+            ok = ok and a.fingerprint() == b.fingerprint()
         _report(10, "part b: 200 cohomologous extension pairs share fingerprints", ok)
 
     def test_part_c_fingerprint_invariance(self):
@@ -279,7 +279,7 @@ class TestCriterion10PropertySuites:
             else:
                 system = pool[case % len(pool)]
             moved = system.change_basis(rng.unimodularish(system.dim))
-            ok = ok and moved.fingerprint().matches(system.fingerprint())
+            ok = ok and moved.fingerprint() == system.fingerprint()
         _report(10, "part c: 200 basis changes leave fingerprints fixed", ok)
 
     def test_part_d_transport_functoriality(self):

@@ -1,5 +1,6 @@
 """Catalog instantiation, the family invariant and classification."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from lietriple.errors import (
     SingularParameter,
     UnknownName,
 )
-from lietriple.core import Lts, lts_from_lie
+from lietriple.core import Lts, complete_table, lts_from_lie
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, QI_I
 
@@ -153,6 +154,31 @@ class TestClassify:
             moved = system.change_basis(rng.unimodularish(system.dim))
             result = catalog.classify(moved)
             assert result.name == name
+
+    def test_decides_without_cohomology(self, monkeypatch):
+        cohomology = importlib.import_module("lietriple.cohomology")
+
+        def refuse(system):
+            raise AssertionError("classify built Z^3 or B^3 of its input")
+
+        monkeypatch.setattr(cohomology, "cocycle_space", refuse)
+        monkeypatch.setattr(cohomology, "coboundary_space", refuse)
+        rng = ExactRandom(97)
+        for name, entry in catalog.ENTRIES.items():
+            for lam in ((G(0), G(1), G(2)) if entry.family else (None,)):
+                system = catalog.instantiate(name, lam)
+                moved = system.change_basis(rng.invertible(system.dim, height=3))
+                assert catalog.classify(moved).name == name, (name, lam)
+
+    def test_literal_family_member_instantiates_one_member(self, monkeypatch):
+        catalog._buckets_table()
+        kept = {key: val for key, val in catalog._instances.items()
+                if key[0] != catalog.FAMILY_NAME}
+        monkeypatch.setattr(catalog, "_instances", kept)
+        lam = G(Fraction(2, 3))
+        result = catalog.classify(complete_table(4, catalog.ENTRIES["T4,6"].generators(lam)))
+        assert (result.name, result.lam, result.confidence) == ("T4,6", lam, "certified")
+        assert len([key for key in kept if key[0] == catalog.FAMILY_NAME]) <= 1
 
     def test_low_dimension_is_abelian(self):
         for name in ("T1,1", "T2,1"):

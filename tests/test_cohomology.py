@@ -101,6 +101,17 @@ class TestCoboundarySpace:
             for c in b3.basis:
                 assert z3.contains(c)
 
+    def test_dimension_is_derived_dimension_on_catalog_and_conjugates(self):
+        # Lts.fingerprint reads dim B^3 as dim [T,T,T] without building B^3
+        rng = ExactRandom(101)
+        for name, entry in catalog.ENTRIES.items():
+            for lam in ((GaussianRational(1), GaussianRational(2)) if entry.family else (None,)):
+                system = catalog.instantiate(name, lam)
+                moved = system.change_basis(rng.invertible(system.dim, height=3))
+                for t in (system, moved):
+                    assert coboundary_space(t).dim == t.derived().dim, name
+                assert system.fingerprint().dim_h3 == cohomology(system)[0], name
+
 
 class TestCohomology:
     def test_t32_classes(self, t32):
@@ -187,6 +198,7 @@ class TestAutAction:
             assert is_automorphism(t32, phi)
             theta = rng.cocycle(z3)
             assert z3.contains(aut_action(phi, theta, check=False))
+            assert aut_action(phi, theta).closed
             delta = rng.cocycle(b3)
             assert b3.contains(aut_action(phi, delta, check=False))
 

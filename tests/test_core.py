@@ -8,6 +8,7 @@ import pytest
 
 from conftest import basis_vector, oracle_annihilator_dim, oracle_derived_dim
 from lietriple import catalog
+from lietriple.cohomology import Cocycle
 from lietriple.core import (
     MAX_DIM,
     Lts,
@@ -17,6 +18,7 @@ from lietriple.core import (
     lts_from_lie,
     lts_to_dict,
 )
+from lietriple.extension import ExtensionSpec, extension_annihilator
 from lietriple.errors import (
     AxiomViolation,
     InconsistentTable,
@@ -234,6 +236,13 @@ class TestFieldElementsOnly:
         for entries in (ann, series, der):
             assert {type(x) for x in entries} <= {GaussianRational}
 
+    def test_extension_annihilator_entries_are_gaussian_rationals(self):
+        # the V part of the formula used to carry a Python int 1
+        t31 = catalog.instantiate("T3,1")
+        spec = ExtensionSpec(t31, [Cocycle(t31, {(1, 2, 1): 1})])
+        entries = [x for row in extension_annihilator(spec).basis for x in row]
+        assert {type(x) for x in entries} == {GaussianRational}
+
 
 class TestOrbitDimension:
     def test_t47(self):
@@ -336,13 +345,13 @@ class TestFingerprint:
         a = catalog.instantiate("T4,3").fingerprint()
         b = catalog.instantiate("T4,4").fingerprint()
         assert (a.dim_der, b.dim_der) == (8, 7)
-        assert not a.matches(b)
+        assert a != b
 
     def test_invariant_under_basis_change(self):
         rng = ExactRandom(17)
         system = catalog.instantiate("T4,9")
         moved = system.change_basis(rng.unimodularish(4))
-        assert moved.fingerprint().matches(system.fingerprint())
+        assert moved.fingerprint() == system.fingerprint()
 
 
 class TestJsonRoundTrip:
