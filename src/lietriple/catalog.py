@@ -7,7 +7,8 @@ six-element parameter orbit by the invariant
     xi(lam) = (lam^2 + lam + 1)^3 / (lam^2 (lam + 1)^2),
 
 and explicit basis-change witnesses (the maps sigma_1..sigma_6) realize every
-orbit identification exactly.
+orbit identification exactly.  The orbit is recovered from xi as the exact
+Gaussian-rational root set of the xi-equation (``family_lambda_candidates``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import mpmath
 
 from .errors import (
     DimensionUnsupported,
@@ -29,7 +28,8 @@ from .errors import (
 )
 from .core import Lts, complete_table
 from .linalg import determinant
-from .scalars import GaussianRational, QI_ONE, QI_ZERO, parse_scalar, scalar_str
+from .scalars import (GaussianRational, Polynomial, QI_ONE, QI_ZERO, gaussian_roots,
+                      parse_scalar, scalar_str)
 
 __all__ = [
     "CatalogEntry",
@@ -43,7 +43,6 @@ __all__ = [
     "ClassifyResult",
     "table1_report",
     "TABLE1_PUBLISHED",
-    "FIGURE1_STRATA",
     "FAMILY_SPECIAL_LAMBDAS",
 ]
 
@@ -120,8 +119,6 @@ TABLE1_PUBLISHED = {
     "T4,1": 16, "T4,2": 9, "T4,3": 8, "T4,4": 7, "T4,5": 6,
     "T4,7": 5, "T4,8": 6, "T4,9": 7,
 }
-
-FIGURE1_STRATA = (11, 10, 9, 8, 5, 0)
 
 _instances: dict = {}
 
@@ -330,51 +327,20 @@ def _char_poly_pq(matrix):
     return p, q
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact conversion of an mpmath float to a Fraction."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(-man if sign else man)
-    return value * Fraction(2) ** exp
-
-
 def family_lambda_candidates(xi_value):
-    """Parameters lambda with xi(lambda) equal to the given value, or [].
+    """Every parameter lambda with xi(lambda) equal to the given value, or [].
 
-    The degree-6 equation (x^2+x+1)^3 = xi x^2 (x+1)^2 has the six-element
-    parameter orbit as its root set.  Because xi is invariant under basis
-    change, its reduced form is small, so numeric root hints snap reliably to
-    Gaussian rationals; every returned candidate is verified by exact
-    xi-equality, never by the numerics alone.
+    The palindromic equation N (x^2+x+1)^3 - S x^2 (x+1)^2 = 0, with
+    xi = S/N and N a positive integer, has the whole parameter orbit as its
+    root set and never vanishes at 0 or -1.  Its roots in Q(i) are found
+    exactly, so an empty result proves that no Gaussian-rational parameter
+    has this invariant.
     """
     xi_value = GaussianRational.of(xi_value)
-    den = math.lcm(xi_value.re.denominator, xi_value.im.denominator)
-    s = xi_value * den
-    n = GaussianRational(den)
-    # N (x^2+x+1)^3 - S x^2 (x+1)^2, coefficients listed by descending degree
-    coeffs = [n, 3 * n, 6 * n - s, 7 * n - 2 * s, 6 * n - s, 3 * n, n]
-    bounds = sorted({den * den, 10 ** 6, 10 ** 12})
-    found = []
-    try:
-        with mpmath.workdps(60):
-            mp_coeffs = [mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
-                                    mpmath.mpf(c.im.numerator) / c.im.denominator)
-                         for c in coeffs]
-            roots = mpmath.polyroots(mp_coeffs, maxsteps=300, extraprec=120)
-    except (mpmath.libmp.NoConvergence, ZeroDivisionError):
-        return []
-    for r in roots:
-        re = _mpf_to_fraction(r.real)
-        im = _mpf_to_fraction(r.imag)
-        for bound in bounds:
-            cand = GaussianRational(re.limit_denominator(bound), im.limit_denominator(bound))
-            if cand * cand + cand == 0:
-                continue
-            if xi(cand) == xi_value and cand not in found:
-                found.append(cand)
-                break
-    return found
+    n = math.lcm(xi_value.re.denominator, xi_value.im.denominator)
+    s = xi_value * n
+    return gaussian_roots(Polynomial([n, 3 * n, 6 * n - s, 7 * n - 2 * s, 6 * n - s,
+                                      3 * n, n]))
 
 
 def _scalar_sort_key(z: GaussianRational):
@@ -460,11 +426,10 @@ def classify(system: Lts) -> ClassifyResult:
     if not candidates:
         return ClassifyResult(FAMILY_NAME, None, "fingerprint-only", xi=xi_value,
                               note="parameter not recovered over Q(i)")
-    orbit = lambda_orbit(candidates[0])
-    lam = _certify_family(system, orbit)
+    lam = _certify_family(system, candidates)
     if lam is not None:
         return ClassifyResult(FAMILY_NAME, lam, "certified", xi=xi(lam))
-    lam = min(orbit, key=_scalar_sort_key)
+    lam = min(candidates, key=_scalar_sort_key)
     return ClassifyResult(FAMILY_NAME, lam, "fingerprint-only", xi=xi_value)
 
 

@@ -298,34 +298,23 @@ def coboundary_space(system: Lts) -> CochainSpace:
 def cohomology(system: Lts):
     """(dim H^3, representative cochains): an echelon complement of B^3 in Z^3.
 
-    Representatives are the Z^3 echelon vectors whose pivots are not pivots of
-    B^3, reduced modulo B^3, so the choice is canonical and reproducible.
+    The Z^3 echelon vectors are reduced modulo the B^3 echelon rows.  That
+    reduction has kernel B^3, which lies in Z^3, so the reduced vectors span a
+    complement; its reduced-echelon basis is canonical and reproducible.
     """
     z3 = cocycle_space(system)
     b3 = coboundary_space(system)
     if b3.dim == 0:
         return z3.dim, z3
-    b_rows, b_pivots = rref([list(r) for r in b3.coordinates])
-    current = [list(r) for r in b3.coordinates]
-    current_rank = b3.dim
+    b_rows = [(next(c for c, x in enumerate(row) if x), row) for row in b3.coordinates]
     reps = []
     for row in z3.coordinates:
-        stacked, _ = rref(current + [list(row)])
-        new_rank = len([r for r in stacked if any(x != 0 for x in r)])
-        if new_rank == current_rank:
-            continue  # class already represented (or lies in B^3)
-        current.append(list(row))
-        current_rank = new_rank
-        reduced = list(row)
-        for br, bp in zip(b_rows, b_pivots):
-            f = reduced[bp]
-            if f != 0:
-                reduced = [a - f * b for a, b in zip(reduced, br)]
-        reps.append(reduced)
-    reps, _ = rref(reps)
-    reps = [r for r in reps if any(x != 0 for x in r)]
-    space = CochainSpace(system, reps, _closed=True)
-    return z3.dim - b3.dim, space
+        for bp, br in b_rows:
+            f = row[bp]
+            if f:
+                row = [a - f * b for a, b in zip(row, br)]
+        reps.append(row)
+    return z3.dim - b3.dim, CochainSpace(system, reps, _closed=True)
 
 
 def cocycle_to_dict(theta: Cocycle, include_system=True) -> dict:

@@ -57,8 +57,6 @@ __all__ = [
     "table3_separating_set",
     "table5_separating_set",
     "TABLE2_WITNESSES",
-    "TABLE3_ROWS",
-    "TABLE5_ROW",
 ]
 
 
@@ -635,23 +633,6 @@ def table5_separating_set(literal=False) -> SeparatingSet:
     ]
     label = "T4,6^* not-> T4,9, T4,3" + (" [literal]" if literal else "")
     return SeparatingSet(4, relations, label=label)
-
-
-TABLE3_ROWS = [
-    {"row": 1, "kind": "separating", "source": "T4,7", "source_lambda": None,
-     "targets": ["T4,5", "T4,6"]},
-    {"row": 2, "kind": "separating", "source": "T4,6", "source_lambda": "per-lambda",
-     "targets": ["T4,6^1"]},
-    {"row": 3, "kind": "separating", "source": "T4,9", "source_lambda": None,
-     "targets": ["T4,3"]},
-    {"row": 4, "kind": "necessary-conditions", "source": "T4,5", "source_lambda": None,
-     "targets": ["T4,9", "T4,3"]},
-    {"row": 5, "kind": "necessary-conditions", "source": "T4,6", "source_lambda": "sampled",
-     "targets": ["T4,9", "T4,3"]},
-]
-
-TABLE5_ROW = {"row": 1, "kind": "separating", "source": "T4,6",
-              "source_lambda": "family", "targets": ["T4,9", "T4,3"]}
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,6 @@ class Subspace:
         nonzero = [row for row in stacked if any(x != 0 for x in row)]
         return len(nonzero) == self.dim
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

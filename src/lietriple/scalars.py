@@ -29,8 +29,7 @@ __all__ = [
     "parse_rational_function",
     "scalar_str",
     "rational_function_str",
-    "frac_sqrt",
-    "gaussian_sqrt",
+    "gaussian_roots",
 ]
 
 
@@ -597,40 +596,90 @@ def evaluate_at(f: RationalFunction, t0) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# square roots (exact, or None when no root exists in the field)
+# roots in Q(i): Hensel lifting at an inert prime, then rational reconstruction
+# (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5 and 15)
 
 
-def frac_sqrt(x: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    p, q = _ratio(x)
-    if p < 0:
-        return None
-    pn, pd = isqrt(p), isqrt(q)
-    if pn * pn == p and pd * pd == q:
-        return Fraction(pn, pd)
-    return None
+def _inert_primes():
+    """Primes p = 3 (mod 4) in increasing order; Z[i]/(p) is the field F_{p^2}."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
 
 
-def gaussian_sqrt(z: GaussianRational):
-    """Exact square root of z in Q(i), or None when z is not a square there."""
-    z = GaussianRational.of(z)
-    a, b = z.re, z.im
-    if b == 0:
-        r = frac_sqrt(a)
-        if r is not None:
-            return GaussianRational(r)
-        r = frac_sqrt(-a)
-        if r is not None:
-            return GaussianRational(0, r)
-        return None
-    s = frac_sqrt(a * a + b * b)
-    if s is None:
-        return None
-    c = frac_sqrt((a + s) / 2)
-    if c is None or c == 0:
-        return None
-    d = b / (2 * c)
-    return GaussianRational(c, d)
+def _eval_mod(coeffs, u, v, m):
+    """f(u + v*i) in Z[i]/(m), for ascending Gaussian-integer pairs (a, b)."""
+    re = im = 0
+    for a, b in reversed(coeffs):
+        re, im = (re * u - im * v + a) % m, (re * v + im * u + b) % m
+    return re, im
+
+
+def _rational_reconstruction(u, m, bound):
+    """The first fraction n/d = u (mod m) with |n| <= bound on the Euclidean remainders.
+
+    A fraction in lowest terms with n/d = u (mod m), |n| <= bound and
+    0 < d <= m / (bound + 1) is always this one.
+    """
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
+
+
+def gaussian_roots(f: Polynomial):
+    """The distinct roots in Q(i) of a nonzero polynomial over Q(i).
+
+    Over Z[i] a root alpha/beta in lowest terms has beta | lead and
+    alpha | constant (Gauss's lemma), which bounds the parts of
+    alpha*conj(beta)/N(beta).  The simple roots of the square-free part modulo
+    an inert prime are lifted past that bound and reconstructed, and only
+    candidates that are exact roots are kept, so an empty result proves that
+    there is no root in Q(i).
+    """
+    if not f:
+        raise ValueError("every scalar is a root of the zero polynomial")
+    shift = next(k for k, c in enumerate(f.coeffs) if c)
+    roots = [QI_ZERO] if shift else []
+    f = Polynomial(f.coeffs[shift:])
+    if f.degree < 1:
+        return roots
+    g = poly_gcd(f, Polynomial([k * c for k, c in enumerate(f.coeffs)][1:]))
+    if g.degree > 0:
+        f = f // g
+    scale = lcm(*(c._t[2] for c in f.coeffs))
+    coeffs = [(a * (scale // d), b * (scale // d)) for a, b, d in (c._t for c in f.coeffs)]
+    deriv = [(k * a, k * b) for k, (a, b) in enumerate(coeffs)][1:]
+    (a0, b0), (an, bn) = coeffs[0], coeffs[-1]
+    lead_norm = an * an + bn * bn
+    bound = isqrt((a0 * a0 + b0 * b0) * lead_norm) + 1  # |alpha| |beta|
+    for p in _inert_primes():
+        if an % p or bn % p:  # the lead stays a unit, so every denominator does
+            residues = [(u, v) for u in range(p) for v in range(p)
+                        if _eval_mod(coeffs, u, v, p) == (0, 0)]
+            # then each root in Q(i) reduces to a simple residue of its own
+            if all(_eval_mod(deriv, u, v, p) != (0, 0) for u, v in residues):
+                break
+    m = p
+    while m <= 2 * bound * lead_norm:
+        m *= m
+        lifted = []
+        for u, v in residues:  # Newton step u + v*i -= f / f'
+            fa, fb = _eval_mod(coeffs, u, v, m)
+            da, db = _eval_mod(deriv, u, v, m)
+            inv = pow(da * da + db * db, -1, m)
+            lifted.append(((u - (fa * da + fb * db) * inv) % m,
+                           (v - (fb * da - fa * db) * inv) % m))
+        residues = lifted
+    for u, v in residues:
+        z = GaussianRational(_rational_reconstruction(u, m, bound),
+                             _rational_reconstruction(v, m, bound))
+        if not f(z):
+            roots.append(z)
+    return roots
 
 
 # ---------------------------------------------------------------------------

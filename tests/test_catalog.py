@@ -4,6 +4,8 @@ import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lietriple import catalog
 from lietriple.errors import (
@@ -20,6 +22,21 @@ from lietriple.scalars import GaussianRational, QI_I
 
 G = GaussianRational
 LAMBDA_SAMPLES = [G(1), G(-2), G(Fraction(-1, 2)), G(2), G(3), G(5), QI_I]
+BIG = G(Fraction(2 ** 70 + 1, 3 ** 30))  # the large-height family parameter
+
+
+def unit4(coeff):
+    return [G(0), G(0), G(0), G(coeff)]
+
+
+# char poly x^3 - x - 1 of its cocycle matrix: xi = 1, no parameter in Q(i)
+IRRATIONAL_MEMBER = complete_table(4, {(1, 2, 2): unit4(1), (1, 3, 1): unit4(-1),
+                                       (1, 3, 3): unit4(-1), (2, 3, 3): unit4(1)})
+
+large_rationals_st = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                               st.integers(1, 3 ** 30))
+large_lambdas_st = st.builds(G, large_rationals_st,
+                             st.one_of(st.just(0), large_rationals_st))
 
 
 class TestInstantiate:
@@ -147,6 +164,34 @@ class TestClassify:
             assert moved.change_basis(
                 [[1 if i == j else 0 for j in range(4)] for i in range(4)]) == moved
 
+    def test_conjugated_large_height_member(self):
+        moved = catalog.instantiate("T4,6", BIG).change_basis(
+            ExactRandom(101).invertible(4, height=4))
+        result = catalog.classify(moved)
+        assert result.name == "T4,6"
+        assert result.lam in catalog.lambda_orbit(BIG)
+        assert result.xi == catalog.xi(BIG)
+
+    @given(lam=large_lambdas_st, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=6, deadline=None)
+    def test_conjugated_members_recover_lambda(self, lam, seed):
+        assume(lam * lam + lam != 0 and lam not in catalog.FAMILY_SPECIAL_LAMBDAS)
+        moved = catalog.instantiate("T4,6", lam).change_basis(
+            ExactRandom(seed).invertible(4, height=4))
+        result = catalog.classify(moved)
+        assert result.name == "T4,6" and result.lam in catalog.lambda_orbit(lam)
+        assert result.xi == catalog.xi(lam)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_parameter_outside_q_i_is_fingerprint_only(self, conjugate):
+        system = IRRATIONAL_MEMBER
+        if conjugate:
+            system = system.change_basis(ExactRandom(103).invertible(4, height=3))
+        result = catalog.classify(system)
+        assert (result.name, result.lam, result.confidence, result.xi) == (
+            "T4,6", None, "fingerprint-only", G(1))
+        assert result.note == "parameter not recovered over Q(i)"
+
     def test_conjugated_fixed_entries(self):
         rng = ExactRandom(89)
         for name in ("T3,2", "T4,4", "T4,5", "T4,7", "T4,9"):
@@ -227,3 +272,12 @@ class TestLambdaCandidates:
             assert found, lam
             orbit = catalog.lambda_orbit(lam)
             assert all(v in orbit for v in found)
+
+    @pytest.mark.parametrize("lam", [G(2), G(Fraction(3, 5)), QI_I, BIG,
+                                     G(Fraction(-7, 3), Fraction(2, 9))])
+    def test_root_set_is_the_whole_orbit(self, lam):
+        found = catalog.family_lambda_candidates(catalog.xi(lam))
+        assert len(found) == 6 and set(found) == set(catalog.lambda_orbit(lam))
+
+    def test_no_gaussian_parameter(self):
+        assert catalog.family_lambda_candidates(G(1)) == []

@@ -19,7 +19,8 @@ from lietriple.cohomology import (
     matrix_form,
 )
 from lietriple.errors import NotAbelianDim3, NotAnAutomorphism, RelationViolated
-from lietriple.linalg import Subspace, determinant, mat_inverse, mat_mul
+from lietriple.core import direct_sum
+from lietriple.linalg import Subspace, determinant, mat_inverse, mat_mul, rref
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, QI_ZERO
 
@@ -131,6 +132,49 @@ class TestCohomology:
     def test_abelian_dims(self, t21, t31):
         assert cohomology(t21)[0] == 2
         assert cohomology(t31)[0] == 8
+
+    def test_representatives_match_rank_tracking_selection(self):
+        rng = ExactRandom(107)
+        systems = [direct_sum(catalog.instantiate("T3,2"), catalog.instantiate("T1,1"))]
+        for name, entry in catalog.ENTRIES.items():
+            for lam in ((GaussianRational(0), GaussianRational(1), GaussianRational(2))
+                        if entry.family else (None,)):
+                systems.append(catalog.instantiate(name, lam))
+        for name in ("T3,2", "T4,4", "T4,8", "T4,9"):
+            system = catalog.instantiate(name)
+            systems.append(system.change_basis(rng.invertible(system.dim, height=3)))
+        for system in systems:
+            dim_h3, reps = cohomology(system)
+            expected = _rank_tracking_representatives(system)
+            assert dim_h3 == len(expected)
+            assert reps.coordinates == expected
+
+
+def _rank_tracking_representatives(system):
+    """Reference: add Z^3 echelon rows that raise the rank over B^3, reduce each
+    modulo the B^3 echelon rows, and take the reduced echelon form."""
+    z3, b3 = cocycle_space(system), coboundary_space(system)
+    if b3.dim == 0:
+        return z3.coordinates
+    b_rows, b_pivots = rref([list(r) for r in b3.coordinates])
+    current = [list(r) for r in b3.coordinates]
+    current_rank = b3.dim
+    reps = []
+    for row in z3.coordinates:
+        stacked, _ = rref(current + [list(row)])
+        new_rank = len([r for r in stacked if any(x != 0 for x in r)])
+        if new_rank == current_rank:
+            continue
+        current.append(list(row))
+        current_rank = new_rank
+        reduced = list(row)
+        for br, bp in zip(b_rows, b_pivots):
+            f = reduced[bp]
+            if f != 0:
+                reduced = [a - f * b for a, b in zip(reduced, br)]
+        reps.append(reduced)
+    reps, _ = rref(reps)
+    return [r for r in reps if any(x != 0 for x in r)]
 
 
 class TestRadical:

@@ -1,0 +1,28 @@
+"""The package runs on the Python standard library alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import lietriple.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+                            check=True)
+    tops = {name.split(".")[0] for name in result.stdout.split()}
+    assert sorted(tops - sys.stdlib_module_names) == ["lietriple"]
+
+
+def test_no_runtime_dependency_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project.get("dependencies", []) == []

@@ -19,8 +19,7 @@ from lietriple.scalars import (
     QI_ZERO,
     RationalFunction,
     evaluate_at,
-    frac_sqrt,
-    gaussian_sqrt,
+    gaussian_roots,
     limit_at_zero,
     parse_rational_function,
     parse_scalar,
@@ -159,23 +158,72 @@ class TestParsingPrinting:
             parse_scalar("t+1")
 
 
+def square_roots(z):
+    """The square roots of z in Q(i): the roots of x^2 - z."""
+    return set(gaussian_roots(Polynomial([-GaussianRational.of(z), 0, 1])))
+
+
 class TestSquareRoots:
     @given(fractions_st)
     @settings(max_examples=40, deadline=None)
-    def test_frac_sqrt_of_square(self, x):
-        r = frac_sqrt(x * x)
-        assert r is not None and r * r == x * x
+    def test_rational_square_roots(self, x):
+        assert square_roots(x * x) == {GaussianRational(x), GaussianRational(-x)}
 
     @given(gaussians_st)
     @settings(max_examples=40, deadline=None)
-    def test_gaussian_sqrt_of_square(self, z):
-        r = gaussian_sqrt(z * z)
-        assert r is not None and r * r == z * z
+    def test_gaussian_square_roots(self, z):
+        assert square_roots(z * z) == {z, -z}
 
     def test_non_square(self):
-        assert frac_sqrt(Fraction(2)) is None
-        assert gaussian_sqrt(GaussianRational(2)) is None
-        assert gaussian_sqrt(GaussianRational(0, 2)) == GaussianRational(1, 1)
+        assert square_roots(Fraction(2)) == set()
+        assert square_roots(GaussianRational(2)) == set()
+        assert square_roots(GaussianRational(0, 2)) == {GaussianRational(1, 1),
+                                                         GaussianRational(-1, -1)}
+
+
+def product(factors):
+    out = Polynomial([1])
+    for f in factors:
+        out = out * f
+    return out
+
+
+large_gaussians_st = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 3 ** 30)),
+    st.one_of(st.just(0), st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                                    st.integers(1, 3 ** 30))))
+
+
+class TestGaussianRoots:
+    @given(st.lists(large_gaussians_st, min_size=1, max_size=4, unique=True),
+           st.booleans(), st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_roots_of_products_of_linear_factors(self, roots, irreducible, power):
+        factors = [Polynomial([-r, 1]) for r in roots]
+        if irreducible:
+            factors.append(Polynomial([-2, 0, 1]))
+        f = product(factors * power) * GaussianRational(Fraction(3, 7), 5)
+        found = gaussian_roots(f)
+        assert len(found) == len(roots) and set(found) == set(roots)
+
+    def test_no_root_in_q_i(self):
+        # x^2 - 2 and x^3 - x - 1 are irreducible over Q(i)
+        assert gaussian_roots(Polynomial([-2, 0, 1])) == []
+        assert gaussian_roots(Polynomial([-1, -1, 0, 1]) * Polynomial([-2, 0, 1])) == []
+
+    def test_zero_and_constants(self):
+        assert gaussian_roots(Polynomial([0, 0, 1])) == [QI_ZERO]
+        assert set(gaussian_roots(Polynomial([0, 1, 1]))) == {QI_ZERO, GaussianRational(-1)}
+        assert gaussian_roots(Polynomial([QI_I])) == []
+        with pytest.raises(ValueError):
+            gaussian_roots(Polynomial())
+
+    def test_lead_divisible_by_small_inert_primes(self):
+        # 3, 7 and 11 divide the lead, so the root is lifted from a larger prime
+        root = GaussianRational(Fraction(5, 231), Fraction(-1, 77))
+        f = Polynomial([-root * 231, 231])
+        assert gaussian_roots(f) == [root]
 
 
 class TestPolynomialRing:
