@@ -42,7 +42,6 @@ __all__ = [
     "classify",
     "ClassifyResult",
     "table1_report",
-    "TABLE1_PUBLISHED",
     "FAMILY_SPECIAL_LAMBDAS",
 ]
 
@@ -113,11 +112,6 @@ ENTRIES = {
     "T4,7": CatalogEntry("T4,7", 4, table1_der=5, figure_stratum=11),
     "T4,8": CatalogEntry("T4,8", 4, table1_der=6, figure_stratum=10),
     "T4,9": CatalogEntry("T4,9", 4, table1_der=7, figure_stratum=9),
-}
-
-TABLE1_PUBLISHED = {
-    "T4,1": 16, "T4,2": 9, "T4,3": 8, "T4,4": 7, "T4,5": 6,
-    "T4,7": 5, "T4,8": 6, "T4,9": 7,
 }
 
 _instances: dict = {}
@@ -456,7 +450,7 @@ def table1_report():
 
     def add(name, lam):
         computed = instantiate(name, lam).derivations()[0]
-        published = family_table1_der(lam) if lam is not None else TABLE1_PUBLISHED[name]
+        published = family_table1_der(lam) if lam is not None else ENTRIES[name].table1_der
         rows.append({
             "system": name,
             "lambda": None if lam is None else scalar_str(lam),

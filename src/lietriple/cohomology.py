@@ -9,6 +9,11 @@ cocycle conditions, with [.,.,.] the ambient product:
     (B3)  theta(u,v,[x,y,z]) + theta([v,u,x],y,z)
           + theta(x,[v,u,y],z) + theta(x,y,[v,u,z]) = 0
 
+(B2) and (B3) are (A2) and (A3) of the extension T_theta on its new
+coordinate, so both the closedness check and Z^3 are read off the axiom
+kernel of core: Z^3 from one extension carrying every elementary cochain on a
+coordinate of its own.
+
 Coboundaries are delta f (x,y,z) = f([x,y,z]) for linear functionals f, and
 H^3 = Z^3 / B^3.  Coordinates throughout are taken over the standard basis of
 elementary antisymmetric forms indexed by (i, j, k), i < j, in lexicographic
@@ -24,8 +29,8 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import Lts, first_axiom_failure
-from .linalg import Subspace, nullspace, rref
+from .core import Lts, _axiom_residuals, first_axiom_failure
+from .linalg import Subspace, nullspace
 from .scalars import GaussianRational, QI_ZERO
 
 __all__ = [
@@ -179,99 +184,44 @@ class CochainSpace:
 
     def __init__(self, ambient: Lts, vectors, _closed=False):
         self.ambient = ambient
-        reduced, _ = rref([list(v) for v in vectors])
-        rows = [row for row in reduced if any(x != 0 for x in row)]
-        self.coordinates = rows
         idx = delta_indices(ambient.dim)
-        self.basis = [Cocycle._known(ambient, dict(zip(idx, row)), _closed) for row in rows]
+        self._space = Subspace(len(idx), vectors)
+        self.coordinates = self._space.basis
+        self.basis = [Cocycle._known(ambient, dict(zip(idx, row)), _closed)
+                      for row in self.coordinates]
 
     @property
     def dim(self):
         return len(self.coordinates)
 
     def contains(self, theta: Cocycle) -> bool:
-        return Subspace(len(delta_indices(self.ambient.dim)), self.coordinates).contains(
-            theta.coordinates())
+        return self._space.contains(theta.coordinates())
 
     def span_equals(self, cochains) -> bool:
         """Span comparison against explicitly given cochains."""
-        vectors = [c.coordinates() for c in cochains]
-        other, _ = rref(vectors)
-        other = [row for row in other if any(x != 0 for x in row)]
-        if len(other) != self.dim:
-            return False
-        return all(a == b for ra, rb in zip(self.coordinates, other) for a, b in zip(ra, rb))
+        return self._space == Subspace(self._space.ambient, [c.coordinates() for c in cochains])
 
     def __repr__(self):
         return f"CochainSpace(dim {self.dim} on Lts dim {self.ambient.dim})"
 
 
-def _b2_rows(system, idx_pos):
-    n = system.dim
-    rows = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                row = [QI_ZERO] * len(idx_pos)
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    if a == b:
-                        continue
-                    if a < b:
-                        row[idx_pos[(a, b, c)]] = row[idx_pos[(a, b, c)]] + 1
-                    else:
-                        row[idx_pos[(b, a, c)]] = row[idx_pos[(b, a, c)]] - 1
-                if any(x != 0 for x in row):
-                    rows[tuple(row)] = None
-    return rows
-
-
-def _b3_rows(system, idx_pos):
-    n = system.dim
-    forms = {}  # 1-based (u, v, x, y, z) -> {position: coefficient}
-
-    def add_value(key, a, b, c, scale):
-        # contribute scale * theta(e_a, e_b, e_c) to the form at key
-        if a == b:
-            return
-        if a < b:
-            pos = idx_pos[(a, b, c)]
-        else:
-            pos, scale = idx_pos[(b, a, c)], -scale
-        form = forms.setdefault(key, {})
-        form[pos] = form[pos] + scale if pos in form else scale
-
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    every = range(1, n + 1)
-    for (a, b, c), row in system.rows().items():
-        a, b, c = a + 1, b + 1, c + 1
-        for p, s in row.items():
-            p += 1
-            for u, v in pairs:  # theta(u, v, [x, y, z]) with (x, y, z) = (a, b, c)
-                add_value((u, v, a, b, c), u, v, p, s)
-            if a > b:  # [v, u, w] with (v, u, w) = (a, b, c), in each slot
-                for s1 in every:
-                    for s2 in every:
-                        add_value((b, a, c, s1, s2), p, s1, s2, s)
-                        add_value((b, a, s1, c, s2), s1, p, s2, s)
-                        add_value((b, a, s1, s2, c), s1, s2, p, s)
-    rows = {}
-    for key in sorted(forms):
-        row = [QI_ZERO] * len(idx_pos)
-        for pos, val in forms[key].items():
-            row[pos] = val
-        if any(w != 0 for w in row):
-            rows[tuple(row)] = None
-    return rows
-
-
 def cocycle_space(system: Lts) -> CochainSpace:
-    """Solution space of (B1)-(B3) over all basis tuples."""
-    idx = delta_indices(system.dim)
-    idx_pos = {t: pos for pos, t in enumerate(idx)}
-    rows = _b2_rows(system, idx_pos)
-    rows.update(_b3_rows(system, idx_pos))
-    vectors = nullspace([list(r) for r in rows], len(idx))
-    return CochainSpace(system, vectors, _closed=True)
+    """Z^3, the solution space of (B1)-(B3) over all basis tuples.
+
+    One extension carries every elementary cochain on a coordinate of its
+    own; each axiom residual of it, read on those coordinates, is one
+    (B2) or (B3) equation.
+    """
+    n = system.dim
+    idx = delta_indices(n)
+    units = [Cocycle(system, {t: 1}) for t in idx]
+    columns = range(n, n + len(idx))
+    equations = []
+    for _, _, cell in _axiom_residuals(extension_rows(system, units)):
+        row = [cell.get(q, QI_ZERO) for q in columns]
+        if any(row):
+            equations.append(row)
+    return CochainSpace(system, nullspace(equations, len(idx)), _closed=True)
 
 
 def coboundary_of(system: Lts, functional) -> Cocycle:

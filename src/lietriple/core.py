@@ -257,42 +257,24 @@ class Lts:
         return report
 
     def derivations(self):
-        """Dimension and matrix basis of the Leibniz-rule derivation algebra.
+        """Dimension and matrix basis of Der(T), the stabilizer Lie algebra of the product.
 
-        D is a derivation when D[x,y,z] = [Dx,y,z] + [x,Dy,z] + [x,y,Dz];
-        unknowns are the n^2 entries D_{ab} with D e_j = sum_a D_{ab} e_a at
-        b = j.  The equation at (i, j, k, p) is written only when a nonzero
-        constant enters it; equations are taken in lexicographic order.
+        D = sum_ab D_ab E_ab, with D e_b = sum_a D_ab e_a, is a derivation when
+        D . mu = sum_ab D_ab (E_ab . mu) vanishes; one equation per constant of
+        the infinitesimal action, unknowns D_ab in the order a*n + b.
         """
         if "derivations" in self._cache:
             return self._cache["derivations"]
         n = self.dim
-
-        def unknown(a, b):
-            return a * n + b
-
-        forms = {}  # (i, j, k, p) -> {unknown: coefficient}
-
-        def add(key, pos, val):
-            form = forms.setdefault(key, {})
-            form[pos] = form[pos] + val if pos in form else val
-
-        for i, j, k, p, val in self.nonzero_entries():
-            for a in range(n):
-                add((i, j, k, a), unknown(a, p), val)    # (D[e_i,e_j,e_k])_a
-                add((a, j, k, p), unknown(i, a), -val)   # [D e_a, e_j, e_k]
-                add((i, a, k, p), unknown(j, a), -val)   # [e_i, D e_a, e_k]
-                add((i, j, a, p), unknown(k, a), -val)   # [e_i, e_j, D e_a]
-        rows = []
-        for key in sorted(forms):
-            row = [QI_ZERO] * (n * n)
-            for pos, val in forms[key].items():
-                row[pos] = val
-            if any(x != 0 for x in row):
-                rows.append(row)
-        basis_vectors = nullspace(rows, n * n)
-        matrices = [[[vec[unknown(a, b)] for b in range(n)] for a in range(n)]
-                    for vec in basis_vectors]
+        forms = {}  # (i, j, k, p) -> {a*n + b: coefficient}
+        for a in range(n):
+            for b in range(n):
+                for (i, j, k), row in _lie_action(self._rows, a, b).items():
+                    for p, val in row.items():
+                        forms.setdefault((i, j, k, p), {})[a * n + b] = val
+        rows = [[form.get(u, self._zero) for u in range(n * n)] for form in forms.values()]
+        matrices = [[vec[a * n:(a + 1) * n] for a in range(n)]
+                    for vec in nullspace(rows, n * n)]
         result = (len(matrices), matrices)
         self._cache["derivations"] = result
         return result
@@ -336,36 +318,25 @@ def _add_row(cell, row, factor):
         cell[q] = cell[q] + val if q in cell else val
 
 
-def first_axiom_failure(dim, rows):
-    """The lexicographically first failing identity, read from nonzero rows.
+def _axiom_residuals(rows):
+    """Residual of every (A1)-(A3) cell the nonzero rows touch, in scan order.
 
-    ``rows`` maps 0-based (i, j, k) to {p: value}.  Returns None or
-    (identity, 1-based indices, residual of length ``dim``), with (A1) before
-    (A2) before (A3) and (u, v, x, y, z), u < v, ordered lexicographically as
-    in an exhaustive scan.
+    ``rows`` maps 0-based (i, j, k) to {p: value}.  Yields (identity, 0-based
+    indices, {q: value}); a residual may be zero.  (A1) is read once per pair
+    at i <= j and (A2) once per cyclic class at its least rotation, where an
+    exhaustive scan first meets the same residual; (A3) comes per pair u < v,
+    then by (x, y, z), lexicographically.
     """
-    def first(candidates, residual):
-        for key in sorted(candidates):
-            cell = residual(key)
-            if any(val != 0 for val in cell.values()):
-                zero = _zero_like(next(iter(cell.values())))
-                return key, tuple(cell.get(q, zero) for q in range(dim))
-        return None
-
     def row_sum(keys):
         cell = {}
         for key in keys:
             _add_row(cell, rows.get(key, {}), 1)
         return cell
 
-    found = first({t for i, j, k in rows for t in ((i, j, k), (j, i, k))},
-                  lambda t: row_sum((t, (t[1], t[0], t[2]))))
-    if found:
-        return "A1", tuple(x + 1 for x in found[0]), found[1]
-    found = first({t for i, j, k in rows for t in ((i, j, k), (j, k, i), (k, i, j))},
-                  lambda t: row_sum((t, (t[1], t[2], t[0]), (t[2], t[0], t[1]))))
-    if found:
-        return "A2", tuple(x + 1 for x in found[0]), found[1]
+    for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in rows}):
+        yield "A1", (i, j, k), row_sum(((i, j, k), (j, i, k)))
+    for i, j, k in sorted({min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in rows}):
+        yield "A2", (i, j, k), row_sum(((i, j, k), (j, k, i), (k, i, j)))
 
     ad = {}  # (u, v) -> {w: row (u, v, w)}
     for (u, v, w), row in rows.items():
@@ -389,10 +360,44 @@ def first_axiom_failure(dim, rows):
                     for key, row in by_slot[s].get(p, ()):
                         target = key[:s] + (w,) + key[s + 1:]
                         _add_row(residuals.setdefault(target, {}), row, -val)
-        found = first(residuals, residuals.get)
-        if found:
-            return "A3", (u + 1, v + 1) + tuple(x + 1 for x in found[0]), found[1]
+        for key in sorted(residuals):
+            yield "A3", (u, v) + key, residuals[key]
+
+
+def first_axiom_failure(dim, rows):
+    """The lexicographically first failing identity, read from nonzero rows.
+
+    Returns None or (identity, 1-based indices, residual of length ``dim``),
+    with (A1) before (A2) before (A3) and (u, v, x, y, z), u < v, ordered
+    lexicographically as in an exhaustive scan.
+    """
+    for identity, indices, cell in _axiom_residuals(rows):
+        if any(val != 0 for val in cell.values()):
+            zero = _zero_like(next(iter(cell.values())))
+            return (identity, tuple(x + 1 for x in indices),
+                    tuple(cell.get(q, zero) for q in range(dim)))
     return None
+
+
+def _lie_action(rows, x, y):
+    """E_xy . mu for the 0-based matrix unit E_xy, on sparse rows.
+
+    The derivative at t = 0 of the conjugation by I + t E_xy, in the
+    convention of ``_conjugate_rows(rows, g^-1, g)``: the output index gains
+    row[y] at x, and each input slot holding x hands its row, negated, to y.
+    """
+    out = {}
+    for key, row in rows.items():
+        if y in row:
+            cell = out.setdefault(key, {})
+            cell[x] = cell[x] + row[y] if x in cell else row[y]
+        for slot in range(3):
+            if key[slot] == x:
+                cell = out.setdefault(key[:slot] + (y,) + key[slot + 1:], {})
+                for p, val in row.items():  # negation is cheaper than a product with -1
+                    cell[p] = cell[p] - val if p in cell else -val
+    cleaned = ((key, {p: val for p, val in row.items() if val}) for key, row in out.items())
+    return {key: row for key, row in cleaned if row}
 
 
 def _conjugate_rows(rows, h, g):
@@ -521,7 +526,8 @@ def lts_from_lie(bracket) -> Lts:
     """Triple system [x,y,z] = [[x,y],z] from Lie algebra structure constants.
 
     ``bracket[i][j]`` is the coordinate vector of [e_{i+1}, e_{j+1}].
-    Antisymmetry and the Jacobi identity are checked first.
+    Antisymmetry is checked first.  It gives (A1), and (A2) is then the Jacobi
+    identity, so the axiom check of the product is the Jacobi check.
     """
     n = len(bracket)
     b = [[[_normalize_scalar(x) for x in bracket[i][j]] for j in range(n)] for i in range(n)]
@@ -529,18 +535,6 @@ def lts_from_lie(bracket) -> Lts:
         for j in range(n):
             if any(x + y != 0 for x, y in zip(b[i][j], b[j][i])):
                 raise NotALieAlgebra(f"bracket not antisymmetric at ({i+1},{j+1})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = [QI_ZERO] * n
-                for p in range(n):
-                    for q in range(n):
-                        res[q] = (res[q]
-                                  + b[i][j][p] * b[p][k][q]
-                                  + b[j][k][p] * b[p][i][q]
-                                  + b[k][i][p] * b[p][j][q])
-                if any(x != 0 for x in res):
-                    raise NotALieAlgebra(f"Jacobi identity fails at ({i+1},{j+1},{k+1})")
     rows = {}
     for i in range(n):
         for j in range(n):
@@ -551,7 +545,10 @@ def lts_from_lie(bracket) -> Lts:
                         for q in range(n):
                             row[q] = row.get(q, QI_ZERO) + b[i][j][p] * b[p][k][q]
     system = Lts.from_rows(n, rows)
-    return system.require_axioms()
+    report = system.check_axioms()
+    if not report.ok:
+        raise NotALieAlgebra("Jacobi identity fails at ({},{},{})".format(*report.indices))
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import MAX_DIM, Lts, _add_row, _conjugate_rows, _dense_tensor
+from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
 from .linalg import mat_inverse
 from .sampling import ExactRandom
@@ -360,25 +360,6 @@ class SeparatingSet:
             for i, j, k, p in sorted(neighbours - support):
                 vectors.append({(i - 1, j - 1, k - 1): {p - 1: GaussianRational(1)}})
         return vectors
-
-
-def _lie_action(rows, x, y):
-    """E_xy . mu for the 0-based matrix unit E_xy, on sparse rows.
-
-    The derivative at t = 0 of the conjugation by I + t E_xy, in the
-    convention of ``_conjugate_rows(rows, g^-1, g)``: the output index gains
-    row[y] at x, and each input slot holding x hands its row, negated, to y.
-    """
-    out = {}
-    for key, row in rows.items():
-        if y in row:
-            _add_row(out.setdefault(key, {}), {x: row[y]}, 1)
-        for slot in range(3):
-            if key[slot] == x:
-                moved = key[:slot] + (y,) + key[slot + 1:]
-                _add_row(out.setdefault(moved, {}), row, -1)
-    cleaned = ((key, {p: val for p, val in row.items() if val}) for key, row in out.items())
-    return {key: row for key, row in cleaned if row}
 
 
 @dataclass

@@ -76,13 +76,9 @@ def _dedupe_nonzero(rows):
         if all(x == 0 for x in row):
             continue
         key = tuple(row)
-        try:
-            if key in seen:
-                continue
+        if key not in seen:
             seen.add(key)
-        except TypeError:
-            pass
-        out.append(row)
+            out.append(row)
     return out
 
 

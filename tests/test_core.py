@@ -322,7 +322,7 @@ class TestLtsFromLie:
         b[1][0] = [0, 0, -1]
         b[0][2] = [1, 0, 0]
         b[2][0] = [-1, 0, 0]
-        with pytest.raises(NotALieAlgebra):
+        with pytest.raises(NotALieAlgebra, match=r"^Jacobi identity fails at \(1,2,3\)$"):
             lts_from_lie(b)
 
     def test_antisymmetry_checked(self):
