@@ -261,15 +261,21 @@ class Lts:
 
         D = sum_ab D_ab E_ab, with D e_b = sum_a D_ab e_a, is a derivation when
         D . mu = sum_ab D_ab (E_ab . mu) vanishes; one equation per constant of
-        the infinitesimal action, unknowns D_ab in the order a*n + b.
+        the infinitesimal action, unknowns D_ab in the order a*n + b.  The
+        action keeps (A1), so on rows that satisfy it the equation at (j, i, k)
+        is minus the one at (i, j, k) and the one at (i, i, k) is zero: only
+        keys with i < j are read.
         """
         if "derivations" in self._cache:
             return self._cache["derivations"]
         n = self.dim
+        mirrored = _satisfies_a1(self._rows)
         forms = {}  # (i, j, k, p) -> {a*n + b: coefficient}
         for a in range(n):
             for b in range(n):
                 for (i, j, k), row in _lie_action(self._rows, a, b).items():
+                    if mirrored and i >= j:
+                        continue
                     for p, val in row.items():
                         forms.setdefault((i, j, k, p), {})[a * n + b] = val
         rows = [[form.get(u, self._zero) for u in range(n * n)] for form in forms.values()]
@@ -318,6 +324,16 @@ def _add_row(cell, row, factor):
         cell[q] = cell[q] + val if q in cell else val
 
 
+def _satisfies_a1(rows):
+    """(A1) on nonzero rows: no (i, i, k) row, and row (j, i, k) is minus row (i, j, k)."""
+    for (i, j, k), row in rows.items():
+        mirror = rows.get((j, i, k))
+        if i == j or mirror is None or len(mirror) != len(row) \
+                or any(mirror.get(p) != -val for p, val in row.items()):
+            return False
+    return True
+
+
 def _axiom_residuals(rows):
     """Residual of every (A1)-(A3) cell the nonzero rows touch, in scan order.
 
@@ -326,6 +342,11 @@ def _axiom_residuals(rows):
     at i <= j and (A2) once per cyclic class at its least rotation, where an
     exhaustive scan first meets the same residual; (A3) comes per pair u < v,
     then by (x, y, z), lexicographically.
+
+    On rows that satisfy (A1), (A3) is read only at x < y: there the
+    residual at (u, v, y, x, z) is minus the one at (u, v, x, y, z) and the
+    one at (u, v, x, x, z) is zero, so the scan's first failing (A3) cell
+    has x < y.  Rows that break (A1) have every (x, y, z) read.
     """
     def row_sum(keys):
         cell = {}
@@ -338,6 +359,7 @@ def _axiom_residuals(rows):
     for i, j, k in sorted({min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in rows}):
         yield "A2", (i, j, k), row_sum(((i, j, k), (j, k, i), (k, i, j)))
 
+    mirrored = _satisfies_a1(rows)
     ad = {}  # (u, v) -> {w: row (u, v, w)}
     for (u, v, w), row in rows.items():
         ad.setdefault((u, v), {})[w] = row
@@ -353,13 +375,15 @@ def _axiom_residuals(rows):
         residuals = {}  # (x, y, z) -> {q: value}
         for p, row in ad[(u, v)].items():  # ad(u,v) [x,y,z]
             for key, val in by_target.get(p, ()):
-                _add_row(residuals.setdefault(key, {}), row, val)
+                if not mirrored or key[0] < key[1]:
+                    _add_row(residuals.setdefault(key, {}), row, val)
         for w, ad_w in ad[(u, v)].items():  # ad(u,v) e_w put in each slot
             for p, val in ad_w.items():
                 for s in range(3):
                     for key, row in by_slot[s].get(p, ()):
                         target = key[:s] + (w,) + key[s + 1:]
-                        _add_row(residuals.setdefault(target, {}), row, -val)
+                        if not mirrored or target[0] < target[1]:
+                            _add_row(residuals.setdefault(target, {}), row, -val)
         for key in sorted(residuals):
             yield "A3", (u, v) + key, residuals[key]
 

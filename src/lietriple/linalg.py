@@ -3,14 +3,27 @@
 Matrices are plain lists of lists.  The routines only assume field elements
 that support +, -, *, / and comparison with 0/1, so the same code runs over
 Q(i), Q(i)(t), and anything with the same operator surface.
+
+``nullspace`` over Q(i) is modular-first.  Rows are mapped to F_p with
+p = 998244353, which is 1 mod 4, so i maps to iota = 3^((p-1)/4), a square
+root of -1 there.  Rows independent mod p are independent over Q(i), since a
+nonzero minor mod p is a nonzero minor; the exact kernel is taken of those
+rows only and then checked exactly, in Z[i], against every other row.  An
+unlucky prime can only lower the rank seen mod p: a check then fails and the
+full exact elimination decides.  Arithmetic mod p chooses rows; it never
+decides an answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import SingularMatrix
-from .scalars import QI_ONE, QI_ZERO
+from .scalars import QI_ONE, QI_ZERO, GaussianRational
+
+_P = 998244353  # prime, 1 mod 4
+_IOTA = pow(3, (_P - 1) // 4, _P)  # 3 generates F_p^*, so this squares to -1
 
 
 def _inv(x):
@@ -92,13 +105,106 @@ def _zero_one(rows):
 
 
 def nullspace(rows, ncols=None):
-    """Canonical basis of the right nullspace {x : rows . x = 0}."""
+    """Canonical basis of the right nullspace {x : rows . x = 0}.
+
+    When every nonzero entry is a GaussianRational, the exact kernel is taken
+    of the rows independent mod p (at most ``ncols`` of them) and each basis
+    vector is checked in Z[i] against every row left out; a failed check (an
+    unlucky prime) or a denominator divisible by p falls back to the
+    elimination of all rows.  The kernel is the same either way, and the final
+    ``rref`` makes its basis canonical.
+    """
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
     zero, one = _zero_one(rows)
-    reduced, pivots = rref(_dedupe_nonzero(rows))
+    rows = _dedupe_nonzero(rows)
+    cleared = _cleared_rows(rows)
+    if cleared is not None:
+        kept = _independent_mod_p(cleared, ncols)
+        if len(kept) == ncols:  # independent over Q(i) as well: the kernel is 0
+            return []
+        if len(kept) < len(rows):
+            basis = _kernel_basis([rows[r] for r in kept], ncols, zero, one)
+            kept = set(kept)
+            if _kernel_holds(basis, [row for r, row in enumerate(cleared) if r not in kept]):
+                return basis
+    return _kernel_basis(rows, ncols, zero, one)
+
+
+def _cleared_rows(rows):
+    """Each row as [(column, a, b)] over Z[i], a common denominator cleared.
+
+    None unless every nonzero entry is a GaussianRational whose denominator
+    p does not divide.
+    """
+    out = []
+    for row in rows:
+        support = [(c, x) for c, x in enumerate(row) if x]
+        if any(x.__class__ is not GaussianRational for _, x in support):
+            return None
+        d = lcm(*(x._t[2] for _, x in support))
+        if d % _P == 0:
+            return None
+        cleared = []
+        for c, x in support:
+            a, b, e = x._t
+            cleared.append((c, a * (d // e), b * (d // e)))
+        out.append(cleared)
+    return out
+
+
+def _independent_mod_p(cleared, ncols):
+    """Indices of the rows independent mod p, in scan order, at most ncols of them.
+
+    Each kept row, reduced mod p, joins a semi-echelon basis: it is zero at
+    the pivots of the rows kept before it, so one pass reduces a new row.
+    """
+    echelon = []  # (pivot column, row mod p with 1 at the pivot)
+    kept = []
+    for r, row in enumerate(cleared):
+        v = [0] * ncols
+        for c, a, b in row:
+            v[c] = (a + b * _IOTA) % _P
+        for pc, e in echelon:
+            f = v[pc] % _P
+            if f:
+                v = [x - f * y for x, y in zip(v, e)]
+        v = [x % _P for x in v]
+        pc = next((c for c, x in enumerate(v) if x), None)
+        if pc is None:
+            continue
+        inv = pow(v[pc], -1, _P)
+        echelon.append((pc, [x * inv % _P for x in v]))
+        kept.append(r)
+        if len(kept) == ncols:
+            break
+    return kept
+
+
+def _kernel_holds(basis, cleared):
+    """Every basis vector annihilates every cleared row: integer dot products in Z[i]."""
+    vectors = _cleared_rows(basis)
+    if vectors is None:
+        return False
+    vectors = [{c: (a, b) for c, a, b in vec} for vec in vectors]
+    for row in cleared:
+        for vec in vectors:
+            re = im = 0
+            for c, a, b in row:
+                if c in vec:
+                    u, w = vec[c]
+                    re += a * u - b * w
+                    im += a * w + b * u
+            if re or im:
+                return False
+    return True
+
+
+def _kernel_basis(rows, ncols, zero, one):
+    """Canonical kernel basis from the exact reduced echelon form of ``rows``."""
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []

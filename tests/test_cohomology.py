@@ -150,6 +150,16 @@ class TestCohomology:
             assert reps.coordinates == expected
 
 
+    @pytest.mark.parametrize("summands", [("T4,9", "T1,1"), ("T3,2", "T2,1")])
+    def test_dense_conjugates_in_dimension_5_keep_h3_and_der(self, summands):
+        # hundreds of (B3) equations of rank far below their count: the modular
+        # nullspace keeps few rows and checks all the others exactly
+        literal = direct_sum(*(catalog.instantiate(name) for name in summands))
+        dense = literal.change_basis(ExactRandom(2).invertible(5, height=2))
+        assert cohomology(dense)[0] == cohomology(literal)[0]
+        assert dense.derivations()[0] == literal.derivations()[0]
+
+
 def _rank_tracking_representatives(system):
     """Reference: add Z^3 echelon rows that raise the rank over B^3, reduce each
     modulo the B^3 echelon rows, and take the reduced echelon form."""

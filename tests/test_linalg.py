@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_rank
+from lietriple import linalg
 from lietriple.errors import SingularMatrix
 from lietriple.linalg import (
     Subspace,
@@ -46,6 +47,97 @@ def test_nullspace_is_kernel():
             for row in rows:
                 assert sum((a * b for a, b in zip(row, vec)), start=GaussianRational(0)) == 0
         assert len(basis) == m - oracle_rank(rows)
+
+
+P = 998244353  # the prime of the modular path
+
+
+def full_rref_nullspace(rows, ncols):
+    """Kernel basis from the reduced echelon form of every row, made canonical."""
+    reduced, pivots = rref([row for row in rows if any(x != 0 for x in row)])
+    zero = next((x - x for row in rows for x in row), GaussianRational(0))
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = zero + 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return [row for row in rref(basis)[0] if any(x != 0 for x in row)]
+
+
+def tall_system(rng, nrows, ncols, rank, scalar):
+    """nrows random combinations of ``rank`` random generators, shuffled."""
+    generators = [[scalar() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coefficients = [scalar() for _ in generators]
+        rows.append([sum(c * g[col] for c, g in zip(coefficients, generators))
+                     for col in range(ncols)])
+    rng.rng.shuffle(rows)
+    return rows
+
+
+def test_nullspace_of_tall_rank_deficient_systems_matches_full_elimination():
+    # rows >> cols and rank < cols: the modular path keeps at most rank rows and
+    # must check every other row before it answers
+    rng = ExactRandom(17)
+    for _ in range(12):
+        ncols = rng.rng.randint(3, 10)
+        rank_ = rng.rng.randint(1, ncols - 1)
+        rows = tall_system(rng, rng.rng.randint(3 * ncols, 6 * ncols), ncols, rank_,
+                           lambda: rng.gaussian(4))
+        basis = nullspace(rows, ncols)
+        assert basis == full_rref_nullspace(rows, ncols)
+        assert len(basis) == ncols - oracle_rank(rows)
+
+
+def test_nullspace_of_full_rank_tall_system_is_zero():
+    rng = ExactRandom(19)
+    rows = [[rng.gaussian(3) for _ in range(5)] for _ in range(40)]
+    assert oracle_rank(rows) == 5
+    assert nullspace(rows, 5) == [] == full_rref_nullspace(rows, 5)
+
+
+def test_unlucky_prime_falls_back_to_full_elimination():
+    # [p, 0, 0] vanishes mod p, so the rows independent mod p span only e2 and
+    # their kernel holds e1; the exact check against [p, 0, 0] must reject it
+    g = GaussianRational
+    rows = [[g(P), g(0), g(0)], [g(0), g(1), g(0)], [g(0), g(2), g(0)],
+            [g(0), g(P), g(0)], [g(2 * P, P), g(0), g(0)]]
+    expected = [[g(0), g(0), g(1)]]
+    assert full_rref_nullspace(rows, 3) == expected
+    assert nullspace(rows, 3) == expected
+    # an unlucky row among generic ones: rank 2 mod p, rank 3 over Q(i)
+    rows = [[g(1), g(1), g(0), g(0)], [g(2), g(2), g(0), g(0)],
+            [g(0), g(1), g(P + 1), g(0)], [g(1), g(2), g(P + 1), g(0)]]
+    rows.append([g(1), g(1), g(P), g(0)])
+    assert full_rref_nullspace(rows, 4) == [[g(0), g(0), g(0), g(1)]]
+    assert nullspace(rows, 4) == [[g(0), g(0), g(0), g(1)]]
+
+
+def test_denominator_divisible_by_the_prime_takes_the_full_path():
+    g = GaussianRational
+    rows = [[g(1) / P, g(1), g(0)], [g(2) / P, g(2), g(0)], [g(0), g(0, 1) / (3 * P), g(1)]]
+    assert linalg._cleared_rows(rows[:1]) is None
+    assert nullspace(rows, 3) == full_rref_nullspace(rows, 3)
+    assert len(nullspace(rows, 3)) == 1
+
+
+def test_other_fields_keep_full_elimination():
+    rng = ExactRandom(23)
+    ints = tall_system(rng, 20, 5, 3, lambda: rng.rng.randint(-5, 5))
+    assert nullspace(ints, 5) == full_rref_nullspace(ints, 5)
+    assert len(nullspace(ints, 5)) == 2
+    fractions = tall_system(rng, 20, 5, 2, lambda: Fraction(rng.rng.randint(-5, 5), rng.rng.randint(1, 4)))
+    assert nullspace(fractions, 5) == full_rref_nullspace(fractions, 5)
+    assert len(nullspace(fractions, 5)) == 3
+    t = RationalFunction.variable()
+    one, zero = RationalFunction.of(1), RationalFunction.of(0)
+    rows = [[t, one, zero], [t * t, t, zero], [one, one / t, zero], [zero, zero, zero]]
+    basis = nullspace(rows, 3)
+    assert basis == full_rref_nullspace(rows, 3)
+    assert len(basis) == 2 and {type(x) for row in basis for x in row} == {RationalFunction}
 
 
 def test_inverse_and_determinant():
