@@ -6,16 +6,18 @@ six-element parameter orbit by the invariant
 
     xi(lam) = (lam^2 + lam + 1)^3 / (lam^2 (lam + 1)^2),
 
-and explicit basis-change witnesses (the maps sigma_1..sigma_6) realize every
-orbit identification exactly.  The orbit is recovered from xi as the exact
-Gaussian-rational root set of the xi-equation (``family_lambda_candidates``).
+and explicit basis-change witnesses (the maps sigma_1..sigma_6, one table that
+gives both the witnesses and the orbit) realize every orbit identification
+exactly.  A family-shaped input is read as the extension of T3,1 by a cocycle
+theta; its 3x3 matrix is a_theta, whose characteristic polynomial gives xi.
+The orbit is recovered from xi as the exact Gaussian-rational root set of the
+xi-equation (``family_lambda_candidates``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -26,6 +28,7 @@ from .errors import (
     SingularParameter,
     UnknownName,
 )
+from .cohomology import Cocycle, a_theta, delta_indices
 from .core import Lts, complete_table
 from .linalg import determinant
 from .scalars import (GaussianRational, Polynomial, QI_ONE, QI_ZERO, gaussian_roots,
@@ -46,8 +49,6 @@ __all__ = [
 ]
 
 FAMILY_NAME = "T4,6"
-FAMILY_SPECIAL_LAMBDAS = (GaussianRational(1), GaussianRational(-2),
-                          GaussianRational(Fraction(-1, 2)))
 
 
 def _unit(dim, p, coeff=1):
@@ -122,10 +123,6 @@ def family_table1_der(lam) -> int:
     return 8 if lam in FAMILY_SPECIAL_LAMBDAS else 6
 
 
-def _lam_key(lam):
-    return None if lam is None else GaussianRational.of(lam)
-
-
 def instantiate(name: str, lam=None) -> Lts:
     """Completed, axiom-checked catalog tensor; instances are cached."""
     if name not in ENTRIES:
@@ -139,7 +136,7 @@ def instantiate(name: str, lam=None) -> Lts:
         lam = GaussianRational.of(lam)
     elif lam is not None:
         raise MissingParameter(f"{name} takes no family parameter")
-    key = (name, _lam_key(lam))
+    key = (name, lam)
     if key not in _instances:
         _instances[key] = complete_table(entry.dim, entry.generators(lam))
     return _instances[key]
@@ -155,28 +152,14 @@ def xi(lam) -> GaussianRational:
     return num * num * num / den
 
 
-def lambda_orbit(lam):
-    """The (up to) six parameter values giving pairwise isomorphic members."""
-    lam = GaussianRational.of(lam)
-    images = [lam, -(lam + 1)]
-    if lam != 0:
-        images += [1 / lam, -(lam + 1) / lam]
-    if lam != -1:
-        images += [-1 / (lam + 1), -lam / (lam + 1)]
-    out = []
-    for v in images:
-        if v not in out:
-            out.append(v)
-    return out
-
-
-_SIGMA_TARGETS = {
-    1: lambda lam: lam,
-    2: lambda lam: -(lam + 1),
-    3: lambda lam: 1 / lam,
-    4: lambda lam: -(lam + 1) / lam,
-    5: lambda lam: -1 / (lam + 1),
-    6: lambda lam: -lam / (lam + 1),
+# sigma_k: (images of e1, e2, e3 as basis indices, target lambda, scale of e4)
+_SIGMAS = {
+    1: ((1, 2, 3), lambda lam: lam, lambda lam: 1),
+    2: ((3, 2, 1), lambda lam: -(lam + 1), lambda lam: -1),
+    3: ((2, 1, 3), lambda lam: 1 / lam, lambda lam: -1 / lam),
+    4: ((2, 3, 1), lambda lam: -(lam + 1) / lam, lambda lam: 1 / lam),
+    5: ((3, 1, 2), lambda lam: -1 / (lam + 1), lambda lam: -1 / (lam + 1)),
+    6: ((1, 3, 2), lambda lam: -lam / (lam + 1), lambda lam: 1 / (lam + 1)),
 }
 
 
@@ -187,33 +170,37 @@ def family_isomorphism(k: int, lam):
     change_basis(instantiate("T4,6", lam), g) equals the target member exactly.
     """
     lam = GaussianRational.of(lam)
-    if k not in _SIGMA_TARGETS:
+    if k not in _SIGMAS:
         raise UnknownName(f"sigma index {k} (expected 1..6)")
-    if k in (3, 4) and lam == 0:
-        raise SingularParameter("sigma_3 / sigma_4 need lambda != 0")
-    if k in (5, 6) and lam == -1:
-        raise SingularParameter("sigma_5 / sigma_6 need lambda != -1")
-    one, zero = QI_ONE, QI_ZERO
-    if k == 1:
-        cols = ([one, zero, zero, zero], [zero, one, zero, zero],
-                [zero, zero, one, zero], [zero, zero, zero, one])
-    elif k == 2:
-        cols = ([zero, zero, one, zero], [zero, one, zero, zero],
-                [one, zero, zero, zero], [zero, zero, zero, -one])
-    elif k == 3:
-        cols = ([zero, one, zero, zero], [one, zero, zero, zero],
-                [zero, zero, one, zero], [zero, zero, zero, -1 / lam])
-    elif k == 4:
-        cols = ([zero, one, zero, zero], [zero, zero, one, zero],
-                [one, zero, zero, zero], [zero, zero, zero, 1 / lam])
-    elif k == 5:
-        cols = ([zero, zero, one, zero], [one, zero, zero, zero],
-                [zero, one, zero, zero], [zero, zero, zero, -1 / (lam + 1)])
-    else:
-        cols = ([one, zero, zero, zero], [zero, zero, one, zero],
-                [zero, one, zero, zero], [zero, zero, zero, 1 / (lam + 1)])
-    matrix = [[cols[j][a] for j in range(4)] for a in range(4)]
-    return _SIGMA_TARGETS[k](lam), matrix
+    images, target_of, scale_of = _SIGMAS[k]
+    try:
+        target, scale = target_of(lam), GaussianRational.of(scale_of(lam))
+    except ZeroDivisionError:
+        pair = "sigma_3 / sigma_4" if lam == 0 else "sigma_5 / sigma_6"
+        raise SingularParameter(f"{pair} need lambda != {scalar_str(lam)}") from None
+    matrix = [[QI_ZERO] * 4 for _ in range(4)]
+    for col, image in enumerate(images):
+        matrix[image - 1][col] = QI_ONE
+    matrix[3][3] = scale
+    return target, matrix
+
+
+def lambda_orbit(lam):
+    """The (up to) six parameter values giving pairwise isomorphic members,
+    in the order of the sigma maps defined at lam."""
+    lam = GaussianRational.of(lam)
+    out = []
+    for _, target_of, _ in _SIGMAS.values():
+        try:
+            value = target_of(lam)
+        except ZeroDivisionError:
+            continue
+        if value not in out:
+            out.append(value)
+    return out
+
+
+FAMILY_SPECIAL_LAMBDAS = tuple(lambda_orbit(1))
 
 
 # ---------------------------------------------------------------------------
@@ -263,62 +250,27 @@ def _buckets_table():
 
 
 def family_cocycle_matrix(system: Lts):
-    """Reconstruct the 3x3 cocycle encoding from a candidate family conjugate.
+    """a_theta of the cocycle theta that presents ``system`` as an extension of T3,1.
 
-    Needs a one-dimensional annihilator that equals the derived subspace and an
-    abelian quotient; returns None when the shape does not match.
+    Precondition: the invariant key of ``system`` is (4, 1, 1, 2, .), the
+    buckets of T4,5 and the family.  Nilpotency index 2 puts [T,T,T] inside
+    Ann, and both are one-dimensional, so both are the line of Ann's reduced
+    basis vector w, and every product is a multiple of w.  On the basis
+    vectors off w's pivot coordinate, where w has entry 1, theta is therefore
+    the pivot coordinate of each product.
     """
-    if system.dim != 4:
-        return None
-    ann = system.annihilator()
-    der = system.derived()
-    if ann.dim != 1 or der.dim != 1 or not ann.contains(der.basis[0]):
-        return None
-    w = ann.basis[0]
-    pivot = next(p for p, x in enumerate(w) if x != 0)
-    complement = [p for p in range(4) if p != pivot]
-    basis = {c: [QI_ONE if q == c else QI_ZERO for q in range(4)] for c in complement}
-
-    def theta(i, j, k):
-        vec = system.eval(basis[complement[i - 1]], basis[complement[j - 1]],
-                          basis[complement[k - 1]])
-        scale = vec[pivot] / w[pivot]
-        if any(a - scale * b != 0 for a, b in zip(vec, w)):
-            return None
-        return scale
-
-    values = {}
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            for k in range(1, 4):
-                val = theta(i, j, k)
-                if val is None:
-                    return None
-                values[(i, j, k)] = val
-
-    def a(i, j, k):
-        if i < j:
-            return values[(i, j, k)]
-        return -values[(j, i, k)]
-
-    return [
-        [a(2, 3, 1), a(2, 3, 2), a(2, 3, 3)],
-        [-a(1, 3, 1), -a(1, 3, 2), -a(1, 3, 3)],
-        [a(1, 2, 1), a(1, 2, 2), a(1, 2, 3)],
-    ]
+    w = system.annihilator().basis[0]
+    pivot = next(p for p, x in enumerate(w, start=1) if x)
+    e = [p for p in range(1, 5) if p != pivot]
+    theta = {(i, j, k): system.constant(e[i - 1], e[j - 1], e[k - 1], pivot)
+             for i, j, k in delta_indices(3)}
+    return a_theta(Cocycle(instantiate("T3,1"), theta))
 
 
-def _char_poly_pq(matrix):
+def _char_poly_pq(m):
     """(p, q) with char(x) = x^3 + p x + q for a trace-zero 3x3 matrix."""
-    m = matrix
-    trace = m[0][0] + m[1][1] + m[2][2]
-    if trace != 0:
-        return None
-    p = (m[0][0] * m[1][1] - m[0][1] * m[1][0]
-         + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-         + m[1][1] * m[2][2] - m[1][2] * m[2][1])
-    q = -determinant([list(r) for r in m])
-    return p, q
+    p = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
+    return p, -determinant(m)
 
 
 def family_lambda_candidates(xi_value):
@@ -382,14 +334,7 @@ def classify(system: Lts) -> ClassifyResult:
         name = names[0]
         return ClassifyResult(name, None, "fingerprint-only")
 
-    matrix = family_cocycle_matrix(system)
-    pq = _char_poly_pq(matrix) if matrix is not None else None
-    if pq is None:
-        non_family = [n for n in names if n != FAMILY_NAME]
-        if non_family:
-            return ClassifyResult(non_family[0], None, "fingerprint-only")
-        raise NoMatch("family-shaped invariants but no cocycle reconstruction")
-    p, q = pq
+    p, q = _char_poly_pq(family_cocycle_matrix(system))
     disc = -4 * p * p * p - 27 * q * q
     dim_der = system.derivations()[0]
 
@@ -408,7 +353,7 @@ def classify(system: Lts) -> ClassifyResult:
 
     if q == 0:
         # one eigenvalue vanishes: the lambda in {0, -1} bucket, xi singular
-        lam = _certify_family(system, (QI_ZERO, GaussianRational(-1)))
+        lam = _certify_family(system, lambda_orbit(0))
         if lam is not None:
             return ClassifyResult(FAMILY_NAME, lam, "certified",
                                   note="xi singular at this parameter")

@@ -299,6 +299,8 @@ def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:
         system = loaded
     if system is None:
         raise MalformedInput("system", "no ambient system given")
+    if not isinstance(doc["coeffs"], list):
+        raise MalformedInput("coeffs", "expected a list")
     coeffs = {}
     for item in doc["coeffs"]:
         try:
@@ -306,6 +308,8 @@ def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:
             value = parse_scalar(str(item["value"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("coeffs", f"bad entry {item!r}: {exc}")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
+            raise MalformedInput("coeffs", f"ijk must be integers in {item!r}")
         if not i < j:
             raise MalformedInput("coeffs", f"indices must satisfy i < j, got {item['ijk']}")
         coeffs[(i, j, k)] = value

@@ -24,7 +24,7 @@ from typing import Optional
 from . import catalog
 from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
-from .linalg import mat_inverse
+from .linalg import mat_inverse, nullspace
 from .sampling import ExactRandom
 from .scalars import (
     GaussianRational,
@@ -256,12 +256,7 @@ class SeparatingSet:
                           for a, b, f in relations]
         self.zero_otherwise = zero_otherwise
         self.label = label
-        support = []
-        for a, b, _ in self.relations:
-            for idx in (a, b):
-                if idx not in support:
-                    support.append(idx)
-        self.support = support
+        self.support = list(dict.fromkeys(idx for a, b, _ in self.relations for idx in (a, b)))
 
     def first_violation(self, rows):
         """First relation, then first off-support constant, that ``rows`` breaks.
@@ -290,67 +285,32 @@ class SeparatingSet:
     def contains(self, system: Lts) -> bool:
         return self.first_violation(system.rows()) is None
 
-    # -- solving the relations --------------------------------------------
-
-    def zero_forced(self):
-        """Indices forced to vanish: by a self-relation c = f*c, f != 1, or by c_a = 0*c_b."""
-        return {a for a, b, f in self.relations if (a == b and f != 1) or not f}
-
-    def _components(self):
-        """Connected components of the relation graph with path factors.
-
-        Each component maps index -> factor relative to its root, so assigning
-        the root determines the component.  Relations with factor 0 add no
-        edge.  A component vanishes, and is left out, when it holds a forced
-        zero or when one of its relations disagrees with the path factors (a
-        cycle whose factors do not multiply to 1 forces the root to 0).
-        """
-        forced = self.zero_forced()
-        adjacency = {}
-        for a, b, f in self.relations:
-            if a == b or not f:
-                continue
-            adjacency.setdefault(a, []).append((b, f, True))
-            adjacency.setdefault(b, []).append((a, f, False))
-        seen = set()
-        components = []
-        for start in self.support:
-            if start in seen:
-                continue
-            comp = {start: GaussianRational(1)}
-            queue = [start]
-            seen.add(start)
-            while queue:
-                node = queue.pop()
-                for other, f, forward in adjacency.get(node, ()):
-                    if other in comp:
-                        continue
-                    # forward: node = f * other  =>  other = node / f
-                    comp[other] = comp[node] / f if forward else comp[node] * f
-                    seen.add(other)
-                    queue.append(other)
-            consistent = all(comp[a] == f * comp[b] for a, b, f in self.relations
-                             if f and a in comp)
-            if consistent and forced.isdisjoint(comp):
-                components.append(comp)
-        return components
-
     def basis(self):
         """Basis of the locus, as far as its Borel stability depends on it.
 
-        One sparse Q(i) row dict, 0-based (i, j, k) -> {p: value}, per
-        component of ``_components``.  Without "otherwise zero" every constant
-        off the support is free as well.  A matrix unit changes an index in at
-        most one position, so only the free constants whose index differs from
-        a support index in exactly one position are listed, as unit tensors;
-        the Lie algebra moves the other free constants among free constants,
-        inside the locus.
+        The kernel of the relation rows c_a - factor*c_b over the support
+        coordinates, one sparse Q(i) row dict, 0-based (i, j, k) -> {p: value},
+        per kernel vector.  Borel stability is linear, so it depends only on
+        the span: any basis of the locus gives the same verdict.  Without
+        "otherwise zero" every constant off the support is free as well.  A
+        matrix unit changes an index in at most one position, so only the free
+        constants whose index differs from a support index in exactly one
+        position are listed, as unit tensors; the Lie algebra moves the other
+        free constants among free constants, inside the locus.
         """
+        column = {idx: c for c, idx in enumerate(self.support)}
+        equations = []
+        for a, b, factor in self.relations:
+            row = [QI_ZERO] * len(self.support)
+            row[column[a]] += 1
+            row[column[b]] -= factor
+            equations.append(row)
         vectors = []
-        for comp in self._components():
+        for solution in nullspace(equations, len(self.support)):
             rows = {}
-            for (i, j, k, p), factor in comp.items():
-                rows.setdefault((i - 1, j - 1, k - 1), {})[p - 1] = factor
+            for (i, j, k, p), value in zip(self.support, solution):
+                if value:
+                    rows.setdefault((i - 1, j - 1, k - 1), {})[p - 1] = value
             vectors.append(rows)
         if not self.zero_otherwise:
             support = set(self.support)
@@ -777,12 +737,14 @@ def witness_from_dict(doc: dict) -> DegenerationWitness:
         basis = doc["basis"]
     except (KeyError, TypeError):
         raise MalformedInput("witness", "needs source, target and basis")
-    if not isinstance(source, dict) or "name" not in source:
+    if not isinstance(source, dict) or not isinstance(source.get("name"), str):
         raise MalformedInput("source", "needs a system name")
-    if not isinstance(target, dict) or "name" not in target:
+    if not isinstance(target, dict) or not isinstance(target.get("name"), str):
         raise MalformedInput("target", "needs a system name")
     lam = source.get("lambda")
     index_fn = source.get("index_fn")
+    if not isinstance(index_fn, (str, type(None))):
+        raise MalformedInput("index_fn", "must be an expression string in t")
     tgt_lam = target.get("lambda")
     try:
         parsed = ParametrizedBasis.from_strings([[s for s in row] for row in basis])

@@ -768,6 +768,16 @@ def rational_function_str(f: RationalFunction) -> str:
 
 _TOKEN_CHARS = set("+-*/^()")
 
+# Largest |e| * size(base) that "^" computes, the size being the base's
+# coefficient bits plus its degree; this bounds nested powers too.
+MAX_POWER_SIZE = 1024
+
+
+def _power_size(base: RationalFunction) -> int:
+    bits = max(max(abs(a).bit_length(), abs(b).bit_length()) + d.bit_length()
+               for a, b, d in (c._t for c in base.num.coeffs + base.den.coeffs))
+    return bits + base.num.degree + base.den.degree
+
 
 def _tokenize(text: str):
     tokens = []
@@ -838,6 +848,10 @@ class _Parser:
             e = self.take()
             if not isinstance(e, int):
                 raise ParseError("exponent must be an integer")
+            size = _power_size(base)
+            if e * size > MAX_POWER_SIZE:
+                raise ParseError(f"power too large: exponent {e} on a base of size {size} "
+                                 f"exceeds {MAX_POWER_SIZE}")
             base = base ** (-e if neg else e)
         return base
 

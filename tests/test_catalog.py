@@ -16,6 +16,7 @@ from lietriple.errors import (
     UnknownName,
 )
 from lietriple.core import Lts, complete_table, lts_from_lie
+from lietriple.linalg import determinant
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, QI_I
 
@@ -129,6 +130,62 @@ class TestFamilyIsomorphisms:
             catalog.family_isomorphism(3, G(0))
         with pytest.raises(SingularParameter):
             catalog.family_isomorphism(5, G(-1))
+
+
+    def test_singular_sigma4_and_sigma6(self):
+        with pytest.raises(SingularParameter, match="sigma_3 / sigma_4 need lambda != 0"):
+            catalog.family_isomorphism(4, G(0))
+        with pytest.raises(SingularParameter, match="sigma_5 / sigma_6 need lambda != -1"):
+            catalog.family_isomorphism(6, G(-1))
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_unknown_sigma_index(self, k):
+        with pytest.raises(UnknownName, match=f"sigma index {k}"):
+            catalog.family_isomorphism(k, G(2))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matrix_entries_are_gaussian_rationals(self, k):
+        _, g = catalog.family_isomorphism(k, G(2))
+        assert all(type(x) is GaussianRational for row in g for x in row)
+
+    def test_orbit_order(self):
+        assert catalog.lambda_orbit(G(2)) == [G(2), G(-3), G(Fraction(1, 2)),
+                                             G(Fraction(-3, 2)), G(Fraction(-1, 3)),
+                                             G(Fraction(-2, 3))]
+        assert catalog.lambda_orbit(G(0)) == [G(0), G(-1)]
+        assert tuple(catalog.lambda_orbit(G(1))) == catalog.FAMILY_SPECIAL_LAMBDAS
+
+
+def _char_pq(m):
+    """(p, q) with char(x) = x^3 + p x + q, from the principal minors of m."""
+    p = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a in range(3) for b in range(a + 1, 3))
+    return p, -determinant(m)
+
+
+class TestFamilyCocycleMatrix:
+    def test_t44(self):
+        assert catalog.family_cocycle_matrix(catalog.instantiate("T4,4")) == [
+            [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+    def test_t45(self):
+        assert catalog.family_cocycle_matrix(catalog.instantiate("T4,5")) == [
+            [1, 1, 0], [0, 1, 0], [0, 0, -2]]
+
+    @pytest.mark.parametrize("lam", [G(2), QI_I, G(0)])
+    def test_family_member(self, lam):
+        matrix = catalog.family_cocycle_matrix(catalog.instantiate("T4,6", lam))
+        assert matrix == [[lam, 0, 0], [0, 1, 0], [0, 0, -(lam + 1)]]
+
+    @pytest.mark.parametrize("lam", [G(2), G(3), QI_I, G(Fraction(2, 3)), G(0)])
+    def test_dense_conjugate_keeps_xi(self, lam):
+        system = catalog.instantiate("T4,6", lam)
+        for seed in (1, 2):
+            conj = system.change_basis(ExactRandom(seed).invertible(4, height=3))
+            p, q = _char_pq(catalog.family_cocycle_matrix(conj))
+            if lam == 0:
+                assert q == 0
+            else:
+                assert -(p * p * p) / (q * q) == catalog.xi(lam)
 
 
 class TestClassify:

@@ -102,6 +102,19 @@ def test_extend(tmp_path, capsys):
     assert lts_from_dict(doc) == catalog.instantiate("T3,2")
 
 
+@pytest.mark.parametrize("thetas", [
+    [{"coeffs": [{"ijk": ["1", "2", "1"], "value": "1"}]}],
+    [5],
+    [{"coeffs": [{"ijk": [True, 2, 1], "value": "1"}]}],
+    [{"coeffs": [{"ijk": [1.0, 2, 1], "value": "1"}]}],
+])
+def test_extend_malformed_cocycle(tmp_path, capsys, thetas):
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"base": "T2,1", "thetas": thetas}))
+    assert main(["extend", str(path)]) == 2
+    assert "MalformedInput" in capsys.readouterr().err
+
+
 def test_catalog_list_and_show(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out
@@ -219,3 +232,24 @@ def test_loader_round_trip(tmp_path, capsys):
     assert main(["--format", "json", "catalog", "show", "T4,8"]) == 0
     shown = json.loads(capsys.readouterr().out)
     assert lts_from_dict(shown) == system
+
+
+@pytest.mark.parametrize("field,value", [("name", ["T3,2"]), ("index_fn", 5)])
+def test_degen_verify_malformed_source(tmp_path, capsys, field, value):
+    doc = dg.witness_to_dict(dg.table4_witness())
+    doc["source"][field] = value
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert main(["degen", "verify", str(path)]) == 2
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2^99999999999", "((2^64)^64)^64"])
+def test_huge_power_rejected_at_once(tmp_path, capsys, value):
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"dim": 2, "products": [{"args": [1, 2, 1],
+                                                        "value": {"1": value}}]}))
+    start = time.monotonic()
+    assert main(["check", str(path)]) == 2
+    assert time.monotonic() - start < 1
+    assert "ParseError" in capsys.readouterr().err

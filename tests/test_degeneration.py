@@ -1,6 +1,7 @@
 """Degeneration witnesses, non-degeneration evidence and the graph."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.core import Lts, _conjugate_rows
 from lietriple.errors import MalformedInput, SingularBasis
-from lietriple.linalg import mat_inverse, mat_mul
+from lietriple.linalg import mat_inverse, mat_mul, rank
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import (
     GaussianRational,
@@ -260,7 +261,6 @@ class TestSeparatingSets:
     def test_zero_factor_forces_its_component_to_vanish(self, lam, forced):
         # row 2 relates c_1234 = (1+lam) c_1324 and c_2314 = -lam c_1324
         separating = dg.table3_separating_set(2, lam)
-        assert separating.zero_forced() == {forced}
         vectors = separating.basis()
         assert vectors
         i, j, k, p = forced
@@ -282,6 +282,51 @@ class TestSeparatingSets:
         [rows] = separating.basis()
         assert separating.first_violation(rows) is None
         assert rows[(0, 1, 0)][2] == 2 * rows[(1, 0, 0)][2] and rows[(1, 0, 0)][2]
+
+    @pytest.mark.parametrize("factory,size", [
+        (lambda: dg.table3_separating_set(1), 5),
+        (lambda: dg.table3_separating_set(2, G(2)), 4),
+        (lambda: dg.table3_separating_set(2, G(0)), 4),
+        (lambda: dg.table3_separating_set(2, G(-1)), 4),
+        (lambda: dg.table3_separating_set(2, GaussianRational(0, 1)), 4),
+        (lambda: dg.table3_separating_set(3), 3),
+        (lambda: dg.table5_separating_set(), 6),
+        (lambda: dg.table5_separating_set(literal=True), 5),
+    ])
+    def test_printed_locus_dimension(self, factory, size):
+        assert len(factory().basis()) == size
+
+    def test_locus_is_the_kernel_of_the_relations(self):
+        # seeded relation sets over a small index pool, so zero factors,
+        # self-relations and cycles with factor products other than 1 all occur
+        rng = random.Random(20240)
+        factors = [G(0), G(1), G(-1), G(2), G(Fraction(1, 2)), G(0, 1), G(3)]
+        seen = {"zero factor": 0, "self-relation": 0, "inconsistent cycle": 0}
+        for _ in range(150):
+            pool = [tuple(rng.randint(1, 3) for _ in range(4)) for _ in range(rng.randint(1, 5))]
+            relations = []
+            for _ in range(rng.randint(1, 6)):
+                a = rng.choice(pool)
+                b = a if rng.random() < 0.2 else rng.choice(pool)
+                relations.append((a, b, rng.choice(factors)))
+            separating = dg.SeparatingSet(3, relations)
+            column = {idx: c for c, idx in enumerate(separating.support)}
+            rows = []
+            for a, b, f in separating.relations:
+                row = [G(0)] * len(column)
+                row[column[a]] += 1
+                row[column[b]] -= f
+                rows.append(row)
+            vectors = separating.basis()
+            assert len(vectors) == len(column) - rank(rows)
+            for vector in vectors:
+                assert vector and separating.first_violation(vector) is None
+            seen["zero factor"] += any(not f for _, _, f in separating.relations)
+            seen["self-relation"] += any(a == b for a, b, _ in separating.relations)
+            pairs = {(a, b): f for a, b, f in separating.relations if a != b and f}
+            seen["inconsistent cycle"] += any(
+                (b, a) in pairs and f * pairs[(b, a)] != 1 for (a, b), f in pairs.items())
+        assert all(seen.values()), seen
 
 
 class TestBorelStability:
@@ -316,7 +361,8 @@ class TestBorelStability:
         # lower-triangular change of basis spreads to other constants
         separating = dg.separating_set_from_dict(
             {"dim": 4, "equal": [[[1, 2, 3, 4], [1, 3, 2, 4], "0"]]})
-        assert separating.zero_forced() == {(1, 2, 3, 4)}
+        for rows in separating.basis():
+            assert 3 not in rows.get((0, 1, 2), {}) and 3 not in rows.get((1, 0, 2), {})
         assert not dg.borel_stability_evidence(separating, "symbolic").ok
 
     def test_free_locus_with_a_forced_zero_is_not_stable(self):

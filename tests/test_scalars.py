@@ -153,6 +153,17 @@ class TestParsingPrinting:
             with pytest.raises(ParseError):
                 parse_rational_function(bad)
 
+    @pytest.mark.parametrize("text", ["2^99999999999", "((2^64)^64)^64", "t^-99999999999",
+                                      "(1+t)^400"])
+    def test_reject_powers_past_the_size_bound(self, text):
+        with pytest.raises(ParseError, match="power too large"):
+            parse_rational_function(text)
+
+    def test_small_powers_parse(self):
+        assert parse_scalar("(2^70+1)/3^30") == GaussianRational(Fraction(2 ** 70 + 1, 3 ** 30))
+        assert parse_rational_function("(1-t)^5/t^-5") == parse_rational_function(
+            "t^5*(1-t)^5")
+
     def test_scalar_rejects_t(self):
         with pytest.raises(ParseError):
             parse_scalar("t+1")
