@@ -10,8 +10,14 @@ and explicit basis-change witnesses (the maps sigma_1..sigma_6, one table that
 gives both the witnesses and the orbit) realize every orbit identification
 exactly.  A family-shaped input is read as the extension of T3,1 by a cocycle
 theta; its 3x3 matrix is a_theta, whose characteristic polynomial gives xi.
-The orbit is recovered from xi as the exact Gaussian-rational root set of the
-xi-equation (``family_lambda_candidates``).
+The orbit is recovered from xi = -p^3/q^2, where x^3 + p x + q is that
+characteristic polynomial, as the exact Gaussian-rational root set of the
+xi-equation (``family_lambda_candidates``).  The same equation gives the orbit
+of 1 at xi = 27/4 and the singular pair {0, -1} at the projective point
+xi = 1/0 (q = 0), so every family-shaped input takes one path; T4,5 shares
+xi = 27/4 with the orbit of 1 and has fewer derivations.  An uncertified
+answer prints the orbit member (a + b i)/d of least height, ordered by
+(max(|a|, |b|, d), |a|, |b|, d, a < 0, b < 0).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (
     UnknownName,
 )
 from .cohomology import Cocycle, a_theta, delta_indices
-from .core import Lts, complete_table
+from .core import Lts, _normalize_scalar, complete_table
 from .linalg import determinant
 from .scalars import (GaussianRational, Polynomial, QI_ONE, QI_ZERO, gaussian_roots,
                       parse_scalar, scalar_str)
@@ -53,7 +59,7 @@ FAMILY_NAME = "T4,6"
 
 def _unit(dim, p, coeff=1):
     vec = [QI_ZERO] * dim
-    vec[p - 1] = GaussianRational.of(coeff) if not hasattr(coeff, "limit_at_zero") else coeff
+    vec[p - 1] = _normalize_scalar(coeff)
     return vec
 
 
@@ -277,33 +283,26 @@ def family_lambda_candidates(xi_value):
     """Every parameter lambda with xi(lambda) equal to the given value, or [].
 
     The palindromic equation N (x^2+x+1)^3 - S x^2 (x+1)^2 = 0, with
-    xi = S/N and N a positive integer, has the whole parameter orbit as its
-    root set and never vanishes at 0 or -1.  Its roots in Q(i) are found
-    exactly, so an empty result proves that no Gaussian-rational parameter
-    has this invariant.
+    xi = S/N and N a nonnegative integer, has the whole parameter orbit as its
+    root set: at xi = 27/4 the orbit of 1, and at the projective point
+    xi = 1/0, given as None, the singular pair {0, -1}.  Its roots in Q(i)
+    are found exactly, so an empty result proves that no Gaussian-rational
+    parameter has this invariant.
     """
-    xi_value = GaussianRational.of(xi_value)
-    n = math.lcm(xi_value.re.denominator, xi_value.im.denominator)
-    s = xi_value * n
+    if xi_value is None:
+        n, s = 0, 1
+    else:
+        xi_value = GaussianRational.of(xi_value)
+        n = math.lcm(xi_value.re.denominator, xi_value.im.denominator)
+        s = xi_value * n
     return gaussian_roots(Polynomial([n, 3 * n, 6 * n - s, 7 * n - 2 * s, 6 * n - s,
                                       3 * n, n]))
 
 
-def _scalar_sort_key(z: GaussianRational):
-    return (z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
-
-
-def _certify_family(system: Lts, candidates):
-    """Exact tensor match against the one family member the input can equal.
-
-    A literal member carries its parameter as c_{2,3,1}^4, so only that
-    member is instantiated, and only when it lies among the candidates the
-    invariants allow: a conjugate carries an arbitrary value there.
-    """
-    lam = system.constant(2, 3, 1, 4)
-    if lam in candidates and system == instantiate(FAMILY_NAME, lam):
-        return lam
-    return None
+def _height(z: GaussianRational):
+    """Sort key of (a + b i)/d that puts the member of least height first."""
+    a, b, d = z._t
+    return (max(abs(a), abs(b), d), abs(a), abs(b), d, a < 0, b < 0)
 
 
 def classify(system: Lts) -> ClassifyResult:
@@ -312,7 +311,7 @@ def classify(system: Lts) -> ClassifyResult:
     The family parameter is recovered up to its six-element orbit; the result
     is "certified" only when an explicit witness (the identity, here: exact
     tensor equality with a catalog representative) is at hand, otherwise
-    "fingerprint-only".
+    "fingerprint-only", with the orbit member of least height.
     """
     if system.dim < 1 or system.dim > 4:
         raise DimensionUnsupported(f"classification covers dimensions 1..4, got {system.dim}")
@@ -335,41 +334,23 @@ def classify(system: Lts) -> ClassifyResult:
         return ClassifyResult(name, None, "fingerprint-only")
 
     p, q = _char_poly_pq(family_cocycle_matrix(system))
-    disc = -4 * p * p * p - 27 * q * q
-    dim_der = system.derivations()[0]
-
-    if disc == 0 and dim_der == 6:
-        # repeated eigenvalue with too few derivations for the family branch
-        confidence = "certified" if system == instantiate("T4,5") else "fingerprint-only"
-        return ClassifyResult("T4,5", None, confidence)
-
-    if dim_der == 8:
-        value = xi(QI_ONE)
-        lam = _certify_family(system, FAMILY_SPECIAL_LAMBDAS)
-        if lam is not None:
-            return ClassifyResult(FAMILY_NAME, lam, "certified", xi=value)
-        return ClassifyResult(FAMILY_NAME, GaussianRational(1), "fingerprint-only",
-                              xi=value)
-
-    if q == 0:
-        # one eigenvalue vanishes: the lambda in {0, -1} bucket, xi singular
-        lam = _certify_family(system, lambda_orbit(0))
-        if lam is not None:
-            return ClassifyResult(FAMILY_NAME, lam, "certified",
-                                  note="xi singular at this parameter")
-        return ClassifyResult(FAMILY_NAME, QI_ZERO, "fingerprint-only",
-                              note="xi singular at this parameter")
-
-    xi_value = -(p * p * p) / (q * q)
+    xi_value = -(p * p * p) / (q * q) if q else None
+    if xi_value == xi(QI_ONE) and system.derivations()[0] == 6:
+        # a repeated eigenvalue with the derivations of a generic member:
+        # a_theta is J_2(1) + (-2), not diagonal.  A literal T4,5 matched above.
+        return ClassifyResult("T4,5", None, "fingerprint-only")
     candidates = family_lambda_candidates(xi_value)
     if not candidates:
         return ClassifyResult(FAMILY_NAME, None, "fingerprint-only", xi=xi_value,
                               note="parameter not recovered over Q(i)")
-    lam = _certify_family(system, candidates)
-    if lam is not None:
-        return ClassifyResult(FAMILY_NAME, lam, "certified", xi=xi(lam))
-    lam = min(candidates, key=_scalar_sort_key)
-    return ClassifyResult(FAMILY_NAME, lam, "fingerprint-only", xi=xi_value)
+    # a literal member carries its parameter as c_{2,3,1}^4; a conjugate does not
+    lam = system.constant(2, 3, 1, 4)
+    if lam in candidates and system == instantiate(FAMILY_NAME, lam):
+        confidence = "certified"
+    else:
+        lam, confidence = min(candidates, key=_height), "fingerprint-only"
+    note = "" if q else "xi singular at this parameter"
+    return ClassifyResult(FAMILY_NAME, lam, confidence, xi=xi_value, note=note)
 
 
 def multiplication_table_text(name, lam=None):

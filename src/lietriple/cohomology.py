@@ -29,9 +29,9 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import Lts, _axiom_residuals, first_axiom_failure
+from .core import Lts, _axiom_residuals, _normalize_scalar, first_axiom_failure
 from .linalg import Subspace, nullspace
-from .scalars import GaussianRational, QI_ZERO
+from .scalars import QI_ZERO
 
 __all__ = [
     "Cocycle",
@@ -63,7 +63,7 @@ class Cocycle:
         for (i, j, k), val in (coeffs or {}).items():
             if not (1 <= i < j <= ambient.dim and 1 <= k <= ambient.dim):
                 raise DimensionMismatch(f"bad cochain index ({i},{j},{k}) for dim {ambient.dim}")
-            v = GaussianRational.of(val) if not hasattr(val, "limit_at_zero") else val
+            v = _normalize_scalar(val)
             if v != 0:
                 clean[(i, j, k)] = v
         self.coeffs = clean

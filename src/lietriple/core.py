@@ -17,7 +17,6 @@ and then checks all three identities on the rows they touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
@@ -30,7 +29,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import Subspace, mat_inverse, nullspace
-from .scalars import GaussianRational, QI_ZERO, parse_scalar, scalar_str
+from .scalars import GaussianRational, QI_ZERO, RationalFunction, parse_scalar, scalar_str
 
 __all__ = [
     "Lts",
@@ -53,9 +52,11 @@ MAX_DIM = 16
 
 
 def _normalize_scalar(x):
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational.of(x)
-    return x
+    """A field element unchanged; anything else through ``GaussianRational.of``,
+    which refuses floats."""
+    if isinstance(x, (GaussianRational, RationalFunction)):
+        return x
+    return GaussianRational.of(x)
 
 
 def _zero_like(x):

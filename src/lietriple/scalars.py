@@ -42,6 +42,17 @@ def _ratio(x):
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _power(base, k, out):
+    """out * base^k for k >= 0 by repeated squaring, squaring no further than k needs."""
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 class GaussianRational:
     """An element (a + b*i)/d of Q(i), stored as integers with d > 0, gcd(a, b, d) = 1.
 
@@ -222,14 +233,7 @@ class GaussianRational:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = QI_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, QI_ONE)
 
     def __repr__(self):
         return f"GaussianRational({scalar_str(self)!r})"
@@ -558,13 +562,10 @@ class RationalFunction:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = RationalFunction.of(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        # num and den are coprime and den is monic, and so are their powers
+        out = _new(RationalFunction)
+        object.__setattr__(out, "num", _power(self.num, k, _POLY_ONE))
+        object.__setattr__(out, "den", _power(self.den, k, _POLY_ONE))
         return out
 
     def limit_at_zero(self) -> GaussianRational:
@@ -769,8 +770,11 @@ def rational_function_str(f: RationalFunction) -> str:
 _TOKEN_CHARS = set("+-*/^()")
 
 # Largest |e| * size(base) that "^" computes, the size being the base's
-# coefficient bits plus its degree; this bounds nested powers too.
+# coefficient bits plus its degree; this bounds nested powers too.  A product
+# of polynomials costs about the square of their degree, so the degree of the
+# result, |e| * (deg num + deg den), has a bound of its own.
 MAX_POWER_SIZE = 1024
+MAX_POWER_DEGREE = 32
 
 
 def _power_size(base: RationalFunction) -> int:
@@ -793,7 +797,10 @@ def _tokenize(text: str):
             j = k
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(int(text[k:j]))
+            try:
+                tokens.append(int(text[k:j]))
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError(f"integer literal of {j - k} digits is too long") from None
             k = j
         elif ch in ("i", "t"):
             tokens.append(ch)
@@ -849,9 +856,11 @@ class _Parser:
             if not isinstance(e, int):
                 raise ParseError("exponent must be an integer")
             size = _power_size(base)
-            if e * size > MAX_POWER_SIZE:
+            degree = base.num.degree + base.den.degree
+            if e * size > MAX_POWER_SIZE or e * degree > MAX_POWER_DEGREE:
                 raise ParseError(f"power too large: exponent {e} on a base of size {size} "
-                                 f"exceeds {MAX_POWER_SIZE}")
+                                 f"and degree {degree} exceeds {MAX_POWER_SIZE} in size "
+                                 f"or {MAX_POWER_DEGREE} in degree")
             base = base ** (-e if neg else e)
         return base
 

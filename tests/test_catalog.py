@@ -1,6 +1,7 @@
 """Catalog instantiation, the family invariant and classification."""
 
 import importlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,35 @@ class TestFamilyIsomorphisms:
         assert tuple(catalog.lambda_orbit(G(1))) == catalog.FAMILY_SPECIAL_LAMBDAS
 
 
+def _dense(system, seed=107):
+    return system.change_basis(ExactRandom(seed).invertible(4, height=3))
+
+
+def _answer(result):
+    return (result.name, result.lam, result.confidence, result.xi, result.note)
+
+
+@pytest.fixture
+def candidate_calls(monkeypatch):
+    """The xi values classify asks family_lambda_candidates about."""
+    calls = []
+    real = catalog.family_lambda_candidates
+
+    def counted(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(catalog, "family_lambda_candidates", counted)
+    return calls
+
+
+def _height(z):
+    """max(|a|, |b|, d), then the tie-breaks, of z = (a + b i)/d."""
+    d = z.re.denominator * z.im.denominator // math.gcd(z.re.denominator, z.im.denominator)
+    a, b = int(z.re * d), int(z.im * d)
+    return (max(abs(a), abs(b), d), abs(a), abs(b), d, a < 0, b < 0)
+
+
 def _char_pq(m):
     """(p, q) with char(x) = x^3 + p x + q, from the principal minors of m."""
     p = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a in range(3) for b in range(a + 1, 3))
@@ -249,6 +279,41 @@ class TestClassify:
             "T4,6", None, "fingerprint-only", G(1))
         assert result.note == "parameter not recovered over Q(i)"
 
+    @pytest.mark.parametrize("lam", catalog.FAMILY_SPECIAL_LAMBDAS)
+    def test_conjugated_orbit_of_one_takes_the_family_path(self, lam, candidate_calls):
+        result = catalog.classify(_dense(catalog.instantiate("T4,6", lam)))
+        assert _answer(result) == ("T4,6", G(1), "fingerprint-only", G(Fraction(27, 4)), "")
+        assert candidate_calls == [G(Fraction(27, 4))]
+
+    @pytest.mark.parametrize("lam", [G(0), G(-1)])
+    def test_conjugated_singular_pair_takes_the_family_path(self, lam, candidate_calls):
+        result = catalog.classify(_dense(catalog.instantiate("T4,6", lam)))
+        assert _answer(result) == ("T4,6", G(0), "fingerprint-only", None,
+                                   "xi singular at this parameter")
+        assert candidate_calls == [None]
+
+    @pytest.mark.parametrize("lam", [G(0), G(-1)])
+    def test_literal_singular_pair_is_certified(self, lam, candidate_calls):
+        result = catalog.classify(catalog.instantiate("T4,6", lam))
+        assert _answer(result) == ("T4,6", lam, "certified", None,
+                                   "xi singular at this parameter")
+        assert candidate_calls == [None]
+
+    def test_conjugated_t45_is_fingerprint_only(self, candidate_calls):
+        result = catalog.classify(_dense(catalog.instantiate("T4,5")))
+        assert _answer(result) == ("T4,5", None, "fingerprint-only", None, "")
+        assert candidate_calls == []
+
+    @pytest.mark.parametrize("lam,least", [
+        (G(2), G(Fraction(1, 2))), (G(-3), G(Fraction(1, 2))), (QI_I, QI_I),
+        (G(-1, -1), QI_I), (G(Fraction(5, 3)), G(Fraction(3, 5))),
+        (G(Fraction(-5, 7), Fraction(3, 4)), G(Fraction(-2, 7), Fraction(-3, 4))),
+    ])
+    def test_fingerprint_only_lambda_has_least_height(self, lam, least):
+        result = catalog.classify(_dense(catalog.instantiate("T4,6", lam)))
+        assert (result.confidence, result.lam) == ("fingerprint-only", least)
+        assert least == min(catalog.lambda_orbit(lam), key=_height)
+
     def test_conjugated_fixed_entries(self):
         rng = ExactRandom(89)
         for name in ("T3,2", "T4,4", "T4,5", "T4,7", "T4,9"):
@@ -338,3 +403,12 @@ class TestLambdaCandidates:
 
     def test_no_gaussian_parameter(self):
         assert catalog.family_lambda_candidates(G(1)) == []
+
+    def test_projective_point_is_the_singular_pair(self):
+        found = catalog.family_lambda_candidates(None)
+        assert len(found) == 2 and set(found) == {G(0), G(-1)}
+
+    def test_orbit_of_one(self):
+        found = catalog.family_lambda_candidates(catalog.xi(1))
+        assert catalog.xi(1) == G(Fraction(27, 4))
+        assert len(found) == 3 and set(found) == set(catalog.FAMILY_SPECIAL_LAMBDAS)

@@ -244,7 +244,8 @@ def test_degen_verify_malformed_source(tmp_path, capsys, field, value):
     assert "MalformedInput" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["2^99999999999", "((2^64)^64)^64"])
+@pytest.mark.parametrize("value", ["2^99999999999", "((2^64)^64)^64",
+                                   pytest.param("7" * 5000, id="5000-digit-literal")])
 def test_huge_power_rejected_at_once(tmp_path, capsys, value):
     path = tmp_path / "power.json"
     path.write_text(json.dumps({"dim": 2, "products": [{"args": [1, 2, 1],

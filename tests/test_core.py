@@ -243,6 +243,17 @@ class TestFieldElementsOnly:
         entries = [x for row in extension_annihilator(spec).basis for x in row]
         assert {type(x) for x in entries} == {GaussianRational}
 
+    def test_float_constant_is_refused(self):
+        # a float used to be stored as it was, and the axioms checked in floats
+        tensor = _zero_tensor(3)
+        tensor[0][1][0][2], tensor[1][0][0][2] = 0.5, -0.5
+        with pytest.raises(TypeError, match="cannot interpret 0.5"):
+            Lts(tensor)
+
+    def test_float_basis_change_is_refused(self, t32):
+        with pytest.raises(TypeError, match="cannot interpret 0.5"):
+            t32.change_basis([[1, 0, 0], [0, 1, 0], [0, 0, 0.5]])
+
 
 class TestOrbitDimension:
     def test_t47(self):

@@ -154,10 +154,24 @@ class TestParsingPrinting:
                 parse_rational_function(bad)
 
     @pytest.mark.parametrize("text", ["2^99999999999", "((2^64)^64)^64", "t^-99999999999",
-                                      "(1+t)^400"])
+                                      "(1+t)^400", "(1/3+t/5+t^2/7)^170",
+                                      "(1+t+t^2+t^3+t^4+t^5+t^6+t^7+t^8+t^9)^93"])
     def test_reject_powers_past_the_size_bound(self, text):
         with pytest.raises(ParseError, match="power too large"):
             parse_rational_function(text)
+
+    def test_overlong_integer_literal(self):
+        with pytest.raises(ParseError, match="5000 digits"):
+            parse_scalar("7" * 5000)
+
+    def test_power_of_a_fraction_is_its_repeated_product(self):
+        base = parse_rational_function("(3+5*i+7*t)/(11+13*t+t^2)")
+        expected = RationalFunction.of(1)
+        for _ in range(10):
+            expected = expected * base
+        assert parse_rational_function("((3+5*i+7*t)/(11+13*t+t^2))^10") == expected
+        assert base ** -10 == expected.inverse()
+        assert base ** 0 == 1 and RationalFunction.of(0) ** 3 == 0
 
     def test_small_powers_parse(self):
         assert parse_scalar("(2^70+1)/3^30") == GaussianRational(Fraction(2 ** 70 + 1, 3 ** 30))
