@@ -210,8 +210,10 @@ def cocycle_space(system: Lts) -> CochainSpace:
 
     One extension carries every elementary cochain on a coordinate of its
     own; each axiom residual of it, read on those coordinates, is one
-    (B2) or (B3) equation.
+    (B2) or (B3) equation.  Cached on the system, like its other invariants.
     """
+    if "z3" in system._cache:
+        return system._cache["z3"]
     n = system.dim
     idx = delta_indices(n)
     units = [Cocycle(system, {t: 1}) for t in idx]
@@ -221,7 +223,8 @@ def cocycle_space(system: Lts) -> CochainSpace:
         row = [cell.get(q, QI_ZERO) for q in columns]
         if any(row):
             equations.append(row)
-    return CochainSpace(system, nullspace(equations, len(idx)), _closed=True)
+    system._cache["z3"] = CochainSpace(system, nullspace(equations, len(idx)), _closed=True)
+    return system._cache["z3"]
 
 
 def coboundary_of(system: Lts, functional) -> Cocycle:
@@ -289,11 +292,14 @@ def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:
         raise MalformedInput("coeffs", "cocycle document needs a coeffs list")
     system = ambient
     if "system" in doc:
-        loaded = lts_from_dict(doc["system"]) if isinstance(doc["system"], dict) else None
-        if loaded is None:
+        if isinstance(doc["system"], dict):
+            loaded = lts_from_dict(doc["system"])
+        elif isinstance(doc["system"], str):
             from . import catalog
 
             loaded = catalog.instantiate(doc["system"])
+        else:
+            raise MalformedInput("system", "expected a system document or a catalog name")
         if system is not None and loaded != system:
             raise MalformedInput("system", "cocycle system differs from the given ambient")
         system = loaded

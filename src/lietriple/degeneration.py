@@ -4,25 +4,28 @@ A degeneration witness transports the source structure constants into a
 t-dependent basis E_i(t) = sum_j A[i][j](t) e_j over Q(i)(t) and checks that
 every transported constant has a finite limit at t = 0 equal to the target
 constant.  Family witnesses first substitute a parametrized index f(t) for the
-family parameter.
+family parameter.  Witnesses have one form, the document that
+``witness_from_dict`` reads; the built-in tables are such documents, and a
+witness's label is read off its endpoints.
 
 Non-degenerations come at two exact levels plus a search: necessary-condition
 certificates (annihilator / derived-subspace / derivation dimensions),
 separating-set membership with a Borel-stability proof (each basis vector of
 the locus, moved by each matrix unit of the lower-triangular Lie algebra, is
 checked exactly over Q(i)), and the randomized no-escape search (evidence,
-never proof).  The graph assembly stitches the verified witnesses into the
-degeneration diagram and reports its maximal nodes.
+never proof).  The degeneration diagram is read off the catalog and the
+verified built-in witnesses, and reports its maximal nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action
+from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action, complete_table
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
 from .linalg import mat_inverse, nullspace
 from .sampling import ExactRandom
@@ -94,47 +97,53 @@ class DegenerationWitness:
     basis: ParametrizedBasis
     source_lambda: Optional[GaussianRational] = None
     index_fn: Optional[RationalFunction] = None  # parametrized index for family rows
-    label: str = ""
     target_lambda: Optional[GaussianRational] = None
+
+    @property
+    def label(self):
+        """Source -> target, each name with ^lambda for a fixed member, ^* for an index_fn."""
+        source_mark = "*" if self.index_fn is not None else self.source_lambda
+        return " -> ".join(name if mark is None else f"{name}^{mark}" for name, mark in (
+            (self.source, source_mark), (self.target, self.target_lambda)))
 
     def source_system(self):
         """Source tensor, with the family parameter substituted when present."""
-        entry = catalog.ENTRIES.get(self.source)
-        if entry is None:
-            raise MalformedInput("source", f"unknown system {self.source!r}")
-        if entry.family:
-            if self.index_fn is not None:
-                from .core import complete_table
-
-                return complete_table(entry.dim, entry.generators(self.index_fn))
-            if self.source_lambda is None:
-                raise MalformedInput("source", "family witness needs lambda or index_fn")
-            return catalog.instantiate(self.source, self.source_lambda)
-        return catalog.instantiate(self.source)
+        return _endpoint_system("source", self.source, self.source_lambda, self.index_fn)
 
     def target_system(self):
-        entry = catalog.ENTRIES.get(self.target)
-        if entry is None:
-            raise MalformedInput("target", f"unknown system {self.target!r}")
-        if entry.family:
-            if self.target_lambda is None:
-                raise MalformedInput("target", "family targets must fix a member")
-            return catalog.instantiate(self.target, self.target_lambda)
-        return catalog.instantiate(self.target)
+        return _endpoint_system("target", self.target, self.target_lambda)
 
 
-def transport_constants(system: Lts, basis: ParametrizedBasis):
-    """Structure constants of the product in the parametrized basis.
+def _endpoint_system(role, name, lam, index_fn=None):
+    """Catalog tensor at one end of a witness; a family end needs lam or an index_fn."""
+    entry = catalog.ENTRIES.get(name)
+    if entry is None:
+        raise MalformedInput(role, f"unknown system {name!r}")
+    if not entry.family:
+        return catalog.instantiate(name)
+    if index_fn is not None:
+        return complete_table(entry.dim, entry.generators(index_fn))
+    if lam is None:
+        raise MalformedInput(role, "a family end needs lambda (or, at the source, index_fn)")
+    return catalog.instantiate(name, lam)
 
-    With A the row matrix of the new basis, the transported tensor equals the
-    conjugated product under g = (A^T)^{-1}; entries live in Q(i)(t).
+
+def _transported_rows(system: Lts, basis: ParametrizedBasis):
+    """Nonzero rows of the product in the parametrized basis, over Q(i)(t).
+
+    With A the row matrix of the new basis, the transported product is the
+    conjugated product under g = (A^T)^{-1}.
     """
     if basis.dim != system.dim:
         raise MalformedInput("basis", "basis dimension differs from the system")
     lifted = {key: {p: RationalFunction.of(val) for p, val in row.items()}
               for key, row in system.rows().items()}
-    moved = _conjugate_rows(lifted, basis._transposed, basis._inverse_transposed)
-    return _dense_tensor(system.dim, moved, RationalFunction.of(0))
+    return _conjugate_rows(lifted, basis._transposed, basis._inverse_transposed)
+
+
+def transport_constants(system: Lts, basis: ParametrizedBasis):
+    """Dense structure constants of the product in the parametrized basis."""
+    return _dense_tensor(system.dim, _transported_rows(system, basis), RationalFunction.of(0))
 
 
 @dataclass
@@ -145,10 +154,9 @@ class DegenerationReport:
     elapsed: float
 
     def __str__(self):
-        head = self.witness.label or f"{self.witness.source} -> {self.witness.target}"
         if self.ok:
-            return f"{head}: verified ({self.elapsed:.3f}s)"
-        lines = [f"{head}: FAILED"]
+            return f"{self.witness.label}: verified ({self.elapsed:.3f}s)"
+        lines = [f"{self.witness.label}: FAILED"]
         for kind, idx, detail in self.problems:
             lines.append(f"  {kind} at {idx}: {detail}")
         return "\n".join(lines)
@@ -163,25 +171,22 @@ def verify_degeneration(witness: DegenerationWitness) -> DegenerationReport:
     if source.dim != target.dim:
         problems.append(("dimension", (), f"{source.dim} vs {target.dim}"))
         return DegenerationReport(False, witness, problems, time.monotonic() - start)
-    transported = transport_constants(source, witness.basis)
-    n = source.dim
-    cells = {(i, j, k, p) for i, j, k, p, _ in target.nonzero_entries()}
-    cells.update((i, j, k, p) for i in range(n) for j in range(n) for k in range(n)
-                 for p in range(n) if transported[i][j][k][p])
-    for i, j, k, p in sorted(cells):  # elsewhere both sides vanish
-        value = transported[i][j][k][p]
-        expected = target.constant(i + 1, j + 1, k + 1, p + 1)
-        try:
-            lim = value.limit_at_zero()
-        except PoleAtZero:
-            problems.append(("pole", (i + 1, j + 1, k + 1, p + 1),
-                             rational_function_str(value)))
-            continue
-        if lim != expected:
-            problems.append(
-                ("mismatch", (i + 1, j + 1, k + 1, p + 1),
-                 f"limit {scalar_str(lim)} != "
-                 f"{scalar_str(GaussianRational.of(expected))}"))
+    moved = _transported_rows(source, witness.basis)
+    expected_rows = target.rows()
+    zero = RationalFunction.of(0)
+    for key in sorted(moved.keys() | expected_rows.keys()):  # elsewhere both sides vanish
+        row, expected_row = moved.get(key, {}), expected_rows.get(key, {})
+        for p in sorted(row.keys() | expected_row.keys()):
+            value, expected = row.get(p, zero), expected_row.get(p, QI_ZERO)
+            idx = tuple(x + 1 for x in key + (p,))
+            try:
+                lim = value.limit_at_zero()
+            except PoleAtZero:
+                problems.append(("pole", idx, rational_function_str(value)))
+                continue
+            if lim != expected:
+                problems.append(("mismatch", idx,
+                                 f"limit {scalar_str(lim)} != {scalar_str(expected)}"))
     return DegenerationReport(not problems, witness, problems, time.monotonic() - start)
 
 
@@ -391,13 +396,9 @@ def _transported_in_locus(separating: SeparatingSet, nonzeros, g):
 
     if separating.zero_otherwise:
         support = set(separating.support)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    for p in range(1, n + 1):
-                        idx = (i, j, k, p)
-                        if idx not in support and moved(idx) != 0:
-                            return False
+        for idx in itertools.product(range(1, n + 1), repeat=4):
+            if idx not in support and moved(idx) != 0:
+                return False
     for a_idx, b_idx, factor in separating.relations:
         if moved(a_idx) != factor * moved(b_idx):
             return False
@@ -412,6 +413,8 @@ def orbit_escape_search(separating: SeparatingSet, target: Lts, trials=200,
     is reported as evidence only, never proof.
     """
     n = target.dim
+    if trials < 1:
+        raise MalformedInput("trials", "the search needs at least one trial")
     if n != separating.dim:
         raise MalformedInput("target", "dimension mismatch with separating set")
     if separating.contains(target):
@@ -431,101 +434,79 @@ def orbit_escape_search(separating: SeparatingSet, target: Lts, trials=200,
 # built-in witness and separating-set tables
 
 
-def _w(source, target, rows, lam=None, index_fn=None, label="", target_lambda=None):
-    return {"source": source, "target": target, "rows": rows, "lambda": lam,
-            "index_fn": index_fn, "label": label, "target_lambda": target_lambda}
-
-
-TABLE2_WITNESSES = [
-    _w("T4,7", "T4,6", [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-                        ["0", "0", "1/t", "0"], ["0", "0", "0", "-1/t"]],
-       target_lambda="0", label="T4,7 -> T4,6^0"),
-    _w("T4,5", "T4,6", [["1", "0", "0", "0"], ["0", "t", "0", "0"],
-                        ["0", "0", "1", "0"], ["0", "0", "0", "t"]],
-       target_lambda="1", label="T4,5 -> T4,6^1"),
-    _w("T4,8", "T4,3", [["t", "0", "0", "0"], ["0", "1", "0", "0"],
-                        ["0", "0", "t^2", "0"], ["0", "0", "0", "t"]]),
-    _w("T4,8", "T4,9", [["1", "0", "0", "0"], ["0", "t", "0", "0"],
-                        ["0", "0", "t", "0"], ["0", "0", "0", "t"]]),
-    _w("T4,4", "T4,2", [["0", "1", "0", "0"], ["0", "0", "t", "0"],
-                        ["0", "0", "0", "t"], ["t", "0", "0", "0"]]),
-    _w("T4,9", "T4,2", [["1", "0", "0", "0"], ["0", "t", "0", "0"],
-                        ["0", "0", "t", "0"], ["0", "0", "0", "1"]]),
-    _w("T4,3", "T4,2", [["1", "0", "0", "0"], ["0", "t", "0", "0"],
-                        ["0", "0", "t", "0"], ["0", "0", "0", "1"]]),
-    _w("T4,2", "T4,1", [["t", "0", "0", "0"], ["0", "t", "0", "0"],
-                        ["0", "0", "t", "0"], ["0", "0", "0", "t"]]),
-    _w("T4,8", "T4,4", [["0", "0", "1/t", "0"], ["0", "-i", "0", "0"],
-                        ["t", "0", "0", "0"], ["0", "0", "0", "t"]]),
-    _w("T4,6", "T4,2", [["t", "0", "-1/(3*t)", "0"], ["0", "1", "0", "0"],
-                        ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
-       lam="1", label="T4,6^1 -> T4,2"),
-    _w("T4,7", "T4,8", [["1", "-1/(2*t^3)", "-1/(4*t^5)", "0"],
-                        ["0", "1/(2*t)", "-1/(4*t^3)", "0"],
-                        ["0", "0", "1/(2*t)", "0"],
-                        ["0", "0", "0", "-1/(4*t^4)"]]),
-    _w("T4,5", "T4,4", [["t/3", "0", "0", "0"], ["0", "1", "0", "0"],
-                        ["-1/(3*t)", "1/t", "1", "0"], ["0", "0", "0", "1"]]),
-    # family source with a fixed generic parameter; rows are built per lambda
-    _w("T4,6", "T4,4", None, lam="2", label="T4,6^lambda -> T4,4"),
-]
-
-
-def _family_to_t44_rows(lam: GaussianRational):
-    """Basis rows for the family -> T4,4 witness; needs lam outside {1, -2, -1/2}."""
-    lam = GaussianRational.of(lam)
+def _family_to_t44_document(lam):
+    """The family -> T4,4 witness document at a member lam outside the orbit of 1."""
+    lam = parse_scalar(lam) if isinstance(lam, str) else GaussianRational.of(lam)
     if lam in catalog.FAMILY_SPECIAL_LAMBDAS:
         raise MalformedInput("lambda", f"witness undefined at lambda = {scalar_str(lam)}")
     c1 = scalar_str(1 / (lam - 1))
     c2 = scalar_str(-1 / (2 * lam + 1))
     c3 = scalar_str(-1 / (lam * lam + lam - 2))
-    return [["0", "1", "0", "0"],
-            ["1", f"({c1})/t", "0", "0"],
-            [f"({c2})/t", f"({c3})/t^2", "1", "0"],
-            ["0", "0", "0", "1/t"]]
+    return {"source": {"name": "T4,6", "lambda": scalar_str(lam)}, "target": {"name": "T4,4"},
+            "basis": [["0", "1", "0", "0"], ["1", f"({c1})/t", "0", "0"],
+                      [f"({c2})/t", f"({c3})/t^2", "1", "0"], ["0", "0", "0", "1/t"]]}
 
 
-TABLE4_WITNESS = _w("T4,6", "T4,5",
-                    [["1/2", "1/(2*t)", "0", "0"],
-                     ["-1/(2*t)", "1/(2*t^2)", "0", "0"],
-                     ["0", "0", "1", "0"],
-                     ["0", "0", "0", "1/(2*t^2)"]],
-                    index_fn="(1-t)/(1+t)", label="T4,6^* -> T4,5")
+TABLE2_WITNESSES = [
+    {"source": {"name": "T4,7"}, "target": {"name": "T4,6", "lambda": "0"}, "basis": [
+        ["1", "0", "0", "0"], ["0", "1", "0", "0"],
+        ["0", "0", "1/t", "0"], ["0", "0", "0", "-1/t"]]},
+    {"source": {"name": "T4,5"}, "target": {"name": "T4,6", "lambda": "1"}, "basis": [
+        ["1", "0", "0", "0"], ["0", "t", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "t"]]},
+    {"source": {"name": "T4,8"}, "target": {"name": "T4,3"}, "basis": [
+        ["t", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "t^2", "0"], ["0", "0", "0", "t"]]},
+    {"source": {"name": "T4,8"}, "target": {"name": "T4,9"}, "basis": [
+        ["1", "0", "0", "0"], ["0", "t", "0", "0"], ["0", "0", "t", "0"], ["0", "0", "0", "t"]]},
+    {"source": {"name": "T4,4"}, "target": {"name": "T4,2"}, "basis": [
+        ["0", "1", "0", "0"], ["0", "0", "t", "0"], ["0", "0", "0", "t"], ["t", "0", "0", "0"]]},
+    {"source": {"name": "T4,9"}, "target": {"name": "T4,2"}, "basis": [
+        ["1", "0", "0", "0"], ["0", "t", "0", "0"], ["0", "0", "t", "0"], ["0", "0", "0", "1"]]},
+    {"source": {"name": "T4,3"}, "target": {"name": "T4,2"}, "basis": [
+        ["1", "0", "0", "0"], ["0", "t", "0", "0"], ["0", "0", "t", "0"], ["0", "0", "0", "1"]]},
+    {"source": {"name": "T4,2"}, "target": {"name": "T4,1"}, "basis": [
+        ["t", "0", "0", "0"], ["0", "t", "0", "0"], ["0", "0", "t", "0"], ["0", "0", "0", "t"]]},
+    {"source": {"name": "T4,8"}, "target": {"name": "T4,4"}, "basis": [
+        ["0", "0", "1/t", "0"], ["0", "-i", "0", "0"],
+        ["t", "0", "0", "0"], ["0", "0", "0", "t"]]},
+    {"source": {"name": "T4,6", "lambda": "1"}, "target": {"name": "T4,2"}, "basis": [
+        ["t", "0", "-1/(3*t)", "0"], ["0", "1", "0", "0"],
+        ["0", "0", "0", "1"], ["0", "0", "1", "0"]]},
+    {"source": {"name": "T4,7"}, "target": {"name": "T4,8"}, "basis": [
+        ["1", "-1/(2*t^3)", "-1/(4*t^5)", "0"], ["0", "1/(2*t)", "-1/(4*t^3)", "0"],
+        ["0", "0", "1/(2*t)", "0"], ["0", "0", "0", "-1/(4*t^4)"]]},
+    {"source": {"name": "T4,5"}, "target": {"name": "T4,4"}, "basis": [
+        ["t/3", "0", "0", "0"], ["0", "1", "0", "0"],
+        ["-1/(3*t)", "1/t", "1", "0"], ["0", "0", "0", "1"]]},
+    _family_to_t44_document(2),  # any member outside the orbit of 1 degenerates
+]
 
-DIM3_WITNESS = _w("T3,2", "T3,1", [["t", "0", "0"], ["0", "t", "0"], ["0", "0", "t"]],
-                  label="T3,2 -> T3,1")
+TABLE4_WITNESS = {
+    "source": {"name": "T4,6", "index_fn": "(1-t)/(1+t)"}, "target": {"name": "T4,5"}, "basis": [
+        ["1/2", "1/(2*t)", "0", "0"], ["-1/(2*t)", "1/(2*t^2)", "0", "0"],
+        ["0", "0", "1", "0"], ["0", "0", "0", "1/(2*t^2)"]]}
 
-
-def _builtin_witness(doc, lam_override=None):
-    lam = doc["lambda"] if lam_override is None else lam_override
-    lam_value = None if lam is None else (
-        parse_scalar(lam) if isinstance(lam, str) else GaussianRational.of(lam))
-    rows = doc["rows"]
-    if rows is None:  # the family -> T4,4 row depends on the parameter
-        rows = _family_to_t44_rows(lam_value)
-    tgt_lam = doc.get("target_lambda")
-    return DegenerationWitness(
-        source=doc["source"],
-        target=doc["target"],
-        basis=ParametrizedBasis.from_strings(rows),
-        source_lambda=lam_value,
-        index_fn=None if doc["index_fn"] is None else parse_rational_function(doc["index_fn"]),
-        label=doc["label"] or f"{doc['source']} -> {doc['target']}",
-        target_lambda=None if tgt_lam is None else parse_scalar(tgt_lam),
-    )
+DIM3_WITNESS = {"source": {"name": "T3,2"}, "target": {"name": "T3,1"},
+                "basis": [["t", "0", "0"], ["0", "t", "0"], ["0", "0", "t"]]}
 
 
 def table2_witness(row_index: int, lam=None) -> DegenerationWitness:
-    """1-based access to the rows of the main degeneration table."""
-    return _builtin_witness(TABLE2_WITNESSES[row_index - 1], lam_override=lam)
+    """1-based access to the rows of the main degeneration table.
+
+    ``lam`` picks the member of the last row, family -> T4,4 (2 by default).
+    """
+    if lam is None:
+        return witness_from_dict(TABLE2_WITNESSES[row_index - 1])
+    if row_index != len(TABLE2_WITNESSES):
+        raise MalformedInput("lambda", f"row {row_index} has no family parameter")
+    return witness_from_dict(_family_to_t44_document(lam))
 
 
 def table4_witness() -> DegenerationWitness:
-    return _builtin_witness(TABLE4_WITNESS)
+    return witness_from_dict(TABLE4_WITNESS)
 
 
 def dim3_witness() -> DegenerationWitness:
-    return _builtin_witness(DIM3_WITNESS)
+    return witness_from_dict(DIM3_WITNESS)
 
 
 def _skew(i, j, k, p):
@@ -616,95 +597,80 @@ class DegenerationGraph:
         return sorted((e.source, e.target) for e in self.edges)
 
 
-FAMILY_NODE = "T4,6*"
 _GENERIC_FAMILY_SAMPLE = GaussianRational(2)
+# the family's distinguished members, the orbits of 0 and 1, at their published strata
+_FAMILY_MEMBER_STRATA = {QI_ZERO: 10, GaussianRational(1): 8}
+# edge kind: the table that holds the witness
+_WITNESS_TABLES = {"table2": TABLE2_WITNESSES, "table4": [TABLE4_WITNESS],
+                   "dim3": [DIM3_WITNESS]}
 
 
-def _node_name(system_name, lam=None):
-    if system_name != "T4,6":
-        return system_name
-    if lam is None:
-        return FAMILY_NODE
-    return f"T4,6^{scalar_str(lam)}"
+def _node_name(name, lam=None):
+    """Diagram node of a system; a family member outside the orbits of 0 and 1,
+    or a parametrized index (lam None), is the family node ``name*``."""
+    if not catalog.ENTRIES[name].family:
+        return name
+    for member in _FAMILY_MEMBER_STRATA:
+        if lam is not None and lam in catalog.lambda_orbit(member):
+            return f"{name}^{scalar_str(member)}"
+    return f"{name}*"
 
 
 def degeneration_graph(dim=4) -> DegenerationGraph:
     """Assemble and verify the degeneration diagram for dimension 3 or 4.
 
-    Nodes are the catalog entries (the family appears as one node plus its two
-    distinguished members); edges are the verified built-in witnesses.  Every
-    verified edge is cross-checked against the necessary conditions; a
-    contradiction raises, since it would mean a bug on one side or the other.
-    Orbit dimensions are computed from the derivation formula; the published
-    column positions are carried alongside as data.
+    Nodes are the catalog entries of the dimension; the family appears as one
+    node followed by its two distinguished members, joined to them by
+    family-member edges.  The other edges are the verified built-in
+    witnesses.  Every verified edge is cross-checked against the necessary
+    conditions; a contradiction raises, since it would mean a bug on one side
+    or the other.  Orbit dimensions are computed from the derivation formula;
+    the published strata are carried alongside as data.
     """
-    if dim == 3:
-        witnesses = [dim3_witness()]
-        node_specs = [("T3,1", None), ("T3,2", None)]
-        family_edges = []
-    elif dim == 4:
-        witnesses = [_builtin_witness(doc) for doc in TABLE2_WITNESSES]
-        witnesses.append(table4_witness())
-        node_specs = [("T4,1", None), ("T4,2", None), ("T4,3", None), ("T4,4", None),
-                      ("T4,5", None), ("T4,6", None),
-                      ("T4,6", QI_ZERO), ("T4,6", GaussianRational(1)),
-                      ("T4,7", None), ("T4,8", None), ("T4,9", None)]
-        family_edges = [(FAMILY_NODE, _node_name("T4,6", QI_ZERO)),
-                        (FAMILY_NODE, _node_name("T4,6", GaussianRational(1)))]
-    else:
+    if dim not in (3, 4):
         raise MalformedInput("dim", "graph supports dimensions 3 and 4")
+    nodes, edges = [], []
+    for name, entry in catalog.ENTRIES.items():
+        if entry.dim != dim:
+            continue
+        if not entry.family:
+            nodes.append(GraphNode(name, catalog.instantiate(name).orbit_dimension(),
+                                   entry.figure_stratum))
+            continue
+        orbit = catalog.instantiate(name, _GENERIC_FAMILY_SAMPLE).orbit_dimension()
+        nodes.append(GraphNode(_node_name(name), orbit, entry.figure_stratum,
+                               kind="family", closure_dim=orbit + 1))
+        for lam, stratum in _FAMILY_MEMBER_STRATA.items():
+            member = _node_name(name, lam)
+            nodes.append(GraphNode(member, catalog.instantiate(name, lam).orbit_dimension(),
+                                   stratum))
+            edges.append(GraphEdge(_node_name(name), member, "family-member", True,
+                                   "family closure"))
 
-    nodes = []
-    for name, lam in node_specs:
-        entry = catalog.ENTRIES[name]
-        if entry.family and lam is None:
-            member = catalog.instantiate(name, _GENERIC_FAMILY_SAMPLE)
-            orbit = member.orbit_dimension()
-            nodes.append(GraphNode(FAMILY_NODE, orbit, entry.figure_stratum,
-                                   kind="family", closure_dim=orbit + 1))
-        else:
-            system = catalog.instantiate(name, lam) if entry.family else catalog.instantiate(name)
-            stratum = entry.figure_stratum
-            if entry.family:
-                stratum = 8 if lam == 1 else 10
-            nodes.append(GraphNode(_node_name(name, lam), system.orbit_dimension(), stratum))
+    for kind, docs in _WITNESS_TABLES.items():
+        for doc in docs:
+            if catalog.ENTRIES[doc["source"]["name"]].dim != dim:
+                continue
+            witness = witness_from_dict(doc)
+            report = verify_degeneration(witness)
+            if not report.ok:
+                raise InconsistentGraph(f"built-in witness failed: {report}")
+            indexed = witness.index_fn is not None
+            src_name = _node_name(witness.source, None if indexed else witness.source_lambda)
+            tgt_name = _node_name(witness.target, witness.target_lambda)
+            edges.append(GraphEdge(src_name, tgt_name, kind, True, witness.label))
 
-    edges = []
-    for witness in witnesses:
-        report = verify_degeneration(witness)
-        if not report.ok:
-            raise InconsistentGraph(f"built-in witness failed: {report}")
-        family_closure_source = witness.index_fn is not None
-        if witness.source == "T4,6":
-            if family_closure_source:
-                src_name = FAMILY_NODE
-            elif witness.source_lambda in catalog.FAMILY_SPECIAL_LAMBDAS:
-                src_name = _node_name("T4,6", GaussianRational(1))
-            else:
-                src_name = FAMILY_NODE  # generic-parameter row, e.g. -> T4,4
-        else:
-            src_name = witness.source
-        tgt_name = _node_name(witness.target, witness.target_lambda) \
-            if witness.target == "T4,6" else witness.target
-        kind = "table4" if family_closure_source else ("dim3" if dim == 3 else "table2")
-        edges.append(GraphEdge(src_name, tgt_name, kind, True, witness.label))
-
-        source = catalog.instantiate("T4,6", _GENERIC_FAMILY_SAMPLE) \
-            if family_closure_source else witness.source_system()
-        target = witness.target_system()
-        conditions = necessary_conditions(source, target)
-        der_values = conditions.values["der"]
-        if src_name == FAMILY_NODE:
+            source = catalog.instantiate(witness.source, _GENERIC_FAMILY_SAMPLE) \
+                if indexed else witness.source_system()
+            conditions = necessary_conditions(source, witness.target_system())
             # the family closure gains one dimension over any member orbit
-            der_ok = der_values[0] <= der_values[1]
-        else:
-            der_ok = conditions.der_ok
-        if not (conditions.ann_ok and conditions.derived_ok and der_ok):
-            raise InconsistentGraph(
-                f"verified edge {src_name} -> {tgt_name} violates a necessary condition")
-
-    for src, tgt in family_edges:
-        edges.append(GraphEdge(src, tgt, "family-member", True, "family closure"))
+            family = catalog.ENTRIES[witness.source].family
+            closure = family and src_name == _node_name(witness.source)
+            der, target_der = conditions.values["der"]
+            der_ok = der <= target_der if closure else conditions.der_ok
+            if not (conditions.ann_ok and conditions.derived_ok and der_ok):
+                raise InconsistentGraph(
+                    f"verified edge {src_name} -> {tgt_name} violates a necessary condition")
 
     incoming = {n.name: 0 for n in nodes}
     for e in edges:
@@ -741,13 +707,21 @@ def witness_from_dict(doc: dict) -> DegenerationWitness:
         raise MalformedInput("source", "needs a system name")
     if not isinstance(target, dict) or not isinstance(target.get("name"), str):
         raise MalformedInput("target", "needs a system name")
+    entry = catalog.ENTRIES.get(source["name"])
+    if entry is None:
+        raise MalformedInput("source", f"unknown system {source['name']!r}")
+    # refused before ParametrizedBasis inverts it over Q(i)(t)
+    if not (isinstance(basis, list) and len(basis) == entry.dim
+            and all(isinstance(row, list) and len(row) == entry.dim for row in basis)):
+        raise MalformedInput("basis", f"needs {entry.dim} rows of {entry.dim} entries "
+                             f"for {source['name']}")
     lam = source.get("lambda")
     index_fn = source.get("index_fn")
     if not isinstance(index_fn, (str, type(None))):
         raise MalformedInput("index_fn", "must be an expression string in t")
     tgt_lam = target.get("lambda")
     try:
-        parsed = ParametrizedBasis.from_strings([[s for s in row] for row in basis])
+        parsed = ParametrizedBasis.from_strings(basis)
     except (TypeError, ValueError) as exc:
         raise MalformedInput("basis", str(exc))
     return DegenerationWitness(
@@ -756,7 +730,6 @@ def witness_from_dict(doc: dict) -> DegenerationWitness:
         basis=parsed,
         source_lambda=None if lam is None else parse_scalar(str(lam)),
         index_fn=None if index_fn is None else parse_rational_function(index_fn),
-        label=f"{source['name']} -> {target['name']}",
         target_lambda=None if tgt_lam is None else parse_scalar(str(tgt_lam)),
     )
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import importlib
 import json
 import shlex
 import time
@@ -11,7 +12,11 @@ from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.cli import build_parser, main
 from lietriple.core import lts_from_dict, lts_to_dict
+from lietriple.linalg import nullspace
 from lietriple.scalars import GaussianRational
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+cohomology_module = importlib.import_module("lietriple.cohomology")
 
 
 @pytest.fixture()
@@ -107,6 +112,7 @@ def test_extend(tmp_path, capsys):
     [5],
     [{"coeffs": [{"ijk": [True, 2, 1], "value": "1"}]}],
     [{"coeffs": [{"ijk": [1.0, 2, 1], "value": "1"}]}],
+    [{"system": ["T3,2"], "coeffs": [{"ijk": [1, 2, 1], "value": "1"}]}],
 ])
 def test_extend_malformed_cocycle(tmp_path, capsys, thetas):
     path = tmp_path / "ext.json"
@@ -150,6 +156,53 @@ def test_degen_verify_failure(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(doc))
     assert main(["degen", "verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("fmt,dim", [("text", 3), ("text", 4), ("json", 3), ("json", 4)])
+def test_degen_graph_matches_golden_output(capsys, fmt, dim):
+    golden = GOLDEN / f"degen_graph_dim{dim}.{'txt' if fmt == 'text' else 'json'}"
+    assert main(["--format", fmt, "degen", "graph", "--dim", str(dim)]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_degen_verify_labels_a_family_document_with_its_member(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(dg.TABLE4_WITNESS))
+    assert main(["degen", "verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("T4,6^* -> T4,5: verified")
+
+
+@pytest.mark.parametrize("size", [2, 12])
+def test_degen_verify_refuses_a_basis_of_the_wrong_size_at_once(tmp_path, capsys, size):
+    basis = [["t" if i == j else "1/(t+%d)" % (i + j) for j in range(size)] for i in range(size)]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"source": {"name": "T3,2"}, "target": {"name": "T3,1"},
+                                "basis": basis}))
+    start = time.monotonic()
+    assert main(["degen", "verify", str(path)]) == 2
+    assert time.monotonic() - start < 1
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_degen_nondegen_needs_a_trial(tmp_path, capsys, trials):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
+    assert main(["degen", "nondegen", str(path), "--target", "T4,3", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "MalformedInput" in captured.err and "escape-search" not in captured.out
+
+
+def test_cohomology_eliminates_for_z3_once(t32_file, capsys, monkeypatch):
+    calls = []
+
+    def counting(rows, width):
+        calls.append(width)
+        return nullspace(rows, width)
+
+    monkeypatch.setattr(cohomology_module, "nullspace", counting)
+    assert main(["cohomology", t32_file]) == 0
+    assert calls == [len(cohomology_module.delta_indices(3))]
 
 
 def test_degen_graph(capsys):

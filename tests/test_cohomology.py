@@ -1,5 +1,6 @@
 """Cocycles, coboundaries, quotient representatives and the group actions."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from lietriple.cohomology import (
 )
 from lietriple.errors import NotAbelianDim3, NotAnAutomorphism, RelationViolated
 from lietriple.core import direct_sum
-from lietriple.linalg import Subspace, determinant, mat_inverse, mat_mul, rref
+from lietriple.linalg import Subspace, determinant, mat_inverse, mat_mul, nullspace, rref
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, QI_ZERO
 
@@ -115,6 +116,17 @@ class TestCoboundarySpace:
 
 
 class TestCohomology:
+    def test_z3_is_computed_once_per_system(self, monkeypatch):
+        module = importlib.import_module("lietriple.cohomology")
+        calls = []
+        monkeypatch.setattr(module, "nullspace",
+                            lambda rows, width: calls.append(width) or nullspace(rows, width))
+        system = catalog.instantiate("T3,2").change_basis(ExactRandom(3).invertible(3, height=2))
+        system.fingerprint()
+        dim_h3, _ = cohomology(system)
+        assert cocycle_space(system) is cocycle_space(system)
+        assert calls == [len(delta_indices(3))] and dim_h3 == 3
+
     def test_t32_classes(self, t32):
         dim_h3, reps = cohomology(t32)
         assert dim_h3 == 3 == reps.dim

@@ -1,5 +1,6 @@
 """Degeneration witnesses, non-degeneration evidence and the graph."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.core import Lts, _conjugate_rows
-from lietriple.errors import MalformedInput, SingularBasis
+from lietriple.errors import MalformedInput, PoleAtZero, SingularBasis
 from lietriple.linalg import mat_inverse, mat_mul, rank
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import (
@@ -18,6 +19,8 @@ from lietriple.scalars import (
     evaluate_at,
     limit_at_zero,
     parse_rational_function,
+    rational_function_str,
+    scalar_str,
 )
 
 G = GaussianRational
@@ -100,12 +103,104 @@ class TestVerifyDegeneration:
     def test_only_poles_are_reported_as_poles(self, monkeypatch):
         # a fault in the transport must surface, not read as a pole verdict
         def broken(system, basis):
-            n = system.dim
-            return [[[[object()] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+            return {(0, 1, 0): {2: object()}}
 
-        monkeypatch.setattr(dg, "transport_constants", broken)
+        monkeypatch.setattr(dg, "_transported_rows", broken)
         with pytest.raises(AttributeError):
             dg.verify_degeneration(dg.dim3_witness())
+
+
+BUILTIN_DOCUMENTS = dg.TABLE2_WITNESSES + [dg.TABLE4_WITNESS, dg.DIM3_WITNESS]
+
+
+class TestWitnessDocuments:
+    @pytest.mark.parametrize("doc", BUILTIN_DOCUMENTS, ids=lambda d: dg.witness_from_dict(d).label)
+    def test_builtin_document_is_a_fixpoint_after_one_round_trip(self, doc):
+        once = dg.witness_to_dict(dg.witness_from_dict(doc))
+        assert dg.witness_to_dict(dg.witness_from_dict(json.loads(json.dumps(once)))) == once
+        assert once["source"]["name"] == doc["source"]["name"]
+
+    def test_builtin_labels(self):
+        labels = [dg.table2_witness(row).label for row in range(1, 14)]
+        assert labels == [
+            "T4,7 -> T4,6^0", "T4,5 -> T4,6^1", "T4,8 -> T4,3", "T4,8 -> T4,9",
+            "T4,4 -> T4,2", "T4,9 -> T4,2", "T4,3 -> T4,2", "T4,2 -> T4,1",
+            "T4,8 -> T4,4", "T4,6^1 -> T4,2", "T4,7 -> T4,8", "T4,5 -> T4,4",
+            "T4,6^2 -> T4,4"]
+        assert dg.table2_witness(13, lam=G(0, 1)).label == "T4,6^i -> T4,4"
+        assert dg.table4_witness().label == "T4,6^* -> T4,5"
+        assert dg.dim3_witness().label == "T3,2 -> T3,1"
+
+    def test_user_family_document_label_names_its_member(self):
+        doc = dg.witness_to_dict(dg.table2_witness(13, lam=G(-3) / 4))
+        assert dg.witness_from_dict(doc).label == "T4,6^-3/4 -> T4,4"
+
+    def test_lambda_only_on_the_family_row(self):
+        with pytest.raises(MalformedInput):
+            dg.table2_witness(3, lam=G(2))
+
+    @pytest.mark.parametrize("doc", [
+        {"source": {"name": "T9,9"}, "target": {"name": "T3,1"}, "basis": [["t"]]},
+        {"source": {"name": "T3,2"}, "target": {"name": "T3,1"}, "basis": [["t"]]},
+        {"source": {"name": "T3,2"}, "target": {"name": "T3,1"},
+         "basis": [["t", "0", "0"], ["0", "t"], ["0", "0", "t"]]},
+        {"source": {"name": "T3,2"}, "target": {"name": "T3,1"}, "basis": "t"},
+    ], ids=["unknown-source", "too-small", "ragged", "not-a-list"])
+    def test_basis_must_match_the_source_dimension(self, doc):
+        with pytest.raises(MalformedInput):
+            dg.witness_from_dict(doc)
+
+
+def _dense_scan_problems(witness):
+    """Reference verdict: every cell of the dense transported tensor."""
+    source, target = witness.source_system(), witness.target_system()
+    transported = dg.transport_constants(source, witness.basis)
+    problems = []
+    for i, j, k, p in itertools.product(range(source.dim), repeat=4):
+        value = RationalFunction.of(transported[i][j][k][p])
+        expected = target.constant(i + 1, j + 1, k + 1, p + 1)
+        if not value and not expected:
+            continue
+        idx = (i + 1, j + 1, k + 1, p + 1)
+        try:
+            lim = value.limit_at_zero()
+        except PoleAtZero:
+            problems.append(("pole", idx, rational_function_str(value)))
+            continue
+        if lim != expected:
+            problems.append(("mismatch", idx, f"limit {scalar_str(lim)} != "
+                                              f"{scalar_str(G.of(expected))}"))
+    return problems
+
+
+def _perturbed_witnesses():
+    """Built-in witnesses with one basis row scaled by 2, t or 1/t, or a wrong target."""
+    for doc in BUILTIN_DOCUMENTS:
+        for row in range(len(doc["basis"])):
+            for factor in ("2", "t", "1/t"):
+                bad = json.loads(json.dumps(doc))
+                bad["basis"][row] = [x if x == "0" else f"({factor})*({x})"
+                                     for x in bad["basis"][row]]
+                yield dg.witness_from_dict(bad)
+    for doc in dg.TABLE2_WITNESSES[2:9]:
+        bad = json.loads(json.dumps(doc))
+        bad["target"] = {"name": "T4,7"}
+        yield dg.witness_from_dict(bad)
+
+
+class TestSparseVerification:
+    def test_problems_equal_the_dense_scan(self):
+        kinds = set()
+        for witness in _perturbed_witnesses():
+            report = dg.verify_degeneration(witness)
+            assert report.problems == _dense_scan_problems(witness), witness.label
+            assert report.ok == (not report.problems)
+            kinds.update(kind for kind, _, _ in report.problems)
+        assert kinds == {"pole", "mismatch"}
+
+    @pytest.mark.parametrize("doc", BUILTIN_DOCUMENTS, ids=lambda d: dg.witness_from_dict(d).label)
+    def test_builtin_witnesses_pass_the_dense_scan(self, doc):
+        assert _dense_scan_problems(dg.witness_from_dict(doc)) == []
 
 
 class TestWitnessConsistency:
@@ -415,6 +510,12 @@ class TestBorelStability:
 
 
 class TestEscapeSearch:
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(MalformedInput):
+            dg.orbit_escape_search(dg.table3_separating_set(3), catalog.instantiate("T4,3"),
+                                   trials=trials)
+
     def test_no_escape_for_paper_rows(self):
         separating = dg.table3_separating_set(1)
         report = dg.orbit_escape_search(separating, catalog.instantiate("T4,5"),
