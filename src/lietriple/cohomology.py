@@ -29,7 +29,7 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import Lts, _axiom_residuals, _normalize_scalar, first_axiom_failure
+from .core import Lts, _axiom_residuals, _conjugate_rows, _normalize_scalar, first_axiom_failure
 from .linalg import Subspace, nullspace
 from .scalars import QI_ZERO
 
@@ -153,15 +153,13 @@ class Cocycle:
         return True, None
 
     def radical(self) -> Subspace:
-        """Rad(theta) = {x : theta(x, T, T) = 0}."""
+        """Rad(theta) = {x : theta(x, T, T) = 0}, one equation per nonzero column (j, k)."""
         n = self.ambient.dim
-        rows = []
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                row = [self.value(i, j, k) for i in range(1, n + 1)]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-        return Subspace(n, nullspace(rows, n))
+        columns = {}  # (j, k) -> (theta(e_i, e_j, e_k))_i, 0-based
+        for (i, j, k), val in self.coeffs.items():
+            columns.setdefault((j - 1, k - 1), [QI_ZERO] * n)[i - 1] = val
+            columns.setdefault((i - 1, k - 1), [QI_ZERO] * n)[j - 1] = -val
+        return Subspace(n, nullspace([columns[key] for key in sorted(columns)], n))
 
     def __repr__(self):
         terms = ", ".join(f"({i},{j},{k}): {v}" for (i, j, k), v in sorted(self.coeffs.items()))
@@ -240,11 +238,12 @@ def coboundary_of(system: Lts, functional) -> Cocycle:
 
 def coboundary_space(system: Lts) -> CochainSpace:
     """B^3 spanned by delta of the dual basis; dim B^3 = dim [T,T,T]."""
-    n = system.dim
-    vectors = []
-    for p in range(n):
-        functional = [1 if q == p else 0 for q in range(n)]
-        vectors.append(coboundary_of(system, functional).coordinates())
+    position = {t: c for c, t in enumerate(delta_indices(system.dim))}
+    vectors = [[QI_ZERO] * len(position) for _ in range(system.dim)]  # delta e_p^*: c_ijk^p
+    for (i, j, k), row in system.rows().items():
+        if i < j:
+            for p, val in row.items():
+                vectors[p][position[(i + 1, j + 1, k + 1)]] = val
     return CochainSpace(system, vectors, _closed=True)
 
 
@@ -333,20 +332,18 @@ def is_automorphism(system: Lts, phi) -> bool:
 def aut_action(phi, theta: Cocycle, check=True) -> Cocycle:
     """(phi theta)(x,y,z) = theta(phi x, phi y, phi z); phi in Aut(T) by default.
 
-    Columns of phi are the images of the basis vectors.
+    Columns of phi are the images of the basis vectors.  The rows of theta, on
+    one coordinate, go through ``_conjugate_rows`` with h = phi and g = [[1]].
     """
     system = theta.ambient
-    n = system.dim
     if check and not is_automorphism(system, phi):
         raise NotAnAutomorphism("matrix does not preserve the product")
-    cols = [[phi[a][i] for a in range(n)] for i in range(n)]
-    coeffs = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                val = theta.eval(cols[i - 1], cols[j - 1], cols[k - 1])
-                if val != 0:
-                    coeffs[(i, j, k)] = val
+    rows = {}
+    for (i, j, k), val in theta.coeffs.items():
+        rows[(i - 1, j - 1, k - 1)] = {0: val}
+        rows[(j - 1, i - 1, k - 1)] = {0: -val}
+    coeffs = {(i + 1, j + 1, k + 1): row[0]
+              for (i, j, k), row in _conjugate_rows(rows, phi, [[1]]).items() if i < j}
     # phi theta is closed for closed theta only when phi is an automorphism
     return Cocycle._known(system, coeffs, theta.closed and check)
 

@@ -10,8 +10,8 @@ that vanishes has no row.  Public indices, table keys and JSON documents are
     (A3)  [u,v,[x,y,z]] = [[u,v,x],y,z] + [x,[u,v,y],z] + [x,y,[u,v,z]]
 
 Partial multiplication tables list only generating products; completion closes
-them under (A1) and the two-known-one-forced case of (A2), zero-fills the rest
-and then checks all three identities on the rows they touch.
+them in one pass under (A1) and the two-known-one-forced case of (A2),
+zero-fills the rest and then checks all three identities on the rows they touch.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     NotALieAlgebra,
     SingularMatrix,
 )
-from .linalg import Subspace, mat_inverse, nullspace
+from .linalg import Subspace, identity_matrix, mat_inverse, nullspace
 from .scalars import GaussianRational, QI_ZERO, RationalFunction, parse_scalar, scalar_str
 
 __all__ = [
@@ -233,19 +233,18 @@ class Lts:
         if "nilpotency" in self._cache:
             return self._cache["nilpotency"]
         n = self.dim
-        one = self._zero + 1
-        units = [[one if c == i else self._zero for c in range(n)] for i in range(n)]
-        current = Subspace(n, units)
+        current = Subspace(n, identity_matrix(n, one=self._zero + 1, zero=self._zero))
         series = [current]
         nilpotent = True
         while current.dim > 0:
             vectors = []
             for v in current.basis:
-                for y in units:
-                    for z in units:
-                        w = self.eval(v, y, z)
-                        if any(x != 0 for x in w):
-                            vectors.append(w)
+                cells = {}  # (j, k) -> [v, e_j, e_k] = sum_i v_i row(i, j, k)
+                for (i, j, k), row in self._rows.items():
+                    if v[i]:
+                        _add_row(cells.setdefault((j, k), {}), row, v[i])
+                vectors.extend([cell.get(p, self._zero) for p in range(n)]
+                               for cell in cells.values() if any(cell.values()))
             nxt = Subspace(n, vectors)
             if nxt.dim == current.dim:
                 nilpotent = False
@@ -482,57 +481,39 @@ def complete_table(dim, generators):
     """Close a partial multiplication table under (A1) and forced (A2) cases.
 
     ``generators`` maps 1-based triples (i, j, k) with i != j to coefficient
-    vectors of length ``dim``.  Products still undetermined at the fixpoint are
-    zero.  The completed system is axiom-checked before being returned.
+    vectors of length ``dim``.  Products still undetermined after the pass
+    are zero.  The completed system is axiom-checked before being returned.
     """
     known = {}  # 0-based (i, j, k), i != j -> coefficient tuple
-
-    def tuple_of(vec):
-        return tuple(_normalize_scalar(x) for x in vec)
-
-    def set_value(i, j, k, vec):
-        if (i, j, k) in known:
-            if known[(i, j, k)] != vec:
-                raise InconsistentTable(
-                    f"conflicting values for [e{i+1},e{j+1},e{k+1}]: "
-                    f"{[scalar_str(x) if isinstance(x, GaussianRational) else str(x) for x in known[(i, j, k)]]} vs "
-                    f"{[scalar_str(x) if isinstance(x, GaussianRational) else str(x) for x in vec]}"
-                )
-            return False
-        known[(i, j, k)] = vec
-        return True
-
     for (i, j, k), vec in generators.items():
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise MalformedInput("products", f"index out of range in ({i},{j},{k})")
         if i == j:
             raise InconsistentTable(f"generator ({i},{j},{k}) must have i != j")
-        v = tuple_of(vec)
+        v = tuple(_normalize_scalar(x) for x in vec)
         if len(v) != dim:
             raise MalformedInput("products", f"value for ({i},{j},{k}) must have length {dim}")
-        set_value(i - 1, j - 1, k - 1, v)
-        set_value(j - 1, i - 1, k - 1, tuple(-x for x in v))
+        key, mirror = (i - 1, j - 1, k - 1), (j - 1, i - 1, k - 1)
+        for (a, b, c), value in ((key, v), (mirror, tuple(-x for x in v))):
+            if known.setdefault((a, b, c), value) != value:
+                raise InconsistentTable(
+                    f"conflicting values for [e{a+1},e{b+1},e{c+1}]: "
+                    f"{[scalar_str(x) if isinstance(x, GaussianRational) else str(x) for x in known[(a, b, c)]]} vs "
+                    f"{[scalar_str(x) if isinstance(x, GaussianRational) else str(x) for x in value]}"
+                )
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    cyc = (i, j, k), (j, k, i), (k, i, j)
-                    missing = [t for t in cyc if t[0] != t[1] and t not in known]
-                    if len(missing) != 1:  # [e_i, e_i, e_k] = 0 is known
-                        continue
-                    total = [QI_ZERO] * dim
-                    for t in cyc:
-                        if t in known:
-                            total = [a + b for a, b in zip(total, known[t])]
-                    forced = tuple(-x for x in total)
-                    mi, mj, mk = missing[0]
-                    if set_value(mi, mj, mk, forced):
-                        changed = True
-                    if set_value(mj, mi, mk, tuple(-x for x in forced)):
-                        changed = True
+    # One pass over the cyclic classes that hold a known product suffices.  (A2)
+    # ties together only the three rotations of a triple, so forcing a class
+    # changes no other class's missing count.  The (A1) mirrors of a class form
+    # a class that holds the negated products, so the same pass forces the
+    # mirror of each forced product to its negation.
+    for i, j, k in {min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in known}:
+        cyc = (i, j, k), (j, k, i), (k, i, j)
+        missing = [t for t in cyc if t[0] != t[1] and t not in known]
+        if len(missing) != 1:  # [e_i, e_i, e_k] = 0 is known
+            continue
+        total = [sum(col, QI_ZERO) for col in zip(*(known[t] for t in cyc if t in known))]
+        known[missing[0]] = tuple(-x for x in total)
 
     system = Lts.from_rows(dim, {key: dict(enumerate(vec)) for key, vec in known.items()})
     return system.require_axioms()
@@ -556,19 +537,20 @@ def lts_from_lie(bracket) -> Lts:
     """
     n = len(bracket)
     b = [[[_normalize_scalar(x) for x in bracket[i][j]] for j in range(n)] for i in range(n)]
+    nonzero = {}  # i -> {j: [e_i, e_j] as {p: value}}, nonzero brackets only
     for i in range(n):
         for j in range(n):
             if any(x + y != 0 for x, y in zip(b[i][j], b[j][i])):
                 raise NotALieAlgebra(f"bracket not antisymmetric at ({i+1},{j+1})")
-    rows = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = rows.setdefault((i, j, k), {})
-                for p in range(n):
-                    if b[i][j][p] != 0:
-                        for q in range(n):
-                            row[q] = row.get(q, QI_ZERO) + b[i][j][p] * b[p][k][q]
+            row = {p: x for p, x in enumerate(b[i][j]) if x}
+            if row:
+                nonzero.setdefault(i, {})[j] = row
+    rows = {}  # [[e_i, e_j], e_k] = sum_p b_ij^p [e_p, e_k]
+    for i, brackets in nonzero.items():
+        for j, ij in brackets.items():
+            for p, x in ij.items():
+                for k, pk in nonzero.get(p, {}).items():
+                    _add_row(rows.setdefault((i, j, k), {}), pk, x)
     system = Lts.from_rows(n, rows)
     report = system.check_axioms()
     if not report.ok:

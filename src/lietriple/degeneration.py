@@ -494,6 +494,8 @@ def table2_witness(row_index: int, lam=None) -> DegenerationWitness:
 
     ``lam`` picks the member of the last row, family -> T4,4 (2 by default).
     """
+    if not 1 <= row_index <= len(TABLE2_WITNESSES):
+        raise MalformedInput("row", f"must be from 1 to {len(TABLE2_WITNESSES)}, got {row_index}")
     if lam is None:
         return witness_from_dict(TABLE2_WITNESSES[row_index - 1])
     if row_index != len(TABLE2_WITNESSES):
@@ -715,6 +717,12 @@ def witness_from_dict(doc: dict) -> DegenerationWitness:
             and all(isinstance(row, list) and len(row) == entry.dim for row in basis)):
         raise MalformedInput("basis", f"needs {entry.dim} rows of {entry.dim} entries "
                              f"for {source['name']}")
+    # a lambda belongs on a family end and an index_fn on a family source only
+    for end, spec in (("source", source), ("target", target)):
+        family = getattr(catalog.ENTRIES.get(spec["name"]), "family", False)
+        for key in ("lambda", "index_fn"):
+            if spec.get(key) is not None and (not family or (end, key) == ("target", "index_fn")):
+                raise MalformedInput(key, f"the {end} {spec['name']} takes no {key}")
     lam = source.get("lambda")
     index_fn = source.get("index_fn")
     if not isinstance(index_fn, (str, type(None))):

@@ -771,10 +771,19 @@ _TOKEN_CHARS = set("+-*/^()")
 
 # Largest |e| * size(base) that "^" computes, the size being the base's
 # coefficient bits plus its degree; this bounds nested powers too.  A product
-# of polynomials costs about the square of their degree, so the degree of the
-# result, |e| * (deg num + deg den), has a bound of its own.
+# of polynomials costs about the square of their degree, so the degree of
+# every result before cancellation, deg num + deg den, has a bound of its own:
+# |e| * (deg num + deg den) for "^", and likewise for "+", "-", "*" and "/".
 MAX_POWER_SIZE = 1024
 MAX_POWER_DEGREE = 32
+
+
+def _bound_degree(a: RationalFunction, b: RationalFunction, op: str):
+    """Refuse a op b when its degree before cancellation exceeds MAX_POWER_DEGREE."""
+    top = max(a.num.degree + b.den.degree, b.num.degree + a.den.degree) if op in "+-" \
+        else a.num.degree + b.num.degree
+    if top + a.den.degree + b.den.degree > MAX_POWER_DEGREE:
+        raise ParseError(f"'{op}' exceeds degree {MAX_POWER_DEGREE} before cancellation")
 
 
 def _power_size(base: RationalFunction) -> int:
@@ -828,6 +837,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
+            _bound_degree(node, rhs, op)
             node = node + rhs if op == "+" else node - rhs
         return node
 
@@ -836,6 +846,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.power()
+            _bound_degree(node, rhs, op)
             if op == "*":
                 node = node * rhs
             else:

@@ -165,6 +165,17 @@ def test_degen_graph_matches_golden_output(capsys, fmt, dim):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["invariants", "cohomology"])
+@pytest.mark.parametrize("system", ["t4_8", "t4_9_dense", "sl2"])
+def test_invariants_and_cohomology_match_golden_output(capsys, fmt, command, system):
+    # input_t4_9_dense.json is T4,9 conjugated by ExactRandom(15).invertible(4, height=3);
+    # input_sl2.json is lts_from_lie of sl2 on the basis (e, f, h).
+    golden = GOLDEN / f"{command}_{system}.{'txt' if fmt == 'text' else 'json'}"
+    assert main(["--format", fmt, command, str(GOLDEN / f"input_{system}.json")]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_degen_verify_labels_a_family_document_with_its_member(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(dg.TABLE4_WITNESS))
@@ -293,6 +304,25 @@ def test_degen_verify_malformed_source(tmp_path, capsys, field, value):
     doc["source"][field] = value
     path = tmp_path / "w.json"
     path.write_text(json.dumps(doc))
+    assert main(["degen", "verify", str(path)]) == 2
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+_SCALED = [["t", "0", "0", "0"], ["0", "t", "0", "0"], ["0", "0", "t", "0"], ["0", "0", "0", "t"]]
+_IDENTITY = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+
+
+@pytest.mark.parametrize("source,target,basis", [
+    ({"name": "T4,2", "lambda": "3"}, {"name": "T4,1", "lambda": "5"}, _SCALED),
+    ({"name": "T4,2", "index_fn": "t"}, {"name": "T4,1"}, _SCALED),
+    ({"name": "T4,2"}, {"name": "T4,1", "lambda": "5"}, _SCALED),
+    ({"name": "T4,6", "lambda": "2"}, {"name": "T4,6", "lambda": "2", "index_fn": "t"}, _IDENTITY),
+], ids=["lambda-on-fixed-ends", "index-fn-on-fixed-source", "lambda-on-fixed-target",
+        "index-fn-on-target"])
+def test_degen_verify_refuses_parameters_an_end_does_not_use(tmp_path, capsys, source, target,
+                                                              basis):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"source": source, "target": target, "basis": basis}))
     assert main(["degen", "verify", str(path)]) == 2
     assert "MalformedInput" in capsys.readouterr().err
 

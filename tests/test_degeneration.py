@@ -135,6 +135,11 @@ class TestWitnessDocuments:
         doc = dg.witness_to_dict(dg.table2_witness(13, lam=G(-3) / 4))
         assert dg.witness_from_dict(doc).label == "T4,6^-3/4 -> T4,4"
 
+    @pytest.mark.parametrize("row", [0, -1, 14])
+    def test_rows_outside_the_table_are_refused(self, row):
+        with pytest.raises(MalformedInput, match="row"):
+            dg.table2_witness(row)
+
     def test_lambda_only_on_the_family_row(self):
         with pytest.raises(MalformedInput):
             dg.table2_witness(3, lam=G(2))

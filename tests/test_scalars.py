@@ -3,6 +3,7 @@
 import copy
 import operator
 import pickle
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -159,6 +160,23 @@ class TestParsingPrinting:
     def test_reject_powers_past_the_size_bound(self, text):
         with pytest.raises(ParseError, match="power too large"):
             parse_rational_function(text)
+
+    def test_reject_a_sum_of_admitted_powers_past_the_degree_bound(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="degree"):
+            parse_rational_function("((3+5*i+7*t)/(11+13*t+t^2))^10+((1+2*t)/(3+t))^10")
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("text", ["t^20*t^13", "t^20/t^-13", "(1/t^17)/(1/t^16)",
+                                      "1/t^20-1/(1+t)^13"])
+    def test_reject_products_quotients_and_differences_past_the_degree_bound(self, text):
+        with pytest.raises(ParseError, match="degree"):
+            parse_rational_function(text)
+
+    def test_degree_29_polynomial_written_term_by_term(self):
+        text = "+".join(f"{k + 1}*t^{k}" for k in range(30))
+        f = parse_rational_function(text)
+        assert f.num.degree == 29 and f.den.degree == 0
 
     def test_overlong_integer_literal(self):
         with pytest.raises(ParseError, match="5000 digits"):
