@@ -30,20 +30,21 @@ family = dg.table4_witness()
 print("index function f(t) =", family.index_fn)
 print(dg.verify_degeneration(family))
 
-print("\n=== Non-degenerations: two exact levels plus the escape search ===")
-# exact: a necessary-condition certificate
+print("\n=== Non-degenerations: two exact levels ===")
+# a necessary-condition certificate: dim [T,T,T] cannot grow
 cert = dg.necessary_conditions(catalog.instantiate("T4,5"), catalog.instantiate("T4,9"))
 print("T4,5 -/-> T4,9 :", cert)
 
-# exact: separating-set membership with a Borel-stability proof; the locus is
+# a flattening rank, z -> [.,.,z], cannot grow either
+cert = dg.necessary_conditions(catalog.instantiate("T4,9"), catalog.instantiate("T4,3"))
+print("T4,9 -/-> T4,3 :", cert, "| Z ranks", cert.values["Z"])
+
+# separating-set membership with a Borel-stability proof; the locus is
 # stable under the lower-triangular Lie algebra, hence under its connected group
 separating = dg.table3_separating_set(3)
 print("T4,9 in its separating set:", separating.contains(catalog.instantiate("T4,9")))
+print("T4,3 in it:", separating.contains(catalog.instantiate("T4,3")))
 print(dg.borel_stability_evidence(separating))
-
-# evidence, never proof: the randomized no-escape search
-print(dg.orbit_escape_search(separating, catalog.instantiate("T4,3"),
-                             trials=100, seed=5))
 
 print("\n=== The degeneration diagram ===")
 graph = dg.degeneration_graph(4)

@@ -246,19 +246,22 @@ def _cmd_degen(args):
         separating = degeneration.separating_set_from_dict(_load_json(args.file))
         target = catalog.instantiate(args.target,
                                      parse_scalar(args.lam) if args.lam else None)
+        if target.dim != separating.dim:
+            raise MalformedInput("target", "dimension mismatch with separating set")
         stability = degeneration.borel_stability_evidence(separating)
-        escape = degeneration.orbit_escape_search(
-            separating, target, trials=args.trials, seed=args.seed)
+        violation = separating.first_violation(target.rows())
+        membership = degeneration.EvidenceReport(
+            "target-membership", violation is not None,
+            f"target outside the locus: {violation}" if violation else "target lies in the locus")
         payload = {
-            "stability": {"kind": stability.kind, "ok": stability.ok,
-                          "detail": stability.detail, "trials": stability.trials},
-            "escape": {"kind": escape.kind, "ok": escape.ok,
-                       "detail": escape.detail, "trials": escape.trials},
+            "stability": {"kind": stability.kind, "ok": stability.ok, "detail": stability.detail},
+            "targetInLocus": violation is None,
             "evidenceLevel": "separating-set (symbolic stability proof)",
         }
-        ok = stability.ok and escape.ok
-        _emit(args, payload, [str(stability), str(escape)])
-        return EXIT_OK if ok else EXIT_FAILED
+        lines = [str(stability), str(membership),
+                 "orbit question: not decided here (the target's orbit may still meet the locus)"]
+        _emit(args, payload, lines)
+        return EXIT_OK if stability.ok and membership.ok else EXIT_FAILED
     raise MalformedInput("degen", f"unknown degen command {args.degen_cmd!r}")
 
 
@@ -310,8 +313,6 @@ def build_parser():
     nondegen.add_argument("file")
     nondegen.add_argument("--target", required=True)
     nondegen.add_argument("--lambda", dest="lam", default=None, metavar="VALUE")
-    nondegen.add_argument("--trials", type=int, default=200, help="escape-search trials")
-    nondegen.add_argument("--seed", type=int, default=0, help="escape-search seed")
     p.set_defaults(func=_cmd_degen)
 
     return parser

@@ -336,6 +336,8 @@ def aut_action(phi, theta: Cocycle, check=True) -> Cocycle:
     one coordinate, go through ``_conjugate_rows`` with h = phi and g = [[1]].
     """
     system = theta.ambient
+    if len(phi) != system.dim or any(len(row) != system.dim for row in phi):
+        raise DimensionMismatch(f"phi must be {system.dim}x{system.dim}")
     if check and not is_automorphism(system, phi):
         raise NotAnAutomorphism("matrix does not preserve the product")
     rows = {}

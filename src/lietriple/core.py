@@ -28,7 +28,7 @@ from .errors import (
     NotALieAlgebra,
     SingularMatrix,
 )
-from .linalg import Subspace, identity_matrix, mat_inverse, nullspace
+from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
 from .scalars import GaussianRational, QI_ZERO, RationalFunction, parse_scalar, scalar_str
 
 __all__ = [
@@ -284,6 +284,28 @@ class Lts:
         result = (len(matrices), matrices)
         self._cache["derivations"] = result
         return result
+
+    def flattening_ranks(self):
+        """Ranks (L, X, Z) of x^y -> [x,y,.], x -> [x,.,.] and z -> [.,.,z].
+
+        Each is GL-invariant with Zariski-closed sublevel sets, so it can only
+        drop under degeneration (Burde-Steinhoff, J. Algebra 214, 1999;
+        Grunewald-O'Halloran, J. Algebra 112, 1988).  Only nonzero columns are built.
+        """
+        if "flattening" in self._cache:
+            return self._cache["flattening"]
+        ranks = []
+        # positions in (i, j, k, p) of the row and of the column index of L, X and Z
+        for row_at, column_at in (((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((2,), (0, 1, 3))):
+            table = {}
+            for *idx, val in self.nonzero_entries():
+                table.setdefault(tuple(idx[a] for a in row_at), {})[
+                    tuple(idx[a] for a in column_at)] = val
+            columns = sorted({c for row in table.values() for c in row})
+            ranks.append(rank([[row.get(c, self._zero) for c in columns]
+                               for row in table.values()]))
+        self._cache["flattening"] = tuple(ranks)
+        return self._cache["flattening"]
 
     def orbit_dimension(self) -> int:
         """dim O(T) = n^2 - dim Der(T) for the conjugation action of GL_n."""

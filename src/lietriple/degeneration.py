@@ -8,18 +8,18 @@ family parameter.  Witnesses have one form, the document that
 ``witness_from_dict`` reads; the built-in tables are such documents, and a
 witness's label is read off its endpoints.
 
-Non-degenerations come at two exact levels plus a search: necessary-condition
-certificates (annihilator / derived-subspace / derivation dimensions),
-separating-set membership with a Borel-stability proof (each basis vector of
-the locus, moved by each matrix unit of the lower-triangular Lie algebra, is
-checked exactly over Q(i)), and the randomized no-escape search (evidence,
-never proof).  The degeneration diagram is read off the catalog and the
-verified built-in witnesses, and reports its maximal nodes.
+Non-degenerations come at two exact levels: necessary-condition certificates
+(annihilator / derived-subspace / derivation dimensions, the three flattening
+ranks and, on the systems with a one-dimensional annihilator, a relative
+invariant of the T3,1 extension class), and separating-set membership with a
+Borel-stability proof (each basis vector of the locus, moved by each matrix
+unit of the lower-triangular Lie algebra, is checked exactly over Q(i)).  No
+verdict rests on a search.  The degeneration diagram is read off the catalog
+and the verified built-in witnesses, and reports its maximal nodes.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +28,6 @@ from . import catalog
 from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action, complete_table
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
 from .linalg import mat_inverse, nullspace
-from .sampling import ExactRandom
 from .scalars import (
     GaussianRational,
     QI_ZERO,
@@ -48,7 +47,6 @@ __all__ = [
     "necessary_conditions",
     "NecessaryConditionReport",
     "borel_stability_evidence",
-    "orbit_escape_search",
     "degeneration_graph",
     "witness_from_dict",
     "witness_to_dict",
@@ -56,7 +54,6 @@ __all__ = [
     "separating_set_to_dict",
     "table2_witness",
     "table4_witness",
-    "dim3_witness",
     "table3_separating_set",
     "table5_separating_set",
     "TABLE2_WITNESSES",
@@ -201,17 +198,33 @@ class NecessaryConditionReport:
     der_ok: bool        # dim Der(source) < dim Der(target)
     identical: bool
     values: dict
+    ranks_ok: dict      # flattening name -> rank at the source >= rank at the target
+    relative_ok: bool   # the relative invariant vanishes, or does not apply
 
     @property
     def violations(self):
-        out = []
-        if not self.ann_ok:
-            out.append("annihilator dimension decreases")
-        if not self.derived_ok:
-            out.append("derived subspace dimension increases")
-        if not self.der_ok:
-            out.append("derivation dimension does not grow")
-        return out
+        return self._violations(closure=False)
+
+    @property
+    def closure_violations(self):
+        """Violations against the closure of the orbits of a one-parameter family.
+
+        The source is a generic member.  The closed conditions (Ann, derived
+        subspace, flattening ranks) hold on the closure; it is one dimension
+        larger than an orbit, so dim Der may stay equal, and the relative
+        invariant, constant on one orbit only, is not read."""
+        return self._violations(closure=True)
+
+    def _violations(self, closure):
+        der, target_der = self.values["der"]
+        checks = [(self.ann_ok, "annihilator dimension decreases"),
+                  (self.derived_ok, "derived subspace dimension increases"),
+                  (der <= target_der, "derivation dimension decreases") if closure else
+                  (self.der_ok, "derivation dimension does not grow")]
+        checks += [(ok, f"{name} flattening rank increases") for name, ok in self.ranks_ok.items()]
+        if not closure:
+            checks.append((self.relative_ok, "relative invariant q0^2 p^3 - p0^3 q^2 is nonzero"))
+        return [message for ok, message in checks if not ok]
 
     @property
     def certifies_non_degeneration(self):
@@ -226,19 +239,52 @@ class NecessaryConditionReport:
         return "; ".join(self.violations)
 
 
+def _relative_pq(system: Lts):
+    """(p, q) of the characteristic polynomial x^3 + p x + q of a_theta, or None.
+
+    Defined when dim T = 4, dim Ann = dim [T,T,T] = 1 and the nilpotency index
+    is 2: then T is an extension of T3,1 by the line Ann, with cocycle theta.
+    """
+    if (system.dim, system.annihilator().dim, system.derived().dim) != (4, 1, 1) \
+            or system.nilpotency().index != 2:
+        return None
+    return catalog._char_poly_pq(catalog.family_cocycle_matrix(system))
+
+
 def necessary_conditions(source: Lts, target: Lts) -> NecessaryConditionReport:
+    """Exact obstructions to a degeneration of ``source`` to ``target``.
+
+    Under a degeneration to a non-isomorphic target dim Der grows, dim Ann
+    cannot shrink, and neither dim [T,T,T] nor any of the three flattening
+    ranks can grow.  The relative invariant decides pairs with equal ranks in
+    dimension 4.  Let C be the closed set where [T,T,T] lies in Ann and
+    dim [T,T,T] <= 1, and U the part of C where dim Ann <= 1; U is open in C.
+    On U the coefficients p and q of the characteristic polynomial of a_theta
+    have weights 2 and 3: a basis change scales them to (c^2 p, c^3 q),
+    through det(phi) phi^-1 A phi on T3,1 and the scaling of the Ann line.
+    So f = q0^2 p^3 - p0^3 q^2, with (p0, q0) read at the source, vanishes on
+    the source's orbit and on its closure within U.  A target in U with
+    f != 0 lies outside that closure.
+    """
     values = {
         "ann": (source.annihilator().dim, target.annihilator().dim),
         "derived": (source.derived().dim, target.derived().dim),
         "der": (source.derivations()[0], target.derivations()[0]),
     }
-    identical = source == target
+    values.update(zip("LXZ", zip(source.flattening_ranks(), target.flattening_ranks())))
+    pq = (_relative_pq(source), _relative_pq(target))
+    values["pq"] = values["relative"] = None
+    if None not in pq:
+        (p0, q0), (p, q) = values["pq"] = pq
+        values["relative"] = q0 * q0 * p * p * p - p0 * p0 * p0 * q * q
     return NecessaryConditionReport(
         ann_ok=values["ann"][0] <= values["ann"][1],
         derived_ok=values["derived"][0] >= values["derived"][1],
         der_ok=values["der"][0] < values["der"][1],
-        identical=identical,
+        identical=source == target,
         values=values,
+        ranks_ok={name: values[name][0] >= values[name][1] for name in "LXZ"},
+        relative_ok=not values["relative"],
     )
 
 
@@ -332,12 +378,9 @@ class EvidenceReport:
     kind: str
     ok: bool
     detail: str
-    trials: int = 0
 
     def __str__(self):
-        status = "pass" if self.ok else "FAIL"
-        suffix = f" [{self.trials} trials]" if self.trials else ""
-        return f"{self.kind}{suffix}: {status} - {self.detail}"
+        return f"{self.kind}: {'pass' if self.ok else 'FAIL'} - {self.detail}"
 
 
 def borel_stability_evidence(separating: SeparatingSet, mode="symbolic") -> EvidenceReport:
@@ -365,69 +408,6 @@ def borel_stability_evidence(separating: SeparatingSet, mode="symbolic") -> Evid
                         "Lie algebra")
     return EvidenceReport("borel-symbolic", True,
                           "locus stable under the lower-triangular Lie algebra")
-
-
-def _transported_in_locus(separating: SeparatingSet, nonzeros, g):
-    """Containment of the conjugated tensor, computing entries lazily.
-
-    Random conjugates almost always violate an "otherwise zero" constraint
-    within the first few entries, so checking those first with per-entry
-    evaluation beats materializing the whole transported tensor.
-    """
-    n = separating.dim
-    h = mat_inverse(g)
-    cache = {}
-
-    def moved(idx):
-        if idx in cache:
-            return cache[idx]
-        i, j, k, p = idx
-        total = QI_ZERO
-        for a, b, c, q, val in nonzeros:
-            f = h[a][i - 1] * h[b][j - 1]
-            if f:
-                f = f * h[c][k - 1]
-                if f:
-                    gpq = g[p - 1][q]
-                    if gpq:
-                        total = total + f * gpq * val
-        cache[idx] = total
-        return total
-
-    if separating.zero_otherwise:
-        support = set(separating.support)
-        for idx in itertools.product(range(1, n + 1), repeat=4):
-            if idx not in support and moved(idx) != 0:
-                return False
-    for a_idx, b_idx, factor in separating.relations:
-        if moved(a_idx) != factor * moved(b_idx):
-            return False
-    return True
-
-
-def orbit_escape_search(separating: SeparatingSet, target: Lts, trials=200,
-                        seed=0) -> EvidenceReport:
-    """Randomized falsification: look for g with g * target inside the locus.
-
-    Finding one refutes the claimed non-degeneration; finding none in N trials
-    is reported as evidence only, never proof.
-    """
-    n = target.dim
-    if trials < 1:
-        raise MalformedInput("trials", "the search needs at least one trial")
-    if n != separating.dim:
-        raise MalformedInput("target", "dimension mismatch with separating set")
-    if separating.contains(target):
-        return EvidenceReport("escape-search", False,
-                              "target already satisfies the relations", 0)
-    rng = ExactRandom(seed)
-    nonzeros = list(target.nonzero_entries())
-    for trial in range(trials):
-        g = rng.invertible(n, height=5)
-        if _transported_in_locus(separating, nonzeros, g):
-            return EvidenceReport("escape-search", False,
-                                  f"escape found at trial {trial}", trial + 1)
-    return EvidenceReport("escape-search", True, "no escape found", trials)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +485,6 @@ def table2_witness(row_index: int, lam=None) -> DegenerationWitness:
 
 def table4_witness() -> DegenerationWitness:
     return witness_from_dict(TABLE4_WITNESS)
-
-
-def dim3_witness() -> DegenerationWitness:
-    return witness_from_dict(DIM3_WITNESS)
 
 
 def _skew(i, j, k, p):
@@ -665,12 +641,9 @@ def degeneration_graph(dim=4) -> DegenerationGraph:
             source = catalog.instantiate(witness.source, _GENERIC_FAMILY_SAMPLE) \
                 if indexed else witness.source_system()
             conditions = necessary_conditions(source, witness.target_system())
-            # the family closure gains one dimension over any member orbit
             family = catalog.ENTRIES[witness.source].family
             closure = family and src_name == _node_name(witness.source)
-            der, target_der = conditions.values["der"]
-            der_ok = der <= target_der if closure else conditions.der_ok
-            if not (conditions.ann_ok and conditions.derived_ok and der_ok):
+            if conditions.closure_violations if closure else conditions.violations:
                 raise InconsistentGraph(
                     f"verified edge {src_name} -> {tgt_name} violates a necessary condition")
 

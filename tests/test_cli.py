@@ -195,15 +195,6 @@ def test_degen_verify_refuses_a_basis_of_the_wrong_size_at_once(tmp_path, capsys
     assert "MalformedInput" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("trials", ["0", "-5"])
-def test_degen_nondegen_needs_a_trial(tmp_path, capsys, trials):
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
-    assert main(["degen", "nondegen", str(path), "--target", "T4,3", "--trials", trials]) == 2
-    captured = capsys.readouterr()
-    assert "MalformedInput" in captured.err and "escape-search" not in captured.out
-
-
 def test_cohomology_eliminates_for_z3_once(t32_file, capsys, monkeypatch):
     calls = []
 
@@ -226,17 +217,25 @@ def test_degen_graph(capsys):
 def test_degen_nondegen(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
-    code = main(["degen", "nondegen", str(path), "--target", "T4,3",
-                 "--trials", "20", "--seed", "5"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "borel-symbolic: pass" in out and "escape-search [20 trials]: pass" in out
-    code = main(["--format", "json", "degen", "nondegen", str(path), "--target", "T4,3",
-                 "--trials", "20"])
-    assert code == 0
+    assert main(["degen", "nondegen", str(path), "--target", "T4,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("borel-symbolic: pass")
+    assert lines[1].startswith("target-membership: pass - target outside the locus")
+    assert lines[2].startswith("orbit question: not decided")
+    assert main(["--format", "json", "degen", "nondegen", str(path), "--target", "T4,3"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["evidenceLevel"] == "separating-set (symbolic stability proof)"
     assert payload["stability"]["kind"] == "borel-symbolic"
+    assert payload["targetInLocus"] is False and "escape" not in payload
+
+
+def test_degen_nondegen_fails_on_a_target_inside_the_locus(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
+    assert main(["--format", "json", "degen", "nondegen", str(path), "--target", "T4,9"]) == 1
+    assert json.loads(capsys.readouterr().out)["targetInLocus"] is True
+    assert main(["degen", "nondegen", str(path), "--target", "T3,2"]) == 2
+    assert "dimension mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [
@@ -248,15 +247,16 @@ def test_degen_nondegen(tmp_path, capsys):
 def test_degen_nondegen_rejects_malformed_sets(tmp_path, capsys, doc):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(doc))
-    assert main(["degen", "nondegen", str(path), "--target", "T4,3", "--trials", "1"]) == 2
+    assert main(["degen", "nondegen", str(path), "--target", "T4,3"]) == 2
     assert "borel-symbolic" not in capsys.readouterr().out
 
 
-def test_degen_nondegen_has_no_mode_flag(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [("mode", "randomized"), ("trials", "200"), ("seed", "0")])
+def test_degen_nondegen_has_no_mode_flag(tmp_path, capsys, flag, value):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
     with pytest.raises(SystemExit) as exc:
-        main(["degen", "nondegen", str(path), "--target", "T4,3", "--mode", "randomized"])
+        main(["degen", "nondegen", str(path), "--target", "T4,3", f"--{flag}", value])
     assert exc.value.code == 2
 
 

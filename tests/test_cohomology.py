@@ -19,7 +19,7 @@ from lietriple.cohomology import (
     is_automorphism,
     matrix_form,
 )
-from lietriple.errors import NotAbelianDim3, NotAnAutomorphism, RelationViolated
+from lietriple.errors import DimensionMismatch, NotAbelianDim3, NotAnAutomorphism, RelationViolated
 from lietriple.core import direct_sum
 from lietriple.linalg import Subspace, determinant, mat_inverse, mat_mul, nullspace, rref
 from lietriple.sampling import ExactRandom
@@ -221,6 +221,17 @@ class TestAutAction:
     def test_singular_or_misshapen_matrix_is_no_automorphism(self, t32):
         assert not is_automorphism(t32, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
         assert not is_automorphism(t32, [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("phi", [
+        [[int(i == j) for j in range(3)] for i in range(3)],
+        [[int(i == j) for j in range(5)] for i in range(5)],
+        [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ], ids=["3x3", "5x5", "ragged"])
+    def test_misshapen_matrix_is_refused(self, phi, check):
+        theta = cocycle_space(catalog.instantiate("T4,8")).basis[0]
+        with pytest.raises(DimensionMismatch, match="4x4"):
+            aut_action(phi, theta, check=check)
 
     def test_generic_formula_on_t21(self, t21):
         rng = ExactRandom(31)

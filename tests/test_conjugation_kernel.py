@@ -118,7 +118,7 @@ def test_change_basis_agrees_on_a_dense_input():
 def builtin_witnesses():
     rows = [dg.table2_witness(row) for row in range(1, len(dg.TABLE2_WITNESSES) + 1)]
     rows.append(dg.table2_witness(13, lam=GaussianRational(0, 1)))
-    return rows + [dg.table4_witness(), dg.dim3_witness()]
+    return rows + [dg.table4_witness(), dg.witness_from_dict(dg.DIM3_WITNESS)]
 
 
 @pytest.mark.parametrize("witness", builtin_witnesses(), ids=lambda w: w.label)

@@ -107,7 +107,7 @@ class TestVerifyDegeneration:
 
         monkeypatch.setattr(dg, "_transported_rows", broken)
         with pytest.raises(AttributeError):
-            dg.verify_degeneration(dg.dim3_witness())
+            dg.verify_degeneration(dg.witness_from_dict(dg.DIM3_WITNESS))
 
 
 BUILTIN_DOCUMENTS = dg.TABLE2_WITNESSES + [dg.TABLE4_WITNESS, dg.DIM3_WITNESS]
@@ -129,7 +129,7 @@ class TestWitnessDocuments:
             "T4,6^2 -> T4,4"]
         assert dg.table2_witness(13, lam=G(0, 1)).label == "T4,6^i -> T4,4"
         assert dg.table4_witness().label == "T4,6^* -> T4,5"
-        assert dg.dim3_witness().label == "T3,2 -> T3,1"
+        assert dg.witness_from_dict(dg.DIM3_WITNESS).label == "T3,2 -> T3,1"
 
     def test_user_family_document_label_names_its_member(self):
         doc = dg.witness_to_dict(dg.table2_witness(13, lam=G(-3) / 4))
@@ -293,13 +293,75 @@ class TestNecessaryConditions:
         assert report.identical and not report.certifies_non_degeneration
 
     def test_verified_edges_satisfy_corollary(self):
-        # cross-check of the inequality set against every verified witness
+        # cross-check of every condition against every verified witness
         for row in range(1, 14):
             witness = dg.table2_witness(row)
-            source = witness.source_system()
-            target = witness.target_system()
-            report = dg.necessary_conditions(source, target)
-            assert report.ann_ok and report.derived_ok and report.der_ok, witness.label
+            report = dg.necessary_conditions(witness.source_system(), witness.target_system())
+            assert not report.violations, witness.label
+        # the family row starts at the closure of the members' orbits: its
+        # sample breaks only the conditions that hold on one orbit
+        report = dg.necessary_conditions(catalog.instantiate("T4,6", G(2)),
+                                         dg.table4_witness().target_system())
+        assert report.violations == ["derivation dimension does not grow",
+                                     "relative invariant q0^2 p^3 - p0^3 q^2 is nonzero"]
+        assert not report.closure_violations
+
+
+# (L, X, Z) flattening ranks of the dimension-4 diagram's nodes
+NODE_RANKS = {
+    ("T4,1", None): (0, 0, 0), ("T4,2", None): (1, 2, 1), ("T4,3", None): (1, 2, 2),
+    ("T4,4", None): (2, 3, 2), ("T4,5", None): (3, 3, 3), ("T4,6", G(2)): (3, 3, 3),
+    ("T4,6", G(0)): (2, 3, 2), ("T4,6", G(1)): (3, 3, 3), ("T4,7", None): (2, 3, 3),
+    ("T4,8", None): (2, 3, 2), ("T4,9", None): (2, 3, 1),
+}
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("node", NODE_RANKS, ids=lambda node: "%s^%s" % node)
+    def test_flattening_ranks(self, node):
+        assert catalog.instantiate(*node).flattening_ranks() == NODE_RANKS[node]
+
+    @pytest.mark.parametrize("lam, f", [(G(2), G(400)), (G(3), G(4900)), (G(5), G(94864)),
+                                        (G(0, 1), G(0, 50))], ids=["2", "3", "5", "i"])
+    def test_relative_invariant_refutes_row_2(self, lam, f):
+        report = dg.necessary_conditions(catalog.instantiate("T4,6", lam),
+                                         catalog.instantiate("T4,6", G(1)))
+        assert report.values["relative"] == f and not report.relative_ok
+        assert all(report.ranks_ok.values()) and report.certifies_non_degeneration
+
+    @pytest.mark.parametrize("pair", [("T4,5", None, "T4,6", G(1)), ("T4,5", None, "T4,4", None),
+                                      ("T4,6", G(2), "T4,4", None)])
+    def test_relative_invariant_vanishes_on_edges(self, pair):
+        report = dg.necessary_conditions(catalog.instantiate(*pair[:2]),
+                                         catalog.instantiate(*pair[2:]))
+        assert report.values["relative"] == 0
+
+    def test_relative_invariant_needs_both_ends_in_its_domain(self):
+        report = dg.necessary_conditions(catalog.instantiate("T4,7"), catalog.instantiate("T4,5"))
+        assert report.values["pq"] is None and report.relative_ok
+
+    @pytest.mark.parametrize("source, target, seed", [
+        (("T4,7", None), ("T4,5", None), 1), (("T4,9", None), ("T4,3", None), 2),
+        (("T4,6", G(2)), ("T4,6", G(1)), 3), (("T4,6", G(0, 1)), ("T4,6", G(1)), 4),
+        (("T4,6", G(-2)), ("T4,6", G(1)), 5), (("T4,6", G(-1) / 2), ("T4,6", G(1)), 6),
+    ], ids=["T4,7-T4,5", "T4,9-T4,3", "2-1", "i-1", "-2-1", "-1/2-1"])
+    def test_verdicts_survive_dense_conjugation(self, source, target, seed):
+        rng = ExactRandom(seed)
+        literal = [catalog.instantiate(*source), catalog.instantiate(*target)]
+        dense = [system.change_basis(rng.invertible(4, height=2)) for system in literal]
+        before = dg.necessary_conditions(*literal)
+        after = dg.necessary_conditions(*dense)
+        assert after.violations == before.violations
+        assert all(after.values[name] == before.values[name] for name in "LXZ")
+        assert (after.values["relative"] == 0) == (before.values["relative"] == 0)
+
+    @pytest.mark.parametrize("lam", [G(-2), G(-1) / 2])
+    def test_members_isomorphic_to_the_target_get_no_certificate(self, lam):
+        # T4,6^lam is isomorphic to T4,6^1: neither the ranks nor f separate them
+        report = dg.necessary_conditions(catalog.instantiate("T4,6", lam),
+                                         catalog.instantiate("T4,6", G(1)))
+        assert report.values["relative"] == 0 and report.relative_ok
+        assert all(report.ranks_ok.values())
 
 
 class TestSeparatingSets:
@@ -512,48 +574,6 @@ class TestBorelStability:
         symbolic = dg.borel_stability_evidence(bad, "symbolic")
         assert not symbolic.ok
         assert symbolic.detail.startswith("constant (1, 1, 1, 3) is nonzero")
-
-
-class TestEscapeSearch:
-    @pytest.mark.parametrize("trials", [0, -5])
-    def test_needs_a_trial(self, trials):
-        with pytest.raises(MalformedInput):
-            dg.orbit_escape_search(dg.table3_separating_set(3), catalog.instantiate("T4,3"),
-                                   trials=trials)
-
-    def test_no_escape_for_paper_rows(self):
-        separating = dg.table3_separating_set(1)
-        report = dg.orbit_escape_search(separating, catalog.instantiate("T4,5"),
-                                        trials=60, seed=11)
-        assert report.ok
-
-    def test_degenerate_set_contains_target(self):
-        everything = dg.SeparatingSet(4, [], zero_otherwise=False)
-        report = dg.orbit_escape_search(everything, catalog.instantiate("T4,9"),
-                                        trials=10, seed=1)
-        assert not report.ok and "already" in report.detail
-
-    def test_membership_detected_without_search(self):
-        # T4,9 sits inside its own separating set, so the claimed
-        # non-degeneration T4,9 -> T4,9 is refuted before any sampling
-        separating = dg.table3_separating_set(3)
-        direct = dg.orbit_escape_search(separating, catalog.instantiate("T4,9"),
-                                        trials=5, seed=1)
-        assert not direct.ok and direct.trials == 0
-
-    def test_escape_found_for_permuted_member(self):
-        # a permutation conjugate of T4,9 leaves the locus but random search
-        # over permutation-like matrices can re-enter; use the locus of ALL
-        # skew pairs in its support and a target equal to a diagonal rescale,
-        # where escapes are dense enough to hit quickly
-        separating = dg.SeparatingSet(
-            4, [((1, 2, 1, 3), (2, 1, 1, 3), GaussianRational(-1))])
-        scaled = catalog.instantiate("T4,2").change_basis(
-            [[2 if i == j else 0 for j in range(4)] for i in range(4)])
-        report = dg.orbit_escape_search(separating, scaled, trials=50, seed=3)
-        # T4,2 lies in this locus in its catalog basis, so either the direct
-        # membership or a sampled conjugate must find the escape
-        assert not report.ok
 
 
 class TestGraph:

@@ -17,8 +17,11 @@ def test_cli_imports_only_the_standard_library():
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                             text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
                             check=True)
-    tops = {name.split(".")[0] for name in result.stdout.split()}
+    loaded = result.stdout.split()
+    tops = {name.split(".")[0] for name in loaded}
     assert sorted(tops - sys.stdlib_module_names) == ["lietriple"]
+    # no verdict rests on a random search, so the sampler stays out of the CLI
+    assert "lietriple.sampling" not in loaded
 
 
 def test_no_runtime_dependency_declared():
