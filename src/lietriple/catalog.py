@@ -15,13 +15,16 @@ characteristic polynomial, as the exact Gaussian-rational root set of the
 xi-equation (``family_lambda_candidates``).  The same equation gives the orbit
 of 1 at xi = 27/4 and the singular pair {0, -1} at the projective point
 xi = 1/0 (q = 0), so every family-shaped input takes one path; T4,5 shares
-xi = 27/4 with the orbit of 1 and has fewer derivations.  An uncertified
+xi = 27/4 with the orbit of 1, but its a_theta is not diagonalizable.  Off
+that shape, the annihilator, [T,T,T], the nilpotency index and the flattening
+ranks name the entry.  An uncertified
 answer prints the orbit member (a + b i)/d of least height, ordered by
 (max(|a|, |b|, d), |a|, |b|, d, a < 0, b < 0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +39,7 @@ from .errors import (
 )
 from .cohomology import Cocycle, a_theta, delta_indices
 from .core import Lts, _normalize_scalar, complete_table
-from .linalg import determinant
+from .linalg import determinant, rank
 from .scalars import (GaussianRational, Polynomial, QI_ONE, QI_ZERO, gaussian_roots,
                       parse_scalar, scalar_str)
 
@@ -223,47 +226,25 @@ class ClassifyResult:
 
 
 def _invariant_key(system: Lts):
-    nil = system.nilpotency()
     return (system.dim, system.annihilator().dim, system.derived().dim,
-            nil.index, system.derivations()[0])
+            system.nilpotency().index, system.flattening_ranks())
 
 
-def _bucket_table():
-    """Invariant key -> catalog names, family keyed at both derivation branches."""
-    table = {}
-    for name, entry in ENTRIES.items():
-        if entry.family:
-            for lam in (GaussianRational(1), GaussianRational(2)):
-                key = _invariant_key(instantiate(name, lam))
-                table.setdefault(key, [])
-                if name not in table[key]:
-                    table[key].append(name)
-        else:
-            key = _invariant_key(instantiate(name))
-            table.setdefault(key, [])
-            table[key].append(name)
-    return table
-
-
-_buckets = None
-
-
-def _buckets_table():
-    global _buckets
-    if _buckets is None:
-        _buckets = _bucket_table()
-    return _buckets
+@functools.cache
+def _key_names():
+    """Invariant key -> name, one distinct key for each entry outside the family."""
+    return {_invariant_key(instantiate(name)): name
+            for name, entry in ENTRIES.items() if not entry.family}
 
 
 def family_cocycle_matrix(system: Lts):
     """a_theta of the cocycle theta that presents ``system`` as an extension of T3,1.
 
-    Precondition: the invariant key of ``system`` is (4, 1, 1, 2, .), the
-    buckets of T4,5 and the family.  Nilpotency index 2 puts [T,T,T] inside
-    Ann, and both are one-dimensional, so both are the line of Ann's reduced
-    basis vector w, and every product is a multiple of w.  On the basis
-    vectors off w's pivot coordinate, where w has entry 1, theta is therefore
-    the pivot coordinate of each product.
+    Precondition: ``system`` has the T3,1-extension shape of ``_t31_pq``.
+    Nilpotency index 2 puts [T,T,T] inside Ann, and both are one-dimensional,
+    so both are the line of Ann's reduced basis vector w, and every product
+    is a multiple of w.  On the basis vectors off w's pivot coordinate, where
+    w has entry 1, theta is therefore the pivot coordinate of each product.
     """
     w = system.annihilator().basis[0]
     pivot = next(p for p, x in enumerate(w, start=1) if x)
@@ -273,10 +254,42 @@ def family_cocycle_matrix(system: Lts):
     return a_theta(Cocycle(instantiate("T3,1"), theta))
 
 
-def _char_poly_pq(m):
-    """(p, q) with char(x) = x^3 + p x + q for a trace-zero 3x3 matrix."""
+def _t31_pq(system: Lts):
+    """(p, q) with char(a_theta) = x^3 + p x + q, or None off the T3,1-extension shape.
+
+    The shape is dim 4, dim Ann = dim [T,T,T] = 1 and nilpotency index 2:
+    T4,4, T4,5 and the family, the extensions of T3,1 by the line Ann.
+    """
+    if (system.dim, system.annihilator().dim, system.derived().dim) != (4, 1, 1) \
+            or system.nilpotency().index != 2:
+        return None
+    m = family_cocycle_matrix(system)
     p = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
     return p, -determinant(m)
+
+
+def _name_and_xi(system: Lts):
+    """(catalog name, xi) of a nilpotent system of dimension <= 4; no root finding.
+
+    Off the T3,1-extension shape the invariant key names the entry, or None.
+    On it a_theta decides up to similarity and scalar: nilpotent gives T4,4;
+    a repeated eigenvalue c = -3q/(2p) with rank(a_theta - c) = 2, that is
+    J_2(c) + (-2c), gives T4,5; every other class is the family member with
+    xi = -p^3/q^2, None at q = 0.
+    """
+    pq = _t31_pq(system)
+    if pq is None:
+        return _key_names().get(_invariant_key(system)), None
+    p, q = pq
+    if not p and not q:
+        return "T4,4", None
+    if q and 4 * p * p * p == -27 * q * q:
+        c = -3 * q / (2 * p)
+        m = family_cocycle_matrix(system)
+        if rank([[x - c if a == b else x for b, x in enumerate(row)]
+                 for a, row in enumerate(m)]) == 2:
+            return "T4,5", None
+    return FAMILY_NAME, -(p * p * p) / (q * q) if q else None
 
 
 def family_lambda_candidates(xi_value):
@@ -315,30 +328,14 @@ def classify(system: Lts) -> ClassifyResult:
     """
     if system.dim < 1 or system.dim > 4:
         raise DimensionUnsupported(f"classification covers dimensions 1..4, got {system.dim}")
-    nil = system.nilpotency()
-    if not nil.is_nilpotent:
+    if not system.nilpotency().is_nilpotent:
         raise NotNilpotent("input is not nilpotent")
-    key = _invariant_key(system)
-    names = _buckets_table().get(key)
-    if not names:
-        raise NoMatch(f"no catalog entry with invariants {key}")
-
-    for name in names:
-        if name == FAMILY_NAME:
-            continue
-        if system == instantiate(name):
-            return ClassifyResult(name, None, "certified")
-
-    if FAMILY_NAME not in names:
-        name = names[0]
-        return ClassifyResult(name, None, "fingerprint-only")
-
-    p, q = _char_poly_pq(family_cocycle_matrix(system))
-    xi_value = -(p * p * p) / (q * q) if q else None
-    if xi_value == xi(QI_ONE) and system.derivations()[0] == 6:
-        # a repeated eigenvalue with the derivations of a generic member:
-        # a_theta is J_2(1) + (-2), not diagonal.  A literal T4,5 matched above.
-        return ClassifyResult("T4,5", None, "fingerprint-only")
+    name, xi_value = _name_and_xi(system)
+    if name is None:
+        raise NoMatch(f"no catalog entry with invariants {_invariant_key(system)}")
+    if name != FAMILY_NAME:
+        confidence = "certified" if system == instantiate(name) else "fingerprint-only"
+        return ClassifyResult(name, None, confidence)
     candidates = family_lambda_candidates(xi_value)
     if not candidates:
         return ClassifyResult(FAMILY_NAME, None, "fingerprint-only", xi=xi_value,
@@ -349,7 +346,7 @@ def classify(system: Lts) -> ClassifyResult:
         confidence = "certified"
     else:
         lam, confidence = min(candidates, key=_height), "fingerprint-only"
-    note = "" if q else "xi singular at this parameter"
+    note = "" if xi_value is not None else "xi singular at this parameter"
     return ClassifyResult(FAMILY_NAME, lam, confidence, xi=xi_value, note=note)
 
 

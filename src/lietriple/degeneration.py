@@ -200,6 +200,7 @@ class NecessaryConditionReport:
     values: dict
     ranks_ok: dict      # flattening name -> rank at the source >= rank at the target
     relative_ok: bool   # the relative invariant vanishes, or does not apply
+    isomorphic: bool = False  # identical, or the same catalog class (name, xi)
 
     @property
     def violations(self):
@@ -229,26 +230,14 @@ class NecessaryConditionReport:
     @property
     def certifies_non_degeneration(self):
         # the derivation-count test assumes the systems are non-isomorphic
-        return (not self.identical) and bool(self.violations)
+        return (not self.isomorphic) and bool(self.violations)
 
     def __str__(self):
-        if self.identical:
-            return "identical tensors: degeneration is trivial"
+        if self.isomorphic:
+            return "isomorphic ends: degeneration is trivial"
         if not self.violations:
             return "all necessary conditions hold (no obstruction found)"
         return "; ".join(self.violations)
-
-
-def _relative_pq(system: Lts):
-    """(p, q) of the characteristic polynomial x^3 + p x + q of a_theta, or None.
-
-    Defined when dim T = 4, dim Ann = dim [T,T,T] = 1 and the nilpotency index
-    is 2: then T is an extension of T3,1 by the line Ann, with cocycle theta.
-    """
-    if (system.dim, system.annihilator().dim, system.derived().dim) != (4, 1, 1) \
-            or system.nilpotency().index != 2:
-        return None
-    return catalog._char_poly_pq(catalog.family_cocycle_matrix(system))
 
 
 def necessary_conditions(source: Lts, target: Lts) -> NecessaryConditionReport:
@@ -264,7 +253,8 @@ def necessary_conditions(source: Lts, target: Lts) -> NecessaryConditionReport:
     through det(phi) phi^-1 A phi on T3,1 and the scaling of the Ann line.
     So f = q0^2 p^3 - p0^3 q^2, with (p0, q0) read at the source, vanishes on
     the source's orbit and on its closure within U.  A target in U with
-    f != 0 lies outside that closure.
+    f != 0 lies outside that closure.  Isomorphic ends, identical tensors or
+    one catalog class, get no certificate.
     """
     values = {
         "ann": (source.annihilator().dim, target.annihilator().dim),
@@ -272,20 +262,31 @@ def necessary_conditions(source: Lts, target: Lts) -> NecessaryConditionReport:
         "der": (source.derivations()[0], target.derivations()[0]),
     }
     values.update(zip("LXZ", zip(source.flattening_ranks(), target.flattening_ranks())))
-    pq = (_relative_pq(source), _relative_pq(target))
+    pq = (catalog._t31_pq(source), catalog._t31_pq(target))
     values["pq"] = values["relative"] = None
     if None not in pq:
         (p0, q0), (p, q) = values["pq"] = pq
         values["relative"] = q0 * q0 * p * p * p - p0 * p0 * p0 * q * q
+    identical = source == target
     return NecessaryConditionReport(
         ann_ok=values["ann"][0] <= values["ann"][1],
         derived_ok=values["derived"][0] >= values["derived"][1],
         der_ok=values["der"][0] < values["der"][1],
-        identical=source == target,
+        identical=identical,
         values=values,
         ranks_ok={name: values[name][0] >= values[name][1] for name in "LXZ"},
         relative_ok=not values["relative"],
+        isomorphic=identical or _same_catalog_class(source, target),
     )
+
+
+def _same_catalog_class(source: Lts, target: Lts) -> bool:
+    """Both ends nilpotent of one dimension <= 4 with the same (catalog name, xi)."""
+    if source.dim != target.dim or source.dim > 4 or not (
+            source.nilpotency().is_nilpotent and target.nilpotency().is_nilpotent):
+        return False
+    name_xi = catalog._name_and_xi(source)
+    return name_xi[0] is not None and name_xi == catalog._name_and_xi(target)
 
 
 # ---------------------------------------------------------------------------

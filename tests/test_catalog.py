@@ -328,17 +328,21 @@ class TestClassify:
         def refuse(system):
             raise AssertionError("classify built Z^3 or B^3 of its input")
 
+        def no_derivations(system):
+            raise AssertionError("classify computed Der of a system")
+
         monkeypatch.setattr(cohomology, "cocycle_space", refuse)
         monkeypatch.setattr(cohomology, "coboundary_space", refuse)
+        monkeypatch.setattr(Lts, "derivations", no_derivations)
         rng = ExactRandom(97)
         for name, entry in catalog.ENTRIES.items():
-            for lam in ((G(0), G(1), G(2)) if entry.family else (None,)):
+            for lam in ((G(0), G(1), G(2), G(-2)) if entry.family else (None,)):
                 system = catalog.instantiate(name, lam)
                 moved = system.change_basis(rng.invertible(system.dim, height=3))
                 assert catalog.classify(moved).name == name, (name, lam)
 
     def test_literal_family_member_instantiates_one_member(self, monkeypatch):
-        catalog._buckets_table()
+        catalog._key_names()
         kept = {key: val for key, val in catalog._instances.items()
                 if key[0] != catalog.FAMILY_NAME}
         monkeypatch.setattr(catalog, "_instances", kept)
@@ -368,6 +372,76 @@ class TestClassify:
         tensor = [[[[0] * 5 for _ in range(5)] for _ in range(5)] for _ in range(5)]
         with pytest.raises(DimensionUnsupported):
             catalog.classify(Lts(tensor))
+
+
+# ---------------------------------------------------------------------------
+# the earlier classify, keyed on dim Der, as a reference
+
+
+def reference_key(system):
+    return (system.dim, system.annihilator().dim, system.derived().dim,
+            system.nilpotency().index, system.derivations()[0])
+
+
+def reference_buckets():
+    """Invariant key -> catalog names, family keyed at both derivation branches."""
+    table = {}
+    for name, entry in catalog.ENTRIES.items():
+        for lam in ((G(1), G(2)) if entry.family else (None,)):
+            names = table.setdefault(reference_key(catalog.instantiate(name, lam)), [])
+            if name not in names:
+                names.append(name)
+    return table
+
+
+def reference_classify(system, buckets):
+    names = buckets[reference_key(system)]
+    for name in names:
+        if name != catalog.FAMILY_NAME and system == catalog.instantiate(name):
+            return catalog.ClassifyResult(name, None, "certified")
+    if catalog.FAMILY_NAME not in names:
+        return catalog.ClassifyResult(names[0], None, "fingerprint-only")
+    p, q = _char_pq(catalog.family_cocycle_matrix(system))
+    xi_value = -(p * p * p) / (q * q) if q else None
+    if xi_value == catalog.xi(1) and system.derivations()[0] == 6:
+        return catalog.ClassifyResult("T4,5", None, "fingerprint-only")
+    candidates = catalog.family_lambda_candidates(xi_value)
+    if not candidates:
+        return catalog.ClassifyResult(catalog.FAMILY_NAME, None, "fingerprint-only",
+                                      xi=xi_value, note="parameter not recovered over Q(i)")
+    lam = system.constant(2, 3, 1, 4)
+    if lam in candidates and system == catalog.instantiate(catalog.FAMILY_NAME, lam):
+        confidence = "certified"
+    else:
+        lam, confidence = min(candidates, key=catalog._height), "fingerprint-only"
+    note = "" if q else "xi singular at this parameter"
+    return catalog.ClassifyResult(catalog.FAMILY_NAME, lam, confidence, xi=xi_value, note=note)
+
+
+REFERENCE_SYSTEMS = [(name, None) for name, entry in catalog.ENTRIES.items()
+                     if not entry.family]
+REFERENCE_SYSTEMS += [("T4,6", lam) for lam in (
+    G(0), G(-1), G(1), G(-2), G(Fraction(-1, 2)), G(2), G(3), QI_I, G(Fraction(2, 3)), BIG)]
+
+
+class TestClassifyReference:
+    @pytest.fixture(scope="class")
+    def buckets(self):
+        return reference_buckets()
+
+    @pytest.mark.parametrize("name,lam", REFERENCE_SYSTEMS)
+    def test_agrees_with_the_derivation_keyed_classify(self, name, lam, buckets):
+        system = catalog.instantiate(name, lam)
+        inputs = [system] + [system.change_basis(ExactRandom(seed).invertible(system.dim, height=3))
+                             for seed in range(1, 9)]
+        for moved in inputs:
+            assert _answer(catalog.classify(moved)) == _answer(reference_classify(moved, buckets))
+
+    def test_one_key_per_entry_outside_the_family(self):
+        names = catalog._key_names()
+        assert len(names) == 12
+        assert sorted(names.values()) == sorted(
+            name for name, entry in catalog.ENTRIES.items() if not entry.family)
 
 
 class TestTable1Report:

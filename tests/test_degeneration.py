@@ -290,7 +290,8 @@ class TestNecessaryConditions:
     def test_identical_pair_trivially_fine(self):
         system = catalog.instantiate("T4,4")
         report = dg.necessary_conditions(system, system)
-        assert report.identical and not report.certifies_non_degeneration
+        assert report.identical and report.isomorphic
+        assert not report.certifies_non_degeneration
 
     def test_verified_edges_satisfy_corollary(self):
         # cross-check of every condition against every verified witness
@@ -362,6 +363,19 @@ class TestCertificates:
                                          catalog.instantiate("T4,6", G(1)))
         assert report.values["relative"] == 0 and report.relative_ok
         assert all(report.ranks_ok.values())
+        assert report.isomorphic and not report.identical
+        assert not report.certifies_non_degeneration
+        assert str(report) == "isomorphic ends: degeneration is trivial"
+
+    def test_dense_conjugate_of_the_target_is_isomorphic_to_it(self):
+        t461 = catalog.instantiate("T4,6", G(1))
+        dense = t461.change_basis(ExactRandom(7).invertible(4, height=3))
+        for lam in (G(1), G(-2), G(-1) / 2):
+            report = dg.necessary_conditions(catalog.instantiate("T4,6", lam), dense)
+            assert report.isomorphic and not report.certifies_non_degeneration, lam
+        report = dg.necessary_conditions(catalog.instantiate("T4,6", G(2)), dense)
+        assert not report.isomorphic and report.certifies_non_degeneration
+        assert not report.relative_ok
 
 
 class TestSeparatingSets:
