@@ -38,7 +38,7 @@ from .errors import (
     UnknownName,
 )
 from .cohomology import Cocycle, a_theta, delta_indices
-from .core import Lts, _normalize_scalar, complete_table
+from .core import Lts, _memo, _normalize_scalar, complete_table
 from .linalg import determinant, rank
 from .scalars import (GaussianRational, Polynomial, QI_ONE, QI_ZERO, gaussian_roots,
                       parse_scalar, scalar_str)
@@ -254,6 +254,7 @@ def family_cocycle_matrix(system: Lts):
     return a_theta(Cocycle(instantiate("T3,1"), theta))
 
 
+@_memo
 def _t31_pq(system: Lts):
     """(p, q) with char(a_theta) = x^3 + p x + q, or None off the T3,1-extension shape.
 
@@ -268,6 +269,7 @@ def _t31_pq(system: Lts):
     return p, -determinant(m)
 
 
+@_memo
 def _name_and_xi(system: Lts):
     """(catalog name, xi) of a nilpotent system of dimension <= 4; no root finding.
 

@@ -29,7 +29,8 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import Lts, _axiom_residuals, _conjugate_rows, _normalize_scalar, first_axiom_failure
+from .core import (Lts, _axiom_residuals, _conjugate_rows, _memo, _normalize_scalar,
+                   first_axiom_failure)
 from .linalg import Subspace, nullspace
 from .scalars import QI_ZERO
 
@@ -203,15 +204,14 @@ class CochainSpace:
         return f"CochainSpace(dim {self.dim} on Lts dim {self.ambient.dim})"
 
 
+@_memo
 def cocycle_space(system: Lts) -> CochainSpace:
     """Z^3, the solution space of (B1)-(B3) over all basis tuples.
 
     One extension carries every elementary cochain on a coordinate of its
     own; each axiom residual of it, read on those coordinates, is one
-    (B2) or (B3) equation.  Cached on the system, like its other invariants.
+    (B2) or (B3) equation.
     """
-    if "z3" in system._cache:
-        return system._cache["z3"]
     n = system.dim
     idx = delta_indices(n)
     units = [Cocycle(system, {t: 1}) for t in idx]
@@ -221,8 +221,7 @@ def cocycle_space(system: Lts) -> CochainSpace:
         row = [cell.get(q, QI_ZERO) for q in columns]
         if any(row):
             equations.append(row)
-    system._cache["z3"] = CochainSpace(system, nullspace(equations, len(idx)), _closed=True)
-    return system._cache["z3"]
+    return CochainSpace(system, nullspace(equations, len(idx)), _closed=True)
 
 
 def coboundary_of(system: Lts, functional) -> Cocycle:

@@ -16,6 +16,7 @@ zero-fills the rest and then checks all three identities on the rows they touch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
@@ -61,6 +62,20 @@ def _normalize_scalar(x):
 
 def _zero_like(x):
     return x * 0
+
+
+def _memo(fn):
+    """``fn(system)`` computed once and kept in ``system._cache`` under fn's
+    qualified name; a string key keeps the system picklable, and ``wraps``
+    lets ``inspect.unwrap`` find the original code."""
+    key = fn.__qualname__
+
+    @functools.wraps(fn)
+    def memoized(system):
+        if key not in system._cache:
+            system._cache[key] = fn(system)
+        return system._cache[key]
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -205,33 +220,26 @@ class Lts:
 
     # -- structural invariants -------------------------------------------------
 
+    @_memo
     def annihilator(self) -> Subspace:
         """Ann(T) = {x : [x, T, T] = 0}, as a canonical subspace."""
-        if "ann" in self._cache:
-            return self._cache["ann"]
         n = self.dim
         columns = {}  # (j, k, p) -> the row (c_{ijk}^p)_i
         for i, j, k, p, val in self.nonzero_entries():
             columns.setdefault((j, k, p), [self._zero] * n)[i] = val
-        space = Subspace(n, nullspace([columns[key] for key in sorted(columns)], n))
-        self._cache["ann"] = space
-        return space
+        return Subspace(n, nullspace([columns[key] for key in sorted(columns)], n))
 
+    @_memo
     def derived(self) -> Subspace:
         """T^(1) = [T, T, T], the span of all basis products."""
-        if "derived" in self._cache:
-            return self._cache["derived"]
         n = self.dim
         vectors = [[row.get(p, self._zero) for p in range(n)]
                    for (i, j, _k), row in self._rows.items() if i < j]
-        space = Subspace(n, vectors)
-        self._cache["derived"] = space
-        return space
+        return Subspace(n, vectors)
 
+    @_memo
     def nilpotency(self) -> NilpotencyReport:
         """Series T^(0) = T, T^(m+1) = [T^(m), T, T] until zero or stabilization."""
-        if "nilpotency" in self._cache:
-            return self._cache["nilpotency"]
         n = self.dim
         current = Subspace(n, identity_matrix(n, one=self._zero + 1, zero=self._zero))
         series = [current]
@@ -251,11 +259,10 @@ class Lts:
                 break
             current = nxt
             series.append(current)
-        report = NilpotencyReport(nilpotent, len(series) - 1 if nilpotent else None,
-                                  tuple(series))
-        self._cache["nilpotency"] = report
-        return report
+        return NilpotencyReport(nilpotent, len(series) - 1 if nilpotent else None,
+                                tuple(series))
 
+    @_memo
     def derivations(self):
         """Dimension and matrix basis of Der(T), the stabilizer Lie algebra of the product.
 
@@ -266,8 +273,6 @@ class Lts:
         is minus the one at (i, j, k) and the one at (i, i, k) is zero: only
         keys with i < j are read.
         """
-        if "derivations" in self._cache:
-            return self._cache["derivations"]
         n = self.dim
         mirrored = _satisfies_a1(self._rows)
         forms = {}  # (i, j, k, p) -> {a*n + b: coefficient}
@@ -281,10 +286,9 @@ class Lts:
         rows = [[form.get(u, self._zero) for u in range(n * n)] for form in forms.values()]
         matrices = [[vec[a * n:(a + 1) * n] for a in range(n)]
                     for vec in nullspace(rows, n * n)]
-        result = (len(matrices), matrices)
-        self._cache["derivations"] = result
-        return result
+        return len(matrices), matrices
 
+    @_memo
     def flattening_ranks(self):
         """Ranks (L, X, Z) of x^y -> [x,y,.], x -> [x,.,.] and z -> [.,.,z].
 
@@ -292,8 +296,6 @@ class Lts:
         drop under degeneration (Burde-Steinhoff, J. Algebra 214, 1999;
         Grunewald-O'Halloran, J. Algebra 112, 1988).  Only nonzero columns are built.
         """
-        if "flattening" in self._cache:
-            return self._cache["flattening"]
         ranks = []
         # positions in (i, j, k, p) of the row and of the column index of L, X and Z
         for row_at, column_at in (((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((2,), (0, 1, 3))):
@@ -304,8 +306,7 @@ class Lts:
             columns = sorted({c for row in table.values() for c in row})
             ranks.append(rank([[row.get(c, self._zero) for c in columns]
                                for row in table.values()]))
-        self._cache["flattening"] = tuple(ranks)
-        return self._cache["flattening"]
+        return tuple(ranks)
 
     def orbit_dimension(self) -> int:
         """dim O(T) = n^2 - dim Der(T) for the conjugation action of GL_n."""
@@ -318,15 +319,14 @@ class Lts:
         h, g = _basis_change(self.dim, g)
         return Lts.from_rows(self.dim, _conjugate_rows(self._rows, h, g), verified=self.verified)
 
+    @_memo
     def fingerprint(self) -> Fingerprint:
-        if "fingerprint" in self._cache:
-            return self._cache["fingerprint"]
         from .cohomology import cocycle_space  # cycle-free at runtime
 
         nil = self.nilpotency()
         z3 = cocycle_space(self)
         derived = self.derived().dim
-        fp = Fingerprint(
+        return Fingerprint(
             dim=self.dim,
             dim_ann=self.annihilator().dim,
             dim_derived=derived,
@@ -335,8 +335,6 @@ class Lts:
             dim_z3=z3.dim,
             dim_h3=z3.dim - derived,  # dim B^3 = dim [T,T,T]
         )
-        self._cache["fingerprint"] = fp
-        return fp
 
 
 def _add_row(cell, row, factor):

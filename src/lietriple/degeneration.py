@@ -554,7 +554,6 @@ class GraphEdge:
     source: str
     target: str
     kind: str  # "table2" | "table4" | "family-member" | "dim3"
-    verified: bool
     label: str = ""
 
 
@@ -564,7 +563,6 @@ class DegenerationGraph:
     nodes: list
     edges: list
     maximal: list
-    consistent: bool
 
     def node(self, name):
         for n in self.nodes:
@@ -602,9 +600,10 @@ def degeneration_graph(dim=4) -> DegenerationGraph:
     node followed by its two distinguished members, joined to them by
     family-member edges.  The other edges are the verified built-in
     witnesses.  Every verified edge is cross-checked against the necessary
-    conditions; a contradiction raises, since it would mean a bug on one side
-    or the other.  Orbit dimensions are computed from the derivation formula;
-    the published strata are carried alongside as data.
+    conditions; a contradiction raises ``InconsistentGraph``, since it would
+    mean a bug on one side or the other, so a returned graph is consistent.
+    Orbit dimensions are computed from the derivation formula; the published
+    strata are carried alongside as data.
     """
     if dim not in (3, 4):
         raise MalformedInput("dim", "graph supports dimensions 3 and 4")
@@ -623,8 +622,7 @@ def degeneration_graph(dim=4) -> DegenerationGraph:
             member = _node_name(name, lam)
             nodes.append(GraphNode(member, catalog.instantiate(name, lam).orbit_dimension(),
                                    stratum))
-            edges.append(GraphEdge(_node_name(name), member, "family-member", True,
-                                   "family closure"))
+            edges.append(GraphEdge(_node_name(name), member, "family-member", "family closure"))
 
     for kind, docs in _WITNESS_TABLES.items():
         for doc in docs:
@@ -637,7 +635,7 @@ def degeneration_graph(dim=4) -> DegenerationGraph:
             indexed = witness.index_fn is not None
             src_name = _node_name(witness.source, None if indexed else witness.source_lambda)
             tgt_name = _node_name(witness.target, witness.target_lambda)
-            edges.append(GraphEdge(src_name, tgt_name, kind, True, witness.label))
+            edges.append(GraphEdge(src_name, tgt_name, kind, witness.label))
 
             source = catalog.instantiate(witness.source, _GENERIC_FAMILY_SAMPLE) \
                 if indexed else witness.source_system()
@@ -653,7 +651,7 @@ def degeneration_graph(dim=4) -> DegenerationGraph:
         if e.source != e.target:
             incoming[e.target] += 1
     maximal = sorted(name for name, count in incoming.items() if count == 0)
-    return DegenerationGraph(dim, nodes, edges, maximal, True)
+    return DegenerationGraph(dim, nodes, edges, maximal)
 
 
 # ---------------------------------------------------------------------------

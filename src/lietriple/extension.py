@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotClosed, PreconditionViolated, ZeroVector
-from .core import Lts
+from .core import Lts, _normalize_scalar
 from .cohomology import coboundary_space, extension_rows
-from .linalg import Subspace, rref
+from .linalg import Subspace, rank
 from .scalars import QI_ONE, QI_ZERO
 
 __all__ = [
@@ -94,11 +94,7 @@ def extension_annihilator(spec: ExtensionSpec) -> Subspace:
 def _class_rank(spec: ExtensionSpec):
     """Rank of the classes [theta_1..theta_s] in H^3(base, F)."""
     b3 = coboundary_space(spec.base)
-    base_rows = [list(r) for r in b3.coordinates]
-    stacked = base_rows + [theta.coordinates() for theta in spec.thetas]
-    reduced, _ = rref(stacked)
-    total_rank = len([r for r in reduced if any(x != 0 for x in r)])
-    return total_rank - b3.dim
+    return rank(b3.coordinates + [theta.coordinates() for theta in spec.thetas]) - b3.dim
 
 
 def in_ts(spec: ExtensionSpec) -> bool:
@@ -118,7 +114,8 @@ def has_annihilator_component(spec: ExtensionSpec) -> bool:
 
 
 def normalize_line_2dim(alpha, beta):
-    """Invertible A with (alpha beta) A = (1 0); the two textbook cases."""
+    """Invertible A with (alpha beta) A = (1 0) over the field; floats are refused."""
+    alpha, beta = _normalize_scalar(alpha), _normalize_scalar(beta)
     if alpha == 0 and beta == 0:
         raise ZeroVector("(0, 0) spans no line")
     if alpha != 0:

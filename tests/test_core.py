@@ -1,6 +1,8 @@
 """Structure-constant systems: completion, axioms, invariants, transforms."""
 
+import copy
 import json
+import pickle
 import time
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 
 from conftest import basis_vector, oracle_annihilator_dim, oracle_derived_dim
 from lietriple import catalog
-from lietriple.cohomology import Cocycle
+from lietriple.cohomology import Cocycle, cocycle_space
 from lietriple.core import (
     MAX_DIM,
     Lts,
@@ -363,6 +365,31 @@ class TestFingerprint:
         system = catalog.instantiate("T4,9")
         moved = system.change_basis(rng.unimodularish(4))
         assert moved.fingerprint() == system.fingerprint()
+
+
+class TestMemo:
+    @staticmethod
+    def invariants(system):
+        """Every memoized invariant, with the cocycle space by its basis."""
+        return (system.annihilator(), system.derived(), system.nilpotency(),
+                system.derivations(), system.flattening_ranks(), system.fingerprint(),
+                cocycle_space(system).coordinates, catalog._t31_pq(system),
+                catalog._name_and_xi(system))
+
+    @pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_keep_their_invariants(self, copier):
+        system = Lts.from_rows(4, catalog.instantiate("T4,6", 2).rows(), verified=True)
+        before = self.invariants(system)
+        copied = copier(system)
+        assert copied == system and copied is not system
+        assert copied._cache.keys() == system._cache.keys()
+        assert self.invariants(copied) == before
+
+    def test_computed_once(self):
+        system = Lts.from_rows(4, catalog.instantiate("T4,5").rows(), verified=True)
+        first = self.invariants(system)
+        assert all(a is b for a, b in zip(self.invariants(system), first))
 
 
 class TestJsonRoundTrip:

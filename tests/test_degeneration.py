@@ -10,7 +10,7 @@ import pytest
 from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.core import Lts, _conjugate_rows
-from lietriple.errors import MalformedInput, PoleAtZero, SingularBasis
+from lietriple.errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis
 from lietriple.linalg import mat_inverse, mat_mul, rank
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import (
@@ -377,6 +377,18 @@ class TestCertificates:
         assert not report.isomorphic and report.certifies_non_degeneration
         assert not report.relative_ok
 
+    def test_a_theta_is_built_once_per_system(self, monkeypatch):
+        builds = []
+        real = catalog.a_theta
+        monkeypatch.setattr(catalog, "a_theta", lambda theta: builds.append(theta) or real(theta))
+        # fresh copies: catalog instances may already carry their invariants
+        ends = [Lts.from_rows(4, catalog.instantiate(*end).rows(), verified=True)
+                for end in (("T4,6", G(2)), ("T4,4", None))]
+        first = dg.necessary_conditions(*ends)
+        assert len(builds) == 2
+        assert dg.necessary_conditions(*ends) == first
+        assert len(builds) == 2
+
 
 class TestSeparatingSets:
     def test_row1_membership(self):
@@ -605,7 +617,6 @@ class TestGraph:
             ("T4,6*", "T4,6^0"), ("T4,6*", "T4,6^1"),
         }
         assert pairs == expected
-        assert graph.consistent
 
     def test_dim4_orbit_annotations(self):
         graph = dg.degeneration_graph(4)
@@ -621,6 +632,17 @@ class TestGraph:
         assert graph.maximal == ["T3,2"]
         assert graph.node("T3,2").orbit_dim == 4
         assert graph.edge_pairs() == [("T3,2", "T3,1")]
+
+    @pytest.mark.parametrize("target, message", [
+        ("T3,1", "built-in witness failed"),  # the identity does not degenerate T3,2 to T3,1
+        ("T3,2", "violates a necessary condition"),  # verified, but dim Der does not grow
+    ])
+    def test_inconsistent_witness_table_raises(self, monkeypatch, target, message):
+        identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+        doc = {"source": {"name": "T3,2"}, "target": {"name": target}, "basis": identity}
+        monkeypatch.setattr(dg, "_WITNESS_TABLES", {"dim3": [doc]})
+        with pytest.raises(InconsistentGraph, match=message):
+            dg.degeneration_graph(3)
 
 
 class TestJsonForms:

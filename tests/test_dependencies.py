@@ -1,5 +1,6 @@
 """The package runs on the Python standard library alone."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,17 @@ def test_no_runtime_dependency_declared():
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_invariants_are_cached_only_through_the_memo():
+    # _set_rows creates a system's cache and _memo alone reads and fills it
+    package = ROOT / "src" / "lietriple"
+    tree = ast.parse((package / "core.py").read_text())
+    allowed = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in ("_set_rows", "_memo")]
+    assert len(allowed) == 2
+    stray = [f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if "_cache" in line
+             and not (path.name == "core.py" and any(number in lines for lines in allowed))]
+    assert stray == []

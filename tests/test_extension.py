@@ -171,6 +171,16 @@ class TestNormalizeLine:
         with pytest.raises(ZeroVector):
             normalize_line_2dim(GaussianRational(0), GaussianRational(0))
 
+    @pytest.mark.parametrize("alpha, beta", [(2, 3), (0, 3), (-5, 0)])
+    def test_integers_give_field_elements(self, alpha, beta):
+        A = normalize_line_2dim(alpha, beta)
+        assert all(type(x) is GaussianRational for row in A for x in row)
+        assert [alpha * A[0][0] + beta * A[1][0], alpha * A[0][1] + beta * A[1][1]] == [1, 0]
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            normalize_line_2dim(0.5, 1)
+
 
 class TestStructuralProperties:
     def test_extension_nilpotent_iff_base(self):
