@@ -237,6 +237,7 @@ def _key_names():
             for name, entry in ENTRIES.items() if not entry.family}
 
 
+@_memo
 def family_cocycle_matrix(system: Lts):
     """a_theta of the cocycle theta that presents ``system`` as an extension of T3,1.
 

@@ -146,9 +146,10 @@ def _cmd_extend(args):
         base = catalog.instantiate(base_doc)
     else:
         base = lts_from_dict(base_doc, require_field="Q" if args.field == "Q" else None)
-    if not isinstance(doc["thetas"], list) or not all(
+    if not isinstance(doc["thetas"], list) or not doc["thetas"] or not all(
             isinstance(entry, (list, dict)) for entry in doc["thetas"]):
-        raise MalformedInput("thetas", "expected a list of cocycle documents or coeffs lists")
+        raise MalformedInput("thetas", "expected a non-empty list of cocycle documents "
+                                       "or coeffs lists")
     thetas = []
     for entry in doc["thetas"]:
         entry = entry if isinstance(entry, dict) else {"coeffs": entry}

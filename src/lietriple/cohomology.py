@@ -29,8 +29,8 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import (Lts, _axiom_residuals, _conjugate_rows, _memo, _normalize_scalar,
-                   first_axiom_failure)
+from .core import (Lts, _axiom_residuals, _conjugate_rows, _first_slot_kernel, _memo,
+                   _normalize_scalar, first_axiom_failure)
 from .linalg import Subspace, nullspace
 from .scalars import QI_ZERO
 
@@ -155,26 +155,28 @@ class Cocycle:
 
     def radical(self) -> Subspace:
         """Rad(theta) = {x : theta(x, T, T) = 0}, one equation per nonzero column (j, k)."""
-        n = self.ambient.dim
-        columns = {}  # (j, k) -> (theta(e_i, e_j, e_k))_i, 0-based
-        for (i, j, k), val in self.coeffs.items():
-            columns.setdefault((j - 1, k - 1), [QI_ZERO] * n)[i - 1] = val
-            columns.setdefault((i - 1, k - 1), [QI_ZERO] * n)[j - 1] = -val
-        return Subspace(n, nullspace([columns[key] for key in sorted(columns)], n))
+        return _first_slot_kernel(self.ambient.dim, _theta_rows(self))
 
     def __repr__(self):
         terms = ", ".join(f"({i},{j},{k}): {v}" for (i, j, k), v in sorted(self.coeffs.items()))
         return f"Cocycle({{{terms}}})"
 
 
+def _theta_rows(theta, p=0):
+    """theta as 0-based rows (i, j, k) -> {p: value}, in both orders of (i, j)."""
+    rows = {}
+    for (i, j, k), val in theta.coeffs.items():
+        rows[(i - 1, j - 1, k - 1)] = {p: val}
+        rows[(j - 1, i - 1, k - 1)] = {p: -val}
+    return rows
+
+
 def extension_rows(base: Lts, thetas):
     """Nonzero rows of T_theta: theta_r is read on the new coordinate dim(base) + r."""
-    n = base.dim
     rows = {key: dict(row) for key, row in base.rows().items()}
     for r, theta in enumerate(thetas):
-        for (i, j, k), val in theta.coeffs.items():
-            rows.setdefault((i - 1, j - 1, k - 1), {})[n + r] = val
-            rows.setdefault((j - 1, i - 1, k - 1), {})[n + r] = -val
+        for key, cell in _theta_rows(theta, base.dim + r).items():
+            rows.setdefault(key, {}).update(cell)
     return rows
 
 
@@ -235,6 +237,7 @@ def coboundary_of(system: Lts, functional) -> Cocycle:
     return Cocycle._known(system, coeffs)
 
 
+@_memo
 def coboundary_space(system: Lts) -> CochainSpace:
     """B^3 spanned by delta of the dual basis; dim B^3 = dim [T,T,T]."""
     position = {t: c for c, t in enumerate(delta_indices(system.dim))}
@@ -339,12 +342,9 @@ def aut_action(phi, theta: Cocycle, check=True) -> Cocycle:
         raise DimensionMismatch(f"phi must be {system.dim}x{system.dim}")
     if check and not is_automorphism(system, phi):
         raise NotAnAutomorphism("matrix does not preserve the product")
-    rows = {}
-    for (i, j, k), val in theta.coeffs.items():
-        rows[(i - 1, j - 1, k - 1)] = {0: val}
-        rows[(j - 1, i - 1, k - 1)] = {0: -val}
     coeffs = {(i + 1, j + 1, k + 1): row[0]
-              for (i, j, k), row in _conjugate_rows(rows, phi, [[1]]).items() if i < j}
+              for (i, j, k), row in _conjugate_rows(_theta_rows(theta), phi, [[1]]).items()
+              if i < j}
     # phi theta is closed for closed theta only when phi is an automorphism
     return Cocycle._known(system, coeffs, theta.closed and check)
 

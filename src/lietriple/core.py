@@ -27,7 +27,6 @@ from .errors import (
     InconsistentTable,
     MalformedInput,
     NotALieAlgebra,
-    SingularMatrix,
 )
 from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
 from .scalars import GaussianRational, QI_ZERO, RationalFunction, parse_scalar, scalar_str
@@ -223,11 +222,7 @@ class Lts:
     @_memo
     def annihilator(self) -> Subspace:
         """Ann(T) = {x : [x, T, T] = 0}, as a canonical subspace."""
-        n = self.dim
-        columns = {}  # (j, k, p) -> the row (c_{ijk}^p)_i
-        for i, j, k, p, val in self.nonzero_entries():
-            columns.setdefault((j, k, p), [self._zero] * n)[i] = val
-        return Subspace(n, nullspace([columns[key] for key in sorted(columns)], n))
+        return _first_slot_kernel(self.dim, self._rows)
 
     @_memo
     def derived(self) -> Subspace:
@@ -294,11 +289,12 @@ class Lts:
 
         Each is GL-invariant with Zariski-closed sublevel sets, so it can only
         drop under degeneration (Burde-Steinhoff, J. Algebra 214, 1999;
-        Grunewald-O'Halloran, J. Algebra 112, 1988).  Only nonzero columns are built.
+        Grunewald-O'Halloran, J. Algebra 112, 1988).  Only nonzero columns are
+        built; the kernel of X is Ann(T), so X = dim - dim Ann.
         """
         ranks = []
-        # positions in (i, j, k, p) of the row and of the column index of L, X and Z
-        for row_at, column_at in (((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((2,), (0, 1, 3))):
+        # positions in (i, j, k, p) of the row and of the column index of L and Z
+        for row_at, column_at in (((0, 1), (2, 3)), ((2,), (0, 1, 3))):
             table = {}
             for *idx, val in self.nonzero_entries():
                 table.setdefault(tuple(idx[a] for a in row_at), {})[
@@ -306,7 +302,7 @@ class Lts:
             columns = sorted({c for row in table.values() for c in row})
             ranks.append(rank([[row.get(c, self._zero) for c in columns]
                                for row in table.values()]))
-        return tuple(ranks)
+        return ranks[0], self.dim - self.annihilator().dim, ranks[1]
 
     def orbit_dimension(self) -> int:
         """dim O(T) = n^2 - dim Der(T) for the conjugation action of GL_n."""
@@ -335,6 +331,23 @@ class Lts:
             dim_z3=z3.dim,
             dim_h3=z3.dim - derived,  # dim B^3 = dim [T,T,T]
         )
+
+
+def _first_slot_kernel(n, rows):
+    """{x : sum_i x_i row(i, j, k) = 0 for every (j, k)}, as a canonical subspace.
+
+    ``rows`` maps 0-based (i, j, k), i < n, to {p: value}; there is one
+    equation per nonzero (j, k, p).  Ann(T), Rad(theta) and their meet are
+    this kernel of the rows of T, of theta and of T_theta.  The zero is the
+    rows' own, or Q(i)'s when there are no rows.
+    """
+    columns = {}  # (j, k, p) -> {i: value}
+    for (i, j, k), row in rows.items():
+        for p, val in row.items():
+            columns.setdefault((j, k, p), {})[i] = val
+    zero = _zero_like(val) if columns else QI_ZERO
+    return Subspace(n, nullspace([[column.get(i, zero) for i in range(n)]
+                                  for column in columns.values()], n))
 
 
 def _add_row(cell, row, factor):

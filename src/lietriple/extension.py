@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotClosed, PreconditionViolated, ZeroVector
-from .core import Lts, _normalize_scalar
+from .core import Lts, _first_slot_kernel, _normalize_scalar
 from .cohomology import coboundary_space, extension_rows
 from .linalg import Subspace, rank
 from .scalars import QI_ONE, QI_ZERO
@@ -60,11 +60,9 @@ def _ensure_closed(spec: ExtensionSpec):
 
 
 def _radical_meet(spec: ExtensionSpec) -> Subspace:
-    """∩ Rad(theta_i) ∩ Ann(base)."""
-    meet = spec.base.annihilator()
-    for theta in spec.thetas:
-        meet = meet.intersection(theta.radical())
-    return meet
+    """∩ Rad(theta_i) ∩ Ann(base): the base vectors x with [x, T, T] = 0 and
+    every theta_i(x, T, T) = 0, the first-slot kernel of T_theta's rows."""
+    return _first_slot_kernel(spec.base.dim, extension_rows(spec.base, spec.thetas))
 
 
 def extend(spec: ExtensionSpec) -> Lts:

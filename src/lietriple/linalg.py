@@ -297,27 +297,5 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, tuple(tuple(r) for r in self.basis)))
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient, self.basis + other.basis)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-free intersection: solve a.A = b.B across the two spans."""
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient)
-        rows = []
-        for c in range(self.ambient):
-            rows.append([self.basis[k][c] for k in range(self.dim)]
-                        + [-other.basis[k][c] for k in range(other.dim)])
-        sols = nullspace(rows, self.dim + other.dim)
-        zero, _ = _zero_one(self.basis)
-        vectors = []
-        for s in sols:
-            vec = [zero] * self.ambient
-            for k in range(self.dim):
-                if s[k] != 0:
-                    vec = [x + s[k] * y for x, y in zip(vec, self.basis[k])]
-            vectors.append(vec)
-        return Subspace(self.ambient, vectors)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"

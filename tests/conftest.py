@@ -10,7 +10,19 @@ from __future__ import annotations
 import pytest
 
 from lietriple import catalog
+from lietriple.cohomology import Cocycle, cocycle_space
+from lietriple.extension import ExtensionSpec
+from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational
+
+# The published cocycles on T3,2 whose extensions are T4,7, T4,8 and T4,9.  For
+# T4,9, Rad D[1,3,1] = <e2> is not inside Ann(T3,2) = <e3>: only the Ann(T) half
+# of the radical meet makes the meet zero.
+T32_EXTENSIONS = {
+    "T4,7": {(1, 2, 3): 1, (1, 3, 2): 1},
+    "T4,8": {(1, 3, 1): 1, (1, 2, 2): 1},
+    "T4,9": {(1, 3, 1): 1},
+}
 
 
 def oracle_rank(rows):
@@ -68,6 +80,12 @@ def basis_vector(n, k, scale=1):
             for q in range(1, n + 1)]
 
 
+def t32_extension(name):
+    """The extension spec of T3,2 by the published cocycle of ``name``."""
+    base = catalog.instantiate("T3,2")
+    return ExtensionSpec(base, [Cocycle(base, T32_EXTENSIONS[name])])
+
+
 @pytest.fixture(scope="session")
 def t21():
     return catalog.instantiate("T2,1")
@@ -81,3 +99,25 @@ def t31():
 @pytest.fixture(scope="session")
 def t32():
     return catalog.instantiate("T3,2")
+
+
+@pytest.fixture(scope="session")
+def seeded_specs():
+    """Seeded closed cocycles, s = 1 and 2, on every catalog base of dimension <= 4.
+
+    The family enters at a special and a generic parameter.  Generic cocycles
+    have a zero radical, so these specs do not read the Ann(T) half of the
+    radical meet; ``T32_EXTENSIONS`` does.
+    """
+    bases = [(name, catalog.instantiate(name))
+             for name, entry in catalog.ENTRIES.items() if not entry.family]
+    bases += [(f"T4,6^{lam}", catalog.instantiate("T4,6", lam)) for lam in ("1", "2")]
+    rng = ExactRandom(67)
+    specs = []
+    for label, base in bases:
+        space = cocycle_space(base)
+        for s in (1, 2):
+            for _ in range(3):
+                specs.append((f"{label} s={s}",
+                              ExtensionSpec(base, [rng.cocycle(space) for _ in range(s)])))
+    return specs

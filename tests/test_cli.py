@@ -113,6 +113,7 @@ def test_extend(tmp_path, capsys):
     [{"coeffs": [{"ijk": [True, 2, 1], "value": "1"}]}],
     [{"coeffs": [{"ijk": [1.0, 2, 1], "value": "1"}]}],
     [{"system": ["T3,2"], "coeffs": [{"ijk": [1, 2, 1], "value": "1"}]}],
+    [],
 ])
 def test_extend_malformed_cocycle(tmp_path, capsys, thetas):
     path = tmp_path / "ext.json"

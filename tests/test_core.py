@@ -10,7 +10,7 @@ import pytest
 
 from conftest import basis_vector, oracle_annihilator_dim, oracle_derived_dim
 from lietriple import catalog
-from lietriple.cohomology import Cocycle, cocycle_space
+from lietriple.cohomology import Cocycle, coboundary_space, cocycle_space
 from lietriple.core import (
     MAX_DIM,
     Lts,
@@ -370,10 +370,11 @@ class TestFingerprint:
 class TestMemo:
     @staticmethod
     def invariants(system):
-        """Every memoized invariant, with the cocycle space by its basis."""
+        """Every memoized invariant, with the cochain spaces by their bases."""
         return (system.annihilator(), system.derived(), system.nilpotency(),
                 system.derivations(), system.flattening_ranks(), system.fingerprint(),
-                cocycle_space(system).coordinates, catalog._t31_pq(system),
+                cocycle_space(system).coordinates, coboundary_space(system).coordinates,
+                catalog.family_cocycle_matrix(system), catalog._t31_pq(system),
                 catalog._name_and_xi(system))
 
     @pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],

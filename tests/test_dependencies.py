@@ -44,3 +44,28 @@ def test_invariants_are_cached_only_through_the_memo():
              if "_cache" in line
              and not (path.name == "core.py" and any(number in lines for lines in allowed))]
     assert stray == []
+
+
+def test_every_import_is_used():
+    # no linter runs on the package, so a name imported and then left unused stays
+    stale = []
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                exported = set(ast.literal_eval(node.value))
+        stale += [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+                  if name not in used | exported]
+    assert stale == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import basis_vector
+from conftest import T32_EXTENSIONS, basis_vector, t32_extension
 from lietriple import catalog
 from lietriple.cohomology import Cocycle, coboundary_of, cocycle_space
 from lietriple.core import Lts, lts_from_lie
@@ -21,26 +21,6 @@ from lietriple.scalars import GaussianRational
 
 def D(system, coeffs):
     return Cocycle(system, coeffs)
-
-
-@pytest.fixture(scope="module")
-def seeded_specs():
-    """Seeded closed cocycles, s = 1 and 2, on every catalog base of dimension <= 4.
-
-    The family enters at a special and a generic parameter.
-    """
-    bases = [(name, catalog.instantiate(name))
-             for name, entry in catalog.ENTRIES.items() if not entry.family]
-    bases += [(f"T4,6^{lam}", catalog.instantiate("T4,6", lam)) for lam in ("1", "2")]
-    rng = ExactRandom(67)
-    specs = []
-    for label, base in bases:
-        space = cocycle_space(base)
-        for s in (1, 2):
-            for _ in range(3):
-                specs.append((f"{label} s={s}",
-                              ExtensionSpec(base, [rng.cocycle(space) for _ in range(s)])))
-    return specs
 
 
 class TestExtend:
@@ -114,7 +94,9 @@ class TestExtensionAnnihilator:
         assert space.dim == 4
 
     def test_formula_matches_direct_computation_randomized(self, seeded_specs):
-        for label, spec in seeded_specs:
+        # the published T3,2 cases are the ones whose meet needs Ann(base)
+        published = [(name, t32_extension(name)) for name in T32_EXTENSIONS]
+        for label, spec in seeded_specs + published:
             assert extension_annihilator(spec) == extend(spec).annihilator(), label
 
     def test_non_closed_cochain_rejected(self, seeded_specs):
@@ -136,6 +118,10 @@ class TestInTs:
 
     def test_coboundary_class_is_zero(self, t32):
         assert not in_ts(ExtensionSpec(t32, [D(t32, {(1, 2, 1): 1})]))
+
+    @pytest.mark.parametrize("name", T32_EXTENSIONS)
+    def test_published_extensions_of_t32(self, name):
+        assert in_ts(t32_extension(name))
 
 
 class TestAnnihilatorComponent:

