@@ -19,8 +19,9 @@ from .cohomology import (
     cocycle_space,
     cohomology,
 )
-from .core import lts_from_dict, lts_to_dict
+from .core import AxiomReport, lts_from_dict, lts_to_dict
 from .errors import (
+    AxiomViolation,
     DimensionMismatch,
     DimensionUnsupported,
     LietripleError,
@@ -63,8 +64,11 @@ def _load_system(args, path):
 
 
 def _cmd_check(args):
-    system = _load_system(args, args.file)
-    report = system.check_axioms()
+    try:
+        _load_system(args, args.file)  # loading checks the axioms
+        report = AxiomReport(True)
+    except AxiomViolation as exc:
+        report = AxiomReport(False, exc.identity, exc.indices, exc.residual)
     payload = {"ok": report.ok}
     if not report.ok:
         payload.update({"identity": report.identity, "indices": list(report.indices)})

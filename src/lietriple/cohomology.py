@@ -29,8 +29,8 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import (Lts, _axiom_residuals, _conjugate_rows, _first_slot_kernel, _memo,
-                   _normalize_scalar, first_axiom_failure)
+from .core import (Lts, _axiom_residuals, _conjugate_rows, _memo, _normalize_scalar,
+                   first_axiom_failure)
 from .linalg import Subspace, nullspace
 from .scalars import QI_ZERO
 
@@ -152,10 +152,6 @@ class Cocycle:
             return False, ("B" + identity[1:], indices)
         self._closed = True
         return True, None
-
-    def radical(self) -> Subspace:
-        """Rad(theta) = {x : theta(x, T, T) = 0}, one equation per nonzero column (j, k)."""
-        return _first_slot_kernel(self.ambient.dim, _theta_rows(self))
 
     def __repr__(self):
         terms = ", ".join(f"({i},{j},{k}): {v}" for (i, j, k), v in sorted(self.coeffs.items()))

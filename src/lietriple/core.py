@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import lcm
 from types import MappingProxyType
 from typing import Optional
 
@@ -27,9 +28,11 @@ from .errors import (
     InconsistentTable,
     MalformedInput,
     NotALieAlgebra,
+    axiom_failure_text,
 )
 from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
-from .scalars import GaussianRational, QI_ZERO, RationalFunction, parse_scalar, scalar_str
+from .scalars import (GaussianRational, QI_ZERO, RationalFunction, _reduced, parse_scalar,
+                      scalar_str)
 
 __all__ = [
     "Lts",
@@ -87,7 +90,7 @@ class AxiomReport:
     def __str__(self):
         if self.ok:
             return "(A1)(A2)(A3) pass"
-        return f"{self.identity} fails at {self.indices}: residual {self.residual}"
+        return axiom_failure_text(self.identity, self.indices, self.residual)
 
 
 @dataclass(frozen=True)
@@ -337,9 +340,9 @@ def _first_slot_kernel(n, rows):
     """{x : sum_i x_i row(i, j, k) = 0 for every (j, k)}, as a canonical subspace.
 
     ``rows`` maps 0-based (i, j, k), i < n, to {p: value}; there is one
-    equation per nonzero (j, k, p).  Ann(T), Rad(theta) and their meet are
-    this kernel of the rows of T, of theta and of T_theta.  The zero is the
-    rows' own, or Q(i)'s when there are no rows.
+    equation per nonzero (j, k, p).  Ann(T) and the meet of Ann(T) with the
+    radicals Rad(theta_r) are this kernel of the rows of T and of T_theta.
+    The zero is the rows' own, or Q(i)'s when there are no rows.
     """
     columns = {}  # (j, k, p) -> {i: value}
     for (i, j, k), row in rows.items():
@@ -421,18 +424,78 @@ def _axiom_residuals(rows):
             yield "A3", (u, v) + key, residuals[key]
 
 
+def _packed_gaussian_rows(dim, rows):
+    """Rows over Q(i) as exact integers: (packed rows, scale D, width k), or None.
+
+    None unless every value is a GaussianRational.  D is the lcm of the
+    denominators, and each entry z becomes the Gaussian integer D*z = a + b*i,
+    packed as the int a + b*2^k: Z[i] = Z[x]/(x^2+1) read at x = X = 2^k
+    (Kronecker substitution).  The packing is Z-linear, so (A1)/(A2) cells
+    hold D times their residual.  An (A3) coordinate sums at most 4n products
+    of two packed entries (n for [u,v,[x,y,z]], n for each of the three
+    slots), so it is c0 + c1*X + c2*X^2 with residue D^2 * ((c0 - c2) + c1*i).
+    With |a|, |b| <= M every |c_j| <= 8nM^2 (c1 sums 2M^2 per product), and
+    2^(k-1) > 8nM^2 makes the balanced base-X digits give back c0, c1, c2.
+    """
+    denominators = set()
+    for row in rows.values():
+        for val in row.values():
+            if type(val) is not GaussianRational:
+                return None
+            denominators.add(val._t[2])
+    scale = lcm(*denominators)
+    scaled, bound = {}, 0  # bound is M
+    for key, row in rows.items():
+        cell = scaled[key] = {}
+        for p, val in row.items():
+            a, b, d = val._t
+            a, b = a * (scale // d), b * (scale // d)
+            cell[p] = a, b
+            bound = max(bound, abs(a), abs(b))
+    width = (8 * dim * bound * bound).bit_length() + 1
+    packed = {key: {p: a + (b << width) for p, (a, b) in row.items()}
+              for key, row in scaled.items()}
+    return packed, scale, width
+
+
+def _unpacked(value, width, scale):
+    """(c0 - c2 + c1*i) / scale for value = c0 + c1*X + c2*X^2, X = 2^width,
+    read as balanced base-X digits |c_j| < X/2."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    c0 = ((value + half) & mask) - half
+    value = (value - c0) >> width
+    c1 = ((value + half) & mask) - half
+    c2 = (value - c1) >> width
+    return _reduced(c0 - c2, c1, scale)
+
+
 def first_axiom_failure(dim, rows):
     """The lexicographically first failing identity, read from nonzero rows.
 
     Returns None or (identity, 1-based indices, residual of length ``dim``),
     with (A1) before (A2) before (A3) and (u, v, x, y, z), u < v, ordered
-    lexicographically as in an exhaustive scan.
+    lexicographically as in an exhaustive scan.  Rows over Q(i) run the
+    kernel on packed Gaussian integers (``_packed_gaussian_rows``); any
+    other field runs it on the rows as they are.
     """
+    packing = _packed_gaussian_rows(dim, rows)
+    if packing is not None:
+        rows, scale, width = packing
+        # c0 + c1*X + c2*X^2 is 0 mod X^2 + 1 only when (c0 - c2) + c1*X,
+        # of absolute value below X + X^2/2, is 0: when c1 = 0 and c0 = c2.
+        modulus = (1 << 2 * width) + 1
     for identity, indices, cell in _axiom_residuals(rows):
-        if any(val != 0 for val in cell.values()):
+        if packing is None:
+            if not any(val != 0 for val in cell.values()):
+                continue
             zero = _zero_like(next(iter(cell.values())))
-            return (identity, tuple(x + 1 for x in indices),
-                    tuple(cell.get(q, zero) for q in range(dim)))
+            residual = tuple(cell.get(q, zero) for q in range(dim))
+        else:
+            if not any(val % modulus for val in cell.values()):
+                continue
+            denominator = scale * scale if identity == "A3" else scale
+            residual = tuple(_unpacked(cell.get(q, 0), width, denominator) for q in range(dim))
+        return identity, tuple(x + 1 for x in indices), residual
     return None
 
 

@@ -29,6 +29,11 @@ class InconsistentTable(LietripleError, ValueError):
     """Table completion forced two different values for the same product."""
 
 
+def axiom_failure_text(identity, indices, residual):
+    """``A2 fails at (1, 2, 3): residual (0, 0, 0, 1)``, scalars in their text form."""
+    return f"{identity} fails at {indices}: residual ({', '.join(map(str, residual))})"
+
+
 class AxiomViolation(LietripleError, ValueError):
     """A completed tensor fails one of the defining identities."""
 
@@ -36,7 +41,7 @@ class AxiomViolation(LietripleError, ValueError):
         self.identity = identity
         self.indices = indices
         self.residual = residual
-        super().__init__(f"{identity} fails at {indices}: residual {residual}")
+        super().__init__(axiom_failure_text(identity, indices, residual))
 
 
 class NotALieAlgebra(LietripleError, ValueError):

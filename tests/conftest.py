@@ -12,6 +12,7 @@ import pytest
 from lietriple import catalog
 from lietriple.cohomology import Cocycle, cocycle_space
 from lietriple.extension import ExtensionSpec
+from lietriple.linalg import Subspace, nullspace
 from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational
 
@@ -72,6 +73,18 @@ def oracle_derived_dim(system):
             for k in range(1, n + 1):
                 rows.append(system.product(i, j, k))
     return oracle_rank(rows)
+
+
+def reference_radical(theta):
+    """Rad(theta) = {x : theta(x, T, T) = 0} from the dense values theta(e_i, e_j, e_k)."""
+    n = theta.ambient.dim
+    rows = []
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            row = [theta.value(i, j, k) for i in range(1, n + 1)]
+            if any(x != 0 for x in row):
+                rows.append(row)
+    return Subspace(n, nullspace(rows, n))
 
 
 def basis_vector(n, k, scale=1):

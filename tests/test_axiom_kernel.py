@@ -6,14 +6,16 @@ only nonzero rows, must report the same first failing identity, the same
 indices and the same residual.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from lietriple import catalog
 from lietriple.errors import AxiomViolation
 from lietriple.cohomology import Cocycle, cocycle_space, delta_indices
-from lietriple.core import Lts
+from lietriple.core import Lts, _packed_gaussian_rows, complete_table
 from lietriple.sampling import ExactRandom
-from lietriple.scalars import GaussianRational
+from lietriple.scalars import GaussianRational, RationalFunction
 
 
 def dense(system):
@@ -106,11 +108,12 @@ def assert_same(tensor):
     return None if got is None else got[0]
 
 
-def perturb(tensor, kind, rng):
+def perturb(tensor, kind, rng, delta=None):
     """Copy of ``tensor`` with one product changed so that (A<kind>) is the target."""
     n = len(tensor)
     out = [[[list(row) for row in plane] for plane in block] for block in tensor]
-    delta = GaussianRational(rng.rng.choice([-2, -1, 1, 3]), rng.rng.choice([0, 0, 1]))
+    if delta is None:
+        delta = GaussianRational(rng.rng.choice([-2, -1, 1, 3]), rng.rng.choice([0, 0, 1]))
     p = rng.rng.randrange(n)
     if kind == "A1":  # one constant alone breaks antisymmetry
         i, j, k = (rng.rng.randrange(n) for _ in range(3))
@@ -199,3 +202,79 @@ def test_closedness_needs_an_lts_ambient():
     with pytest.raises(AxiomViolation) as err:
         Cocycle(Lts(base), {(1, 2, 1): 1}).check_closed()
     assert (err.value.identity, err.value.indices, err.value.residual) == expected
+
+
+# ---------------------------------------------------------------------------
+# Q(i) rows run the kernel on packed Gaussian integers; other fields do not
+
+LARGE_HEIGHT = Fraction(2 ** 70 + 1, 3 ** 30)
+
+
+@pytest.mark.parametrize("lam", [GaussianRational(LARGE_HEIGHT),
+                                 GaussianRational(LARGE_HEIGHT, Fraction(2 ** 69 - 7, 3 ** 30))])
+def test_large_height_members(lam):
+    rng = ExactRandom(70)
+    system = catalog.instantiate("T4,6", lam)
+    base = dense(system.change_basis(rng.invertible(4, height=3)))
+    assert assert_same(base) is None
+    for kind in ("A1", "A2", "A3"):
+        for _ in range(2):
+            assert_same(perturb(base, kind, rng))
+            assert_same(perturb(base, kind, rng, delta=lam / 7))
+
+
+def test_half_gaussian_denominators():
+    # (1 + i)/2 squares to i/2: products cancel more than the lcm of the
+    # denominators shows, and the residual must come back reduced
+    half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    g = [[1, half, 0, half.conjugate()], [0, 1, half, 0], [0, 0, 1, -half], [0, 0, 0, 1]]
+    rng = ExactRandom(2)
+    for name in ("T4,5", "T4,8", "T4,9"):
+        base = dense(catalog.instantiate(name).change_basis(g))
+        assert assert_same(base) is None
+        for kind in ("A1", "A2", "A3"):
+            for delta in (half, half * half, half.conjugate() / 3):
+                assert_same(perturb(base, kind, rng, delta=delta))
+
+
+# A dimension-3 sign tensor that satisfies (A1) and (A2); its first failing
+# (A3) cell, (1, 2, 1, 3, 1), has the integer residual (0, 8, -3).
+SIGN_GENERATORS = {
+    (1, 2, 1): [-1, 1, 0], (1, 2, 2): [1, 1, 0], (1, 2, 3): [0, -1, -1],
+    (1, 3, 1): [1, 1, -1], (1, 3, 2): [1, -1, 0], (1, 3, 3): [-1, 0, 0],
+    (2, 3, 1): [1, 0, 1], (2, 3, 2): [0, 1, 1], (2, 3, 3): [1, 0, 0],
+}
+
+
+def test_packing_width_has_no_spare_bit():
+    # every entry is M(1 + i) times a sign, so each product is 2M^2 i times a
+    # sign and the failing coordinate is c1 = 16M^2 of the bound 8nM^2 = 24M^2;
+    # M puts 24M^2 just under a power of two, so c1 needs the width's top bit
+    # and a packing one bit narrower misreads it
+    n, m = 3, 1180000
+    tensor = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), vec in SIGN_GENERATORS.items():
+        tensor[i - 1][j - 1][k - 1] = [GaussianRational(m * x, m * x) for x in vec]
+        tensor[j - 1][i - 1][k - 1] = [GaussianRational(-m * x, -m * x) for x in vec]
+    failure = kernel_failure(tensor)
+    assert failure == reference_check_axioms(Lts(tensor))
+    identity, indices, residual = failure
+    assert (identity, indices) == ("A3", (1, 2, 1, 3, 1))
+    assert residual == (0, GaussianRational(0, 16 * m * m), GaussianRational(0, -6 * m * m))
+    _, scale, width = _packed_gaussian_rows(n, Lts(tensor).rows())
+    assert scale == 1 and 8 * n * m * m < 2 ** (width - 1)
+    assert 2 ** (width - 2) <= 16 * m * m < 2 ** (width - 1)
+
+
+def test_rational_function_rows_take_the_generic_path():
+    system = complete_table(4, catalog._family_generators(RationalFunction.variable()))
+    assert system.check_axioms().ok
+    assert _packed_gaussian_rows(4, system.rows()) is None
+    base = dense(system)
+    rng = ExactRandom(46)
+    seen = set()
+    for kind in ("A1", "A2", "A3"):
+        for _ in range(2):
+            tensor = perturb(base, kind, rng, delta=RationalFunction.variable() + rng.rng.choice([1, 2]))
+            seen.add(assert_same(tensor))
+    assert {"A1", "A2", "A3"} <= seen

@@ -44,6 +44,32 @@ def test_check_axiom_failure(tmp_path, capsys):
         "dim": 4, "field": "Q",
         "products": [{"args": [1, 2, 3], "value": {"4": "1"}}]}))
     assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.strip() == "A2 fails at (1, 2, 3): residual (0, 0, 0, 1)"
+
+
+def test_check_axiom_failure_json_payload(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "dim": 4, "field": "Q",
+        "products": [{"args": [1, 2, 3], "value": {"4": "1"}}]}))
+    assert main(["--format", "json", "check", str(path)]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out) == {"ok": False, "identity": "A2", "indices": [1, 2, 3]}
+    assert out.err == ""
+
+
+def test_check_runs_the_axiom_kernel_once(monkeypatch, capsys):
+    core = importlib.import_module("lietriple.core")
+    kernel, runs = core._axiom_residuals, []
+
+    def counted(rows):
+        runs.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(core, "_axiom_residuals", counted)
+    assert main(["--format", "json", "check", str(GOLDEN / "input_t4_9_dense.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True}
+    assert len(runs) == 1
 
 
 def test_malformed_input(tmp_path, capsys):
