@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from lietriple import catalog
-from lietriple.cohomology import Cocycle, cocycle_space
+from lietriple.cohomology import Cocycle, _theta_rows, cocycle_space
+from lietriple.core import _first_slot_kernel
 from lietriple.extension import ExtensionSpec
 from lietriple.linalg import Subspace, nullspace
 from lietriple.sampling import ExactRandom
@@ -85,6 +86,11 @@ def reference_radical(theta):
             if any(x != 0 for x in row):
                 rows.append(row)
     return Subspace(n, nullspace(rows, n))
+
+
+def kernel_radical(theta):
+    """Rad(theta) as ``extension._radical_meet`` reads it: the first-slot kernel of theta's rows."""
+    return _first_slot_kernel(theta.ambient.dim, _theta_rows(theta))
 
 
 def basis_vector(n, k, scale=1):

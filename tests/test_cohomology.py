@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_derived_dim, reference_radical
+from conftest import basis_vector, kernel_radical, oracle_derived_dim, reference_radical
 from lietriple import catalog
 from lietriple.cohomology import (
     Cocycle,
@@ -197,6 +197,19 @@ def _rank_tracking_representatives(system):
         reps.append(reduced)
     reps, _ = rref(reps)
     return [r for r in reps if any(x != 0 for x in r)]
+
+
+class TestRadical:
+    def test_delta121_on_abelian(self, t31):
+        rad = kernel_radical(D(t31, {(1, 2, 1): 1}))
+        assert rad.dim == 1 and rad.contains(basis_vector(3, 3))
+
+    def test_rank3_cocycle_has_zero_radical(self, t31):
+        theta = D(t31, {(2, 3, 2): 1, (1, 3, 3): -1})
+        assert kernel_radical(theta).dim == 0
+
+    def test_zero_cocycle(self, t31):
+        assert kernel_radical(D(t31, {})).dim == 3
 
 
 class TestAutAction:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T32_EXTENSIONS, reference_radical, t32_extension
+from conftest import T32_EXTENSIONS, kernel_radical, reference_radical, t32_extension
 from lietriple import catalog
 from lietriple.cohomology import (
     CochainSpace,
@@ -377,6 +377,13 @@ def test_aut_action_agrees(name):
         assert got == expected and got.closed == expected.closed
         got, expected = aut_action(minus_one, theta), reference_aut_action(minus_one, theta)
         assert got == expected and got.closed == expected.closed
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_radical_agrees(name):
+    system = SYSTEMS[name]
+    for theta in cochains(system, 7 * len(name)):
+        assert kernel_radical(theta) == reference_radical(theta)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
