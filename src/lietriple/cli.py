@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification fails (axioms, degeneration,
 classification mismatch), 2 on malformed input.  ``--format json`` emits
-machine-stable documents (sorted keys, canonical scalar strings);
-``--field Q`` rejects inputs that need the imaginary unit.
+machine-stable documents (sorted keys, canonical scalar strings).  A system
+document's constants are parsed in the field it declares, Q or Q(i).
 """
 
 from __future__ import annotations
@@ -57,15 +57,9 @@ def _load_json(path):
         raise MalformedInput("file", f"{path} is not valid JSON: {exc}")
 
 
-def _load_system(args, path):
-    doc = _load_json(path)
-    require = "Q" if args.field == "Q" else None
-    return lts_from_dict(doc, require_field=require)
-
-
 def _cmd_check(args):
     try:
-        _load_system(args, args.file)  # loading checks the axioms
+        lts_from_dict(_load_json(args.file))  # loading checks the axioms
         report = AxiomReport(True)
     except AxiomViolation as exc:
         report = AxiomReport(False, exc.identity, exc.indices, exc.residual)
@@ -77,7 +71,7 @@ def _cmd_check(args):
 
 
 def _cmd_invariants(args):
-    system = _load_system(args, args.file)
+    system = lts_from_dict(_load_json(args.file))
     fp = system.fingerprint()
     nil = system.nilpotency()
     payload = {
@@ -121,7 +115,7 @@ def _cocycle_text(cocycle):
 
 
 def _cmd_cohomology(args):
-    system = _load_system(args, args.file)
+    system = lts_from_dict(_load_json(args.file))
     z3 = cocycle_space(system)
     b3 = coboundary_space(system)
     dim_h3, reps = cohomology(system)
@@ -149,7 +143,7 @@ def _cmd_extend(args):
     if isinstance(base_doc, str):
         base = catalog.instantiate(base_doc)
     else:
-        base = lts_from_dict(base_doc, require_field="Q" if args.field == "Q" else None)
+        base = lts_from_dict(base_doc)
     if not isinstance(doc["thetas"], list) or not doc["thetas"] or not all(
             isinstance(entry, (list, dict)) for entry in doc["thetas"]):
         raise MalformedInput("thetas", "expected a non-empty list of cocycle documents "
@@ -166,7 +160,7 @@ def _cmd_extend(args):
 
 
 def _cmd_classify(args):
-    system = _load_system(args, args.file)
+    system = lts_from_dict(_load_json(args.file))
     result = catalog.classify(system)
     payload = {
         "name": result.name,
@@ -275,8 +269,6 @@ def build_parser():
         prog="lts",
         description="Exact computations with nilpotent Lie triple systems")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--field", choices=("Qi", "Q"), default="Qi",
-                        help="restrict scalars to Q (errors if an input needs i)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="axiom-check a system document")

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 from .errors import (
     DimensionMismatch,
+    MalformedInput,
     NotAbelianDim3,
     NotAnAutomorphism,
     RelationViolated,
     SingularMatrix,
 )
 from .core import (Lts, _axiom_residuals, _conjugate_rows, _memo, _normalize_scalar,
-                   first_axiom_failure)
+                   first_axiom_failure, lts_from_dict, lts_to_dict)
 from .linalg import Subspace, nullspace
-from .scalars import QI_ZERO
+from .scalars import QI_ZERO, parse_scalar, scalar_str
 
 __all__ = [
     "Cocycle",
@@ -269,9 +270,6 @@ def cohomology(system: Lts):
 
 def cocycle_to_dict(theta: Cocycle, include_system=True) -> dict:
     """{"system": <Lts doc>, "coeffs": [{"ijk": [i,j,k], "value": str}, ...]}"""
-    from .core import lts_to_dict
-    from .scalars import scalar_str
-
     doc = {"coeffs": [{"ijk": [i, j, k], "value": scalar_str(v)}
                       for (i, j, k), v in sorted(theta.coeffs.items())]}
     if include_system:
@@ -281,10 +279,6 @@ def cocycle_to_dict(theta: Cocycle, include_system=True) -> dict:
 
 def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:
     """Parse a cocycle document; i < j is enforced on load."""
-    from .core import lts_from_dict
-    from .errors import MalformedInput
-    from .scalars import parse_scalar
-
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise MalformedInput("coeffs", "cocycle document needs a coeffs list")
     system = ambient

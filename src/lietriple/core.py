@@ -658,7 +658,7 @@ def lts_from_lie(bracket) -> Lts:
 # JSON document form
 
 
-def lts_to_dict(system: Lts, field=None) -> dict:
+def lts_to_dict(system: Lts) -> dict:
     """{"dim": n, "field": ..., "products": [...]} listing i<j nonzero generators."""
     products = []
     rational_only = True
@@ -671,13 +671,11 @@ def lts_to_dict(system: Lts, field=None) -> dict:
             if not GaussianRational.of(x).is_rational:
                 rational_only = False
         products.append({"args": [i + 1, j + 1, k + 1], "value": value})
-    if field is None:
-        field = "Q" if rational_only else "Q(i)"
-    return {"dim": system.dim, "field": field, "products": products}
+    return {"dim": system.dim, "field": "Q" if rational_only else "Q(i)", "products": products}
 
 
-def lts_from_dict(doc: dict, require_field=None) -> Lts:
-    """Parse, complete and axiom-check a JSON Lts document."""
+def lts_from_dict(doc: dict) -> Lts:
+    """Parse in the declared field, complete and axiom-check a JSON Lts document."""
     if not isinstance(doc, dict):
         raise MalformedInput("document", "expected a JSON object")
     try:
@@ -691,8 +689,6 @@ def lts_from_dict(doc: dict, require_field=None) -> Lts:
     field = doc.get("field", "Q(i)")
     if field not in ("Q", "Q(i)"):
         raise MalformedInput("field", f"unknown field {field!r}")
-    if require_field == "Q" and field != "Q":
-        raise MalformedInput("field", "document requires Q(i) but field Q was requested")
     products = doc.get("products", [])
     if not isinstance(products, list):
         raise MalformedInput("products", "expected a list")
@@ -711,8 +707,8 @@ def lts_from_dict(doc: dict, require_field=None) -> Lts:
                 raise MalformedInput("products", f"target index {p} out of range")
             if not isinstance(text, str):
                 raise MalformedInput("products", f"value for e{p} must be a string")
-            vec[p - 1] = parse_scalar(text)
-        if require_field == "Q" and any(not x.is_rational for x in vec):
-            raise MalformedInput("field", "input needs i but field Q was requested")
+            vec[p - 1] = x = parse_scalar(text)
+            if field == "Q" and not x.is_rational:
+                raise MalformedInput("field", f"value {text!r} needs i in a document over Q")
         generators[(i, j, k)] = vec
     return complete_table(dim, generators)

@@ -778,18 +778,25 @@ MAX_POWER_SIZE = 1024
 MAX_POWER_DEGREE = 32
 
 
-def _bound_degree(a: RationalFunction, b: RationalFunction, op: str):
+def _bound_degree(a, b, op: str):
     """Refuse a op b when its degree before cancellation exceeds MAX_POWER_DEGREE."""
+    if not isinstance(a, RationalFunction):  # a constant has degree at most 0
+        return
     top = max(a.num.degree + b.den.degree, b.num.degree + a.den.degree) if op in "+-" \
         else a.num.degree + b.num.degree
     if top + a.den.degree + b.den.degree > MAX_POWER_DEGREE:
         raise ParseError(f"'{op}' exceeds degree {MAX_POWER_DEGREE} before cancellation")
 
 
-def _power_size(base: RationalFunction) -> int:
+def _power_size(base):
+    """(size, degree) of a base of "^"; a constant z counts as z/1 (0 has degree -1)."""
+    if isinstance(base, RationalFunction):
+        coeffs, degree = base.num.coeffs + base.den.coeffs, base.num.degree + base.den.degree
+    else:
+        coeffs, degree = (base, QI_ONE), 0 if base else -1
     bits = max(max(abs(a).bit_length(), abs(b).bit_length()) + d.bit_length()
-               for a, b, d in (c._t for c in base.num.coeffs + base.den.coeffs))
-    return bits + base.num.degree + base.den.degree
+               for a, b, d in (c._t for c in coeffs))
+    return bits + degree, degree
 
 
 def _tokenize(text: str):
@@ -820,9 +827,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """One grammar whose atoms live in ``field``: GaussianRational or RationalFunction."""
+
+    def __init__(self, text: str, field):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.field = field
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -832,7 +843,13 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> RationalFunction:
+    def parse(self):
+        node = self.expr()
+        if self.peek() is not None:
+            raise ParseError(f"trailing input in {self.text!r}")
+        return node
+
+    def expr(self):
         node = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
@@ -841,7 +858,7 @@ class _Parser:
             node = node + rhs if op == "+" else node - rhs
         return node
 
-    def term(self) -> RationalFunction:
+    def term(self):
         node = self.power()
         while self.peek() in ("*", "/"):
             op = self.take()
@@ -855,7 +872,7 @@ class _Parser:
                 node = node / rhs
         return node
 
-    def power(self) -> RationalFunction:
+    def power(self):
         base = self.atom()
         while self.peek() == "^":
             self.take()
@@ -866,16 +883,17 @@ class _Parser:
             e = self.take()
             if not isinstance(e, int):
                 raise ParseError("exponent must be an integer")
-            size = _power_size(base)
-            degree = base.num.degree + base.den.degree
+            size, degree = _power_size(base)
             if e * size > MAX_POWER_SIZE or e * degree > MAX_POWER_DEGREE:
                 raise ParseError(f"power too large: exponent {e} on a base of size {size} "
                                  f"and degree {degree} exceeds {MAX_POWER_SIZE} in size "
                                  f"or {MAX_POWER_DEGREE} in degree")
+            if neg and not base:
+                raise ParseError("division by zero in expression")
             base = base ** (-e if neg else e)
         return base
 
-    def atom(self) -> RationalFunction:
+    def atom(self):
         tok = self.take()
         if tok == "-":
             return -self.power()
@@ -887,24 +905,21 @@ class _Parser:
                 raise ParseError("unbalanced parenthesis")
             return node
         if isinstance(tok, int):
-            return RationalFunction.of(tok)
+            return self.field.of(tok)
         if tok == "i":
-            return RationalFunction.of(QI_I)
+            return self.field.of(QI_I)
         if tok == "t":
+            if self.field is GaussianRational:
+                raise ParseError(f"expected a constant scalar, got {self.text!r}")
             return RationalFunction.variable()
         raise ParseError(f"unexpected token {tok!r}")
 
 
 def parse_rational_function(text: str) -> RationalFunction:
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input in {text!r}")
-    return node
+    """An element of Q(i)(t) written in the variable t and the unit i."""
+    return _Parser(text, RationalFunction).parse()
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    node = parse_rational_function(text)
-    if not node.is_constant:
-        raise ParseError(f"expected a constant scalar, got {text!r}")
-    return node.constant_value()
+    """An element of Q(i), parsed without leaving Q(i); the variable t is refused."""
+    return _Parser(text, GaussianRational).parse()

@@ -299,10 +299,30 @@ def test_readme_usage_lines_parse():
 
 
 def test_field_restriction(tmp_path, capsys):
+    # a document that declares Q and holds i is refused by the loader
     doc = lts_to_dict(catalog.instantiate("T4,6", GaussianRational(0, 1)))
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(doc))
-    assert main(["--field", "Q", "check", str(path)]) == 2
+    assert main(["check", str(path)]) == 0
+    path.write_text(json.dumps(dict(doc, field="Q")))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    assert "MalformedInput" in capsys.readouterr().err
+
+
+def test_field_option_is_gone(t32_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--field", "Q", "check", t32_file])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["0^-1", "(1-1)^-2", "t/t"])
+def test_check_refuses_values_outside_the_field(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "field": "Q",
+                                "products": [{"args": [1, 2, 1], "value": {"3": text}}]}))
+    assert main(["check", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_json_output_deterministic(t47_file, capsys):

@@ -398,6 +398,15 @@ class TestCocycleJson:
         with pytest.raises(MalformedInput):
             cocycle_from_dict(doc)
 
+    @pytest.mark.parametrize("text", ["0^-1", "(1-1)^-2", "t/t"])
+    def test_rejects_values_outside_the_field(self, t31, text):
+        from lietriple.cohomology import cocycle_from_dict
+        from lietriple.errors import MalformedInput
+
+        doc = {"system": "T3,1", "coeffs": [{"ijk": [1, 2, 3], "value": text}]}
+        with pytest.raises(MalformedInput):
+            cocycle_from_dict(doc)
+
 
 class TestCoboundaries:
     def test_delta_f_evaluates_products(self, t32):

@@ -1,0 +1,105 @@
+"""parse_scalar parses in Q(i) alone; parsing in Q(i)(t) and taking the constant is the reference.
+
+Every text either gives the same Gaussian rational on both paths or is a
+ParseError on both: the grammar, the size bound on "^" and the refusals agree.
+"""
+
+import re
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lietriple import catalog
+from lietriple.core import lts_to_dict
+from lietriple.errors import ParseError
+from lietriple.sampling import ExactRandom
+from lietriple.scalars import GaussianRational, parse_rational_function, parse_scalar
+
+
+def reference(text):
+    return parse_rational_function(text).constant_value()
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+def assert_agrees(text):
+    got = outcome(parse_scalar, text)
+    assert got == outcome(reference, text), text
+    assert got is ParseError or isinstance(got, GaussianRational)
+    return got
+
+
+atoms = st.one_of(st.integers(0, 12).map(str), st.integers(0, 10 ** 40).map(str),
+                  st.just("i"))
+
+
+def compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map("".join),
+        children.map("({})".format),
+        children.map("-{}".format),
+        st.tuples(children, st.integers(-40, 1100)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(atoms, st.integers(-12, 600)).map(lambda t: f"{t[0]}^{t[1]}"),
+    )
+
+
+expressions = st.recursive(atoms, compound, max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expressions)
+@example("i*i+1")
+@example("2^600")
+@example("(1+i)^700")
+def test_seeded_expressions_agree_with_the_reference(text):
+    assert_agrees(text)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("i", GaussianRational(0, 1)),
+    ("i^2", GaussianRational(-1)),
+    ("(2^70+1)/3^30", GaussianRational(2 ** 70 + 1) / 3 ** 30),
+    ("-(1+i)^-3", -GaussianRational(1, 1) ** -3),
+    ("0^1000", GaussianRational(0)),  # the zero base has size 1, as 0/1 does in Q(i)(t)
+    ("0^0", GaussianRational(1)),
+    ("2^341", GaussianRational(2 ** 341)),  # 341 * 3 bits, just inside MAX_POWER_SIZE
+    ("((2^5)^10)^5", GaussianRational(2 ** 250)),
+])
+def test_values(text, value):
+    assert assert_agrees(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "2^342", "0^1100", "(2^64)^64", "i^600", "(1/3)^400",  # past MAX_POWER_SIZE
+    "0^-1", "(1-1)^-2", "1/0", "1/(i*i+1)",  # division by zero
+    "1 +", "(1", "2**3", "x", "i^i",  # malformed
+])
+def test_refusals(text):
+    assert assert_agrees(text) is ParseError
+
+
+@pytest.mark.parametrize("text", ["t", "t/t", "t-t", "(1+t)^0", "1+i*t"])
+def test_scalars_refuse_the_variable(text):
+    parse_rational_function(text)  # a rational function, constant or not
+    with pytest.raises(ParseError, match=re.escape(f"expected a constant scalar, got '{text}'")):
+        parse_scalar(text)
+
+
+FAMILY = [("T4,6", GaussianRational(lam)) for lam in (2, -3)] + \
+    [("T4,6", GaussianRational(1, 2))]
+CATALOG = [(name, None) for name, entry in catalog.ENTRIES.items() if not entry.family] + FAMILY
+
+
+@pytest.mark.parametrize("name,lam", CATALOG)
+def test_document_values_of_dense_conjugates(name, lam):
+    system = catalog.instantiate(name, lam)
+    rng = ExactRandom(sum(map(ord, name)) + 11)
+    doc = lts_to_dict(system.change_basis(rng.invertible(system.dim, height=7)))
+    for text in (text for entry in doc["products"] for text in entry["value"].values()):
+        assert assert_agrees(text) is not ParseError

@@ -26,6 +26,7 @@ from lietriple.errors import (
     InconsistentTable,
     MalformedInput,
     NotALieAlgebra,
+    ParseError,
     SingularMatrix,
 )
 from lietriple.linalg import Subspace
@@ -403,10 +404,23 @@ class TestJsonRoundTrip:
         assert again == system
 
     def test_field_restriction(self):
-        doc = {"dim": 2, "field": "Q(i)",
-               "products": [{"args": [1, 2, 1], "value": {"1": "i"}}]}
-        with pytest.raises(MalformedInput):
-            lts_from_dict(doc, require_field="Q")
+        # the declared field decides: i is refused in a document over Q
+        doc = {"dim": 3, "field": "Q",
+               "products": [{"args": [1, 2, 1], "value": {"3": "2*i"}}]}
+        with pytest.raises(MalformedInput) as info:
+            lts_from_dict(doc)
+        assert info.value.field == "field" and "'2*i'" in str(info.value)
+        doc["products"][0]["value"]["3"] = "i^2"  # a rational value written with i
+        assert lts_from_dict(doc).product(1, 2, 1) == [0, 0, -1]
+        doc["field"] = "Q(i)"
+        doc["products"][0]["value"]["3"] = "2*i"
+        assert lts_from_dict(doc).product(1, 2, 1) == [0, 0, GaussianRational(0, 2)]
+
+    @pytest.mark.parametrize("text", ["t/t", "0^-1", "(1-1)^-2"])
+    def test_values_outside_the_field_are_parse_errors(self, text):
+        doc = {"dim": 3, "products": [{"args": [1, 2, 1], "value": {"3": text}}]}
+        with pytest.raises(ParseError):
+            lts_from_dict(doc)
 
     def test_boolean_dim_rejected(self):
         with pytest.raises(MalformedInput):

@@ -120,6 +120,12 @@ class TestWitnessDocuments:
         assert dg.witness_to_dict(dg.witness_from_dict(json.loads(json.dumps(once)))) == once
         assert once["source"]["name"] == doc["source"]["name"]
 
+    def test_zero_to_a_negative_power_in_a_basis_is_refused(self):
+        doc = dict(dg.DIM3_WITNESS, basis=[["(t-t)^-1", "0", "0"], ["0", "t", "0"],
+                                           ["0", "0", "t"]])
+        with pytest.raises(MalformedInput, match="division by zero"):
+            dg.witness_from_dict(doc)
+
     def test_builtin_labels(self):
         labels = [dg.table2_witness(row).label for row in range(1, 14)]
         assert labels == [

@@ -200,6 +200,17 @@ class TestParsingPrinting:
         with pytest.raises(ParseError):
             parse_scalar("t+1")
 
+    @pytest.mark.parametrize("parse", [parse_scalar, parse_rational_function])
+    @pytest.mark.parametrize("text", ["0^-1", "(1-1)^-2", "(2*i-i-i)^-7"])
+    def test_zero_to_a_negative_power_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse(text)
+
+    def test_zero_rational_function_to_a_negative_power_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_rational_function("(t-t)^-1")
+        assert parse_rational_function("(t-t)^0") == 1
+
 
 def square_roots(z):
     """The square roots of z in Q(i): the roots of x^2 - z."""
