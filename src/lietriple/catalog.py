@@ -38,9 +38,9 @@ from .errors import (
     UnknownName,
 )
 from .cohomology import Cocycle, a_theta, delta_indices
-from .core import Lts, _memo, _normalize_scalar, complete_table
+from .core import Lts, _memo, complete_table
 from .linalg import determinant, rank
-from .scalars import (GaussianRational, Polynomial, QI_ONE, QI_ZERO, gaussian_roots,
+from .scalars import (GaussianRational, Polynomial, QI_ZERO, coerce, field_of, gaussian_roots,
                       parse_scalar, scalar_str)
 
 __all__ = [
@@ -62,7 +62,7 @@ FAMILY_NAME = "T4,6"
 
 def _unit(dim, p, coeff=1):
     vec = [QI_ZERO] * dim
-    vec[p - 1] = _normalize_scalar(coeff)
+    vec[p - 1] = coerce(coeff)
     return vec
 
 
@@ -72,7 +72,7 @@ def _family_generators(lam):
     return {
         (1, 2, 3): _unit(dim, 4, -(lam + 1)),
         (2, 3, 1): _unit(dim, 4, lam),
-        (3, 1, 2): _unit(dim, 4, 1 + lam * 0),
+        (3, 1, 2): _unit(dim, 4, field_of(lam).one),
     }
 
 
@@ -128,7 +128,7 @@ _instances: dict = {}
 
 
 def family_table1_der(lam) -> int:
-    lam = GaussianRational.of(lam)
+    lam = coerce(lam)
     return 8 if lam in FAMILY_SPECIAL_LAMBDAS else 6
 
 
@@ -142,7 +142,7 @@ def instantiate(name: str, lam=None) -> Lts:
             raise MissingParameter(f"{name} requires --lambda")
         if isinstance(lam, str):
             lam = parse_scalar(lam)
-        lam = GaussianRational.of(lam)
+        lam = coerce(lam)
     elif lam is not None:
         raise MissingParameter(f"{name} takes no family parameter")
     key = (name, lam)
@@ -151,12 +151,12 @@ def instantiate(name: str, lam=None) -> Lts:
     return _instances[key]
 
 
-def xi(lam) -> GaussianRational:
-    """The family invariant; defined away from lam^2 + lam = 0."""
-    lam = GaussianRational.of(lam)
+def xi(lam):
+    """The family invariant in lam's own field; defined away from lam^2 + lam = 0."""
+    lam = coerce(lam)
     den = lam * lam * (lam + 1) * (lam + 1)
     if not den:
-        raise SingularParameter(f"xi undefined at lambda = {scalar_str(lam)}")
+        raise SingularParameter(f"xi undefined at lambda = {lam}")
     num = lam * lam + lam + 1
     return num * num * num / den
 
@@ -178,18 +178,19 @@ def family_isomorphism(k: int, lam):
     The matrix g has the images of the basis vectors as columns, and
     change_basis(instantiate("T4,6", lam), g) equals the target member exactly.
     """
-    lam = GaussianRational.of(lam)
+    lam = coerce(lam)
     if k not in _SIGMAS:
         raise UnknownName(f"sigma index {k} (expected 1..6)")
     images, target_of, scale_of = _SIGMAS[k]
+    field = field_of(lam)
     try:
-        target, scale = target_of(lam), GaussianRational.of(scale_of(lam))
+        target, scale = target_of(lam), field.of(scale_of(lam))
     except ZeroDivisionError:
         pair = "sigma_3 / sigma_4" if lam == 0 else "sigma_5 / sigma_6"
-        raise SingularParameter(f"{pair} need lambda != {scalar_str(lam)}") from None
-    matrix = [[QI_ZERO] * 4 for _ in range(4)]
+        raise SingularParameter(f"{pair} need lambda != {lam}") from None
+    matrix = [[field.zero] * 4 for _ in range(4)]
     for col, image in enumerate(images):
-        matrix[image - 1][col] = QI_ONE
+        matrix[image - 1][col] = field.one
     matrix[3][3] = scale
     return target, matrix
 
@@ -197,7 +198,7 @@ def family_isomorphism(k: int, lam):
 def lambda_orbit(lam):
     """The (up to) six parameter values giving pairwise isomorphic members,
     in the order of the sigma maps defined at lam."""
-    lam = GaussianRational.of(lam)
+    lam = coerce(lam)
     out = []
     for _, target_of, _ in _SIGMAS.values():
         try:

@@ -30,10 +30,10 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import (Lts, _axiom_residuals, _conjugate_rows, _memo, _normalize_scalar,
-                   first_axiom_failure, lts_from_dict, lts_to_dict)
+from .core import (Lts, _axiom_residuals, _conjugate_rows, _memo, first_axiom_failure,
+                   lts_from_dict, lts_to_dict)
 from .linalg import Subspace, nullspace
-from .scalars import QI_ZERO, parse_scalar, scalar_str
+from .scalars import QI_ZERO, coerce, parse_scalar, scalar_str
 
 __all__ = [
     "Cocycle",
@@ -65,7 +65,7 @@ class Cocycle:
         for (i, j, k), val in (coeffs or {}).items():
             if not (1 <= i < j <= ambient.dim and 1 <= k <= ambient.dim):
                 raise DimensionMismatch(f"bad cochain index ({i},{j},{k}) for dim {ambient.dim}")
-            v = _normalize_scalar(val)
+            v = coerce(val)
             if v != 0:
                 clean[(i, j, k)] = v
         self.coeffs = clean
@@ -268,13 +268,11 @@ def cohomology(system: Lts):
     return z3.dim - b3.dim, CochainSpace(system, reps, _closed=True)
 
 
-def cocycle_to_dict(theta: Cocycle, include_system=True) -> dict:
+def cocycle_to_dict(theta: Cocycle) -> dict:
     """{"system": <Lts doc>, "coeffs": [{"ijk": [i,j,k], "value": str}, ...]}"""
-    doc = {"coeffs": [{"ijk": [i, j, k], "value": scalar_str(v)}
-                      for (i, j, k), v in sorted(theta.coeffs.items())]}
-    if include_system:
-        doc["system"] = lts_to_dict(theta.ambient)
-    return doc
+    return {"coeffs": [{"ijk": [i, j, k], "value": scalar_str(v)}
+                       for (i, j, k), v in sorted(theta.coeffs.items())],
+            "system": lts_to_dict(theta.ambient)}
 
 
 def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:

@@ -31,8 +31,7 @@ from .errors import (
     axiom_failure_text,
 )
 from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
-from .scalars import (GaussianRational, QI_ZERO, RationalFunction, _reduced, parse_scalar,
-                      scalar_str)
+from .scalars import QI_ZERO, GaussianRational, _reduced, coerce, field_of, parse_scalar, scalar_str
 
 __all__ = [
     "Lts",
@@ -52,18 +51,6 @@ __all__ = [
 # Documents may not ask for more: completion passes over dim^3 triples and the
 # derivation system has dim^2 unknowns.  The catalog stops at 4, extensions at 5.
 MAX_DIM = 16
-
-
-def _normalize_scalar(x):
-    """A field element unchanged; anything else through ``GaussianRational.of``,
-    which refuses floats."""
-    if isinstance(x, (GaussianRational, RationalFunction)):
-        return x
-    return GaussianRational.of(x)
-
-
-def _zero_like(x):
-    return x * 0
 
 
 def _memo(fn):
@@ -141,14 +128,14 @@ class Lts:
         for key in sorted(rows):
             row = {}
             for p, val in sorted(rows[key].items()):
-                val = _normalize_scalar(val)
+                val = coerce(val)
                 if val:
                     row[p] = val
             if row:
                 clean[key] = row
         self._rows = clean
         first = next(iter(clean.values()), None)
-        self._zero = _zero_like(next(iter(first.values()))) if first else QI_ZERO
+        self._zero = field_of(next(iter(first.values()))).zero if first else QI_ZERO
         self.dim = dim
         self.verified = verified
         self._cache = {}
@@ -239,7 +226,7 @@ class Lts:
     def nilpotency(self) -> NilpotencyReport:
         """Series T^(0) = T, T^(m+1) = [T^(m), T, T] until zero or stabilization."""
         n = self.dim
-        current = Subspace(n, identity_matrix(n, one=self._zero + 1, zero=self._zero))
+        current = Subspace(n, identity_matrix(n, field_of(self._zero)))
         series = [current]
         nilpotent = True
         while current.dim > 0:
@@ -348,7 +335,7 @@ def _first_slot_kernel(n, rows):
     for (i, j, k), row in rows.items():
         for p, val in row.items():
             columns.setdefault((j, k, p), {})[i] = val
-    zero = _zero_like(val) if columns else QI_ZERO
+    zero = field_of(val).zero if columns else QI_ZERO
     return Subspace(n, nullspace([[column.get(i, zero) for i in range(n)]
                                   for column in columns.values()], n))
 
@@ -488,7 +475,7 @@ def first_axiom_failure(dim, rows):
         if packing is None:
             if not any(val != 0 for val in cell.values()):
                 continue
-            zero = _zero_like(next(iter(cell.values())))
+            zero = field_of(next(iter(cell.values()))).zero
             residual = tuple(cell.get(q, zero) for q in range(dim))
         else:
             if not any(val % modulus for val in cell.values()):
@@ -553,7 +540,7 @@ def _basis_change(n, g):
     """(g^{-1}, g) for a square basis-change matrix of size n."""
     if len(g) != n or any(len(row) != n for row in g):
         raise DimensionMismatch("basis-change matrix has wrong shape")
-    g = [[_normalize_scalar(x) for x in row] for row in g]
+    g = [[coerce(x) for x in row] for row in g]
     return mat_inverse(g), g
 
 
@@ -570,7 +557,7 @@ def change_basis_tensor(constants, g):
     """Dense structure constants of g*mu, given an Lts or a dense c[i][j][k][p]."""
     source = constants if isinstance(constants, Lts) else Lts(constants)
     h, g = _basis_change(source.dim, g)
-    return _dense_tensor(source.dim, _conjugate_rows(source.rows(), h, g), _zero_like(g[0][0]))
+    return _dense_tensor(source.dim, _conjugate_rows(source.rows(), h, g), field_of(g[0][0]).zero)
 
 
 def complete_table(dim, generators):
@@ -586,7 +573,7 @@ def complete_table(dim, generators):
             raise MalformedInput("products", f"index out of range in ({i},{j},{k})")
         if i == j:
             raise InconsistentTable(f"generator ({i},{j},{k}) must have i != j")
-        v = tuple(_normalize_scalar(x) for x in vec)
+        v = tuple(coerce(x) for x in vec)
         if len(v) != dim:
             raise MalformedInput("products", f"value for ({i},{j},{k}) must have length {dim}")
         key, mirror = (i - 1, j - 1, k - 1), (j - 1, i - 1, k - 1)
@@ -594,8 +581,7 @@ def complete_table(dim, generators):
             if known.setdefault((a, b, c), value) != value:
                 raise InconsistentTable(
                     f"conflicting values for [e{a+1},e{b+1},e{c+1}]: "
-                    f"{[scalar_str(x) if isinstance(x, GaussianRational) else str(x) for x in known[(a, b, c)]]} vs "
-                    f"{[scalar_str(x) if isinstance(x, GaussianRational) else str(x) for x in value]}"
+                    f"{[str(x) for x in known[(a, b, c)]]} vs {[str(x) for x in value]}"
                 )
 
     # One pass over the cyclic classes that hold a known product suffices.  (A2)
@@ -632,7 +618,7 @@ def lts_from_lie(bracket) -> Lts:
     identity, so the axiom check of the product is the Jacobi check.
     """
     n = len(bracket)
-    b = [[[_normalize_scalar(x) for x in bracket[i][j]] for j in range(n)] for i in range(n)]
+    b = [[[coerce(x) for x in bracket[i][j]] for j in range(n)] for i in range(n)]
     nonzero = {}  # i -> {j: [e_i, e_j] as {p: value}}, nonzero brackets only
     for i in range(n):
         for j in range(n):

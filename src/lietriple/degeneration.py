@@ -140,7 +140,7 @@ def _transported_rows(system: Lts, basis: ParametrizedBasis):
 
 def transport_constants(system: Lts, basis: ParametrizedBasis):
     """Dense structure constants of the product in the parametrized basis."""
-    return _dense_tensor(system.dim, _transported_rows(system, basis), RationalFunction.of(0))
+    return _dense_tensor(system.dim, _transported_rows(system, basis), RationalFunction.zero)
 
 
 @dataclass
@@ -170,7 +170,7 @@ def verify_degeneration(witness: DegenerationWitness) -> DegenerationReport:
         return DegenerationReport(False, witness, problems, time.monotonic() - start)
     moved = _transported_rows(source, witness.basis)
     expected_rows = target.rows()
-    zero = RationalFunction.of(0)
+    zero = RationalFunction.zero
     for key in sorted(moved.keys() | expected_rows.keys()):  # elsewhere both sides vanish
         row, expected_row = moved.get(key, {}), expected_rows.get(key, {})
         for p in sorted(row.keys() | expected_row.keys()):

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotClosed, PreconditionViolated, ZeroVector
-from .core import Lts, _first_slot_kernel, _normalize_scalar
+from .core import Lts, _first_slot_kernel
 from .cohomology import coboundary_space, extension_rows
 from .linalg import Subspace, rank
-from .scalars import QI_ONE, QI_ZERO
+from .scalars import QI_ONE, QI_ZERO, coerce, field_of
 
 __all__ = [
     "ExtensionSpec",
@@ -113,11 +113,10 @@ def has_annihilator_component(spec: ExtensionSpec) -> bool:
 
 def normalize_line_2dim(alpha, beta):
     """Invertible A with (alpha beta) A = (1 0) over the field; floats are refused."""
-    alpha, beta = _normalize_scalar(alpha), _normalize_scalar(beta)
+    alpha, beta = coerce(alpha), coerce(beta)
     if alpha == 0 and beta == 0:
         raise ZeroVector("(0, 0) spans no line")
     if alpha != 0:
-        inv = 1 / alpha
-        return [[inv, -beta], [0 * alpha, alpha]]
-    inv = 1 / beta
-    return [[0 * beta, 1 + 0 * beta], [inv, 0 * beta]]
+        return [[1 / alpha, -beta], [field_of(alpha).zero, alpha]]
+    field = field_of(beta)
+    return [[field.zero, field.one], [1 / beta, field.zero]]

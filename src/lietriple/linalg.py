@@ -16,21 +16,13 @@ decides an answer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import SingularMatrix
-from .scalars import QI_ONE, QI_ZERO, GaussianRational
+from .scalars import GaussianRational, coerce, field_of
 
 _P = 998244353  # prime, 1 mod 4
 _IOTA = pow(3, (_P - 1) // 4, _P)  # 3 generates F_p^*, so this squares to -1
-
-
-def _inv(x):
-    """Exact reciprocal; keeps integer pivots out of float land."""
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
 
 __all__ = [
     "rref",
@@ -62,7 +54,7 @@ def rref(rows):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         if rows[r][c] != 1:
-            inv = _inv(rows[r][c])
+            inv = 1 / coerce(rows[r][c])  # an int pivot gives Q(i), never a float
             rows[r] = [x * inv if x else x for x in rows[r]]
         pivot_row_vals = rows[r]
         for k in range(len(rows)):
@@ -95,15 +87,6 @@ def _dedupe_nonzero(rows):
     return out
 
 
-def _zero_one(rows):
-    """Zero and one of the field the entries live in; Q(i)'s when there are no entries."""
-    for row in rows:
-        for x in row:
-            zero = x - x
-            return zero, zero + 1
-    return QI_ZERO, QI_ONE
-
-
 def nullspace(rows, ncols=None):
     """Canonical basis of the right nullspace {x : rows . x = 0}.
 
@@ -118,7 +101,7 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
-    zero, one = _zero_one(rows)
+    field = field_of(rows[0][0]) if rows and ncols else GaussianRational
     rows = _dedupe_nonzero(rows)
     cleared = _cleared_rows(rows)
     if cleared is not None:
@@ -126,11 +109,11 @@ def nullspace(rows, ncols=None):
         if len(kept) == ncols:  # independent over Q(i) as well: the kernel is 0
             return []
         if len(kept) < len(rows):
-            basis = _kernel_basis([rows[r] for r in kept], ncols, zero, one)
+            basis = _kernel_basis([rows[r] for r in kept], ncols, field)
             kept = set(kept)
             if _kernel_holds(basis, [row for r, row in enumerate(cleared) if r not in kept]):
                 return basis
-    return _kernel_basis(rows, ncols, zero, one)
+    return _kernel_basis(rows, ncols, field)
 
 
 def _cleared_rows(rows):
@@ -202,15 +185,15 @@ def _kernel_holds(basis, cleared):
     return True
 
 
-def _kernel_basis(rows, ncols, zero, one):
+def _kernel_basis(rows, ncols, field):
     """Canonical kernel basis from the exact reduced echelon form of ``rows``."""
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
@@ -219,19 +202,19 @@ def _kernel_basis(rows, ncols, zero, one):
 
 
 def mat_mul(A, B):
-    n, m = len(A), len(B[0])
-    inner = len(B)
-    return [[sum((A[i][k] * B[k][j] for k in range(inner)), start=A[i][0] * 0) for j in range(m)] for i in range(n)]
+    m, inner = len(B[0]), len(B)
+    return [[sum((row[k] * B[k][j] for k in range(inner)), start=field_of(row[0]).zero)
+             for j in range(m)] for row in A]
 
 
-def identity_matrix(n, one=1, zero=0):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity_matrix(n, field=GaussianRational):
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
 def mat_inverse(A):
     n = len(A)
-    zero, one = _zero_one(A)  # the identity block takes the entries' own type
-    aug = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
+    field = field_of(A[0][0]) if n else GaussianRational  # the identity block's field
+    aug = [list(row) + ident for row, ident in zip(A, identity_matrix(n, field))]
     reduced, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
@@ -250,13 +233,13 @@ def determinant(A):
                 pivot_row = k
                 break
         if pivot_row is None:
-            return A[0][0] * 0
+            return field_of(A[0][0]).zero
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
             sign = -sign
         p = rows[c][c]
         det = det * p
-        inv = _inv(p)
+        inv = 1 / coerce(p)
         for k in range(c + 1, n):
             if rows[k][c] != 0:
                 f = rows[k][c] * inv

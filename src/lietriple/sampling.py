@@ -54,7 +54,7 @@ class ExactRandom:
         Entries stay tiny, which keeps basis-changed tensors cheap to handle
         while still exercising genuinely non-diagonal transformations.
         """
-        m = identity_matrix(n, one=GaussianRational(1), zero=GaussianRational(0))
+        m = identity_matrix(n)
         units = [GaussianRational(1), GaussianRational(-1),
                  GaussianRational(0, 1), GaussianRational(0, -1)]
         for _ in range(steps):
@@ -73,7 +73,7 @@ class ExactRandom:
                 f = GaussianRational(self.rng.randint(-2, 2), self.rng.choice((0, 0, 1)))
                 m[i] = [a + f * b for a, b in zip(m[i], m[j])]
         if determinant(m) == 0:  # cannot happen; defensive
-            return identity_matrix(n, one=GaussianRational(1), zero=GaussianRational(0))
+            return identity_matrix(n)
         return m
 
     def cocycle(self, space, height=3):

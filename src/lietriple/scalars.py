@@ -23,6 +23,8 @@ __all__ = [
     "QI_ZERO",
     "QI_ONE",
     "QI_I",
+    "field_of",
+    "coerce",
     "limit_at_zero",
     "evaluate_at",
     "parse_scalar",
@@ -586,6 +588,25 @@ class RationalFunction:
 
     def __str__(self):
         return rational_function_str(self)
+
+
+# Each scalar class is its own field: ``of`` coerces into it, and ``zero`` and
+# ``one`` are its constants.
+GaussianRational.zero, GaussianRational.one = QI_ZERO, QI_ONE
+RationalFunction.zero, RationalFunction.one = RationalFunction.of(0), RationalFunction.of(1)
+
+
+def field_of(x):
+    """The field a scalar lives in: Q(i)(t) for a rational function, Q(i) otherwise."""
+    return RationalFunction if isinstance(x, RationalFunction) else GaussianRational
+
+
+def coerce(x):
+    """A field element unchanged; anything else through ``GaussianRational.of``,
+    which refuses floats."""
+    if isinstance(x, (GaussianRational, RationalFunction)):
+        return x
+    return GaussianRational.of(x)
 
 
 def limit_at_zero(f: RationalFunction) -> GaussianRational:

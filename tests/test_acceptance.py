@@ -147,7 +147,15 @@ def test_criterion_06_family_isomorphisms():
     oracle = Fraction((lam * lam + lam + 1) ** 3) / (lam * lam * (lam + 1) ** 2)
     ok = ok and oracle == Fraction(343, 36)
     ok = ok and catalog.xi(G(2)) == oracle and catalog.xi(G(Fraction(1, 2))) == oracle
-    _report(6, "sigma_2..sigma_6 exact witnesses; xi orbit equality; xi(2) = 343/36", ok)
+    # for every lambda at once: the same checks as identities over Q(i)(t)
+    t = RationalFunction.variable()
+    generic = catalog.instantiate("T4,6", t)
+    for k in range(1, 7):
+        target, witness = catalog.family_isomorphism(k, t)
+        ok = ok and generic.change_basis(witness) == catalog.instantiate("T4,6", target)
+        ok = ok and catalog.xi(target) == catalog.xi(t)
+    _report(6, "sigma_1..sigma_6 exact witnesses and xi orbit equality, sampled and at "
+               "symbolic lambda; xi(2) = 343/36", ok)
 
 
 def test_criterion_07_degeneration_suite():

@@ -19,7 +19,7 @@ from lietriple.errors import (
 from lietriple.core import Lts, complete_table, lts_from_lie
 from lietriple.linalg import determinant
 from lietriple.sampling import ExactRandom
-from lietriple.scalars import GaussianRational, QI_I
+from lietriple.scalars import GaussianRational, QI_I, RationalFunction
 
 
 G = GaussianRational
@@ -120,7 +120,7 @@ class TestFamilyIsomorphisms:
         assert all(g[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("lam", [G(2), G(3), G(5)])
+    @pytest.mark.parametrize("lam", [G(2), G(3), G(5), RationalFunction.variable()])
     def test_exact_witnesses(self, k, lam):
         target, g = catalog.family_isomorphism(k, lam)
         moved = catalog.instantiate("T4,6", lam).change_basis(g)
@@ -155,6 +155,41 @@ class TestFamilyIsomorphisms:
                                              G(Fraction(-2, 3))]
         assert catalog.lambda_orbit(G(0)) == [G(0), G(-1)]
         assert tuple(catalog.lambda_orbit(G(1))) == catalog.FAMILY_SPECIAL_LAMBDAS
+
+
+class TestSymbolicLambda:
+    """The family maps take lambda = t in Q(i)(t): one check holds for every lambda."""
+
+    t = RationalFunction.variable()
+
+    def test_xi_closed_form(self):
+        t = self.t
+        assert catalog.xi(t) == (t * t + t + 1) ** 3 / (t * t * (t + 1) ** 2)
+
+    def test_generic_member(self):
+        system = catalog.instantiate("T4,6", self.t)
+        fp = system.fingerprint()
+        assert (fp.dim_ann, fp.dim_derived, fp.dim_der, fp.nilpotency_index,
+                fp.dim_z3, fp.dim_h3) == (1, 1, 6, 2, 8, 7)
+        assert system.flattening_ranks() == (3, 3, 3)
+        assert catalog.family_table1_der(self.t) == 6
+
+    def test_maps_compute_in_the_field_of_lambda(self):
+        orbit = catalog.lambda_orbit(self.t)
+        assert len(orbit) == 6
+        for k in range(1, 7):
+            target, g = catalog.family_isomorphism(k, self.t)
+            assert all(type(x) is RationalFunction for row in g for x in row)
+            assert target == orbit[k - 1]
+
+    def test_singular_parameters_in_q_i_t(self):
+        zero = RationalFunction.of(0)
+        with pytest.raises(SingularParameter, match="xi undefined at lambda = 0"):
+            catalog.xi(zero)
+        with pytest.raises(SingularParameter, match="sigma_3 / sigma_4 need lambda != 0"):
+            catalog.family_isomorphism(3, zero)
+        with pytest.raises(SingularParameter, match="sigma_5 / sigma_6 need lambda != -1"):
+            catalog.family_isomorphism(5, RationalFunction.of(-1))
 
 
 def _dense(system, seed=107):

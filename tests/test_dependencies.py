@@ -1,9 +1,11 @@
 """The package runs on the Python standard library alone."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,23 @@ def test_every_import_is_used():
         stale += [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
                   if name not in used | exported]
     assert stale == []
+
+
+def test_field_constants_live_in_scalars():
+    # zero, one and coercion come from the field (scalars.field_of, coerce, .zero, .one),
+    # not from a per-module helper or a product with the integer 0
+    retired = {"_normalize_scalar", "_zero_like", "_zero_one", "_inv"}
+    found = []
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+                  if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT,
+                                      tokenize.INDENT, tokenize.DEDENT)]
+        for before, tok, after in zip([None] + tokens, tokens, tokens[1:] + [None]):
+            if tok.type == tokenize.NAME and tok.string in retired:
+                found.append(f"{path.name}:{tok.start[0]} {tok.string}")
+            zero = tok.type == tokenize.NUMBER and tok.string == "0"
+            if zero and any(other is not None and other.string == "*" for other in (before, after)):
+                found.append(f"{path.name}:{tok.start[0]} * 0")
+    assert found == []

@@ -147,8 +147,7 @@ def test_inverse_and_determinant():
         g = rng.invertible(n, height=5)
         inv = mat_inverse(g)
         prod = mat_mul(g, inv)
-        assert prod == identity_matrix(n, one=prod[0][0] * 0 + 1, zero=prod[0][0] * 0) or \
-            all(prod[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+        assert prod == identity_matrix(n)
         assert determinant(g) * determinant(inv) == 1
 
 
@@ -171,6 +170,25 @@ def test_nullspace_holds_field_elements_only():
     t = RationalFunction.variable()
     rows = [[t, RationalFunction.of(0), RationalFunction.of(1)]]
     assert {type(x) for row in nullspace(rows) for x in row} == {RationalFunction}
+
+
+def test_int_input_gives_exact_field_elements():
+    # an int pivot is inverted in Q(i); 1.0 == 1, so value checks alone would pass on floats
+    exact = {int, GaussianRational}
+    a = [[2, 4, 1], [1, 3, 5], [4, 1, 2]]
+    reduced, pivots = rref(a)
+    assert pivots == [0, 1, 2] and {type(x) for row in reduced for x in row} <= exact
+    assert {type(x) for row in rref([[2, 4], [1, 2]])[0] for x in row} <= exact
+    det = determinant(a)
+    assert det == 63 and type(det) in exact
+    assert type(determinant([[1, 2], [2, 4]])) in exact
+    inv = mat_inverse(a)
+    assert mat_mul(a, inv) == identity_matrix(3)
+    assert {type(x) for row in inv for x in row} <= exact
+    basis = nullspace([[1, 2, 3], [2, 4, 7]], 3)
+    assert basis == [[1, Fraction(-1, 2), 0]]
+    assert {type(x) for row in basis for x in row} <= exact
+    assert {type(x) for row in identity_matrix(4) for x in row} == {GaussianRational}
 
 
 def test_singular_matrix_raises():

@@ -27,12 +27,12 @@ from lietriple.cohomology import (
     cocycle_space,
     delta_indices,
 )
-from lietriple.core import Lts, NilpotencyReport, _normalize_scalar, complete_table, lts_from_lie
+from lietriple.core import Lts, NilpotencyReport, complete_table, lts_from_lie
 from lietriple.errors import InconsistentTable, MalformedInput, NotALieAlgebra
 from lietriple.extension import _radical_meet
 from lietriple.linalg import Subspace, mat_inverse, nullspace
 from lietriple.sampling import ExactRandom
-from lietriple.scalars import QI_ZERO, GaussianRational, parse_scalar, scalar_str
+from lietriple.scalars import QI_ZERO, GaussianRational, coerce, parse_scalar, scalar_str
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def reference_completion(dim, generators):
             raise MalformedInput("products", f"index out of range in ({i},{j},{k})")
         if i == j:
             raise InconsistentTable(f"generator ({i},{j},{k}) must have i != j")
-        v = tuple(_normalize_scalar(x) for x in vec)
+        v = tuple(coerce(x) for x in vec)
         if len(v) != dim:
             raise MalformedInput("products", f"value for ({i},{j},{k}) must have length {dim}")
         set_value(i - 1, j - 1, k - 1, v)
@@ -121,7 +121,7 @@ def unchecked_completion(dim, generators):
 
 def reference_lts_from_lie(bracket):
     n = len(bracket)
-    b = [[[_normalize_scalar(x) for x in bracket[i][j]] for j in range(n)] for i in range(n)]
+    b = [[[coerce(x) for x in bracket[i][j]] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if any(x + y != 0 for x, y in zip(b[i][j], b[j][i])):
@@ -211,7 +211,7 @@ def bracket_from(n, products):
 def conjugate_bracket(b, g):
     """g [g^-1 x, g^-1 y], dense."""
     n = len(b)
-    h = mat_inverse([[_normalize_scalar(x) for x in row] for row in g])
+    h = mat_inverse([[coerce(x) for x in row] for row in g])
     out = [[[QI_ZERO] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for c in range(n):
