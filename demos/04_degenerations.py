@@ -6,7 +6,7 @@ Run:  python3 demos/04_degenerations.py
 
 from lietriple import catalog
 from lietriple import degeneration as dg
-from lietriple.scalars import GaussianRational, RationalFunction, limit_at_zero
+from lietriple.scalars import GaussianRational, RationalFunction
 
 G = GaussianRational
 
@@ -23,7 +23,7 @@ moved = dg.transport_constants(system, basis)
 for idx in ((1, 2, 1, 3), (1, 2, 2, 4)):
     i, j, k, p = idx
     value = RationalFunction.of(moved[i - 1][j - 1][k - 1][p - 1])
-    print(f"c'{idx} = {value}  ->  limit {limit_at_zero(value)}")
+    print(f"c'{idx} = {value}  ->  limit {value.limit_at_zero()}")
 
 print("\n=== A family degeneration with a parametrized index ===")
 family = dg.table4_witness()

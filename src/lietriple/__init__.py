@@ -12,8 +12,6 @@ from .scalars import (
     QI_I,
     QI_ONE,
     QI_ZERO,
-    evaluate_at,
-    limit_at_zero,
     parse_rational_function,
     parse_scalar,
     rational_function_str,

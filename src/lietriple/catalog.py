@@ -31,6 +31,7 @@ from typing import Optional
 
 from .errors import (
     DimensionUnsupported,
+    MalformedInput,
     MissingParameter,
     NoMatch,
     NotNilpotent,
@@ -145,7 +146,7 @@ def instantiate(name: str, lam=None) -> Lts:
         lam = coerce(lam)
     elif lam is not None:
         raise MissingParameter(f"{name} takes no family parameter")
-    key = (name, lam)
+    key = (name, field_of(lam), lam)  # a constant of Q(i)(t) equals its Q(i) value
     if key not in _instances:
         _instances[key] = complete_table(entry.dim, entry.generators(lam))
     return _instances[key]
@@ -323,7 +324,7 @@ def _height(z: GaussianRational):
 
 
 def classify(system: Lts) -> ClassifyResult:
-    """Match a verified nilpotent system of dimension <= 4 against the catalog.
+    """Match a nilpotent system over Q(i) of dimension <= 4 against the catalog.
 
     The family parameter is recovered up to its six-element orbit; the result
     is "certified" only when an explicit witness (the identity, here: exact
@@ -332,6 +333,9 @@ def classify(system: Lts) -> ClassifyResult:
     """
     if system.dim < 1 or system.dim > 4:
         raise DimensionUnsupported(f"classification covers dimensions 1..4, got {system.dim}")
+    if any(type(x) is not GaussianRational
+           for row in system.rows().values() for x in row.values()):
+        raise MalformedInput("field", "classification is over Q(i), not Q(i)(t)")
     if not system.nilpotency().is_nilpotent:
         raise NotNilpotent("input is not nilpotent")
     name, xi_value = _name_and_xi(system)

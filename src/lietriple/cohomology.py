@@ -69,21 +69,6 @@ class Cocycle:
             if v != 0:
                 clean[(i, j, k)] = v
         self.coeffs = clean
-        self._closed = False
-
-    @classmethod
-    def _known(cls, ambient, coeffs, closed=True):
-        """A cochain with a closedness flag that the library itself has established."""
-        theta = cls(ambient, coeffs)
-        theta._closed = closed
-        return theta
-
-    @property
-    def closed(self):
-        """True for Z^3/B^3 basis vectors, coboundaries, their linear
-        combinations, their images under a checked automorphism and
-        cochains that passed check_closed; callers cannot set it."""
-        return self._closed
 
     def value(self, a, b, c):
         """theta(e_a, e_b, e_c) with 1-based indices."""
@@ -106,25 +91,21 @@ class Cocycle:
         idx = delta_indices(self.ambient.dim)
         return [self.coeffs.get(t, QI_ZERO) for t in idx]
 
-    # Z^3 is a subspace: sums, negatives and multiples of closed cochains stay closed.
     def __add__(self, other):
         if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise DimensionMismatch("cochains on different systems")
         keys = set(self.coeffs) | set(other.coeffs)
-        return Cocycle._known(
-            self.ambient,
-            {t: self.coeffs.get(t, QI_ZERO) + other.coeffs.get(t, QI_ZERO) for t in keys},
-            self.closed and other.closed)
+        return Cocycle(self.ambient, {t: self.coeffs.get(t, QI_ZERO) + other.coeffs.get(t, QI_ZERO)
+                                      for t in keys})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Cocycle._known(self.ambient, {t: -v for t, v in self.coeffs.items()}, self.closed)
+        return Cocycle(self.ambient, {t: -v for t, v in self.coeffs.items()})
 
     def __rmul__(self, scalar):
-        return Cocycle._known(self.ambient, {t: v * scalar for t, v in self.coeffs.items()},
-                              self.closed)
+        return Cocycle(self.ambient, {t: v * scalar for t, v in self.coeffs.items()})
 
     __mul__ = __rmul__
 
@@ -143,15 +124,15 @@ class Cocycle:
         """Verify (B2) and (B3) on the nonzero rows; (B1) holds by storage.
 
         (B2) and (B3) are (A2) and (A3) of T_theta on its new coordinate.  The
-        residual vanishes on every other coordinate of a verified ambient, so
-        the axiom kernel reports them at the same indices as an exhaustive scan.
+        residual vanishes on every other coordinate of an ambient that satisfies
+        the axioms, so the axiom kernel reports them at the same indices as an
+        exhaustive scan.
         """
         ambient = self.ambient.require_axioms()
         failure = first_axiom_failure(ambient.dim + 1, extension_rows(ambient, [self]))
         if failure is not None:
             identity, indices, _ = failure
             return False, ("B" + identity[1:], indices)
-        self._closed = True
         return True, None
 
     def __repr__(self):
@@ -180,13 +161,12 @@ def extension_rows(base: Lts, thetas):
 class CochainSpace:
     """A subspace of cochains with a canonical reduced-echelon basis."""
 
-    def __init__(self, ambient: Lts, vectors, _closed=False):
+    def __init__(self, ambient: Lts, vectors):
         self.ambient = ambient
         idx = delta_indices(ambient.dim)
         self._space = Subspace(len(idx), vectors)
         self.coordinates = self._space.basis
-        self.basis = [Cocycle._known(ambient, dict(zip(idx, row)), _closed)
-                      for row in self.coordinates]
+        self.basis = [Cocycle(ambient, dict(zip(idx, row))) for row in self.coordinates]
 
     @property
     def dim(self):
@@ -220,7 +200,7 @@ def cocycle_space(system: Lts) -> CochainSpace:
         row = [cell.get(q, QI_ZERO) for q in columns]
         if any(row):
             equations.append(row)
-    return CochainSpace(system, nullspace(equations, len(idx)), _closed=True)
+    return CochainSpace(system, nullspace(equations, len(idx)))
 
 
 def coboundary_of(system: Lts, functional) -> Cocycle:
@@ -231,7 +211,7 @@ def coboundary_of(system: Lts, functional) -> Cocycle:
             val = sum((functional[p] * x for p, x in row.items()), start=QI_ZERO)
             if val != 0:
                 coeffs[(i + 1, j + 1, k + 1)] = val
-    return Cocycle._known(system, coeffs)
+    return Cocycle(system, coeffs)
 
 
 @_memo
@@ -243,7 +223,7 @@ def coboundary_space(system: Lts) -> CochainSpace:
         if i < j:
             for p, val in row.items():
                 vectors[p][position[(i + 1, j + 1, k + 1)]] = val
-    return CochainSpace(system, vectors, _closed=True)
+    return CochainSpace(system, vectors)
 
 
 def cohomology(system: Lts):
@@ -265,7 +245,7 @@ def cohomology(system: Lts):
             if f:
                 row = [a - f * b for a, b in zip(row, br)]
         reps.append(row)
-    return z3.dim - b3.dim, CochainSpace(system, reps, _closed=True)
+    return z3.dim - b3.dim, CochainSpace(system, reps)
 
 
 def cocycle_to_dict(theta: Cocycle) -> dict:
@@ -333,8 +313,7 @@ def aut_action(phi, theta: Cocycle, check=True) -> Cocycle:
     coeffs = {(i + 1, j + 1, k + 1): row[0]
               for (i, j, k), row in _conjugate_rows(_theta_rows(theta), phi, [[1]]).items()
               if i < j}
-    # phi theta is closed for closed theta only when phi is an automorphism
-    return Cocycle._known(system, coeffs, theta.closed and check)
+    return Cocycle(system, coeffs)
 
 
 def matrix_form(theta: Cocycle):

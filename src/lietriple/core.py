@@ -111,19 +111,19 @@ class Lts:
     builds a system from its nonzero rows without a dense tensor.
     """
 
-    def __init__(self, constants, verified=False):
+    def __init__(self, constants):
         n = len(constants)
         self._set_rows(n, {(i, j, k): dict(enumerate(constants[i][j][k]))
-                           for i in range(n) for j in range(n) for k in range(n)}, verified)
+                           for i in range(n) for j in range(n) for k in range(n)})
 
     @classmethod
-    def from_rows(cls, dim, rows, verified=False):
+    def from_rows(cls, dim, rows):
         """System of dimension ``dim`` from 0-based (i, j, k) -> {p: value}."""
         system = cls.__new__(cls)
-        system._set_rows(dim, rows, verified)
+        system._set_rows(dim, rows)
         return system
 
-    def _set_rows(self, dim, rows, verified):
+    def _set_rows(self, dim, rows):
         clean = {}
         for key in sorted(rows):
             row = {}
@@ -137,7 +137,6 @@ class Lts:
         first = next(iter(clean.values()), None)
         self._zero = field_of(next(iter(first.values()))).zero if first else QI_ZERO
         self.dim = dim
-        self.verified = verified
         self._cache = {}
 
     # -- raw access ---------------------------------------------------------
@@ -192,19 +191,18 @@ class Lts:
 
     # -- axioms ---------------------------------------------------------------
 
+    @_memo
     def check_axioms(self) -> AxiomReport:
         failure = first_axiom_failure(self.dim, self._rows)
         if failure is not None:
             return AxiomReport(False, *failure)
-        self.verified = True
         return AxiomReport(True)
 
     def require_axioms(self) -> "Lts":
-        """Check an unverified system once; raise AxiomViolation if it fails."""
-        if not self.verified:
-            report = self.check_axioms()
-            if not report.ok:
-                raise AxiomViolation(report.identity, report.indices, report.residual)
+        """The system itself if (A1)-(A3) hold; raise AxiomViolation otherwise."""
+        report = self.check_axioms()
+        if not report.ok:
+            raise AxiomViolation(report.identity, report.indices, report.residual)
         return self
 
     # -- structural invariants -------------------------------------------------
@@ -303,7 +301,7 @@ class Lts:
     def change_basis(self, g) -> "Lts":
         """Conjugated product (g*mu)(x,y,z) = g mu(g^{-1}x, g^{-1}y, g^{-1}z)."""
         h, g = _basis_change(self.dim, g)
-        return Lts.from_rows(self.dim, _conjugate_rows(self._rows, h, g), verified=self.verified)
+        return Lts.from_rows(self.dim, _conjugate_rows(self._rows, h, g))
 
     @_memo
     def fingerprint(self) -> Fingerprint:
@@ -607,7 +605,7 @@ def direct_sum(a: Lts, b: Lts) -> Lts:
     rows = dict(a.rows())
     for (i, j, k), row in b.rows().items():
         rows[(n + i, n + j, n + k)] = {n + p: val for p, val in row.items()}
-    return Lts.from_rows(n + b.dim, rows, verified=a.verified and b.verified)
+    return Lts.from_rows(n + b.dim, rows)
 
 
 def lts_from_lie(bracket) -> Lts:
@@ -645,7 +643,10 @@ def lts_from_lie(bracket) -> Lts:
 
 
 def lts_to_dict(system: Lts) -> dict:
-    """{"dim": n, "field": ..., "products": [...]} listing i<j nonzero generators."""
+    """{"dim": n, "field": ..., "products": [...]} listing i<j nonzero generators.
+
+    Documents are over Q or Q(i); a system over Q(i)(t) is refused.
+    """
     products = []
     rational_only = True
     for (i, j, k), row in system.rows().items():
@@ -653,8 +654,10 @@ def lts_to_dict(system: Lts) -> dict:
             continue
         value = {}
         for p, x in row.items():
+            if not isinstance(x, GaussianRational):
+                raise MalformedInput("field", "a document is over Q or Q(i), not Q(i)(t)")
             value[str(p + 1)] = scalar_str(x)
-            if not GaussianRational.of(x).is_rational:
+            if not x.is_rational:
                 rational_only = False
         products.append({"args": [i + 1, j + 1, k + 1], "value": value})
     return {"dim": system.dim, "field": "Q" if rational_only else "Q(i)", "products": products}

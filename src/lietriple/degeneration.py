@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action, complete_table
+from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
 from .linalg import mat_inverse, nullspace
 from .scalars import (
@@ -119,7 +119,7 @@ def _endpoint_system(role, name, lam, index_fn=None):
     if not entry.family:
         return catalog.instantiate(name)
     if index_fn is not None:
-        return complete_table(entry.dim, entry.generators(index_fn))
+        lam = index_fn
     if lam is None:
         raise MalformedInput(role, "a family end needs lambda (or, at the source, index_fn)")
     return catalog.instantiate(name, lam)

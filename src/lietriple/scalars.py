@@ -25,8 +25,6 @@ __all__ = [
     "QI_I",
     "field_of",
     "coerce",
-    "limit_at_zero",
-    "evaluate_at",
     "parse_scalar",
     "parse_rational_function",
     "scalar_str",
@@ -607,14 +605,6 @@ def coerce(x):
     if isinstance(x, (GaussianRational, RationalFunction)):
         return x
     return GaussianRational.of(x)
-
-
-def limit_at_zero(f: RationalFunction) -> GaussianRational:
-    return RationalFunction.of(f).limit_at_zero()
-
-
-def evaluate_at(f: RationalFunction, t0) -> GaussianRational:
-    return RationalFunction.of(f).evaluate_at(t0)
 
 
 # ---------------------------------------------------------------------------

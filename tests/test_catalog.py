@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lietriple import catalog
 from lietriple.errors import (
     DimensionUnsupported,
+    MalformedInput,
     MissingParameter,
     NotNilpotent,
     SingularParameter,
@@ -190,6 +191,21 @@ class TestSymbolicLambda:
             catalog.family_isomorphism(3, zero)
         with pytest.raises(SingularParameter, match="sigma_5 / sigma_6 need lambda != -1"):
             catalog.family_isomorphism(5, RationalFunction.of(-1))
+
+    def test_instances_of_the_two_fields_stay_apart(self, monkeypatch):
+        # a constant of Q(i)(t) equals its Q(i) value and hashes like it
+        monkeypatch.setattr(catalog, "_instances", {})
+        symbolic = catalog.instantiate("T4,6", RationalFunction.of(2))
+        system = catalog.instantiate("T4,6", 2)
+        assert all(type(x) is RationalFunction for *_, x in symbolic.nonzero_entries())
+        assert all(type(x) is GaussianRational for *_, x in system.nonzero_entries())
+        result = catalog.classify(system)
+        assert (result.name, result.lam, result.confidence) == ("T4,6", G(2), "certified")
+
+    def test_classify_refuses_q_i_t(self):
+        with pytest.raises(MalformedInput) as info:
+            catalog.classify(catalog.instantiate("T4,6", self.t))
+        assert info.value.field == "field" and "Q(i)(t)" in str(info.value)
 
 
 def _dense(system, seed=107):

@@ -68,17 +68,9 @@ class TestCocycleSpace:
 
     def test_linear_combinations_of_closed_cocycles_stay_closed(self, t32):
         a, b = cocycle_space(t32).basis[:2]
-        assert a.closed and b.closed
+        assert a.check_closed()[0] and b.check_closed()[0]
         for combo in (a + b, a - b, -a, 3 * a, a * GaussianRational(0, 2)):
-            assert combo.closed
             assert combo.check_closed()[0]
-
-    def test_sum_with_unchecked_cochain_is_not_marked_closed(self, t32):
-        a = cocycle_space(t32).basis[0]
-        unchecked = D(t32, {(1, 2, 1): 1})  # closed, but nothing has checked it
-        assert not unchecked.closed
-        for combo in (a + unchecked, unchecked + a, a - unchecked, -unchecked, 2 * unchecked):
-            assert not combo.closed
 
 
 class TestCoboundarySpace:
@@ -275,7 +267,7 @@ class TestAutAction:
             assert is_automorphism(t32, phi)
             theta = rng.cocycle(z3)
             assert z3.contains(aut_action(phi, theta, check=False))
-            assert aut_action(phi, theta).closed
+            assert aut_action(phi, theta).check_closed()[0]
             delta = rng.cocycle(b3)
             assert b3.contains(aut_action(phi, delta, check=False))
 

@@ -31,7 +31,7 @@ from lietriple.errors import (
 )
 from lietriple.linalg import Subspace
 from lietriple.sampling import ExactRandom
-from lietriple.scalars import GaussianRational, QI_ZERO
+from lietriple.scalars import GaussianRational, QI_ZERO, RationalFunction
 
 
 def _zero_tensor(n):
@@ -372,8 +372,9 @@ class TestMemo:
     @staticmethod
     def invariants(system):
         """Every memoized invariant, with the cochain spaces by their bases."""
-        return (system.annihilator(), system.derived(), system.nilpotency(),
-                system.derivations(), system.flattening_ranks(), system.fingerprint(),
+        return (system.check_axioms(), system.annihilator(), system.derived(),
+                system.nilpotency(), system.derivations(), system.flattening_ranks(),
+                system.fingerprint(),
                 cocycle_space(system).coordinates, coboundary_space(system).coordinates,
                 catalog.family_cocycle_matrix(system), catalog._t31_pq(system),
                 catalog._name_and_xi(system))
@@ -381,7 +382,7 @@ class TestMemo:
     @pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
     def test_copies_keep_their_invariants(self, copier):
-        system = Lts.from_rows(4, catalog.instantiate("T4,6", 2).rows(), verified=True)
+        system = Lts.from_rows(4, catalog.instantiate("T4,6", 2).rows())
         before = self.invariants(system)
         copied = copier(system)
         assert copied == system and copied is not system
@@ -389,7 +390,7 @@ class TestMemo:
         assert self.invariants(copied) == before
 
     def test_computed_once(self):
-        system = Lts.from_rows(4, catalog.instantiate("T4,5").rows(), verified=True)
+        system = Lts.from_rows(4, catalog.instantiate("T4,5").rows())
         first = self.invariants(system)
         assert all(a is b for a, b in zip(self.invariants(system), first))
 
@@ -402,6 +403,12 @@ class TestJsonRoundTrip:
         doc = lts_to_dict(system)
         again = lts_from_dict(json.loads(json.dumps(doc)))
         assert again == system
+
+    def test_q_i_t_system_refused(self):
+        # a document is declared over Q or Q(i)
+        with pytest.raises(MalformedInput) as info:
+            lts_to_dict(catalog.instantiate("T4,6", RationalFunction.variable()))
+        assert info.value.field == "field" and "Q(i)(t)" in str(info.value)
 
     def test_field_restriction(self):
         # the declared field decides: i is refused in a document over Q
@@ -431,7 +438,7 @@ class TestJsonRoundTrip:
         start = time.monotonic()
         system = lts_from_dict({"dim": 12, "products": []})
         assert time.monotonic() - start < 10
-        assert system.dim == 12 and system.verified
+        assert system.dim == 12 and system.check_axioms().ok
         assert not any(True for _ in system.nonzero_entries())
 
     def test_dim_cap(self):

@@ -16,8 +16,6 @@ from lietriple.sampling import ExactRandom
 from lietriple.scalars import (
     GaussianRational,
     RationalFunction,
-    evaluate_at,
-    limit_at_zero,
     parse_rational_function,
     rational_function_str,
     scalar_str,
@@ -34,7 +32,7 @@ class TestTransport:
                                       for i in range(4)])
         moved = dg.transport_constants(system, basis)
         assert moved[0][1][0][2] == T * T
-        assert limit_at_zero(RationalFunction.of(moved[0][1][0][2])) == 0
+        assert RationalFunction.of(moved[0][1][0][2]).limit_at_zero() == 0
 
     def test_identity_basis(self):
         system = catalog.instantiate("T4,8")
@@ -223,15 +221,15 @@ class TestWitnessConsistency:
             witness = dg.table2_witness(row)
             source = witness.source_system()
             transported = dg.transport_constants(source, witness.basis)
-            numeric = [[evaluate_at(x, t0) for x in row] for row in witness.basis.rows]
+            numeric = [[x.evaluate_at(t0) for x in row] for row in witness.basis.rows]
             g = mat_inverse([[numeric[j][i] for j in range(4)] for i in range(4)])
             direct = source.change_basis(g)
             for i in range(4):
                 for j in range(4):
                     for k in range(4):
                         for p in range(4):
-                            sampled = evaluate_at(
-                                RationalFunction.of(transported[i][j][k][p]), t0)
+                            sampled = RationalFunction.of(
+                                transported[i][j][k][p]).evaluate_at(t0)
                             assert sampled == direct.constant(i + 1, j + 1, k + 1, p + 1)
 
     def test_limits_agree_with_small_sample_values(self):
@@ -244,11 +242,11 @@ class TestWitnessConsistency:
                 for k in range(4):
                     for p in range(4):
                         f = RationalFunction.of(transported[i][j][k][p])
-                        lim = limit_at_zero(f)
+                        lim = f.limit_at_zero()
                         # numerator/denominator are continuous at 0, so the
                         # sample value approaches the limit; at t = 1/1000 the
                         # difference must already be tiny for these rows
-                        sample = evaluate_at(f, t0)
+                        sample = f.evaluate_at(t0)
                         delta = sample - lim
                         assert abs(delta.re) < Fraction(1, 50) and abs(delta.im) < Fraction(1, 50)
 
@@ -388,7 +386,7 @@ class TestCertificates:
         real = catalog.a_theta
         monkeypatch.setattr(catalog, "a_theta", lambda theta: builds.append(theta) or real(theta))
         # fresh copies: catalog instances may already carry their invariants
-        ends = [Lts.from_rows(4, catalog.instantiate(*end).rows(), verified=True)
+        ends = [Lts.from_rows(4, catalog.instantiate(*end).rows())
                 for end in (("T4,6", G(2)), ("T4,4", None))]
         first = dg.necessary_conditions(*ends)
         assert len(builds) == 2

@@ -73,6 +73,23 @@ def test_every_import_is_used():
     assert stale == []
 
 
+def test_validity_is_checked_not_carried():
+    # a check's result lives in the memo or is read where it is needed, never in a flag
+    flags = {"verified", "_closed"}
+    refused = {ast.arg: ("arg", flags), ast.keyword: ("arg", flags),
+               ast.Attribute: ("attr", {"verified", "closed", "_closed", "_known",
+                                        "_ensure_closed"}),
+               ast.Name: ("id", {"_known", "_ensure_closed"}),
+               ast.FunctionDef: ("name", {"_known", "_ensure_closed"})}
+    found = []
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            field, names = refused.get(type(node), (None, ()))
+            if field is not None and getattr(node, field) in names:
+                found.append(f"{path.name}:{node.lineno} {getattr(node, field)}")
+    assert found == []
+
+
 def test_field_constants_live_in_scalars():
     # zero, one and coercion come from the field (scalars.field_of, coerce, .zero, .one),
     # not from a per-module helper or a product with the integer 0

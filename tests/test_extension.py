@@ -1,9 +1,11 @@
 """Annihilator extensions and their classification predicates."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from conftest import T32_EXTENSIONS, basis_vector, t32_extension
-from lietriple import catalog
+from lietriple import catalog, core
 from lietriple.cohomology import Cocycle, coboundary_of, cocycle_space
 from lietriple.core import Lts, lts_from_lie
 from lietriple.errors import AxiomViolation, NotClosed, PreconditionViolated, ZeroVector
@@ -56,13 +58,32 @@ class TestExtend:
         with pytest.raises(AxiomViolation):
             extend(ExtensionSpec(base, [Cocycle(base, {})]))
 
+    def test_spec_is_frozen(self, t21):
+        # the spec is checked when it is made, so it cannot change afterwards
+        theta = D(t21, {(1, 2, 1): 1})
+        spec = ExtensionSpec(t21, [theta])
+        assert spec.thetas == (theta,)
+        with pytest.raises(FrozenInstanceError):
+            spec.thetas = (D(t21, {(1, 2, 2): 1}),)
+        with pytest.raises(FrozenInstanceError):
+            spec.base = catalog.instantiate("T3,2")
+
+    def test_extension_as_base_is_axiom_checked_once(self, t21, monkeypatch):
+        extended = extend(ExtensionSpec(t21, [D(t21, {(1, 2, 1): 1})]))
+        dims = []
+        real = core.first_axiom_failure
+        monkeypatch.setattr(core, "first_axiom_failure",
+                            lambda dim, rows: dims.append(dim) or real(dim, rows))
+        for _ in range(2):
+            spec = ExtensionSpec(extended, [D(extended, {(1, 3, 1): 1})])
+            extend(spec), extension_annihilator(spec), in_ts(spec)
+        assert dims == [3]
+
     def test_callers_cannot_flag_a_cochain_closed(self, t32):
-        # extend skips the closedness check only for cochains the library flagged
+        # no flag marks a cochain closed: a spec checks every component when it is made
         bad = D(t32, {(1, 2, 3): 1})
         with pytest.raises(TypeError):
             Cocycle(t32, {(1, 2, 3): 1}, closed=True)
-        with pytest.raises(AttributeError):
-            bad.closed = True
         with pytest.raises(NotClosed):
             extend(ExtensionSpec(t32, [bad]))
 
@@ -72,7 +93,7 @@ class TestExtend:
         theta = next(b for b in cocycle_space(t32).basis if b == D(t32, {(1, 3, 1): 1}))
         swap = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]  # not in Aut(T3,2)
         twisted = aut_action(swap, theta, check=False)  # = -delta^{1,3,3}, not closed
-        assert theta.closed and not twisted.closed
+        assert theta.check_closed()[0] and not twisted.check_closed()[0]
         with pytest.raises(NotClosed):
             extend(ExtensionSpec(t32, [twisted]))
         with pytest.raises(NotClosed):
@@ -106,7 +127,7 @@ class TestExtensionAnnihilator:
                 continue
             bad = D(spec.base, {(1, 2, 3): 1})  # violates the cyclic condition alone
             with pytest.raises(NotClosed):
-                extension_annihilator(ExtensionSpec(spec.base, spec.thetas[1:] + [bad]))
+                extension_annihilator(ExtensionSpec(spec.base, [*spec.thetas[1:], bad]))
 
 
 class TestInTs:

@@ -145,7 +145,7 @@ SYSTEMS = (
     + [(f"conjugate of {name}" + (f" at {lam}" if lam is not None else ""),
         lambda name=name, lam=lam, seed=seed: _conjugate(name, lam, seed))
        for seed, (name, lam) in enumerate(CONJUGATES, start=31)]
-    + [(f"abelian {d}", lambda d=d: Lts.from_rows(d, {}, verified=True)) for d in (5, 6, 7)]
+    + [(f"abelian {d}", lambda d=d: Lts.from_rows(d, {})) for d in (5, 6, 7)]
     + [("T4,8+T1,1", lambda: direct_sum(catalog.instantiate("T4,8"),
                                         catalog.instantiate("T1,1")))]
 )
