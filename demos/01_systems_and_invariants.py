@@ -4,7 +4,7 @@
 Run:  python3 demos/01_systems_and_invariants.py
 """
 
-from lietriple import catalog, complete_table, direct_sum, lts_from_lie
+from lietriple import QI_I, catalog, complete_table, direct_sum, lts_from_lie
 
 print("=== Building a system from a partial multiplication table ===")
 # only the generating product is listed; antisymmetry and the cyclic identity
@@ -49,10 +49,12 @@ print("sl2 nilpotent:", sl2.nilpotency().is_nilpotent,
       sl2.nilpotency().series_dims[-1])
 
 print("\n=== Fingerprints are basis-change invariants ===")
-from lietriple.sampling import ExactRandom
-
-rng = ExactRandom(1)
+# a unimodular change of basis with a Gaussian entry
+g = [[-1, 0, 0, 0],
+     [0, 0, 0, 1],
+     [0, 0, 1, 0],
+     [0, 1, 0, -1 + QI_I]]
 system = catalog.instantiate("T4,9")
-moved = system.change_basis(rng.unimodularish(4))
+moved = system.change_basis(g)
 print("fingerprint:", system.fingerprint())
 print("after a random basis change:", moved.fingerprint() == system.fingerprint())

@@ -61,11 +61,9 @@ for coeffs, name in (
 
 print("\n=== Cohomologous cocycles give isomorphic extensions ===")
 from lietriple.cohomology import coboundary_of
-from lietriple.sampling import ExactRandom
 
-rng = ExactRandom(7)
-theta = rng.cocycle(cocycle_space(t32))
-shifted = theta + coboundary_of(t32, rng.functional(3))
+theta = Cocycle(t32, {(1, 2, 1): -1, (1, 2, 2): -2, (1, 3, 1): 2})
+shifted = theta + coboundary_of(t32, [-3, -3, 3])
 a = extend(ExtensionSpec(t32, [theta]))
 b = extend(ExtensionSpec(t32, [shifted]))
 print("fingerprints agree:", a.fingerprint() == b.fingerprint())

@@ -7,8 +7,7 @@ Run:  python3 demos/03_family_and_classification.py
 from fractions import Fraction
 
 from lietriple import catalog
-from lietriple.sampling import ExactRandom
-from lietriple.scalars import GaussianRational, QI_I, scalar_str
+from lietriple.scalars import GaussianRational, QI_I, parse_scalar, scalar_str
 
 G = GaussianRational
 
@@ -36,16 +35,25 @@ for lam in (G(1), G(-2), G(Fraction(-1, 2)), G(2), G(5), QI_I):
           catalog.instantiate("T4,6", lam).derivations()[0])
 
 print("\n=== Classifying disguised systems ===")
-rng = ExactRandom(12)
+# a dense change of basis, and a sparse one with a Gaussian entry
+dense = [[parse_scalar(x) for x in row] for row in (
+    ("1", "1/2+1/4*i", "0", "-1"),
+    ("-1/2+1/2*i", "-2+1/4*i", "-3", "2+1/2*i"),
+    ("-3/4", "4/3", "2", "-2"),
+    ("-3/4", "3/4", "4", "-3/2"))]
+sparse = [[0, 0, QI_I, 0],
+          [1, 1, 0, 2 + QI_I],
+          [1, 0, 0, 2 + QI_I],
+          [0, 0, -1, 1]]
 for lam in (G(2), G(7), QI_I):
-    hidden = catalog.instantiate("T4,6", lam).change_basis(rng.invertible(4, height=4))
+    hidden = catalog.instantiate("T4,6", lam).change_basis(dense)
     result = catalog.classify(hidden)
     in_orbit = result.lam in catalog.lambda_orbit(lam)
     print(f"conjugate of lambda = {scalar_str(lam)} -> {result.name}, "
           f"recovered {scalar_str(result.lam)} ({result.confidence}); "
           f"in the right orbit: {in_orbit}")
 
-hidden = catalog.instantiate("T4,8").change_basis(rng.unimodularish(4))
+hidden = catalog.instantiate("T4,8").change_basis(sparse)
 result = catalog.classify(hidden)
 print("conjugate of T4,8 ->", result.name, f"({result.confidence})")
 

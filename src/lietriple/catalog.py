@@ -126,6 +126,7 @@ ENTRIES = {
 }
 
 _instances: dict = {}
+_MAX_INSTANCES = 128  # every distinct family parameter would otherwise stay cached
 
 
 def family_table1_der(lam) -> int:
@@ -148,6 +149,8 @@ def instantiate(name: str, lam=None) -> Lts:
         raise MissingParameter(f"{name} takes no family parameter")
     key = (name, field_of(lam), lam)  # a constant of Q(i)(t) equals its Q(i) value
     if key not in _instances:
+        if len(_instances) >= _MAX_INSTANCES:
+            del _instances[next(iter(_instances))]  # the oldest entry
         _instances[key] = complete_table(entry.dim, entry.generators(lam))
     return _instances[key]
 

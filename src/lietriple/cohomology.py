@@ -78,14 +78,6 @@ class Cocycle:
             return self.coeffs.get((a, b, c), QI_ZERO)
         return -self.coeffs.get((b, a, c), QI_ZERO)
 
-    def eval(self, x, y, z):
-        """Trilinear extension to coordinate vectors."""
-        n = self.ambient.dim
-        total = QI_ZERO
-        for (i, j, k), val in self.coeffs.items():
-            total = total + val * ((x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]) * z[k - 1])
-        return total
-
     def coordinates(self):
         """Coefficient vector over the lexicographic elementary-form basis."""
         idx = delta_indices(self.ambient.dim)
@@ -174,10 +166,6 @@ class CochainSpace:
 
     def contains(self, theta: Cocycle) -> bool:
         return self._space.contains(theta.coordinates())
-
-    def span_equals(self, cochains) -> bool:
-        """Span comparison against explicitly given cochains."""
-        return self._space == Subspace(self._space.ambient, [c.coordinates() for c in cochains])
 
     def __repr__(self):
         return f"CochainSpace(dim {self.dim} on Lts dim {self.ambient.dim})"

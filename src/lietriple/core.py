@@ -163,7 +163,9 @@ class Lts:
     def __eq__(self, other):
         if not isinstance(other, Lts):
             return NotImplemented
-        return self.dim == other.dim and self._rows == other._rows
+        # a constant of Q(i)(t) equals its Q(i) value, so the rows alone do not tell the field
+        return (self.dim == other.dim and self._rows == other._rows
+                and field_of(self._zero) is field_of(other._zero))
 
     def __hash__(self):
         return hash((self.dim, tuple((key, tuple(row.items()))
@@ -172,22 +174,6 @@ class Lts:
     def __repr__(self):
         nz = sum(len(row) for row in self._rows.values())
         return f"Lts(dim={self.dim}, nonzero={nz})"
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval(self, x, y, z):
-        """Trilinear extension of the structure constants to coordinate vectors."""
-        n = self.dim
-        if len(x) != n or len(y) != n or len(z) != n:
-            raise DimensionMismatch(f"expected vectors of length {n}")
-        out = [self._zero] * n
-        for (i, j, k), row in self._rows.items():
-            if x[i] == 0 or y[j] == 0 or z[k] == 0:
-                continue
-            g = x[i] * y[j] * z[k]
-            for p, val in row.items():
-                out[p] = out[p] + g * val
-        return out
 
     # -- axioms ---------------------------------------------------------------
 

@@ -87,7 +87,7 @@ def _dedupe_nonzero(rows):
     return out
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Canonical basis of the right nullspace {x : rows . x = 0}.
 
     When every nonzero entry is a GaussianRational, the exact kernel is taken
@@ -97,10 +97,6 @@ def nullspace(rows, ncols=None):
     elimination of all rows.  The kernel is the same either way, and the final
     ``rref`` makes its basis canonical.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty system")
-        ncols = len(rows[0])
     field = field_of(rows[0][0]) if rows and ncols else GaussianRational
     rows = _dedupe_nonzero(rows)
     cleared = _cleared_rows(rows)

@@ -1,21 +1,27 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures, the seeded sampler and independent oracles for the test suite.
 
 The oracles deliberately avoid the library's own elimination code: rank is
 computed by fraction-free cross-multiplication with a different pivoting
-strategy, so dimension claims are checked through two unrelated routes.
+strategy, so dimension claims are checked through two unrelated routes.  The
+trilinear evaluators ``lts_eval`` and ``cochain_eval`` extend a system's or a
+cochain's constants to coordinate vectors, as the reference that the row
+kernels are tested against.  ``ExactRandom`` draws the seeded exact data that
+the tests run on; no verdict of the library rests on it.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from lietriple import catalog
-from lietriple.cohomology import Cocycle, _theta_rows, cocycle_space
+from lietriple.cohomology import CochainSpace, Cocycle, _theta_rows, cocycle_space
 from lietriple.core import _first_slot_kernel
 from lietriple.extension import ExtensionSpec
-from lietriple.linalg import Subspace, nullspace
-from lietriple.sampling import ExactRandom
-from lietriple.scalars import GaussianRational
+from lietriple.linalg import Subspace, determinant, identity_matrix, nullspace
+from lietriple.scalars import QI_ZERO, GaussianRational
 
 # The published cocycles on T3,2 whose extensions are T4,7, T4,8 and T4,9.  For
 # T4,9, Rad D[1,3,1] = <e2> is not inside Ann(T3,2) = <e3>: only the Ann(T) half
@@ -25,6 +31,117 @@ T32_EXTENSIONS = {
     "T4,8": {(1, 3, 1): 1, (1, 2, 2): 1},
     "T4,9": {(1, 3, 1): 1},
 }
+
+DEFAULT_HEIGHT = 10
+
+
+class ExactRandom:
+    """Seeded small-height exact scalars, vectors, matrices and cochains.
+
+    Numerators and denominators are bounded by 10 unless stated otherwise, so
+    exact arithmetic stays fast, and every draw comes from an explicit
+    ``random.Random`` seed.
+    """
+
+    def __init__(self, seed=0):
+        self.rng = random.Random(seed)
+
+    def rational(self, height=DEFAULT_HEIGHT) -> Fraction:
+        return Fraction(self.rng.randint(-height, height), self.rng.randint(1, height))
+
+    def gaussian(self, height=DEFAULT_HEIGHT, imaginary=True) -> GaussianRational:
+        re = self.rational(height)
+        im = self.rational(height) if imaginary and self.rng.random() < 0.5 else 0
+        return GaussianRational(re, im)
+
+    def nonzero_gaussian(self, height=DEFAULT_HEIGHT, imaginary=True) -> GaussianRational:
+        while True:
+            z = self.gaussian(height, imaginary)
+            if z:
+                return z
+
+    def vector(self, n, height=DEFAULT_HEIGHT, imaginary=True):
+        return [self.gaussian(height, imaginary) for _ in range(n)]
+
+    def matrix(self, n, height=DEFAULT_HEIGHT, imaginary=True):
+        return [self.vector(n, height, imaginary) for _ in range(n)]
+
+    def invertible(self, n, height=DEFAULT_HEIGHT, imaginary=True):
+        while True:
+            m = self.matrix(n, height, imaginary)
+            if determinant(m) != 0:
+                return m
+
+    def unimodularish(self, n, steps=6):
+        """Product of elementary matrices with unit determinant factors.
+
+        Entries stay tiny, which keeps basis-changed tensors cheap to handle
+        while still exercising genuinely non-diagonal transformations.
+        """
+        m = identity_matrix(n)
+        units = [GaussianRational(1), GaussianRational(-1),
+                 GaussianRational(0, 1), GaussianRational(0, -1)]
+        for _ in range(steps):
+            kind = self.rng.randrange(3)
+            if kind == 0:  # row swap
+                i, j = self.rng.sample(range(n), 2) if n > 1 else (0, 0)
+                m[i], m[j] = m[j], m[i]
+            elif kind == 1:  # unit scaling
+                i = self.rng.randrange(n)
+                u = self.rng.choice(units)
+                m[i] = [u * x for x in m[i]]
+            else:  # shear
+                if n < 2:
+                    continue
+                i, j = self.rng.sample(range(n), 2)
+                f = GaussianRational(self.rng.randint(-2, 2), self.rng.choice((0, 0, 1)))
+                m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+        if determinant(m) == 0:  # cannot happen; defensive
+            return identity_matrix(n)
+        return m
+
+    def cocycle(self, space, height=3):
+        """Random element of a cochain space with small integer coordinates."""
+        total = None
+        for basis_elem in space.basis:
+            coeff = GaussianRational(self.rng.randint(-height, height))
+            term = coeff * basis_elem
+            total = term if total is None else total + term
+        if total is None:
+            return Cocycle(space.ambient, {})
+        return total
+
+    def functional(self, n, height=3):
+        return [GaussianRational(self.rng.randint(-height, height)) for _ in range(n)]
+
+
+def lts_eval(system, x, y, z):
+    """[x, y, z]: the trilinear extension of the structure constants to coordinate vectors."""
+    out = [system._zero] * system.dim
+    for (i, j, k), row in system.rows().items():
+        if x[i] == 0 or y[j] == 0 or z[k] == 0:
+            continue
+        g = x[i] * y[j] * z[k]
+        for p, val in row.items():
+            out[p] = out[p] + g * val
+    return out
+
+
+def cochain_eval(theta, x, y, z):
+    """theta(x, y, z): the trilinear extension of the cochain to coordinate vectors."""
+    total = QI_ZERO
+    for (i, j, k), val in theta.coeffs.items():
+        total = total + val * ((x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]) * z[k - 1])
+    return total
+
+
+def span_coordinates(system, cochains):
+    """Canonical reduced-echelon coordinates of the span of ``cochains``.
+
+    Two subspaces of one ambient cochain space are equal exactly when these
+    agree with their ``CochainSpace.coordinates``.
+    """
+    return CochainSpace(system, [c.coordinates() for c in cochains]).coordinates
 
 
 def oracle_rank(rows):

@@ -10,11 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ExactRandom, cochain_eval
 from lietriple import catalog
 from lietriple.errors import AxiomViolation
 from lietriple.cohomology import Cocycle, cocycle_space, delta_indices
 from lietriple.core import Lts, _packed_gaussian_rows, complete_table
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, RationalFunction
 
 
@@ -86,10 +86,10 @@ def reference_check_closed(theta):
                         px = ambient.product(v + 1, u + 1, x + 1)
                         py = ambient.product(v + 1, u + 1, y + 1)
                         pz = ambient.product(v + 1, u + 1, z + 1)
-                        total = theta.eval(basis[u], basis[v], inner)
-                        total = total + theta.eval(px, basis[y], basis[z])
-                        total = total + theta.eval(basis[x], py, basis[z])
-                        total = total + theta.eval(basis[x], basis[y], pz)
+                        total = cochain_eval(theta, basis[u], basis[v], inner)
+                        total = total + cochain_eval(theta, px, basis[y], basis[z])
+                        total = total + cochain_eval(theta, basis[x], py, basis[z])
+                        total = total + cochain_eval(theta, basis[x], basis[y], pz)
                         if total != 0:
                             return "B3", (u + 1, v + 1, x + 1, y + 1, z + 1)
     return None

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import ExactRandom
 from lietriple import catalog
 from lietriple.errors import (
     DimensionUnsupported,
@@ -17,9 +18,10 @@ from lietriple.errors import (
     SingularParameter,
     UnknownName,
 )
+from lietriple.cohomology import Cocycle
 from lietriple.core import Lts, complete_table, lts_from_lie
+from lietriple.extension import ExtensionSpec
 from lietriple.linalg import determinant
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, QI_I, RationalFunction
 
 
@@ -201,6 +203,14 @@ class TestSymbolicLambda:
         assert all(type(x) is GaussianRational for *_, x in system.nonzero_entries())
         result = catalog.classify(system)
         assert (result.name, result.lam, result.confidence) == ("T4,6", G(2), "certified")
+
+    def test_systems_of_the_two_fields_are_unequal(self):
+        # so a cocycle made on the Q(i) member is no cocycle on the Q(i)(t) one
+        symbolic = catalog.instantiate("T4,6", RationalFunction.of(2))
+        system = catalog.instantiate("T4,6", 2)
+        assert symbolic != system and system != symbolic
+        with pytest.raises(ValueError, match="cocycle ambient differs from the extension base"):
+            ExtensionSpec(symbolic, [Cocycle(system, {(1, 2, 1): 1})])
 
     def test_classify_refuses_q_i_t(self):
         with pytest.raises(MalformedInput) as info:
@@ -401,6 +411,16 @@ class TestClassify:
         result = catalog.classify(complete_table(4, catalog.ENTRIES["T4,6"].generators(lam)))
         assert (result.name, result.lam, result.confidence) == ("T4,6", lam, "certified")
         assert len([key for key in kept if key[0] == catalog.FAMILY_NAME]) <= 1
+
+    def test_instance_cache_is_bounded(self, monkeypatch):
+        # each certified family member goes through instantiate; the oldest entries make room
+        monkeypatch.setattr(catalog, "_instances", dict(catalog._instances))
+        for k in range(200):
+            lam = G(k + 3, 1)
+            result = catalog.classify(complete_table(4, catalog.ENTRIES["T4,6"].generators(lam)))
+            assert (result.name, result.confidence) == ("T4,6", "certified"), k
+            assert result.lam in catalog.lambda_orbit(lam), k
+        assert len(catalog._instances) <= 128
 
     def test_low_dimension_is_abelian(self):
         for name in ("T1,1", "T2,1"):

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ExactRandom
 from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.core import Lts, _conjugate_rows, change_basis_tensor
 from lietriple.linalg import mat_inverse
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import (
     GaussianRational,
     Polynomial,

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ExactRandom
 from lietriple import catalog
 from lietriple.core import lts_to_dict
 from lietriple.errors import ParseError
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, parse_rational_function, parse_scalar
 
 

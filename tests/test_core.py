@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import basis_vector, oracle_annihilator_dim, oracle_derived_dim
+from conftest import (
+    ExactRandom,
+    basis_vector,
+    lts_eval,
+    oracle_annihilator_dim,
+    oracle_derived_dim,
+)
 from lietriple import catalog
 from lietriple.cohomology import Cocycle, coboundary_space, cocycle_space
 from lietriple.core import (
@@ -30,7 +36,6 @@ from lietriple.errors import (
     SingularMatrix,
 )
 from lietriple.linalg import Subspace
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, QI_ZERO, RationalFunction
 
 
@@ -112,7 +117,7 @@ class TestCheckAxioms:
 
 class TestEval:
     def test_t32_basis_product(self, t32):
-        assert t32.eval(basis_vector(3, 1), basis_vector(3, 2), basis_vector(3, 1)) == \
+        assert lts_eval(t32, basis_vector(3, 1), basis_vector(3, 2), basis_vector(3, 1)) == \
             basis_vector(3, 3)
 
     def test_alternating_in_first_two(self):
@@ -121,12 +126,12 @@ class TestEval:
             system = catalog.instantiate(name)
             x = rng.vector(system.dim, 5)
             z = rng.vector(system.dim, 5)
-            assert all(v == 0 for v in system.eval(x, x, z))
+            assert all(v == 0 for v in lts_eval(system, x, x, z))
 
     def test_family_product(self):
         lam = GaussianRational(Fraction(7, 3))
         system = catalog.instantiate("T4,6", lam)
-        out = system.eval(basis_vector(4, 2), basis_vector(4, 3), basis_vector(4, 1))
+        out = lts_eval(system, basis_vector(4, 2), basis_vector(4, 3), basis_vector(4, 1))
         assert out == [0, 0, 0, lam]
 
 
@@ -219,11 +224,11 @@ class TestDerivations:
                         lhs = [sum((mat[a][b] * prod[b] for b in range(n)),
                                    start=QI_ZERO) for a in range(n)]
                         col = lambda c: [mat[a][c - 1] for a in range(n)]
-                        rhs = system.eval(col(i), basis_vector(n, j), basis_vector(n, k))
-                        rhs = [r + s for r, s in zip(rhs, system.eval(
-                            basis_vector(n, i), col(j), basis_vector(n, k)))]
-                        rhs = [r + s for r, s in zip(rhs, system.eval(
-                            basis_vector(n, i), basis_vector(n, j), col(k)))]
+                        rhs = lts_eval(system, col(i), basis_vector(n, j), basis_vector(n, k))
+                        rhs = [r + s for r, s in zip(rhs, lts_eval(
+                            system, basis_vector(n, i), col(j), basis_vector(n, k)))]
+                        rhs = [r + s for r, s in zip(rhs, lts_eval(
+                            system, basis_vector(n, i), basis_vector(n, j), col(k)))]
                         assert lhs == rhs
 
 
@@ -468,16 +473,16 @@ class TestRandomizedIdentities:
             system = rng.rng.choice(systems)
             n = system.dim
             x, y, z, u, v = (rng.vector(n, 4) for _ in range(5))
-            assert all(a + b == 0 for a, b in zip(system.eval(x, y, z),
-                                                  system.eval(y, x, z)))
-            cyc = [a + b + c for a, b, c in zip(system.eval(x, y, z),
-                                                system.eval(y, z, x),
-                                                system.eval(z, x, y))]
+            assert all(a + b == 0 for a, b in zip(lts_eval(system, x, y, z),
+                                                  lts_eval(system, y, x, z)))
+            cyc = [a + b + c for a, b, c in zip(lts_eval(system, x, y, z),
+                                                lts_eval(system, y, z, x),
+                                                lts_eval(system, z, x, y))]
             assert all(w == 0 for w in cyc)
-            lhs = system.eval(u, v, system.eval(x, y, z))
-            rhs1 = system.eval(system.eval(u, v, x), y, z)
-            rhs2 = system.eval(x, system.eval(u, v, y), z)
-            rhs3 = system.eval(x, y, system.eval(u, v, z))
+            lhs = lts_eval(system, u, v, lts_eval(system, x, y, z))
+            rhs1 = lts_eval(system, lts_eval(system, u, v, x), y, z)
+            rhs2 = lts_eval(system, x, lts_eval(system, u, v, y), z)
+            rhs3 = lts_eval(system, x, y, lts_eval(system, u, v, z))
             assert all(a == b + c + d for a, b, c, d in zip(lhs, rhs1, rhs2, rhs3))
 
     def test_subspace_dims_invariant_under_basis_change(self):

@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ExactRandom
 from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.core import Lts, _conjugate_rows
 from lietriple.errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis
 from lietriple.linalg import mat_inverse, mat_mul, rank
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import (
     GaussianRational,
     RationalFunction,

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import T32_EXTENSIONS, basis_vector, t32_extension
+from conftest import ExactRandom, T32_EXTENSIONS, basis_vector, t32_extension
 from lietriple import catalog, core
 from lietriple.cohomology import Cocycle, coboundary_of, cocycle_space
 from lietriple.core import Lts, lts_from_lie
@@ -17,7 +17,6 @@ from lietriple.extension import (
     in_ts,
     normalize_line_2dim,
 )
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_rank
+from conftest import ExactRandom, oracle_rank
 from lietriple import linalg
 from lietriple.errors import SingularMatrix
 from lietriple.linalg import (
@@ -17,7 +17,6 @@ from lietriple.linalg import (
     rank,
     rref,
 )
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import GaussianRational, RationalFunction
 
 
@@ -166,10 +165,10 @@ def test_nullspace_holds_field_elements_only():
     # the basis vectors take the rows' own zero and one, or Q(i)'s without rows
     assert {type(x) for row in nullspace([], 3) for x in row} == {GaussianRational}
     rows = [[GaussianRational(1), GaussianRational(0, 1), GaussianRational(0)]]
-    assert {type(x) for row in nullspace(rows) for x in row} == {GaussianRational}
+    assert {type(x) for row in nullspace(rows, 3) for x in row} == {GaussianRational}
     t = RationalFunction.variable()
     rows = [[t, RationalFunction.of(0), RationalFunction.of(1)]]
-    assert {type(x) for row in nullspace(rows) for x in row} == {RationalFunction}
+    assert {type(x) for row in nullspace(rows, 3) for x in row} == {RationalFunction}
 
 
 def test_int_input_gives_exact_field_elements():

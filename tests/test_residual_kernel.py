@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ExactRandom
 from lietriple import catalog
 from lietriple.cohomology import Cocycle, cocycle_space, delta_indices
 from lietriple.core import Lts, direct_sum
 from lietriple.linalg import nullspace
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import QI_ZERO, GaussianRational
 
 G = GaussianRational

@@ -1,7 +1,7 @@
 """Row-reading invariants against the dense basis-vector loops they replaced.
 
 The reference implementations below are the earlier code paths: the
-nilpotency series built from ``eval`` on unit vectors, the completion that
+nilpotency series built from ``lts_eval`` on unit vectors, the completion that
 iterated to a fixpoint over all dim^3 triples, the n^5 ``lts_from_lie``, the
 ``aut_action`` that evaluated the cochain on the columns of phi at every
 (i, j, k), B^3 pushed through ``coboundary_of`` as n integer functionals, and
@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T32_EXTENSIONS, kernel_radical, reference_radical, t32_extension
+from conftest import (
+    ExactRandom,
+    T32_EXTENSIONS,
+    cochain_eval,
+    kernel_radical,
+    lts_eval,
+    reference_radical,
+    t32_extension,
+)
 from lietriple import catalog
 from lietriple.cohomology import (
     CochainSpace,
@@ -31,7 +39,6 @@ from lietriple.core import Lts, NilpotencyReport, complete_table, lts_from_lie
 from lietriple.errors import InconsistentTable, MalformedInput, NotALieAlgebra
 from lietriple.extension import _radical_meet
 from lietriple.linalg import Subspace, mat_inverse, nullspace
-from lietriple.sampling import ExactRandom
 from lietriple.scalars import QI_ZERO, GaussianRational, coerce, parse_scalar, scalar_str
 
 
@@ -51,7 +58,7 @@ def reference_nilpotency(system):
         for v in current.basis:
             for y in units:
                 for z in units:
-                    w = system.eval(v, y, z)
+                    w = lts_eval(system, v, y, z)
                     if any(x != 0 for x in w):
                         vectors.append(w)
         nxt = Subspace(n, vectors)
@@ -149,7 +156,7 @@ def reference_aut_action(phi, theta):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(1, n + 1):
-                val = theta.eval(cols[i - 1], cols[j - 1], cols[k - 1])
+                val = cochain_eval(theta, cols[i - 1], cols[j - 1], cols[k - 1])
                 if val != 0:
                     coeffs[(i, j, k)] = val
     return Cocycle(theta.ambient, coeffs)
