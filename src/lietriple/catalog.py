@@ -149,8 +149,8 @@ def instantiate(name: str, lam=None) -> Lts:
         raise MissingParameter(f"{name} takes no family parameter")
     key = (name, field_of(lam), lam)  # a constant of Q(i)(t) equals its Q(i) value
     if key not in _instances:
-        if len(_instances) >= _MAX_INSTANCES:
-            del _instances[next(iter(_instances))]  # the oldest entry
+        if len(_instances) >= _MAX_INSTANCES:  # the oldest family member; named systems stay
+            del _instances[next(k for k in _instances if k[2] is not None)]
         _instances[key] = complete_table(entry.dim, entry.generators(lam))
     return _instances[key]
 

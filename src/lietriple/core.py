@@ -31,7 +31,20 @@ from .errors import (
     axiom_failure_text,
 )
 from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
-from .scalars import QI_ZERO, GaussianRational, _reduced, coerce, field_of, parse_scalar, scalar_str
+from .scalars import (
+    _POLY_ONE,
+    QI_ZERO,
+    GaussianRational,
+    Polynomial,
+    RationalFunction,
+    _reduced,
+    _reduced_function,
+    coerce,
+    field_of,
+    parse_scalar,
+    poly_gcd,
+    scalar_str,
+)
 
 __all__ = [
     "Lts",
@@ -429,15 +442,128 @@ def _packed_gaussian_rows(dim, rows):
     return packed, scale, width
 
 
-def _unpacked(value, width, scale):
-    """(c0 - c2 + c1*i) / scale for value = c0 + c1*X + c2*X^2, X = 2^width,
-    read as balanced base-X digits |c_j| < X/2."""
+def _balanced_digits(value, width, count):
+    """The digits c_0, ..., c_(count-1) of value = sum_j c_j X^j, X = 2^width,
+    read as balanced base-X digits |c_j| < X/2; exact when value has at most
+    ``count`` of them."""
     half, mask = 1 << (width - 1), (1 << width) - 1
-    c0 = ((value + half) & mask) - half
-    value = (value - c0) >> width
-    c1 = ((value + half) & mask) - half
-    c2 = (value - c1) >> width
+    digits = []
+    for _ in range(count):
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
+
+
+def _unpacked(value, width, scale):
+    """(c0 - c2 + c1*i) / scale for value = c0 + c1*X + c2*X^2, X = 2^width."""
+    c0, c1, c2 = _balanced_digits(value, width, 3)
     return _reduced(c0 - c2, c1, scale)
+
+
+def _cleared(values):
+    """Values of Q(i) or Q(i)(t) over one denominator: (polys, norm, factor).
+
+    Each value v is P_v * t^shift / (scale * rest), factor = (scale, shift,
+    rest).  P_v is a list of Gaussian-integer pairs (a_e, b_e) for
+    sum (a_e + b_e*i) t^e, None when v is 0, and norm is the largest L1 norm
+    sum |a_e| + |b_e| of a P_v.  scale is a positive integer and rest a monic
+    polynomial with rest(0) != 0: the lcm of the denominators with their
+    powers of t taken out.  Those powers of t and the lowest power of t of the
+    numerators go into the one exponent shift, which may be negative.
+    """
+    parts = []  # (numerator coefficients, power of t in the denominator, the rest of it)
+    power, rest = 0, _POLY_ONE
+    for val in values:
+        if not val:
+            parts.append(None)
+        elif type(val) is GaussianRational:
+            parts.append(((val,), 0, _POLY_ONE))
+        else:
+            den, m = val.den.coeffs, 0
+            while not den[m]:
+                m += 1
+            other = Polynomial(den[m:]) if m < len(den) - 1 else _POLY_ONE
+            parts.append((val.num.coeffs, m, other))
+            power = max(power, m)
+            if other.degree > 0 and other != rest:
+                rest = other if rest.degree == 0 else rest * (other // poly_gcd(rest, other))
+    numerators = []  # (coefficients from the first nonzero one, its power of t) or None
+    for part in parts:
+        if part is None:
+            numerators.append(None)
+            continue
+        num, m, other = part
+        if rest.degree > 0 and other != rest:
+            num = (Polynomial(num) * (rest if other.degree == 0 else rest // other)).coeffs
+        low = 0
+        while not num[low]:
+            low += 1
+        numerators.append((num[low:], low + power - m))
+    present = [num for num in numerators if num is not None]
+    lowest = min((low for _, low in present), default=0)
+    scale = lcm(*(c._t[2] for coeffs, _ in present for c in coeffs))
+    polys, norm = [], 0
+    for num in numerators:
+        if num is None:
+            polys.append(None)
+            continue
+        coeffs, low = num
+        poly = [(0, 0)] * (low - lowest) + [
+            (a * (scale // d), b * (scale // d)) for a, b, d in (c._t for c in coeffs)]
+        polys.append(poly)
+        norm = max(norm, sum(abs(a) + abs(b) for a, b in poly))
+    return polys, norm, (scale, lowest - power, rest)
+
+
+def _factor_product(*factors):
+    """The (scale, shift, rest) of a product of ``_cleared`` values."""
+    scale, shift, rest = 1, 0, _POLY_ONE
+    for f_scale, f_shift, f_rest in factors:
+        scale, shift = scale * f_scale, shift + f_shift
+        if f_rest.degree > 0:
+            rest = f_rest if rest.degree == 0 else rest * f_rest
+    return scale, shift, rest
+
+
+def _packed_polynomial(poly, width):
+    """sum (a_e + b_e*X) X^(6e), X = 2^width, for the pairs (a_e, b_e) of
+    sum (a_e + b_e*i) t^e: Z[i][t] read at i = X and t = X^6, 0 for None."""
+    lane, value = 6 * width, 0
+    for a, b in reversed(poly or ()):
+        value = (value << lane) + a + (b << width)
+    return value
+
+
+def _unpacked_function(value, width, scale, shift, rest):
+    """P * t^shift / (scale * rest) as a reduced rational function, for a nonzero
+    value = P(X, X^6) whose lanes of six balanced base-X digits c_0..c_5 hold
+    the coefficients (c_0 - c_2 + c_4) + (c_1 - c_3 + c_5)*i of P.
+
+    Digits that are not all zero can still give a zero coefficient, since
+    i^2 = -1 is applied here and not in the kernel; P = 0 gives 0.
+    """
+    lane = 6 * width
+    zero_lanes = ((value & -value).bit_length() - 1) // lane
+    value >>= zero_lanes * lane
+    digits = _balanced_digits(value, width, 6 * (value.bit_length() // lane + 1))
+    coeffs = [_reduced(c0 - c2 + c4, c1 - c3 + c5, scale)
+              for c0, c1, c2, c3, c4, c5 in (digits[e:e + 6] for e in range(0, len(digits), 6))]
+    low = next((e for e, c in enumerate(coeffs) if c), None)
+    if low is None:
+        return RationalFunction.zero
+    num, shift = Polynomial(coeffs[low:]), shift + zero_lanes + low
+    if rest.degree > 0:  # num(0) != 0, so only rest can share a factor with it
+        quotient, remainder = divmod(num, rest)
+        if not remainder:
+            num, rest = quotient, _POLY_ONE
+        else:
+            common = poly_gcd(rest, remainder)  # gcd(num, rest), one division on
+            if common.degree > 0:
+                num, rest = num // common, rest // common
+    if shift >= 0:
+        return _reduced_function(Polynomial([QI_ZERO] * shift + list(num.coeffs)), rest)
+    return _reduced_function(num, Polynomial([QI_ZERO] * -shift + list(rest.coeffs)))
 
 
 def first_axiom_failure(dim, rows):

@@ -563,10 +563,7 @@ class RationalFunction:
         if k < 0:
             return self.inverse() ** (-k)
         # num and den are coprime and den is monic, and so are their powers
-        out = _new(RationalFunction)
-        object.__setattr__(out, "num", _power(self.num, k, _POLY_ONE))
-        object.__setattr__(out, "den", _power(self.den, k, _POLY_ONE))
-        return out
+        return _reduced_function(_power(self.num, k, _POLY_ONE), _power(self.den, k, _POLY_ONE))
 
     def limit_at_zero(self) -> GaussianRational:
         d0 = self.den(QI_ZERO)
@@ -586,6 +583,14 @@ class RationalFunction:
 
     def __str__(self):
         return rational_function_str(self)
+
+
+def _reduced_function(num, den):
+    """num/den from a numerator and a monic denominator already in lowest terms."""
+    out = _new(RationalFunction)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
 
 
 # Each scalar class is its own field: ``of`` coerces into it, and ``zero`` and

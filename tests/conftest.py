@@ -5,7 +5,8 @@ computed by fraction-free cross-multiplication with a different pivoting
 strategy, so dimension claims are checked through two unrelated routes.  The
 trilinear evaluators ``lts_eval`` and ``cochain_eval`` extend a system's or a
 cochain's constants to coordinate vectors, as the reference that the row
-kernels are tested against.  ``ExactRandom`` draws the seeded exact data that
+kernels are tested against, and ``reference_transported_rows`` is transport
+over Q(i)(t) without packing.  ``ExactRandom`` draws the seeded exact data that
 the tests run on; no verdict of the library rests on it.
 """
 
@@ -18,10 +19,10 @@ import pytest
 
 from lietriple import catalog
 from lietriple.cohomology import CochainSpace, Cocycle, _theta_rows, cocycle_space
-from lietriple.core import _first_slot_kernel
+from lietriple.core import _conjugate_rows, _first_slot_kernel
 from lietriple.extension import ExtensionSpec
 from lietriple.linalg import Subspace, determinant, identity_matrix, nullspace
-from lietriple.scalars import QI_ZERO, GaussianRational
+from lietriple.scalars import QI_ZERO, GaussianRational, RationalFunction
 
 # The published cocycles on T3,2 whose extensions are T4,7, T4,8 and T4,9.  For
 # T4,9, Rad D[1,3,1] = <e2> is not inside Ann(T3,2) = <e3>: only the Ann(T) half
@@ -133,6 +134,14 @@ def cochain_eval(theta, x, y, z):
     for (i, j, k), val in theta.coeffs.items():
         total = total + val * ((x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]) * z[k - 1])
     return total
+
+
+def reference_transported_rows(system, basis):
+    """Rows of ``system`` in a parametrized basis: the conjugation kernel run on
+    the constants lifted to Q(i)(t), as transport did before it was packed."""
+    lifted = {key: {p: RationalFunction.of(val) for p, val in row.items()}
+              for key, row in system.rows().items()}
+    return _conjugate_rows(lifted, basis._transposed, basis._inverse_transposed)
 
 
 def span_coordinates(system, cochains):

@@ -413,14 +413,18 @@ class TestClassify:
         assert len([key for key in kept if key[0] == catalog.FAMILY_NAME]) <= 1
 
     def test_instance_cache_is_bounded(self, monkeypatch):
-        # each certified family member goes through instantiate; the oldest entries make room
+        # each certified family member goes through instantiate; the oldest members make room
         monkeypatch.setattr(catalog, "_instances", dict(catalog._instances))
+        named = {name: catalog.instantiate(name)
+                 for name, entry in catalog.ENTRIES.items() if not entry.family}
         for k in range(200):
             lam = G(k + 3, 1)
             result = catalog.classify(complete_table(4, catalog.ENTRIES["T4,6"].generators(lam)))
             assert (result.name, result.confidence) == ("T4,6", "certified"), k
             assert result.lam in catalog.lambda_orbit(lam), k
         assert len(catalog._instances) <= 128
+        # the named systems keep their instance and its memoized invariants
+        assert all(catalog.instantiate(name) is system for name, system in named.items())
 
     def test_low_dimension_is_abelian(self):
         for name in ("T1,1", "T2,1"):

@@ -4,16 +4,19 @@ The reference implementations below are the earlier code paths: the dense
 ``change_basis_tensor`` loop, the transport that lifted all n^4 constants to
 Q(i)(t) and inverted twice, and the reduction of a rational function by a full
 polynomial gcd.  The kernel reads only nonzero rows and must give the same
-tensors exactly.  The Lie-algebra action of the Borel check is pinned to the
-kernel as the derivative at t = 0 of the conjugation by I + t E_xy.
+tensors exactly.  Transport runs the kernel on packed Gaussian-integer
+polynomials and must give the rows of ``reference_transported_rows``, the
+kernel over Q(i)(t).  The Lie-algebra action of the Borel check is pinned to
+the kernel as the derivative at t = 0 of the conjugation by I + t E_xy.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import ExactRandom
+from conftest import ExactRandom, reference_transported_rows
 from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.core import Lts, _conjugate_rows, change_basis_tensor
@@ -22,6 +25,7 @@ from lietriple.scalars import (
     GaussianRational,
     Polynomial,
     RationalFunction,
+    parse_rational_function,
     poly_gcd,
 )
 
@@ -158,6 +162,101 @@ def test_transport_agrees_on_random_laurent_bases(name):
     basis = random_laurent_basis(ExactRandom(sum(map(ord, name))), system.dim)
     assert_same_tensor(dg.transport_constants(system, basis),
                        reference_transport(system, basis))
+
+
+def assert_packed_transport_agrees(witness, monkeypatch):
+    """The same rows as the kernel over Q(i)(t), and the same verdict."""
+    source = witness.source_system()
+    assert dg._transported_rows(source, witness.basis) == \
+        reference_transported_rows(source, witness.basis), witness.label
+    problems = dg.verify_degeneration(witness).problems
+    with monkeypatch.context() as patch:
+        patch.setattr(dg, "_transported_rows", reference_transported_rows)
+        assert problems == dg.verify_degeneration(witness).problems, witness.label
+
+
+BUILTIN_DOCUMENTS = dg.TABLE2_WITNESSES + [dg.TABLE4_WITNESS, dg.DIM3_WITNESS]
+
+
+def witness_document(source, target, basis):
+    return {"source": {"name": source}, "target": {"name": target}, "basis": basis}
+
+
+def diagonal(*entries):
+    return [[x if i == j else "0" for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+EDGE_DOCUMENTS = {
+    "abelian source, no rows": witness_document("T4,1", "T4,1", diagonal("t", "1/t", "1+t", "i")),
+    "gaussian entries": witness_document("T4,8", "T4,4", [
+        ["0", "0", "1/t", "0"], ["0", "-i", "0", "0"], ["(1+i)*t", "0", "0", "0"],
+        ["0", "0", "i/2", "t"]]),
+    "zero beside monomial quotients": witness_document("T4,7", "T4,8", [
+        ["1", "0", "1/t^3", "0"], ["0", "1/t", "0", "t^2"], ["0", "0", "t/2", "0"],
+        ["0", "0", "0", "1/t^4"]]),
+    "1/(1+t)": witness_document("T4,2", "T4,1", diagonal("1+t", "1/(1+t)", "t", "t")),
+    "t/(1-t)^20, (1+i*t)^30": witness_document("T4,9", "T4,2", [
+        ["(1+i*t)^30", "t", "0", "0"], ["0", "t/(1-t)^20", "0", "0"], ["0", "0", "t", "3/7"],
+        ["0", "0", "0", "1"]]),
+    "t^30, t^-30": witness_document("T4,2", "T4,1", diagonal("t^30", "t^-30", "t", "t")),
+}
+
+
+@pytest.mark.parametrize("doc", BUILTIN_DOCUMENTS, ids=lambda d: dg.witness_from_dict(d).label)
+def test_packed_transport_agrees_on_builtin_witnesses(doc, monkeypatch):
+    assert_packed_transport_agrees(dg.witness_from_dict(doc), monkeypatch)
+
+
+@pytest.mark.parametrize("factor", ["2", "1/t"])
+def test_packed_transport_agrees_on_wrong_witnesses(factor, monkeypatch):
+    # each built-in witness with one basis row scaled, row by row
+    for doc in BUILTIN_DOCUMENTS:
+        for row in range(len(doc["basis"])):
+            bad = json.loads(json.dumps(doc))
+            bad["basis"][row] = [x if x == "0" else f"({factor})*({x})" for x in bad["basis"][row]]
+            assert_packed_transport_agrees(dg.witness_from_dict(bad), monkeypatch)
+
+
+@pytest.mark.parametrize("doc", list(EDGE_DOCUMENTS.values()), ids=list(EDGE_DOCUMENTS))
+def test_packed_transport_agrees_on_edge_witnesses(doc, monkeypatch):
+    assert_packed_transport_agrees(dg.witness_from_dict(doc), monkeypatch)
+
+
+def test_packed_transport_agrees_on_rows_over_q_i_t():
+    witness = dg.table2_witness(11)
+    once = Lts.from_rows(4, dg._transported_rows(witness.source_system(), witness.basis))
+    for seed in range(3):
+        basis = random_laurent_basis(ExactRandom(seed), 4)
+        assert dg._transported_rows(once, basis) == reference_transported_rows(once, basis)
+
+
+@pytest.mark.parametrize("entry", ["3", "3*i/t"])
+def test_transport_packing_width_has_no_spare_bit(entry):
+    # transport takes any trilinear product; in dimension 1 the one output
+    # digit is h^3 g c over the cleared entries, 3^3 * 1 * 5 = 135 up to sign,
+    # the bound n^4 M_h^3 M_g M_r itself, so it needs the width's top bit and
+    # a packing one bit narrower misreads it
+    system = Lts.from_rows(1, {(0, 0, 0): {0: G(5)}})
+    basis = dg.ParametrizedBasis([[parse_rational_function(entry)]])
+    h = basis.rows[0][0]
+    moved = dg._transported_rows(system, basis)
+    assert moved == reference_transported_rows(system, basis) == {(0, 0, 0): {0: h * h * 5}}
+
+
+@pytest.mark.parametrize("row", range(1, len(dg.TABLE2_WITNESSES) + 1))
+def test_verification_multiplies_no_rational_functions(row, monkeypatch):
+    witness = dg.table2_witness(row)
+    witness.source_system(), witness.target_system()
+    calls = []
+    multiply = RationalFunction.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    assert dg.verify_degeneration(witness).ok
+    assert not calls
 
 
 BOREL_SETS = [
