@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
 from .scalars import (
     _POLY_ONE,
+    QI_ONE,
     QI_ZERO,
     GaussianRational,
     Polynomial,
@@ -232,7 +233,7 @@ class Lts:
                 cells = {}  # (j, k) -> [v, e_j, e_k] = sum_i v_i row(i, j, k)
                 for (i, j, k), row in self._rows.items():
                     if v[i]:
-                        _add_row(cells.setdefault((j, k), {}), row, v[i])
+                        _add_row(cells, (j, k), row, v[i])
                 vectors.extend([cell.get(p, self._zero) for p in range(n)]
                                for cell in cells.values() if any(cell.values()))
             nxt = Subspace(n, vectors)
@@ -337,8 +338,9 @@ def _first_slot_kernel(n, rows):
                                   for column in columns.values()], n))
 
 
-def _add_row(cell, row, factor):
-    """cell += factor * row, for sparse {p: value} rows."""
+def _add_row(cells, key, row, factor):
+    """cells[key] += factor * row, for sparse {p: value} rows."""
+    cell = cells.setdefault(key, {})
     for q, val in row.items():
         val = factor * val
         cell[q] = cell[q] + val if q in cell else val
@@ -354,11 +356,18 @@ def _satisfies_a1(rows):
     return True
 
 
-def _axiom_residuals(rows):
+def _add_lanes(cells, key, lanes, factor):
+    """cells[key] += factor * row: a*P + b*iP for the lanes (P, iP) and factor a + b*i."""
+    a, b, _ = factor._t
+    cells[key] = cells.get(key, 0) + a * lanes[0] + b * lanes[1]
+
+
+def _axiom_residuals(rows, lanes=None):
     """Residual of every (A1)-(A3) cell the nonzero rows touch, in scan order.
 
     ``rows`` maps 0-based (i, j, k) to {p: value}.  Yields (identity, 0-based
-    indices, {q: value}); a residual may be zero.  (A1) is read once per pair
+    indices, cell): the residual {q: value}, which may be zero, or one int with
+    ``lanes`` from ``_packed_gaussian_rows``.  (A1) is read once per pair
     at i <= j and (A2) once per cyclic class at its least rotation, where an
     exhaustive scan first meets the same residual; (A3) comes per pair u < v,
     then by (x, y, z), lexicographically.
@@ -368,58 +377,67 @@ def _axiom_residuals(rows):
     one at (u, v, x, x, z) is zero, so the scan's first failing (A3) cell
     has x < y.  Rows that break (A1) have every (x, y, z) read.
     """
-    def row_sum(keys):
-        cell = {}
-        for key in keys:
-            _add_row(cell, rows.get(key, {}), 1)
-        return cell
+    if lanes is None:
+        add, vectors, one, nonzero = _add_row, rows, 1, lambda cell: any(cell.values())
+    else:
+        add, vectors, one, nonzero = _add_lanes, lanes, QI_ONE, bool
 
+    def row_sum(keys):
+        cells = {}
+        for key in keys:
+            if key in vectors:
+                add(cells, None, vectors[key], one)
+        return cells[None]
+
+    mirrored = True  # until an (A1) cell is nonzero
     for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in rows}):
-        yield "A1", (i, j, k), row_sum(((i, j, k), (j, i, k)))
+        cell = row_sum(((i, j, k), (j, i, k)))
+        mirrored = mirrored and not nonzero(cell)
+        yield "A1", (i, j, k), cell
     for i, j, k in sorted({min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in rows}):
         yield "A2", (i, j, k), row_sum(((i, j, k), (j, k, i), (k, i, j)))
 
-    mirrored = _satisfies_a1(rows)
-    ad = {}  # (u, v) -> {w: row (u, v, w)}
-    for (u, v, w), row in rows.items():
-        ad.setdefault((u, v), {})[w] = row
+    ad = {}  # (u, v) -> {w: (row (u, v, w), its vector)}
+    for key, row in rows.items():
+        ad.setdefault(key[:2], {})[key[2]] = row, vectors[key]
     by_target = {}  # p -> [((x, y, z), c_{xyz}^p)] over rows
     for key, row in rows.items():
         for p, val in row.items():
             by_target.setdefault(p, []).append((key, val))
-    by_slot = ({}, {}, {})  # slot s, index p -> [(key, row)] with key[s] = p
-    for key, row in rows.items():
+    by_slot = ({}, {}, {})  # slot s, index p -> [(key[:s], key[s+1:], vector)] with key[s] = p
+    for key, vector in vectors.items():
         for s in range(3):
-            by_slot[s].setdefault(key[s], []).append((key, row))
+            by_slot[s].setdefault(key[s], []).append((key[:s], key[s + 1:], vector))
     for u, v in sorted(pair for pair in ad if pair[0] < pair[1]):
-        residuals = {}  # (x, y, z) -> {q: value}
-        for p, row in ad[(u, v)].items():  # ad(u,v) [x,y,z]
+        residuals = {}  # (x, y, z) -> cell
+        for p, (_, vector) in ad[(u, v)].items():  # ad(u,v) [x,y,z]
             for key, val in by_target.get(p, ()):
                 if not mirrored or key[0] < key[1]:
-                    _add_row(residuals.setdefault(key, {}), row, val)
-        for w, ad_w in ad[(u, v)].items():  # ad(u,v) e_w put in each slot
+                    add(residuals, key, vector, val)
+        for w, (ad_w, _) in ad[(u, v)].items():  # ad(u,v) e_w put in each slot
             for p, val in ad_w.items():
+                val = -val
                 for s in range(3):
-                    for key, row in by_slot[s].get(p, ()):
-                        target = key[:s] + (w,) + key[s + 1:]
+                    for head, tail, vector in by_slot[s].get(p, ()):
+                        target = head + (w,) + tail
                         if not mirrored or target[0] < target[1]:
-                            _add_row(residuals.setdefault(target, {}), row, -val)
+                            add(residuals, target, vector, val)
         for key in sorted(residuals):
             yield "A3", (u, v) + key, residuals[key]
 
 
 def _packed_gaussian_rows(dim, rows):
-    """Rows over Q(i) as exact integers: (packed rows, scale D, width k), or None.
+    """Rows over Q(i) as exact integers: (packed, scale D, width k), or None.
 
     None unless every value is a GaussianRational.  D is the lcm of the
-    denominators, and each entry z becomes the Gaussian integer D*z = a + b*i,
-    packed as the int a + b*2^k: Z[i] = Z[x]/(x^2+1) read at x = X = 2^k
-    (Kronecker substitution).  The packing is Z-linear, so (A1)/(A2) cells
-    hold D times their residual.  An (A3) coordinate sums at most 4n products
-    of two packed entries (n for [u,v,[x,y,z]], n for each of the three
-    slots), so it is c0 + c1*X + c2*X^2 with residue D^2 * ((c0 - c2) + c1*i).
-    With |a|, |b| <= M every |c_j| <= 8nM^2 (c1 sums 2M^2 per product), and
-    2^(k-1) > 8nM^2 makes the balanced base-X digits give back c0, c1, c2.
+    denominators, and packed is (rows of the Gaussian integers D*z = a + b*i,
+    lanes).  A row's lanes are the int P = sum_q (a_q + b_q*X) X^(2q), X = 2^k,
+    and its twin iP: a product by a + b*i is a*P + b*iP, with no i^2 digit, so
+    a cell is 0 exactly when its Gaussian value is, while every balanced digit
+    stays below X/2.  (A1)/(A2) cells hold D times their residual, (A3) cells
+    D^2 times.  An (A3) digit sums at most 4n terms a'a - b'b or a'b + b'a (n
+    for [u,v,[x,y,z]], n for each of the three slots), each at most 2M^2 for
+    |a|, |b| <= M, and 2^(k-1) > 8nM^2.
     """
     denominators = set()
     for row in rows.values():
@@ -428,18 +446,20 @@ def _packed_gaussian_rows(dim, rows):
                 return None
             denominators.add(val._t[2])
     scale = lcm(*denominators)
-    scaled, bound = {}, 0  # bound is M
-    for key, row in rows.items():
-        cell = scaled[key] = {}
-        for p, val in row.items():
-            a, b, d = val._t
-            a, b = a * (scale // d), b * (scale // d)
-            cell[p] = a, b
-            bound = max(bound, abs(a), abs(b))
+    if scale != 1:
+        rows = {key: {p: val * scale for p, val in row.items()} for key, row in rows.items()}
+    bound = max((abs(x) for row in rows.values() for val in row.values() for x in val._t[:2]),
+                default=0)
     width = (8 * dim * bound * bound).bit_length() + 1
-    packed = {key: {p: a + (b << width) for p, (a, b) in row.items()}
-              for key, row in scaled.items()}
-    return packed, scale, width
+    lanes = {}
+    for key, row in rows.items():
+        packed = twin = 0
+        for p, val in row.items():
+            a, b, _ = val._t
+            packed += (a + (b << width)) << 2 * width * p
+            twin += ((a << width) - b) << 2 * width * p
+        lanes[key] = packed, twin
+    return (rows, lanes), scale, width
 
 
 def _balanced_digits(value, width, count):
@@ -453,12 +473,6 @@ def _balanced_digits(value, width, count):
         digits.append(digit)
         value = (value - digit) >> width
     return digits
-
-
-def _unpacked(value, width, scale):
-    """(c0 - c2 + c1*i) / scale for value = c0 + c1*X + c2*X^2, X = 2^width."""
-    c0, c1, c2 = _balanced_digits(value, width, 3)
-    return _reduced(c0 - c2, c1, scale)
 
 
 def _cleared(values):
@@ -572,26 +586,24 @@ def first_axiom_failure(dim, rows):
     Returns None or (identity, 1-based indices, residual of length ``dim``),
     with (A1) before (A2) before (A3) and (u, v, x, y, z), u < v, ordered
     lexicographically as in an exhaustive scan.  Rows over Q(i) run the
-    kernel on packed Gaussian integers (``_packed_gaussian_rows``); any
-    other field runs it on the rows as they are.
+    kernel on lane-packed Gaussian integers (``_packed_gaussian_rows``) and
+    read back only the first nonzero cell; any other field runs it on the
+    rows as they are.
     """
-    packing = _packed_gaussian_rows(dim, rows)
-    if packing is not None:
-        rows, scale, width = packing
-        # c0 + c1*X + c2*X^2 is 0 mod X^2 + 1 only when (c0 - c2) + c1*X,
-        # of absolute value below X + X^2/2, is 0: when c1 = 0 and c0 = c2.
-        modulus = (1 << 2 * width) + 1
-    for identity, indices, cell in _axiom_residuals(rows):
-        if packing is None:
-            if not any(val != 0 for val in cell.values()):
+    (rows, lanes), scale, width = _packed_gaussian_rows(dim, rows) or ((rows, None), 1, 0)
+    for identity, indices, cell in _axiom_residuals(rows, lanes):
+        if lanes is None:
+            if not any(cell.values()):
                 continue
             zero = field_of(next(iter(cell.values()))).zero
             residual = tuple(cell.get(q, zero) for q in range(dim))
+        elif not cell:
+            continue
         else:
-            if not any(val % modulus for val in cell.values()):
-                continue
+            digits = _balanced_digits(cell, width, 2 * dim)
             denominator = scale * scale if identity == "A3" else scale
-            residual = tuple(_unpacked(cell.get(q, 0), width, denominator) for q in range(dim))
+            residual = tuple(_reduced(digits[2 * q], digits[2 * q + 1], denominator)
+                             for q in range(dim))
         return identity, tuple(x + 1 for x in indices), residual
     return None
 
@@ -641,7 +653,7 @@ def _conjugate_rows(rows, h, g):
             for j, y in h_support[b]:
                 xy = x * y
                 for k, z in h_support[c]:
-                    _add_row(out.setdefault((i, j, k), {}), w, xy * z)
+                    _add_row(out, (i, j, k), w, xy * z)
     cleaned = ((key, {p: val for p, val in row.items() if val}) for key, row in out.items())
     return {key: row for key, row in cleaned if row}
 
@@ -742,7 +754,7 @@ def lts_from_lie(bracket) -> Lts:
         for j, ij in brackets.items():
             for p, x in ij.items():
                 for k, pk in nonzero.get(p, {}).items():
-                    _add_row(rows.setdefault((i, j, k), {}), pk, x)
+                    _add_row(rows, (i, j, k), pk, x)
     system = Lts.from_rows(n, rows)
     report = system.check_axioms()
     if not report.ok:

@@ -653,9 +653,10 @@ def gaussian_roots(f: Polynomial):
     Over Z[i] a root alpha/beta in lowest terms has beta | lead and
     alpha | constant (Gauss's lemma), which bounds the parts of
     alpha*conj(beta)/N(beta).  The simple roots of the square-free part modulo
-    an inert prime are lifted past that bound and reconstructed, and only
-    candidates that are exact roots are kept, so an empty result proves that
-    there is no root in Q(i).
+    an inert prime are lifted and reconstructed after every step, keeping only
+    candidates that are exact roots.  Distinct roots have distinct residues, so
+    lifting stops once every residue gives its own root, and otherwise goes
+    past that bound: an empty result proves that there is no root in Q(i).
     """
     if not f:
         raise ValueError("every scalar is a root of the zero polynomial")
@@ -681,7 +682,17 @@ def gaussian_roots(f: Polynomial):
             if all(_eval_mod(deriv, u, v, p) != (0, 0) for u, v in residues):
                 break
     m = p
-    while m <= 2 * bound * lead_norm:
+    while True:
+        final, found = m > 2 * bound * lead_norm, []
+        for u, v in residues:  # a root's denominators divide N(beta), so N(lead)
+            z = GaussianRational(_rational_reconstruction(u, m, bound),
+                                 _rational_reconstruction(v, m, bound))
+            if not lead_norm % z._t[2] and not f(z):
+                found.append(z)
+            elif not final:
+                break
+        if final or len(set(found)) == len(residues):
+            return roots + found
         m *= m
         lifted = []
         for u, v in residues:  # Newton step u + v*i -= f / f'
@@ -691,12 +702,6 @@ def gaussian_roots(f: Polynomial):
             lifted.append(((u - (fa * da + fb * db) * inv) % m,
                            (v - (fb * da - fa * db) * inv) % m))
         residues = lifted
-    for u, v in residues:
-        z = GaussianRational(_rational_reconstruction(u, m, bound),
-                             _rational_reconstruction(v, m, bound))
-        if not f(z):
-            roots.append(z)
-    return roots
 
 
 # ---------------------------------------------------------------------------

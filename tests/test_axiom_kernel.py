@@ -6,6 +6,7 @@ only nonzero rows, must report the same first failing identity, the same
 indices and the same residual.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,70 @@ def test_packing_width_has_no_spare_bit():
     _, scale, width = _packed_gaussian_rows(n, Lts(tensor).rows())
     assert scale == 1 and 8 * n * m * m < 2 ** (width - 1)
     assert 2 ** (width - 2) <= 16 * m * m < 2 ** (width - 1)
+
+
+def lane_tensor(generators, m):
+    """Dense dimension-3 tensor whose product [e_i, e_j, e_k], i < j, has the
+    coordinates m * (a + b*i) for the pairs (a, b) of generators[(i, j, k)],
+    and whose product [e_j, e_i, e_k] is its negative."""
+    n = 3
+    tensor = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), vec in generators.items():
+        tensor[i - 1][j - 1][k - 1] = [GaussianRational(m * a, m * b) for a, b in vec]
+        tensor[j - 1][i - 1][k - 1] = [GaussianRational(-m * a, -m * b) for a, b in vec]
+    return tensor
+
+
+# Two systems that satisfy (A1) and (A2), with entries m * (a + b*i), |a|, |b| <= 1,
+# and the digits (real, imaginary) of their first failing cell per coordinate.
+# In the first, the imaginary digit of e_1 is 8m^2 and the real digit of e_2
+# next to it is -8m^2.  In the second, the imaginary digit of e_2, -15m^2,
+# needs the width's top bit, sits above a positive digit, and its borrow
+# crosses into the negative real digit of e_3.
+BORROW_GENERATORS = [
+    ({(1, 2, 1): [(1, -1), (1, 1), (1, 1)], (1, 2, 2): [(1, -1), (1, -1), (1, -1)],
+      (1, 2, 3): [(0, -1), (0, -1), (0, 1)], (1, 3, 1): [(1, -1), (1, 1), (0, 0)],
+      (1, 3, 2): [(1, 0), (-1, 0), (0, 0)], (1, 3, 3): [(0, 0), (1, 1), (-1, -1)],
+      (2, 3, 1): [(1, 1), (-1, 1), (0, -1)], (2, 3, 2): [(1, 0), (1, 0), (-1, -1)],
+      (2, 3, 3): [(0, -1), (1, 1), (-1, -1)]},
+     (1, 2, 1, 2, 1), ((0, 8), (-8, 0), (-3, -1)), False),
+    ({(1, 2, 1): [(-1, 1), (1, -1), (0, 0)], (1, 2, 2): [(-1, -1), (1, -1), (0, 0)],
+      (1, 2, 3): [(-1, 1), (0, 1), (-1, 1)], (1, 3, 1): [(1, -1), (1, -1), (-1, -1)],
+      (1, 3, 2): [(0, 0), (-1, 1), (0, 0)], (1, 3, 3): [(-1, 1), (-1, -1), (0, -1)],
+      (2, 3, 1): [(1, -1), (-1, 0), (1, -1)], (2, 3, 2): [(-1, -1), (0, 1), (-1, 1)],
+      (2, 3, 3): [(-1, -1), (-1, -1), (1, -1)]},
+     (1, 2, 1, 3, 1), ((1, -1), (1, -15), (-4, 2)), True),
+]
+
+
+@pytest.mark.parametrize("generators,indices,digits,top_bit", BORROW_GENERATORS)
+def test_failing_cell_read_back_across_lanes(generators, indices, digits, top_bit):
+    # m is the width test's: 24m^2 is just under 2^45, so the width is 46 bits
+    m = 1180000
+    tensor = lane_tensor(generators, m)
+    failure = kernel_failure(tensor)
+    assert failure == reference_check_axioms(Lts(tensor))
+    assert failure[:2] == ("A3", indices)
+    assert failure[2] == tuple(GaussianRational(a * m * m, b * m * m) for a, b in digits)
+    _, scale, width = _packed_gaussian_rows(3, Lts(tensor).rows())
+    assert scale == 1 and width == 46
+    largest = max(abs(x) for pair in digits for x in pair) * m * m
+    assert largest < 2 ** (width - 1) and (largest >= 2 ** (width - 2)) == top_bit
+
+
+def test_products_that_cancel_only_through_i_squared():
+    # T3,2 in the basis e_1, e_2, e_3 + i*e_1 satisfies the axioms, but the real
+    # parts of its constants alone break (A3): there the sum of the a'a and the
+    # sum of the b'b are equal and nonzero.  Lanes hold a'a - b'b, so those
+    # cells are the int 0.
+    g = [[1, 0, GaussianRational(0, 1)], [0, 1, 0], [0, 0, 1]]
+    base = dense(catalog.instantiate("T3,2").change_basis(g))
+    assert assert_same(base) is None
+    real = [[[[x.re for x in row] for row in plane] for plane in block] for block in base]
+    assert any(any(_a3_residual(real, 3, *cell)) for cell in itertools.product(range(3), repeat=5))
+    rng = ExactRandom(32)
+    for kind in ("A1", "A2", "A3"):
+        assert_same(perturb(base, kind, rng))
 
 
 def test_rational_function_rows_take_the_generic_path():

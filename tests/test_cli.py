@@ -11,9 +11,10 @@ import pytest
 from lietriple import catalog
 from lietriple import degeneration as dg
 from lietriple.cli import build_parser, main
-from lietriple.core import lts_from_dict, lts_to_dict
+from lietriple.cohomology import Cocycle, cocycle_space
+from lietriple.core import Lts, complete_table, lts_from_dict, lts_to_dict
 from lietriple.linalg import nullspace
-from lietriple.scalars import GaussianRational
+from lietriple.scalars import GaussianRational, RationalFunction
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 cohomology_module = importlib.import_module("lietriple.cohomology")
@@ -58,17 +59,32 @@ def test_check_axiom_failure_json_payload(tmp_path, capsys):
     assert out.err == ""
 
 
-def test_check_runs_the_axiom_kernel_once(monkeypatch, capsys):
+@pytest.mark.parametrize("case", ["dense-document", "family-table", "check-closed",
+                                  "cocycle-space"])
+def test_check_runs_the_axiom_kernel_once(monkeypatch, capsys, case):
+    base = catalog.instantiate("T4,8").require_axioms()
+    theta = Cocycle(base, {(1, 2, 1): 1})
+    closed, z3_dim = theta.check_closed(), cocycle_space(base).dim
+    fresh = Lts.from_rows(base.dim, base.rows())
     core = importlib.import_module("lietriple.core")
     kernel, runs = core._axiom_residuals, []
 
-    def counted(rows):
+    def counted(rows, lanes=None):
         runs.append(len(rows))
-        return kernel(rows)
+        return kernel(rows, lanes)
 
     monkeypatch.setattr(core, "_axiom_residuals", counted)
-    assert main(["--format", "json", "check", str(GOLDEN / "input_t4_9_dense.json")]) == 0
-    assert json.loads(capsys.readouterr().out) == {"ok": True}
+    monkeypatch.setattr(cohomology_module, "_axiom_residuals", counted)
+    if case == "dense-document":  # over Q(i): the lanes
+        assert main(["--format", "json", "check", str(GOLDEN / "input_t4_9_dense.json")]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True}
+    elif case == "family-table":  # over Q(i)(t): the rows as they are
+        generators = catalog._family_generators(RationalFunction.variable())
+        assert complete_table(4, generators).check_axioms().ok
+    elif case == "check-closed":
+        assert Cocycle(base, dict(theta.coeffs)).check_closed() == closed
+    else:
+        assert cocycle_space(fresh).dim == z3_dim
     assert len(runs) == 1
 
 

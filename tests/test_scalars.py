@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lietriple import scalars
 from lietriple.errors import ParseError, PoleAtPoint, PoleAtZero
 from lietriple.scalars import (
     GaussianRational,
@@ -270,6 +271,24 @@ class TestGaussianRoots:
         assert gaussian_roots(Polynomial([QI_I])) == []
         with pytest.raises(ValueError):
             gaussian_roots(Polynomial())
+
+    def test_lifting_stops_early_only_when_every_residue_reconstructs(self, monkeypatch):
+        # x^2 - 2 has residue roots modulo every inert prime, and they never
+        # reconstruct, so the product keeps lifting past the Gauss-lemma bound
+        # 2 |a0| |lead| N(lead) and returns the one root of the linear factor
+        moduli = []
+        reconstruct = scalars._rational_reconstruction
+        monkeypatch.setattr(scalars, "_rational_reconstruction",
+                            lambda u, m, bound: moduli.append(m) or reconstruct(u, m, bound))
+        a, d = 2 ** 70 + 1, 3 ** 30
+        root = GaussianRational(Fraction(a, d))
+        linear = Polynomial([-a, d])
+        assert gaussian_roots(linear) == [root]
+        assert max(moduli) < 2 * (a * d + 1) * d * d
+        moduli.clear()
+        assert gaussian_roots(linear * Polynomial([-2, 0, 1])) == [root]
+        assert max(moduli) > 2 * (2 * a * d + 1) * d * d
+        assert gaussian_roots(Polynomial([-2, 0, 1]) * Polynomial([-1, -1, 0, 1])) == []
 
     def test_lead_divisible_by_small_inert_primes(self):
         # 3, 7 and 11 divide the lead, so the root is lifted from a larger prime
