@@ -25,7 +25,6 @@ answer prints the orbit member (a + b i)/d of least height, ordered by
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +40,8 @@ from .errors import (
 from .cohomology import Cocycle, a_theta, delta_indices
 from .core import Lts, _memo, complete_table
 from .linalg import determinant, rank
-from .scalars import (GaussianRational, Polynomial, QI_ZERO, coerce, field_of, gaussian_roots,
-                      parse_scalar, scalar_str)
+from .scalars import (GaussianRational, Polynomial, QI_ZERO, coerce, field_of, gaussian_integers,
+                      gaussian_roots, parse_scalar, scalar_str)
 
 __all__ = [
     "CatalogEntry",
@@ -313,16 +312,15 @@ def family_lambda_candidates(xi_value):
     if xi_value is None:
         n, s = 0, 1
     else:
-        xi_value = GaussianRational.of(xi_value)
-        n = math.lcm(xi_value.re.denominator, xi_value.im.denominator)
-        s = xi_value * n
+        n, ((a, b),) = gaussian_integers([GaussianRational.of(xi_value)])
+        s = GaussianRational(a, b)
     return gaussian_roots(Polynomial([n, 3 * n, 6 * n - s, 7 * n - 2 * s, 6 * n - s,
                                       3 * n, n]))
 
 
 def _height(z: GaussianRational):
     """Sort key of (a + b i)/d that puts the member of least height first."""
-    a, b, d = z._t
+    d, ((a, b),) = gaussian_integers([z])
     return (max(abs(a), abs(b), d), abs(a), abs(b), d, a < 0, b < 0)
 
 

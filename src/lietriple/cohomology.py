@@ -275,7 +275,8 @@ def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:
             raise MalformedInput("coeffs", f"ijk must be integers in {item!r}")
         if not i < j:
             raise MalformedInput("coeffs", f"indices must satisfy i < j, got {item['ijk']}")
-        coeffs[(i, j, k)] = value
+        if coeffs.setdefault((i, j, k), value) != value:
+            raise MalformedInput("coeffs", f"conflicting values for ijk {[i, j, k]}")
     return Cocycle(system, coeffs)
 
 

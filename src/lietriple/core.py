@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import lcm
 from types import MappingProxyType
 from typing import Optional
 
@@ -31,21 +30,8 @@ from .errors import (
     axiom_failure_text,
 )
 from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
-from .scalars import (
-    _POLY_ONE,
-    QI_ONE,
-    QI_ZERO,
-    GaussianRational,
-    Polynomial,
-    RationalFunction,
-    _reduced,
-    _reduced_function,
-    coerce,
-    field_of,
-    parse_scalar,
-    poly_gcd,
-    scalar_str,
-)
+from .packed import _add_lanes, _packed_gaussian_rows, _unpacked_residual
+from .scalars import QI_ONE, QI_ZERO, GaussianRational, coerce, field_of, parse_scalar, scalar_str
 
 __all__ = [
     "Lts",
@@ -356,12 +342,6 @@ def _satisfies_a1(rows):
     return True
 
 
-def _add_lanes(cells, key, lanes, factor):
-    """cells[key] += factor * row: a*P + b*iP for the lanes (P, iP) and factor a + b*i."""
-    a, b, _ = factor._t
-    cells[key] = cells.get(key, 0) + a * lanes[0] + b * lanes[1]
-
-
 def _axiom_residuals(rows, lanes=None):
     """Residual of every (A1)-(A3) cell the nonzero rows touch, in scan order.
 
@@ -426,184 +406,25 @@ def _axiom_residuals(rows, lanes=None):
             yield "A3", (u, v) + key, residuals[key]
 
 
-def _packed_gaussian_rows(dim, rows):
-    """Rows over Q(i) as exact integers: (packed, scale D, width k), or None.
-
-    None unless every value is a GaussianRational.  D is the lcm of the
-    denominators, and packed is (rows of the Gaussian integers D*z = a + b*i,
-    lanes).  A row's lanes are the int P = sum_q (a_q + b_q*X) X^(2q), X = 2^k,
-    and its twin iP: a product by a + b*i is a*P + b*iP, with no i^2 digit, so
-    a cell is 0 exactly when its Gaussian value is, while every balanced digit
-    stays below X/2.  (A1)/(A2) cells hold D times their residual, (A3) cells
-    D^2 times.  An (A3) digit sums at most 4n terms a'a - b'b or a'b + b'a (n
-    for [u,v,[x,y,z]], n for each of the three slots), each at most 2M^2 for
-    |a|, |b| <= M, and 2^(k-1) > 8nM^2.
-    """
-    denominators = set()
-    for row in rows.values():
-        for val in row.values():
-            if type(val) is not GaussianRational:
-                return None
-            denominators.add(val._t[2])
-    scale = lcm(*denominators)
-    if scale != 1:
-        rows = {key: {p: val * scale for p, val in row.items()} for key, row in rows.items()}
-    bound = max((abs(x) for row in rows.values() for val in row.values() for x in val._t[:2]),
-                default=0)
-    width = (8 * dim * bound * bound).bit_length() + 1
-    lanes = {}
-    for key, row in rows.items():
-        packed = twin = 0
-        for p, val in row.items():
-            a, b, _ = val._t
-            packed += (a + (b << width)) << 2 * width * p
-            twin += ((a << width) - b) << 2 * width * p
-        lanes[key] = packed, twin
-    return (rows, lanes), scale, width
-
-
-def _balanced_digits(value, width, count):
-    """The digits c_0, ..., c_(count-1) of value = sum_j c_j X^j, X = 2^width,
-    read as balanced base-X digits |c_j| < X/2; exact when value has at most
-    ``count`` of them."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    digits = []
-    for _ in range(count):
-        digit = ((value + half) & mask) - half
-        digits.append(digit)
-        value = (value - digit) >> width
-    return digits
-
-
-def _cleared(values):
-    """Values of Q(i) or Q(i)(t) over one denominator: (polys, norm, factor).
-
-    Each value v is P_v * t^shift / (scale * rest), factor = (scale, shift,
-    rest).  P_v is a list of Gaussian-integer pairs (a_e, b_e) for
-    sum (a_e + b_e*i) t^e, None when v is 0, and norm is the largest L1 norm
-    sum |a_e| + |b_e| of a P_v.  scale is a positive integer and rest a monic
-    polynomial with rest(0) != 0: the lcm of the denominators with their
-    powers of t taken out.  Those powers of t and the lowest power of t of the
-    numerators go into the one exponent shift, which may be negative.
-    """
-    parts = []  # (numerator coefficients, power of t in the denominator, the rest of it)
-    power, rest = 0, _POLY_ONE
-    for val in values:
-        if not val:
-            parts.append(None)
-        elif type(val) is GaussianRational:
-            parts.append(((val,), 0, _POLY_ONE))
-        else:
-            den, m = val.den.coeffs, 0
-            while not den[m]:
-                m += 1
-            other = Polynomial(den[m:]) if m < len(den) - 1 else _POLY_ONE
-            parts.append((val.num.coeffs, m, other))
-            power = max(power, m)
-            if other.degree > 0 and other != rest:
-                rest = other if rest.degree == 0 else rest * (other // poly_gcd(rest, other))
-    numerators = []  # (coefficients from the first nonzero one, its power of t) or None
-    for part in parts:
-        if part is None:
-            numerators.append(None)
-            continue
-        num, m, other = part
-        if rest.degree > 0 and other != rest:
-            num = (Polynomial(num) * (rest if other.degree == 0 else rest // other)).coeffs
-        low = 0
-        while not num[low]:
-            low += 1
-        numerators.append((num[low:], low + power - m))
-    present = [num for num in numerators if num is not None]
-    lowest = min((low for _, low in present), default=0)
-    scale = lcm(*(c._t[2] for coeffs, _ in present for c in coeffs))
-    polys, norm = [], 0
-    for num in numerators:
-        if num is None:
-            polys.append(None)
-            continue
-        coeffs, low = num
-        poly = [(0, 0)] * (low - lowest) + [
-            (a * (scale // d), b * (scale // d)) for a, b, d in (c._t for c in coeffs)]
-        polys.append(poly)
-        norm = max(norm, sum(abs(a) + abs(b) for a, b in poly))
-    return polys, norm, (scale, lowest - power, rest)
-
-
-def _factor_product(*factors):
-    """The (scale, shift, rest) of a product of ``_cleared`` values."""
-    scale, shift, rest = 1, 0, _POLY_ONE
-    for f_scale, f_shift, f_rest in factors:
-        scale, shift = scale * f_scale, shift + f_shift
-        if f_rest.degree > 0:
-            rest = f_rest if rest.degree == 0 else rest * f_rest
-    return scale, shift, rest
-
-
-def _packed_polynomial(poly, width):
-    """sum (a_e + b_e*X) X^(6e), X = 2^width, for the pairs (a_e, b_e) of
-    sum (a_e + b_e*i) t^e: Z[i][t] read at i = X and t = X^6, 0 for None."""
-    lane, value = 6 * width, 0
-    for a, b in reversed(poly or ()):
-        value = (value << lane) + a + (b << width)
-    return value
-
-
-def _unpacked_function(value, width, scale, shift, rest):
-    """P * t^shift / (scale * rest) as a reduced rational function, for a nonzero
-    value = P(X, X^6) whose lanes of six balanced base-X digits c_0..c_5 hold
-    the coefficients (c_0 - c_2 + c_4) + (c_1 - c_3 + c_5)*i of P.
-
-    Digits that are not all zero can still give a zero coefficient, since
-    i^2 = -1 is applied here and not in the kernel; P = 0 gives 0.
-    """
-    lane = 6 * width
-    zero_lanes = ((value & -value).bit_length() - 1) // lane
-    value >>= zero_lanes * lane
-    digits = _balanced_digits(value, width, 6 * (value.bit_length() // lane + 1))
-    coeffs = [_reduced(c0 - c2 + c4, c1 - c3 + c5, scale)
-              for c0, c1, c2, c3, c4, c5 in (digits[e:e + 6] for e in range(0, len(digits), 6))]
-    low = next((e for e, c in enumerate(coeffs) if c), None)
-    if low is None:
-        return RationalFunction.zero
-    num, shift = Polynomial(coeffs[low:]), shift + zero_lanes + low
-    if rest.degree > 0:  # num(0) != 0, so only rest can share a factor with it
-        quotient, remainder = divmod(num, rest)
-        if not remainder:
-            num, rest = quotient, _POLY_ONE
-        else:
-            common = poly_gcd(rest, remainder)  # gcd(num, rest), one division on
-            if common.degree > 0:
-                num, rest = num // common, rest // common
-    if shift >= 0:
-        return _reduced_function(Polynomial([QI_ZERO] * shift + list(num.coeffs)), rest)
-    return _reduced_function(num, Polynomial([QI_ZERO] * -shift + list(rest.coeffs)))
-
-
 def first_axiom_failure(dim, rows):
     """The lexicographically first failing identity, read from nonzero rows.
 
     Returns None or (identity, 1-based indices, residual of length ``dim``),
     with (A1) before (A2) before (A3) and (u, v, x, y, z), u < v, ordered
     lexicographically as in an exhaustive scan.  Rows over Q(i) run the
-    kernel on lane-packed Gaussian integers (``_packed_gaussian_rows``) and
+    kernel on lane-packed Gaussian integers (``lietriple.packed``) and
     read back only the first nonzero cell; any other field runs it on the
     rows as they are.
     """
     (rows, lanes), scale, width = _packed_gaussian_rows(dim, rows) or ((rows, None), 1, 0)
     for identity, indices, cell in _axiom_residuals(rows, lanes):
-        if lanes is None:
-            if not any(cell.values()):
-                continue
+        if lanes is not None and cell:
+            residual = _unpacked_residual(identity, cell, dim, scale, width)
+        elif lanes is None and any(cell.values()):
             zero = field_of(next(iter(cell.values()))).zero
             residual = tuple(cell.get(q, zero) for q in range(dim))
-        elif not cell:
-            continue
         else:
-            digits = _balanced_digits(cell, width, 2 * dim)
-            denominator = scale * scale if identity == "A3" else scale
-            residual = tuple(_reduced(digits[2 * q], digits[2 * q + 1], denominator)
-                             for q in range(dim))
+            continue
         return identity, tuple(x + 1 for x in indices), residual
     return None
 
@@ -686,11 +507,12 @@ def complete_table(dim, generators):
     """Close a partial multiplication table under (A1) and forced (A2) cases.
 
     ``generators`` maps 1-based triples (i, j, k) with i != j to coefficient
-    vectors of length ``dim``.  Products still undetermined after the pass
-    are zero.  The completed system is axiom-checked before being returned.
+    vectors of length ``dim``, or lists such pairs, a repeated triple with its
+    one value.  Products still undetermined after the pass are zero.  The
+    completed system is axiom-checked before being returned.
     """
     known = {}  # 0-based (i, j, k), i != j -> coefficient tuple
-    for (i, j, k), vec in generators.items():
+    for (i, j, k), vec in (generators.items() if hasattr(generators, "items") else generators):
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise MalformedInput("products", f"index out of range in ({i},{j},{k})")
         if i == j:
@@ -805,7 +627,7 @@ def lts_from_dict(doc: dict) -> Lts:
     products = doc.get("products", [])
     if not isinstance(products, list):
         raise MalformedInput("products", "expected a list")
-    generators = {}
+    generators = []  # (triple, vector) pairs, so that complete_table sees a repeated triple
     for entry in products:
         try:
             i, j, k = entry["args"]
@@ -823,5 +645,5 @@ def lts_from_dict(doc: dict) -> Lts:
             vec[p - 1] = x = parse_scalar(text)
             if field == "Q" and not x.is_rational:
                 raise MalformedInput("field", f"value {text!r} needs i in a document over Q")
-        generators[(i, j, k)] = vec
+        generators.append(((i, j, k), vec))
     return complete_table(dim, generators)

@@ -25,19 +25,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import (
-    MAX_DIM,
-    Lts,
-    _cleared,
-    _conjugate_rows,
-    _dense_tensor,
-    _factor_product,
-    _lie_action,
-    _packed_polynomial,
-    _unpacked_function,
-)
+from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
 from .linalg import mat_inverse, nullspace
+from .packed import _packed_transport
 from .scalars import (
     GaussianRational,
     QI_ZERO,
@@ -140,49 +131,16 @@ def _transported_rows(system: Lts, basis: ParametrizedBasis):
 
     With A the row matrix of the new basis, the transported product is the
     conjugated product under g = (A^T)^{-1}: c'_ijk^p sums
-    h[a][i] h[b][j] h[c][k] g[p][q] c_abc^q over (a, b, c, q), h = A^T.
-    Column i of h (row i of A), row p of g and the source constants are each
-    put over one denominator by ``core._cleared``, and ``_conjugate_rows``
-    runs on the cleared Gaussian-integer polynomials, each sum
-    (a_e + b_e*i) t^e packed as the int sum (a_e + b_e*X) X^(6e), X = 2^k
-    (Kronecker substitution).  The five factors' denominators multiply into
-    that of c'_ijk^p.  A coefficient of the kernel's output sums at most n^4
-    products of five factors of degree at most 1 in i, so six base-X digits
-    c_0..c_5 per power of t hold it, as (c_0 - c_2 + c_4) + (c_1 - c_3 + c_5)*i.
-    Every |c_d| is at most n^4 M_h^3 M_g M_r, M the largest L1 norm
-    sum |a_e| + |b_e| of a cleared entry of h, of g and of the rows, and
-    2^(k-1) above that bound makes the balanced base-X digits give them back.
+    h[a][i] h[b][j] h[c][k] g[p][q] c_abc^q over (a, b, c, q), h = A^T, and
+    ``_conjugate_rows`` computes it on the operands ``_packed_transport`` packs.
     """
     if basis.dim != system.dim:
         raise MalformedInput("basis", "basis dimension differs from the system")
-    n, rows = system.dim, system.rows()
+    rows = system.rows()
     if not rows:
         return {}
-    # the kernel reads h[a] and column q of g only for the indices a and q the rows use
-    slots = {a for key in rows for a in key}
-    targets = {q for row in rows.values() for q in row}
-    h_polys, h_norms, h_factors = zip(*(  # column i of h is row i of A
-        _cleared([x if a in slots else 0 for a, x in enumerate(row)]) for row in basis.rows))
-    g_polys, g_norms, g_factors = zip(*(
-        _cleared([x if q in targets else 0 for q, x in enumerate(row)])
-        for row in basis._inverse_transposed))
-    values, source_norm, source = _cleared([val for row in rows.values() for val in row.values()])
-    width = (n ** 4 * max(h_norms) ** 3 * max(g_norms) * source_norm).bit_length() + 1
-    h = [[_packed_polynomial(h_polys[i][a], width) for i in range(n)] for a in range(n)]
-    g = [[_packed_polynomial(poly, width) for poly in polys] for polys in g_polys]
-    values = iter(values)
-    packed = {key: {p: _packed_polynomial(next(values), width) for p in row}
-              for key, row in rows.items()}
-    ends = [_factor_product(factor, source) for factor in g_factors]
-    moved = {}
-    for (i, j, k), row in _conjugate_rows(packed, h, g).items():
-        factor = _factor_product(h_factors[i], h_factors[j], h_factors[k])
-        cell = {p: _unpacked_function(value, width, *_factor_product(factor, ends[p]))
-                for p, value in row.items()}
-        cell = {p: val for p, val in cell.items() if val}
-        if cell:
-            moved[(i, j, k)] = cell
-    return moved
+    packed, h, g, unpacked = _packed_transport(basis.rows, basis._inverse_transposed, rows)
+    return unpacked(_conjugate_rows(packed, h, g))
 
 
 def transport_constants(system: Lts, basis: ParametrizedBasis):

@@ -16,10 +16,8 @@ decides an answer.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import SingularMatrix
-from .scalars import GaussianRational, coerce, field_of
+from .scalars import GaussianRational, coerce, field_of, gaussian_integers
 
 _P = 998244353  # prime, 1 mod 4
 _IOTA = pow(3, (_P - 1) // 4, _P)  # 3 generates F_p^*, so this squares to -1
@@ -113,25 +111,18 @@ def nullspace(rows, ncols):
 
 
 def _cleared_rows(rows):
-    """Each row as [(column, a, b)] over Z[i], a common denominator cleared.
+    """Each row as [(column, a, b)] over Z[i], the rows' common denominator cleared.
 
     None unless every nonzero entry is a GaussianRational whose denominator
-    p does not divide.
+    p does not divide.  One scale for all rows changes neither their rank mod p
+    nor which vectors annihilate them.
     """
-    out = []
-    for row in rows:
-        support = [(c, x) for c, x in enumerate(row) if x]
-        if any(x.__class__ is not GaussianRational for _, x in support):
-            return None
-        d = lcm(*(x._t[2] for _, x in support))
-        if d % _P == 0:
-            return None
-        cleared = []
-        for c, x in support:
-            a, b, e = x._t
-            cleared.append((c, a * (d // e), b * (d // e)))
-        out.append(cleared)
-    return out
+    supports = [[c for c, x in enumerate(row) if x] for row in rows]
+    cleared = gaussian_integers([row[c] for row, support in zip(rows, supports) for c in support])
+    if cleared is None or cleared[0] % _P == 0:
+        return None
+    pairs = iter(cleared[1])  # zip reads a support first, so it takes only that row's pairs
+    return [[(c, a, b) for c, (a, b) in zip(support, pairs)] for support in supports]
 
 
 def _independent_mod_p(cleared, ncols):

@@ -30,6 +30,7 @@ __all__ = [
     "scalar_str",
     "rational_function_str",
     "gaussian_roots",
+    "gaussian_integers",
 ]
 
 
@@ -612,6 +613,22 @@ def coerce(x):
     return GaussianRational.of(x)
 
 
+def gaussian_integers(values):
+    """(D, [(a, b)]) with D*z = a + b*i for each value z and D the lcm of the
+    denominators, in one pass; None if a value is not a GaussianRational."""
+    scale, triples = 1, []
+    for z in values:
+        if z.__class__ is not GaussianRational:
+            return None
+        t = z._t
+        triples.append(t)
+        if scale % t[2]:
+            scale = lcm(scale, t[2])
+    if scale == 1:
+        return 1, [(a, b) for a, b, _ in triples]
+    return scale, [(a * (scale // d), b * (scale // d)) for a, b, d in triples]
+
+
 # ---------------------------------------------------------------------------
 # roots in Q(i): Hensel lifting at an inert prime, then rational reconstruction
 # (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5 and 15)
@@ -668,8 +685,7 @@ def gaussian_roots(f: Polynomial):
     g = poly_gcd(f, Polynomial([k * c for k, c in enumerate(f.coeffs)][1:]))
     if g.degree > 0:
         f = f // g
-    scale = lcm(*(c._t[2] for c in f.coeffs))
-    coeffs = [(a * (scale // d), b * (scale // d)) for a, b, d in (c._t for c in f.coeffs)]
+    _, coeffs = gaussian_integers(f.coeffs)
     deriv = [(k * a, k * b) for k, (a, b) in enumerate(coeffs)][1:]
     (a0, b0), (an, bn) = coeffs[0], coeffs[-1]
     lead_norm = an * an + bn * bn
@@ -770,16 +786,11 @@ def _poly_str(p: Polynomial) -> str:
     return "".join(parts)
 
 
-def _coeff_den_lcm(p: Polynomial) -> int:
-    return lcm(1, *(c._t[2] for c in p.coeffs))
-
-
 def rational_function_str(f: RationalFunction) -> str:
     """Text form "(num)/(den)" with Gaussian-integer coefficients; "num" if den = 1."""
     f = RationalFunction.of(f)
-    scale = lcm(_coeff_den_lcm(f.num), _coeff_den_lcm(f.den))
-    num = f.num * scale
-    den = f.den * scale
+    scale, _ = gaussian_integers(f.num.coeffs + f.den.coeffs)
+    num, den = f.num * scale, f.den * scale
     if den.degree == 0 and den.coeffs[0] == 1:
         return _poly_str(num)
     return f"({_poly_str(num)})/({_poly_str(den)})"

@@ -15,7 +15,8 @@ from conftest import ExactRandom, cochain_eval
 from lietriple import catalog
 from lietriple.errors import AxiomViolation
 from lietriple.cohomology import Cocycle, cocycle_space, delta_indices
-from lietriple.core import Lts, _packed_gaussian_rows, complete_table
+from lietriple.core import Lts, complete_table
+from lietriple.packed import _packed_gaussian_rows
 from lietriple.scalars import GaussianRational, RationalFunction
 
 

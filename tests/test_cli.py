@@ -48,6 +48,21 @@ def test_check_axiom_failure(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "A2 fails at (1, 2, 3): residual (0, 0, 0, 1)"
 
 
+@pytest.mark.parametrize("second,code", [("2", 1), ("1", 0)])
+def test_check_refuses_a_product_given_twice_with_two_values(tmp_path, capsys, second, code):
+    # a repeat with another value is a conflict, as the mirror [2,1,1] = -2 is;
+    # the same value twice is accepted
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"dim": 3, "products": [
+        {"args": [1, 2, 1], "value": {"3": "1"}}, {"args": [1, 2, 1], "value": {"3": second}}]}))
+    assert main(["check", str(path)]) == code
+    out = capsys.readouterr()
+    if code:
+        assert "InconsistentTable: conflicting values for [e1,e2,e1]" in out.err
+    else:
+        assert out.out.strip() == "(A1)(A2)(A3) pass"
+
+
 def test_check_axiom_failure_json_payload(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

@@ -397,6 +397,17 @@ class TestCocycleJson:
         with pytest.raises(MalformedInput):
             cocycle_from_dict(doc)
 
+    def test_repeated_indices_need_one_value(self, t31):
+        from lietriple.cohomology import cocycle_from_dict
+        from lietriple.errors import MalformedInput
+
+        coeffs = [{"ijk": [1, 2, 3], "value": "1"}, {"ijk": [1, 2, 3], "value": "7"}]
+        with pytest.raises(MalformedInput, match="conflicting values") as exc:
+            cocycle_from_dict({"system": "T3,1", "coeffs": coeffs})
+        assert exc.value.field == "coeffs"
+        coeffs[1]["value"] = "1"
+        assert cocycle_from_dict({"system": "T3,1", "coeffs": coeffs}).coeffs == {(1, 2, 3): 1}
+
     @pytest.mark.parametrize("text", ["0^-1", "(1-1)^-2", "t/t"])
     def test_rejects_values_outside_the_field(self, t31, text):
         from lietriple.cohomology import cocycle_from_dict

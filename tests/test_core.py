@@ -75,6 +75,14 @@ class TestCompleteTable:
         with pytest.raises(InconsistentTable):
             complete_table(3, {(1, 2, 1): [0, 0, 1], (2, 1, 1): [0, 0, 1]})
 
+    def test_document_with_a_repeated_product(self):
+        product = {"args": [1, 2, 1], "value": {"3": "1"}}
+        doc = {"dim": 3, "products": [product, {"args": [1, 2, 1], "value": {"3": "2"}}]}
+        with pytest.raises(InconsistentTable, match=r"conflicting values for \[e1,e2,e1\]"):
+            lts_from_dict(doc)
+        doc["products"][1] = dict(product)
+        assert lts_from_dict(doc) == catalog.instantiate("T3,2")
+
     def test_diagonal_generator_rejected(self):
         with pytest.raises(InconsistentTable):
             complete_table(3, {(1, 1, 2): [0, 0, 1]})

@@ -123,3 +123,17 @@ def test_field_constants_live_in_scalars():
             if zero and any(other is not None and other.string == "*" for other in (before, after)):
                 found.append(f"{path.name}:{tok.start[0]} * 0")
     assert found == []
+
+
+def test_gaussian_integer_encoding_lives_in_scalars_and_packed():
+    # only scalars.py reads a GaussianRational's triple and only packed.py chooses
+    # a packing width; every other module clears Q(i) values through
+    # scalars.gaussian_integers and packs through lietriple.packed
+    found = []
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        if path.name in ("scalars.py", "packed.py"):
+            continue
+        found += [f"{path.name}:{node.lineno} {node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in ("_t", "bit_length")]
+    assert found == []
