@@ -39,7 +39,7 @@ from .errors import (
 )
 from .cohomology import Cocycle, a_theta, delta_indices
 from .core import Lts, _memo, complete_table
-from .linalg import determinant, rank
+from .linalg import Subspace, determinant
 from .scalars import (GaussianRational, Polynomial, QI_ZERO, coerce, field_of, gaussian_integers,
                       gaussian_roots, parse_scalar, scalar_str)
 
@@ -293,8 +293,8 @@ def _name_and_xi(system: Lts):
     if q and 4 * p * p * p == -27 * q * q:
         c = -3 * q / (2 * p)
         m = family_cocycle_matrix(system)
-        if rank([[x - c if a == b else x for b, x in enumerate(row)]
-                 for a, row in enumerate(m)]) == 2:
+        if Subspace(len(m), [[x - c if a == b else x for b, x in enumerate(row)]
+                             for a, row in enumerate(m)]).dim == 2:
             return "T4,5", None
     return FAMILY_NAME, -(p * p * p) / (q * q) if q else None
 

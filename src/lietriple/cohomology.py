@@ -182,12 +182,8 @@ def cocycle_space(system: Lts) -> CochainSpace:
     n = system.dim
     idx = delta_indices(n)
     units = [Cocycle(system, {t: 1}) for t in idx]
-    columns = range(n, n + len(idx))
-    equations = []
-    for _, _, cell in _axiom_residuals(extension_rows(system, units)):
-        row = [cell.get(q, QI_ZERO) for q in columns]
-        if any(row):
-            equations.append(row)
+    equations = [{q - n: x for q, x in cell.items() if q >= n and x}
+                 for _, _, cell in _axiom_residuals(extension_rows(system, units))]
     return CochainSpace(system, nullspace(equations, len(idx)))
 
 

@@ -252,9 +252,8 @@ class Lts:
                         continue
                     for p, val in row.items():
                         forms.setdefault((i, j, k, p), {})[a * n + b] = val
-        rows = [[form.get(u, self._zero) for u in range(n * n)] for form in forms.values()]
         matrices = [[vec[a * n:(a + 1) * n] for a in range(n)]
-                    for vec in nullspace(rows, n * n)]
+                    for vec in nullspace(forms.values(), n * n)]
         return len(matrices), matrices
 
     @_memo
@@ -273,9 +272,7 @@ class Lts:
             for *idx, val in self.nonzero_entries():
                 table.setdefault(tuple(idx[a] for a in row_at), {})[
                     tuple(idx[a] for a in column_at)] = val
-            columns = sorted({c for row in table.values() for c in row})
-            ranks.append(rank([[row.get(c, self._zero) for c in columns]
-                               for row in table.values()]))
+            ranks.append(rank(table.values()))
         return ranks[0], self.dim - self.annihilator().dim, ranks[1]
 
     def orbit_dimension(self) -> int:
@@ -313,15 +310,12 @@ def _first_slot_kernel(n, rows):
     ``rows`` maps 0-based (i, j, k), i < n, to {p: value}; there is one
     equation per nonzero (j, k, p).  Ann(T) and the meet of Ann(T) with the
     radicals Rad(theta_r) are this kernel of the rows of T and of T_theta.
-    The zero is the rows' own, or Q(i)'s when there are no rows.
     """
     columns = {}  # (j, k, p) -> {i: value}
     for (i, j, k), row in rows.items():
         for p, val in row.items():
             columns.setdefault((j, k, p), {})[i] = val
-    zero = field_of(val).zero if columns else QI_ZERO
-    return Subspace(n, nullspace([[column.get(i, zero) for i in range(n)]
-                                  for column in columns.values()], n))
+    return Subspace(n, nullspace(columns.values(), n))
 
 
 def _add_row(cells, key, row, factor):

@@ -31,6 +31,7 @@ from .linalg import mat_inverse, nullspace
 from .packed import _packed_transport
 from .scalars import (
     GaussianRational,
+    QI_ONE,
     QI_ZERO,
     RationalFunction,
     parse_rational_function,
@@ -358,10 +359,8 @@ class SeparatingSet:
         column = {idx: c for c, idx in enumerate(self.support)}
         equations = []
         for a, b, factor in self.relations:
-            row = [QI_ZERO] * len(self.support)
-            row[column[a]] += 1
-            row[column[b]] -= factor
-            equations.append(row)
+            row = {column[a]: 1 - factor} if a == b else {column[a]: QI_ONE, column[b]: -factor}
+            equations.append({c: x for c, x in row.items() if x})
         vectors = []
         for solution in nullspace(equations, len(self.support)):
             rows = {}

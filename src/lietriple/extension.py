@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import NotClosed, PreconditionViolated, ZeroVector
 from .core import Lts, _first_slot_kernel
 from .cohomology import coboundary_space, extension_rows
-from .linalg import Subspace, rank
+from .linalg import Subspace
 from .scalars import QI_ONE, QI_ZERO, coerce, field_of
 
 __all__ = [
@@ -89,7 +89,8 @@ def extension_annihilator(spec: ExtensionSpec) -> Subspace:
 def _class_rank(spec: ExtensionSpec):
     """Rank of the classes [theta_1..theta_s] in H^3(base, F)."""
     b3 = coboundary_space(spec.base)
-    return rank(b3.coordinates + [theta.coordinates() for theta in spec.thetas]) - b3.dim
+    thetas = [theta.coordinates() for theta in spec.thetas]
+    return Subspace(len(thetas[0]), b3.coordinates + thetas).dim - b3.dim
 
 
 def in_ts(spec: ExtensionSpec) -> bool:

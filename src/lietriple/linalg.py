@@ -1,8 +1,11 @@
-"""Dense exact linear algebra, generic over any of the scalar fields.
+"""Exact linear algebra, generic over any of the scalar fields.
 
-Matrices are plain lists of lists.  The routines only assume field elements
-that support +, -, *, / and comparison with 0/1, so the same code runs over
-Q(i), Q(i)(t), and anything with the same operator surface.
+Equations are sparse rows {column: value}, as their callers build them;
+``nullspace`` and ``rank`` make dense only the rows they eliminate.  ``rref``,
+``Subspace`` and ``mat_inverse`` take lists of lists, for small dense matrices.
+The routines only assume field elements that support +, -, *, / and
+comparison with 0/1, so the same code runs over Q(i), Q(i)(t), and anything
+with the same operator surface.
 
 ``nullspace`` over Q(i) is modular-first.  Rows are mapped to F_p with
 p = 998244353, which is 1 mod 4, so i maps to iota = 3^((p-1)/4), a square
@@ -17,7 +20,7 @@ decides an answer.
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .scalars import GaussianRational, coerce, field_of, gaussian_integers
+from .scalars import GaussianRational, RationalFunction, coerce, field_of, gaussian_integers
 
 _P = 998244353  # prime, 1 mod 4
 _IOTA = pow(3, (_P - 1) // 4, _P)  # 3 generates F_p^*, so this squares to -1
@@ -68,34 +71,36 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    deduped = _dedupe_nonzero(rows)
-    return len(rref(deduped)[1])
+    """Rank of sparse rows {column: value}; the columns are any sortable keys."""
+    rows = _dedupe_nonzero(rows)
+    columns = sorted({c for row in rows for c in row})
+    return len(rref([[row.get(c, 0) for c in columns] for row in rows])[1])
 
 
 def _dedupe_nonzero(rows):
     seen = set()
     out = []
     for row in rows:
-        if all(x == 0 for x in row):
-            continue
-        key = tuple(row)
-        if key not in seen:
+        if not all(row.values()):
+            row = {c: x for c, x in row.items() if x}
+        key = frozenset(row.items())
+        if row and key not in seen:
             seen.add(key)
             out.append(row)
     return out
 
 
 def nullspace(rows, ncols):
-    """Canonical basis of the right nullspace {x : rows . x = 0}.
+    """Canonical dense basis of {x : row . x = 0} for sparse rows {column: value}.
 
-    When every nonzero entry is a GaussianRational, the exact kernel is taken
-    of the rows independent mod p (at most ``ncols`` of them) and each basis
-    vector is checked in Z[i] against every row left out; a failed check (an
-    unlucky prime) or a denominator divisible by p falls back to the
-    elimination of all rows.  The kernel is the same either way, and the final
-    ``rref`` makes its basis canonical.
+    Columns are 0 .. ncols - 1.  When every entry is a GaussianRational, the
+    exact kernel is taken of the rows independent mod p (at most ``ncols`` of
+    them) and each basis vector is checked in Z[i] against every row left out;
+    a failed check (an unlucky prime) or a denominator divisible by p falls
+    back to the elimination of all rows.  The kernel is the same either way,
+    and the final ``rref`` makes its basis canonical.  The basis lies in
+    Q(i)(t) when an entry is a RationalFunction, in Q(i) otherwise.
     """
-    field = field_of(rows[0][0]) if rows and ncols else GaussianRational
     rows = _dedupe_nonzero(rows)
     cleared = _cleared_rows(rows)
     if cleared is not None:
@@ -103,26 +108,25 @@ def nullspace(rows, ncols):
         if len(kept) == ncols:  # independent over Q(i) as well: the kernel is 0
             return []
         if len(kept) < len(rows):
-            basis = _kernel_basis([rows[r] for r in kept], ncols, field)
+            basis = _kernel_basis([rows[r] for r in kept], ncols)
             kept = set(kept)
             if _kernel_holds(basis, [row for r, row in enumerate(cleared) if r not in kept]):
                 return basis
-    return _kernel_basis(rows, ncols, field)
+    return _kernel_basis(rows, ncols)
 
 
 def _cleared_rows(rows):
-    """Each row as [(column, a, b)] over Z[i], the rows' common denominator cleared.
+    """Each sparse row as [(column, a, b)] over Z[i], the rows' common denominator cleared.
 
-    None unless every nonzero entry is a GaussianRational whose denominator
-    p does not divide.  One scale for all rows changes neither their rank mod p
-    nor which vectors annihilate them.
+    None unless every entry is a GaussianRational whose denominator p does not
+    divide.  One scale for all rows changes neither their rank mod p nor which
+    vectors annihilate them.
     """
-    supports = [[c for c, x in enumerate(row) if x] for row in rows]
-    cleared = gaussian_integers([row[c] for row, support in zip(rows, supports) for c in support])
+    cleared = gaussian_integers([x for row in rows for x in row.values()])
     if cleared is None or cleared[0] % _P == 0:
         return None
-    pairs = iter(cleared[1])  # zip reads a support first, so it takes only that row's pairs
-    return [[(c, a, b) for c, (a, b) in zip(support, pairs)] for support in supports]
+    pairs = iter(cleared[1])  # zip reads a column first, so it takes only that row's pairs
+    return [[(c, a, b) for c, (a, b) in zip(row, pairs)] for row in rows]
 
 
 def _independent_mod_p(cleared, ncols):
@@ -155,7 +159,7 @@ def _independent_mod_p(cleared, ncols):
 
 def _kernel_holds(basis, cleared):
     """Every basis vector annihilates every cleared row: integer dot products in Z[i]."""
-    vectors = _cleared_rows(basis)
+    vectors = _cleared_rows([{c: x for c, x in enumerate(vec) if x} for vec in basis])
     if vectors is None:
         return False
     vectors = [{c: (a, b) for c, a, b in vec} for vec in vectors]
@@ -172,9 +176,12 @@ def _kernel_holds(basis, cleared):
     return True
 
 
-def _kernel_basis(rows, ncols, field):
-    """Canonical kernel basis from the exact reduced echelon form of ``rows``."""
-    reduced, pivots = rref(rows)
+def _kernel_basis(rows, ncols):
+    """Canonical kernel basis from the exact reduced echelon form of the sparse ``rows``."""
+    field = next((RationalFunction for row in rows for x in row.values()
+                  if isinstance(x, RationalFunction)), GaussianRational)
+    reduced, pivots = rref([[field.of(row[c]) if c in row else field.zero for c in range(ncols)]
+                            for row in rows])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []

@@ -153,6 +153,11 @@ def span_coordinates(system, cochains):
     return CochainSpace(system, [c.coordinates() for c in cochains]).coordinates
 
 
+def sparse_rows(rows):
+    """Dense rows as the {column: value} rows that ``nullspace`` and ``rank`` take, zeros kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def oracle_rank(rows):
     """Row rank via fraction-free elimination (no division, last-row pivots)."""
     rows = [[GaussianRational.of(x) if isinstance(x, int) else x for x in row]
@@ -211,7 +216,7 @@ def reference_radical(theta):
             row = [theta.value(i, j, k) for i in range(1, n + 1)]
             if any(x != 0 for x in row):
                 rows.append(row)
-    return Subspace(n, nullspace(rows, n))
+    return Subspace(n, nullspace(sparse_rows(rows), n))
 
 
 def kernel_radical(theta):

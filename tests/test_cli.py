@@ -296,6 +296,28 @@ def test_degen_nondegen_fails_on_a_target_inside_the_locus(tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+def test_degen_nondegen_on_a_relation_with_equal_indices(tmp_path, capsys):
+    # c_1213 = 2*c_1213 forces that constant to 0: its relation row is the one entry 1 - 2
+    doc = {"dim": 4, "equal": [[[1, 2, 1, 3], [1, 2, 1, 3], "2"], [[1, 2, 1, 4], [2, 1, 1, 4], "-1"]]}
+    one = GaussianRational(1)
+    assert dg.separating_set_from_dict(doc).basis() == [{(0, 1, 0): {3: one}, (1, 0, 0): {3: -one}}]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["degen", "nondegen", str(path), "--target", "T4,2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "borel-symbolic: pass - locus stable under the lower-triangular Lie algebra",
+        "target-membership: pass - target outside the locus: relation (1, 2, 1, 3) = 2*(1, 2, 1, 3) fails",
+        "orbit question: not decided here (the target's orbit may still meet the locus)",
+    ]
+    assert main(["--format", "json", "degen", "nondegen", str(path), "--target", "T4,1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "evidenceLevel": "separating-set (symbolic stability proof)",
+        "stability": {"detail": "locus stable under the lower-triangular Lie algebra",
+                      "kind": "borel-symbolic", "ok": True},
+        "targetInLocus": True,
+    }
+
+
 @pytest.mark.parametrize("doc", [
     {"dim": 4, "equal": [[[1, 2, 1, 9], [2, 1, 1, 3], "-1"]]},  # was an IndexError
     {"dim": 4, "equal": [[[0, 2, 1, 3], [2, 1, 1, 3], "-1"]]},  # was read as index -1

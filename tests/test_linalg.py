@@ -1,12 +1,22 @@
 """Exact linear algebra cross-checked against the fraction-free oracle."""
 
+import importlib
+import json
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ExactRandom, oracle_rank
-from lietriple import linalg
+from conftest import T32_EXTENSIONS, ExactRandom, oracle_rank, sparse_rows
+from lietriple import catalog, linalg
+from lietriple import degeneration as dg
+from lietriple.cohomology import Cocycle
+from lietriple.core import lts_from_dict, lts_to_dict
 from lietriple.errors import SingularMatrix
+from lietriple.extension import ExtensionSpec, extend, in_ts
 from lietriple.linalg import (
     Subspace,
     determinant,
@@ -17,7 +27,9 @@ from lietriple.linalg import (
     rank,
     rref,
 )
-from lietriple.scalars import GaussianRational, RationalFunction
+from lietriple.scalars import QI_ONE, QI_ZERO, GaussianRational, RationalFunction
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_rref_canonical():
@@ -33,7 +45,7 @@ def test_rank_matches_oracle_randomized():
         n = rng.rng.randint(1, 5)
         m = rng.rng.randint(1, 6)
         rows = [[rng.gaussian(4) for _ in range(m)] for _ in range(n)]
-        assert rank(rows) == oracle_rank(rows)
+        assert rank(sparse_rows(rows)) == oracle_rank(rows)
 
 
 def test_nullspace_is_kernel():
@@ -41,7 +53,7 @@ def test_nullspace_is_kernel():
     for _ in range(20):
         n, m = rng.rng.randint(1, 4), rng.rng.randint(2, 5)
         rows = [[rng.gaussian(3) for _ in range(m)] for _ in range(n)]
-        basis = nullspace(rows, m)
+        basis = nullspace(sparse_rows(rows), m)
         for vec in basis:
             for row in rows:
                 assert sum((a * b for a, b in zip(row, vec)), start=GaussianRational(0)) == 0
@@ -86,7 +98,7 @@ def test_nullspace_of_tall_rank_deficient_systems_matches_full_elimination():
         rank_ = rng.rng.randint(1, ncols - 1)
         rows = tall_system(rng, rng.rng.randint(3 * ncols, 6 * ncols), ncols, rank_,
                            lambda: rng.gaussian(4))
-        basis = nullspace(rows, ncols)
+        basis = nullspace(sparse_rows(rows), ncols)
         assert basis == full_rref_nullspace(rows, ncols)
         assert len(basis) == ncols - oracle_rank(rows)
 
@@ -95,7 +107,7 @@ def test_nullspace_of_full_rank_tall_system_is_zero():
     rng = ExactRandom(19)
     rows = [[rng.gaussian(3) for _ in range(5)] for _ in range(40)]
     assert oracle_rank(rows) == 5
-    assert nullspace(rows, 5) == [] == full_rref_nullspace(rows, 5)
+    assert nullspace(sparse_rows(rows), 5) == [] == full_rref_nullspace(rows, 5)
 
 
 def test_unlucky_prime_falls_back_to_full_elimination():
@@ -106,35 +118,74 @@ def test_unlucky_prime_falls_back_to_full_elimination():
             [g(0), g(P), g(0)], [g(2 * P, P), g(0), g(0)]]
     expected = [[g(0), g(0), g(1)]]
     assert full_rref_nullspace(rows, 3) == expected
-    assert nullspace(rows, 3) == expected
+    assert nullspace(sparse_rows(rows), 3) == expected
     # an unlucky row among generic ones: rank 2 mod p, rank 3 over Q(i)
     rows = [[g(1), g(1), g(0), g(0)], [g(2), g(2), g(0), g(0)],
             [g(0), g(1), g(P + 1), g(0)], [g(1), g(2), g(P + 1), g(0)]]
     rows.append([g(1), g(1), g(P), g(0)])
     assert full_rref_nullspace(rows, 4) == [[g(0), g(0), g(0), g(1)]]
-    assert nullspace(rows, 4) == [[g(0), g(0), g(0), g(1)]]
+    assert nullspace(sparse_rows(rows), 4) == [[g(0), g(0), g(0), g(1)]]
 
 
 def test_denominator_divisible_by_the_prime_takes_the_full_path():
     g = GaussianRational
     rows = [[g(1) / P, g(1), g(0)], [g(2) / P, g(2), g(0)], [g(0), g(0, 1) / (3 * P), g(1)]]
-    assert linalg._cleared_rows(rows[:1]) is None
-    assert nullspace(rows, 3) == full_rref_nullspace(rows, 3)
-    assert len(nullspace(rows, 3)) == 1
+    assert linalg._cleared_rows(sparse_rows(rows[:1])) is None
+    assert nullspace(sparse_rows(rows), 3) == full_rref_nullspace(rows, 3)
+    assert len(nullspace(sparse_rows(rows), 3)) == 1
+
+
+small_gaussians = st.builds(lambda a, b, d: GaussianRational(a, b) / d,
+                            st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def sparse_systems(draw):
+    """(ncols, sparse Q(i) rows, whether an entry has a denominator divisible by p)."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), small_gaussians, max_size=ncols),
+                         max_size=8))
+    if rows and draw(st.booleans()):  # a combination row keeps the rank below the count
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append({c: a.get(c, QI_ZERO) + 2 * b.get(c, QI_ZERO) for c in {*a, *b}})
+    if rows and draw(st.booleans()):  # the same row again, its keys in the reverse order
+        rows.append(dict(reversed(draw(st.sampled_from(rows)).items())))
+    if draw(st.booleans()):
+        rows.append({})
+    nonzero = [(r, c) for r, row in enumerate(rows) for c, x in row.items() if x]
+    unlucky = bool(nonzero) and draw(st.booleans())
+    if unlucky:
+        r, c = draw(st.sampled_from(nonzero))
+        rows[r] = {**rows[r], c: rows[r][c] / P}
+    return ncols, draw(st.permutations(rows)), unlucky
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_sparse_rows_match_dense_elimination(system):
+    ncols, rows, unlucky = system
+    dense = [[row.get(c, QI_ZERO) for c in range(ncols)] for row in rows]
+    with mock.patch.object(linalg, "_independent_mod_p", wraps=linalg._independent_mod_p) as modular:
+        basis = nullspace(rows, ncols)
+    assert basis == full_rref_nullspace(dense, ncols)
+    assert len(basis) == ncols - oracle_rank(dense)
+    assert modular.called is not unlucky  # a denominator divisible by p takes the full path
+    keyed = [{(c % 2, -c): x for c, x in row.items()} for row in rows]  # sortable, not 0..ncols-1
+    assert rank(keyed) == oracle_rank(dense)
 
 
 def test_other_fields_keep_full_elimination():
     rng = ExactRandom(23)
     ints = tall_system(rng, 20, 5, 3, lambda: rng.rng.randint(-5, 5))
-    assert nullspace(ints, 5) == full_rref_nullspace(ints, 5)
-    assert len(nullspace(ints, 5)) == 2
+    assert nullspace(sparse_rows(ints), 5) == full_rref_nullspace(ints, 5)
+    assert len(nullspace(sparse_rows(ints), 5)) == 2
     fractions = tall_system(rng, 20, 5, 2, lambda: Fraction(rng.rng.randint(-5, 5), rng.rng.randint(1, 4)))
-    assert nullspace(fractions, 5) == full_rref_nullspace(fractions, 5)
-    assert len(nullspace(fractions, 5)) == 3
+    assert nullspace(sparse_rows(fractions), 5) == full_rref_nullspace(fractions, 5)
+    assert len(nullspace(sparse_rows(fractions), 5)) == 3
     t = RationalFunction.variable()
     one, zero = RationalFunction.of(1), RationalFunction.of(0)
     rows = [[t, one, zero], [t * t, t, zero], [one, one / t, zero], [zero, zero, zero]]
-    basis = nullspace(rows, 3)
+    basis = nullspace(sparse_rows(rows), 3)
     assert basis == full_rref_nullspace(rows, 3)
     assert len(basis) == 2 and {type(x) for row in basis for x in row} == {RationalFunction}
 
@@ -165,10 +216,14 @@ def test_nullspace_holds_field_elements_only():
     # the basis vectors take the rows' own zero and one, or Q(i)'s without rows
     assert {type(x) for row in nullspace([], 3) for x in row} == {GaussianRational}
     rows = [[GaussianRational(1), GaussianRational(0, 1), GaussianRational(0)]]
-    assert {type(x) for row in nullspace(rows, 3) for x in row} == {GaussianRational}
+    assert {type(x) for row in nullspace(sparse_rows(rows), 3) for x in row} == {GaussianRational}
     t = RationalFunction.variable()
     rows = [[t, RationalFunction.of(0), RationalFunction.of(1)]]
-    assert {type(x) for row in nullspace(rows, 3) for x in row} == {RationalFunction}
+    assert {type(x) for row in nullspace(sparse_rows(rows), 3) for x in row} == {RationalFunction}
+    # one RationalFunction entry puts the kernel in Q(i)(t), wherever it stands
+    for rows in ([{0: QI_ONE, 1: t, 2: QI_ZERO}], [{0: t, 1: 1}], [{0: QI_ONE, 1: QI_ONE, 2: t}]):
+        basis = nullspace(rows, 3)
+        assert len(basis) == 2 and {type(x) for row in basis for x in row} == {RationalFunction}
 
 
 def test_int_input_gives_exact_field_elements():
@@ -184,7 +239,7 @@ def test_int_input_gives_exact_field_elements():
     inv = mat_inverse(a)
     assert mat_mul(a, inv) == identity_matrix(3)
     assert {type(x) for row in inv for x in row} <= exact
-    basis = nullspace([[1, 2, 3], [2, 4, 7]], 3)
+    basis = nullspace(sparse_rows([[1, 2, 3], [2, 4, 7]]), 3)
     assert basis == [[1, Fraction(-1, 2), 0]]
     assert {type(x) for row in basis for x in row} <= exact
     assert {type(x) for row in identity_matrix(4) for x in row} == {GaussianRational}
@@ -213,3 +268,31 @@ class TestSubspace:
         assert z.dim == 0 and z.contains([0, 0, 0, 0])
         full = Subspace(2, [[1, 0], [0, 1]])
         assert full.dim == 2 and full.contains([3, 5])
+
+
+def test_equations_reach_linalg_as_sparse_rows(monkeypatch):
+    # every caller hands nullspace and rank the {column: value} rows it builds, zeros dropped
+    handed = []
+
+    def recording(function):
+        def wrapper(rows, *args):
+            rows = list(rows)
+            handed.append((function.__name__, rows))
+            return function(rows, *args)
+        return wrapper
+
+    for name in ("core", "cohomology", "degeneration", "extension", "catalog"):
+        module = importlib.import_module(f"lietriple.{name}")
+        for function in (nullspace, rank):
+            if hasattr(module, function.__name__):
+                monkeypatch.setattr(module, function.__name__, recording(function))
+    dense = lts_from_dict(json.loads((GOLDEN / "input_t4_9_dense.json").read_text()))
+    assert catalog.classify(dense).name == "T4,9"
+    base = lts_from_dict(lts_to_dict(catalog.instantiate("T3,2")))  # nothing memoized yet
+    spec = ExtensionSpec(base, [Cocycle(base, T32_EXTENSIONS["T4,9"])])
+    assert extend(spec).flattening_ranks() and in_ts(spec)
+    assert dg.table3_separating_set(1).basis()
+    assert {name for name, _ in handed} == {"nullspace", "rank"}
+    for name, rows in handed:
+        for row in rows:
+            assert isinstance(row, dict) and all(row.values()), (name, row)

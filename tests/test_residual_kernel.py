@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ExactRandom
+from conftest import ExactRandom, sparse_rows
 from lietriple import catalog
 from lietriple.cohomology import Cocycle, cocycle_space, delta_indices
 from lietriple.core import Lts, direct_sum
@@ -90,7 +90,7 @@ def reference_cocycle_coordinates(system):
     idx_pos = {t: pos for pos, t in enumerate(idx)}
     rows = reference_b2_rows(system, idx_pos)
     rows.update(reference_b3_rows(system, idx_pos))
-    return nullspace([list(r) for r in rows], len(idx))
+    return nullspace(sparse_rows(rows), len(idx))
 
 
 def reference_derivations(system):
@@ -118,7 +118,7 @@ def reference_derivations(system):
             row[pos] = val
         if any(x != 0 for x in row):
             rows.append(row)
-    basis_vectors = nullspace(rows, n * n)
+    basis_vectors = nullspace(sparse_rows(rows), n * n)
     matrices = [[[vec[unknown(a, b)] for b in range(n)] for a in range(n)]
                 for vec in basis_vectors]
     return len(matrices), matrices

@@ -23,6 +23,7 @@ from conftest import (
     kernel_radical,
     lts_eval,
     reference_radical,
+    sparse_rows,
     t32_extension,
 )
 from lietriple import catalog
@@ -178,7 +179,7 @@ def reference_intersection(u, w):
     rows = [[row[c] for row in u.basis] + [-row[c] for row in w.basis]
             for c in range(u.ambient)]
     vectors = []
-    for sol in nullspace(rows, u.dim + w.dim):
+    for sol in nullspace(sparse_rows(rows), u.dim + w.dim):
         vec = [QI_ZERO] * u.ambient
         for k, row in enumerate(u.basis):
             vec = [x + sol[k] * y for x, y in zip(vec, row)]
