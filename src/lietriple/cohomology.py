@@ -72,22 +72,23 @@ class Cocycle:
 
     def value(self, a, b, c):
         """theta(e_a, e_b, e_c) with 1-based indices."""
+        zero = self.ambient._zero
         if a == b:
-            return QI_ZERO
+            return zero
         if a < b:
-            return self.coeffs.get((a, b, c), QI_ZERO)
-        return -self.coeffs.get((b, a, c), QI_ZERO)
+            return self.coeffs.get((a, b, c), zero)
+        return -self.coeffs.get((b, a, c), zero)
 
     def coordinates(self):
         """Coefficient vector over the lexicographic elementary-form basis."""
         idx = delta_indices(self.ambient.dim)
-        return [self.coeffs.get(t, QI_ZERO) for t in idx]
+        return [self.coeffs.get(t, self.ambient._zero) for t in idx]
 
     def __add__(self, other):
         if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise DimensionMismatch("cochains on different systems")
-        keys = set(self.coeffs) | set(other.coeffs)
-        return Cocycle(self.ambient, {t: self.coeffs.get(t, QI_ZERO) + other.coeffs.get(t, QI_ZERO)
+        keys, zero = set(self.coeffs) | set(other.coeffs), self.ambient._zero
+        return Cocycle(self.ambient, {t: self.coeffs.get(t, zero) + other.coeffs.get(t, zero)
                                       for t in keys})
 
     def __sub__(self, other):

@@ -26,9 +26,9 @@ from typing import Optional
 
 from . import catalog
 from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action
-from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
-from .linalg import mat_inverse, nullspace
-from .packed import _packed_transport
+from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis
+from .linalg import nullspace
+from .packed import _cleared_basis, _packed_transport
 from .scalars import (
     GaussianRational,
     QI_ONE,
@@ -63,19 +63,21 @@ __all__ = [
 
 
 class ParametrizedBasis:
-    """Square matrix A(t) over Q(i)(t); row i holds the coordinates of E_i(t)."""
+    """Square matrix A(t) over Q(i)(t); row i holds the coordinates of E_i(t).
+
+    Transport reads its cleared form over Z[i][t]: row i of A is f_i M_i, and
+    g = (A^T)^{-1} = diag(1/f) adj(M^T) / det M comes from a fraction-free
+    elimination (``packed._cleared_basis``); no inverse over Q(i)(t) is built.
+    """
 
     def __init__(self, rows):
         self.rows = [[RationalFunction.of(x) for x in row] for row in rows]
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise MalformedInput("basis", "parametrized basis must be square")
-        # transport conjugates by g = (A^T)^{-1}; its inverse is A^T itself
-        self._transposed = [list(col) for col in zip(*self.rows)]
-        try:
-            self._inverse_transposed = mat_inverse(self._transposed)
-        except SingularMatrix:
-            raise SingularBasis("parametrized basis is singular over Q(i)(t)") from None
+        self._cleared = _cleared_basis(self.rows)
+        if self._cleared is None:
+            raise SingularBasis("parametrized basis is singular over Q(i)(t)")
 
     @property
     def dim(self):
@@ -140,7 +142,7 @@ def _transported_rows(system: Lts, basis: ParametrizedBasis):
     rows = system.rows()
     if not rows:
         return {}
-    packed, h, g, unpacked = _packed_transport(basis.rows, basis._inverse_transposed, rows)
+    packed, h, g, unpacked = _packed_transport(*basis._cleared, rows)
     return unpacked(_conjugate_rows(packed, h, g))
 
 

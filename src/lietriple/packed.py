@@ -7,12 +7,17 @@ kernel's bound on every digit:
     kernel                    lane             digits per lane   2^(k-1) >
     (A3) residual over Q(i)   coordinate q     a_q, then b_q     8 n M^2
     transport over Q(i)(t)    power t^e        c_0, ..., c_5     n^4 M_h^3 M_g M_r
+    inverse over Z[i][t]      power t^e        a_e; b_e apart    prod_i L1(row i)
 
 For (A3), M = max(|a|, |b|) over the cleared constants a + b*i; for transport,
 M is the largest L1 norm sum |a_e| + |b_e| of a cleared entry of h, g or rows.
+The inverse keeps minors of [matrix | I], each a minor of the matrix, whose
+L1 norm is at most the product of the L1 norms of the matrix's rows.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .scalars import (_POLY_ONE, QI_ZERO, GaussianRational, Polynomial, RationalFunction, _reduced,
                       _reduced_function, gaussian_integers, poly_gcd)
@@ -80,6 +85,11 @@ def _unpacked_residual(identity, cell, dim, scale, width):
     return tuple(_reduced(digits[2 * q], digits[2 * q + 1], denominator) for q in range(dim))
 
 
+def _l1(poly):
+    """sum |a_e| + |b_e| of a Z[i][t] pair list, 0 for None."""
+    return sum(abs(a) + abs(b) for a, b in poly or ())
+
+
 def _cleared(values):
     """Values of Q(i) or Q(i)(t) over one denominator: (polys, norm, factor).
 
@@ -124,7 +134,7 @@ def _cleared(values):
     pairs = iter(pairs)
     polys = [None if num is None else [(0, 0)] * (num[1] - lowest) + [next(pairs) for _ in num[0]]
              for num in numerators]
-    norm = max((sum(abs(a) + abs(b) for a, b in poly) for poly in polys if poly), default=0)
+    norm = max(map(_l1, polys), default=0)
     return polys, norm, (scale, lowest - power, rest)
 
 
@@ -178,30 +188,142 @@ def _unpacked_function(value, width, scale, shift, rest):
     return _reduced_function(num, Polynomial([QI_ZERO] * -shift + list(rest.coeffs)))
 
 
-def _packed_transport(h_rows, g_rows, rows):
+def _fraction_free_inverse(matrix):
+    """(det, adj) of a square matrix over Z[i][t], as pair lists; None when singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [matrix | I] at
+    t = X = 2^k, each entry held as the ints (sum a_e X^e, sum b_e X^e): an
+    entry becomes (p*x - f*y) / prev, an exact division.  Reading at X is a
+    ring homomorphism, so the products before a division may overflow lanes;
+    every kept entry is a minor, bounded by the width rule above.
+    """
+    n = len(matrix)
+    width = _width(prod(sum(abs(x) for poly in row if poly for pair in poly for x in pair)
+                        for row in matrix))
+
+    def at_x(poly):
+        re = im = 0
+        for a, b in reversed(poly):
+            re, im = (re << width) + a, (im << width) + b
+        return re, im
+
+    # rows of [matrix | I] as {column: entry}, zeros left out
+    rows = [{j: at_x(poly) for j, poly in enumerate(row) if poly} | {n + i: (1, 0)}
+            for i, row in enumerate(matrix)]
+    (pr, pi), sign = (1, 0), 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if k in rows[r]), None)
+        if r is None:
+            return None
+        if r != k:
+            rows[k], rows[r], sign = rows[r], rows[k], -sign
+        pivot = rows[k]
+        (xr, xi), norm = pivot[k], pr * pr + pi * pi
+        for i, row in enumerate(rows):
+            fr, fi = row.get(k, (0, 0))
+            if i == k or not (fr or fi) and xr == pr and xi == pi:  # the row stays
+                continue
+            rows[i] = updated = {}
+            for j in row.keys() | pivot.keys():
+                if j > k:
+                    (yr, yi), (zr, zi) = pivot.get(j, (0, 0)), row.get(j, (0, 0))
+                    ur = xr * zr - xi * zi - fr * yr + fi * yi
+                    ui = xr * zi + xi * zr - fr * yi - fi * yr
+                    if ur or ui:  # divided by prev, through its conjugate and norm
+                        updated[j] = (ur // pr, ui // pr) if not pi else \
+                            ((ur * pr + ui * pi) // norm, (ui * pr - ur * pi) // norm)
+        pr, pi = xr, xi
+
+    def read_back(entry):
+        if entry is None:
+            return None
+        count = max(abs(x).bit_length() for x in entry) // width + 1
+        poly = list(zip(*(_balanced_digits(sign * x, width, count) for x in entry)))
+        while poly[-1] == (0, 0):
+            poly.pop()
+        return poly
+    return read_back((pr, pi)), [[read_back(row.get(n + j)) for j in range(n)] for row in rows]
+
+
+def _pair_product(p, q):
+    """The product of two Z[i][t] polynomials given as pair lists."""
+    out = [(0, 0)] * (len(p) + len(q) - 1)
+    for e, (a, b) in enumerate(p):
+        for f, (c, d) in enumerate(q):
+            x, y = out[e + f]
+            out[e + f] = (x + a * c - b * d, y + a * d + b * c)
+    return out
+
+
+def _cleared_basis(rows):
+    """(h_rows, h_factors, g_rows, g_factors) for ``_packed_transport``, or None
+    when A is singular: h = A^T and g = (A^T)^-1 over Z[i][t], with factors.
+
+    Row i of A is f_i M_i by ``_cleared``, so A^T = M^T diag(f) and
+    g = diag(1/f) adj(M^T) / det M by ``_fraction_free_inverse``.  With
+    det M = t^m D, D(0) != 0, l the leading coefficient of D, and
+    rest_p = R_p / d_p over Z[i], row p of g is scale_p R_p conj(l) adj(M^T)[p]
+    times t^(-shift_p - m) / (d_p N(l) D/l); a row whose every entry D/l
+    divides is divided by it, so that its values read back without a gcd.
+    """
+    cleared = [_cleared(row) for row in rows]
+    h_rows, h_factors = [polys for polys, _, _ in cleared], [factor for *_, factor in cleared]
+    inverse = _fraction_free_inverse([list(column) for column in zip(*h_rows)])
+    if inverse is None:
+        return None
+    det, adj = inverse
+    low = next(e for e, pair in enumerate(det) if pair != (0, 0))
+    lr, li = det[-1]
+    norm = lr * lr + li * li
+    over_lead = Polynomial([_reduced(a * lr + b * li, b * lr - a * li, norm) for a, b in det[low:]])
+    g_rows, g_factors = [], []
+    for (scale, shift, rest), row in zip(h_factors, adj):
+        d, pairs = gaussian_integers(rest.coeffs)
+        times = [(scale * (a * lr + b * li), scale * (b * lr - a * li)) for a, b in pairs]
+        row, row_rest = [poly and _pair_product(times, poly) for poly in row], over_lead
+        if over_lead.degree > 0:
+            quotients = []
+            for poly in row:
+                q, r = divmod(Polynomial([GaussianRational(a, b) for a, b in poly]), over_lead) \
+                    if poly else (None, None)
+                if r:
+                    break
+                quotients.append(q)
+            else:
+                den, flat = gaussian_integers(c for q in quotients if q for c in q.coeffs)
+                flat = iter(flat)
+                row = [q and [next(flat) for _ in q.coeffs] for q in quotients]
+                d, row_rest = d * den, _POLY_ONE
+        g_rows.append(row)
+        g_factors.append((d * norm, -shift - low, row_rest))
+    return h_rows, h_factors, g_rows, g_factors
+
+
+def _packed_transport(h_rows, h_factors, g_rows, g_factors, rows):
     """Packed operands of c'_ijk^p = sum h[a][i] h[b][j] h[c][k] g[p][q] c_abc^q.
 
-    ``h_rows[i]`` is column i of h, ``g_rows[p]`` row p of g, and ``rows``
-    maps (a, b, c) to {q: value}.  Each is put over one denominator by
-    ``_cleared``, and a cleared sum (a_e + b_e*i) t^e becomes the int
-    sum (a_e + b_e*X) X^(6e) (Kronecker substitution).  An output coefficient
-    sums at most n^4 products of five factors of degree at most 1 in i, so six
-    digits per power of t hold it.  Returns (rows, h, g, unpacked) for the
-    conjugation kernel; unpacked reads the kernel's output back into nonzero
-    rows of reduced rational functions.
+    ``h_rows[i]`` is column i of h and ``g_rows[p]`` row p of g, pair lists
+    over Z[i][t] times ``h_factors[i]`` and ``g_factors[p]``, as
+    ``_cleared_basis`` gives them; ``rows`` maps (a, b, c) to {q: value}, put
+    over one denominator by ``_cleared``.  A sum (a_e + b_e*i) t^e becomes the
+    int sum (a_e + b_e*X) X^(6e) (Kronecker substitution).  An output
+    coefficient sums at most n^4 products of five factors of degree at most 1
+    in i, so six digits per power of t hold it.  Returns (rows, h, g, unpacked)
+    for the conjugation kernel; unpacked reads the kernel's output back into
+    nonzero rows of reduced rational functions.
     """
     n = len(h_rows)
     # the kernel reads h[a] and column q of g only for the indices a and q the rows use
     slots = {a for key in rows for a in key}
     targets = {q for row in rows.values() for q in row}
-    h_polys, h_norms, h_factors = zip(*(
-        _cleared([x if a in slots else 0 for a, x in enumerate(row)]) for row in h_rows))
-    g_polys, g_norms, g_factors = zip(*(
-        _cleared([x if q in targets else 0 for q, x in enumerate(row)]) for row in g_rows))
     values, source_norm, source = _cleared([val for row in rows.values() for val in row.values()])
-    width = _width(n ** 4 * max(h_norms) ** 3 * max(g_norms) * source_norm)
-    h = [[_packed_polynomial(h_polys[i][a], width) for i in range(n)] for a in range(n)]
-    g = [[_packed_polynomial(poly, width) for poly in polys] for polys in g_polys]
+    h_norm = max(_l1(row[a]) for row in h_rows for a in slots)
+    g_norm = max(_l1(row[q]) for row in g_rows for q in targets)
+    width = _width(n ** 4 * h_norm ** 3 * g_norm * source_norm)
+    h = [[_packed_polynomial(row[a], width) if a in slots else 0 for row in h_rows]
+         for a in range(n)]
+    g = [[_packed_polynomial(poly, width) if q in targets else 0 for q, poly in enumerate(row)]
+         for row in g_rows]
     values = iter(values)
     packed = {key: {p: _packed_polynomial(next(values), width) for p in row}
               for key, row in rows.items()}

@@ -378,8 +378,10 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.of(other)
+        if isinstance(other, Polynomial) and len(other.coeffs) == 1:
+            other = other.coeffs[0]
+        if isinstance(other, (int, Fraction, GaussianRational)):  # the lead times c is not 0
+            return _polynomial(tuple(x * other for x in self.coeffs)) if other else Polynomial()
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self or not other:
@@ -391,7 +393,7 @@ class Polynomial:
             for kb, cb in enumerate(other.coeffs):
                 if cb:
                     out[ka + kb] = out[ka + kb] + ca * cb
-        return Polynomial(out)
+        return _polynomial(tuple(out))
 
     __rmul__ = __mul__
 
@@ -435,6 +437,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({_poly_str(self)!r})"
+
+
+def _polynomial(coeffs):
+    """A Polynomial from a tuple of GaussianRationals whose last one is nonzero."""
+    out = _new(Polynomial)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -494,7 +503,7 @@ class RationalFunction:
     def of(x) -> "RationalFunction":
         if isinstance(x, RationalFunction):
             return x
-        return RationalFunction(Polynomial.of(x))
+        return _reduced_function(Polynomial.of(x), _POLY_ONE)
 
     @staticmethod
     def variable() -> "RationalFunction":
@@ -524,23 +533,29 @@ class RationalFunction:
             return hash(self.constant_value())
         return hash((self.num.coeffs, self.den.coeffs))
 
+    # a constant c keeps lowest terms: num + c*den and c*num are prime to den
+
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _reduced_function(-self.num, self.den)
 
     def __add__(self, other):
-        other = RationalFunction.of(other) if not isinstance(other, RationalFunction) else other
+        if not isinstance(other, RationalFunction):
+            return _reduced_function(self.num + self.den * other, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = RationalFunction.of(other) if not isinstance(other, RationalFunction) else other
+        if not isinstance(other, RationalFunction):
+            return _reduced_function(self.num - self.den * other, self.den)
         return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return _reduced_function(self.num * other, self.den) if other else RationalFunction.zero
         other = RationalFunction.of(other) if not isinstance(other, RationalFunction) else other
         return RationalFunction(self.num * other.num, self.den * other.den)
 
@@ -549,7 +564,8 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        inv = self.num.lead.inverse()  # den/num is in lowest terms once num is monic
+        return _reduced_function(self.den * inv, self.num * inv)
 
     def __truediv__(self, other):
         other = RationalFunction.of(other) if not isinstance(other, RationalFunction) else other
@@ -598,6 +614,7 @@ def _reduced_function(num, den):
 # ``one`` are its constants.
 GaussianRational.zero, GaussianRational.one = QI_ZERO, QI_ONE
 RationalFunction.zero, RationalFunction.one = RationalFunction.of(0), RationalFunction.of(1)
+_VARIABLE = RationalFunction.variable()
 
 
 def field_of(x):
@@ -812,11 +829,13 @@ MAX_POWER_DEGREE = 32
 
 def _bound_degree(a, b, op: str):
     """Refuse a op b when its degree before cancellation exceeds MAX_POWER_DEGREE."""
-    if not isinstance(a, RationalFunction):  # a constant has degree at most 0
+    if a.__class__ is b.__class__ is GaussianRational:  # constants have degree at most 0
         return
-    top = max(a.num.degree + b.den.degree, b.num.degree + a.den.degree) if op in "+-" \
-        else a.num.degree + b.num.degree
-    if top + a.den.degree + b.den.degree > MAX_POWER_DEGREE:
+    # a constant z counts as z/1, and 0 has degree -1
+    (a_num, a_den), (b_num, b_den) = ((x.num.degree, x.den.degree) if isinstance(
+        x, RationalFunction) else (0 if x else -1, 0) for x in (a, b))
+    top = max(a_num + b_den, b_num + a_den) if op in "+-" else a_num + b_num
+    if top + a_den + b_den > MAX_POWER_DEGREE:
         raise ParseError(f"'{op}' exceeds degree {MAX_POWER_DEGREE} before cancellation")
 
 
@@ -859,7 +878,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """One grammar whose atoms live in ``field``: GaussianRational or RationalFunction."""
+    """One grammar; constants stay in Q(i), and ``t`` is admitted when ``field``
+    is RationalFunction.  No operator divides two rational functions: a
+    quotient is a product by the inverse, which needs no gcd."""
 
     def __init__(self, text: str, field):
         self.text = text
@@ -901,7 +922,8 @@ class _Parser:
             else:
                 if not rhs:
                     raise ParseError("division by zero in expression")
-                node = node / rhs
+                node = node / rhs if node.__class__ is rhs.__class__ is GaussianRational \
+                    else node * rhs.inverse()
         return node
 
     def power(self):
@@ -937,19 +959,19 @@ class _Parser:
                 raise ParseError("unbalanced parenthesis")
             return node
         if isinstance(tok, int):
-            return self.field.of(tok)
+            return GaussianRational.of(tok)
         if tok == "i":
-            return self.field.of(QI_I)
+            return QI_I
         if tok == "t":
             if self.field is GaussianRational:
                 raise ParseError(f"expected a constant scalar, got {self.text!r}")
-            return RationalFunction.variable()
+            return _VARIABLE
         raise ParseError(f"unexpected token {tok!r}")
 
 
 def parse_rational_function(text: str) -> RationalFunction:
     """An element of Q(i)(t) written in the variable t and the unit i."""
-    return _Parser(text, RationalFunction).parse()
+    return RationalFunction.of(_Parser(text, RationalFunction).parse())
 
 
 def parse_scalar(text: str) -> GaussianRational:

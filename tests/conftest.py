@@ -21,7 +21,7 @@ from lietriple import catalog
 from lietriple.cohomology import CochainSpace, Cocycle, _theta_rows, cocycle_space
 from lietriple.core import _conjugate_rows, _first_slot_kernel
 from lietriple.extension import ExtensionSpec
-from lietriple.linalg import Subspace, determinant, identity_matrix, nullspace
+from lietriple.linalg import Subspace, determinant, identity_matrix, mat_inverse, nullspace
 from lietriple.scalars import QI_ZERO, GaussianRational, RationalFunction
 
 # The published cocycles on T3,2 whose extensions are T4,7, T4,8 and T4,9.  For
@@ -138,10 +138,13 @@ def cochain_eval(theta, x, y, z):
 
 def reference_transported_rows(system, basis):
     """Rows of ``system`` in a parametrized basis: the conjugation kernel run on
-    the constants lifted to Q(i)(t), as transport did before it was packed."""
+    the constants lifted to Q(i)(t), as transport did before it was packed, by
+    A^T and its inverse from ``mat_inverse`` over Q(i)(t), which shares no code
+    with the basis's own cleared inverse."""
     lifted = {key: {p: RationalFunction.of(val) for p, val in row.items()}
               for key, row in system.rows().items()}
-    return _conjugate_rows(lifted, basis._transposed, basis._inverse_transposed)
+    transposed = [list(column) for column in zip(*basis.rows)]
+    return _conjugate_rows(lifted, transposed, mat_inverse(transposed))
 
 
 def span_coordinates(system, cochains):

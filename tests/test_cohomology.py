@@ -27,9 +27,9 @@ from lietriple.cohomology import (
     matrix_form,
 )
 from lietriple.errors import DimensionMismatch, NotAbelianDim3, NotAnAutomorphism, RelationViolated
-from lietriple.core import direct_sum
+from lietriple.core import Lts, direct_sum
 from lietriple.linalg import Subspace, determinant, mat_inverse, mat_mul, nullspace, rref
-from lietriple.scalars import GaussianRational, QI_ZERO
+from lietriple.scalars import GaussianRational, QI_ZERO, RationalFunction
 
 
 def D(system, coeffs):
@@ -196,6 +196,20 @@ def _rank_tracking_representatives(system):
         reps.append(reduced)
     reps, _ = rref(reps)
     return [r for r in reps if any(x != 0 for x in r)]
+
+
+class TestFieldOfCochains:
+    def test_cochains_over_q_i_t_fill_gaps_with_their_own_zero(self):
+        # T3,2 with constants in Q(i)(t): every coordinate, value and sum stays in Q(i)(t)
+        t32 = catalog.instantiate("T3,2")
+        system = Lts.from_rows(3, {key: {p: RationalFunction.of(val) for p, val in row.items()}
+                                   for key, row in t32.rows().items()})
+        theta = D(system, {(1, 3, 1): RationalFunction.variable()})
+        values = theta.coordinates() + [theta.value(a, b, c) for a in range(1, 4)
+                                        for b in range(1, 4) for c in range(1, 4)]
+        values += (theta + D(system, {(1, 2, 3): RationalFunction.of(2)})).coordinates()
+        assert {type(x) for x in values} == {RationalFunction}
+        assert {type(x) for x in D(t32, {(1, 3, 1): 1}).coordinates()} == {GaussianRational}
 
 
 class TestRadical:

@@ -12,6 +12,7 @@ the kernel as the derivative at t = 0 of the conjugation by I + t E_xy.
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -233,9 +234,9 @@ def test_packed_transport_agrees_on_rows_over_q_i_t():
 @pytest.mark.parametrize("entry", ["3", "3*i/t"])
 def test_transport_packing_width_has_no_spare_bit(entry):
     # transport takes any trilinear product; in dimension 1 the one output
-    # digit is h^3 g c over the cleared entries, 3^3 * 1 * 5 = 135 up to sign,
-    # the bound n^4 M_h^3 M_g M_r itself, so it needs the width's top bit and
-    # a packing one bit narrower misreads it
+    # digit is h^3 g c over the cleared entries, 3^3 * 3 * 5 = 405 up to sign
+    # (g is conj(l) adj(M^T), 3 or -3i), the bound n^4 M_h^3 M_g M_r itself,
+    # so it needs the width's top bit and a packing one bit narrower misreads it
     system = Lts.from_rows(1, {(0, 0, 0): {0: G(5)}})
     basis = dg.ParametrizedBasis([[parse_rational_function(entry)]])
     h = basis.rows[0][0]
@@ -256,6 +257,30 @@ def test_verification_multiplies_no_rational_functions(row, monkeypatch):
 
     monkeypatch.setattr(RationalFunction, "__mul__", counted)
     assert dg.verify_degeneration(witness).ok
+    assert not calls
+
+
+@pytest.mark.parametrize("row", range(1, len(dg.TABLE2_WITNESSES) + 1))
+def test_witness_bases_are_built_without_q_i_t_division(row, monkeypatch):
+    # parsing and inverting a basis stay over Q(i) and Z[i][t]: no module of
+    # the package calls mat_inverse, and no rational function is divided
+    doc = dg.TABLE2_WITNESSES[row - 1]
+    witness = dg.witness_from_dict(doc)
+    witness.source_system(), witness.target_system()
+    calls = []
+
+    def refused(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "lietriple"]:
+        if hasattr(module, "mat_inverse"):
+            monkeypatch.setattr(module, "mat_inverse", refused("mat_inverse", module.mat_inverse))
+    monkeypatch.setattr(RationalFunction, "__truediv__",
+                        refused("__truediv__", RationalFunction.__truediv__))
+    assert dg.verify_degeneration(dg.witness_from_dict(doc)).ok
     assert not calls
 
 
