@@ -55,6 +55,8 @@ def _load_json(path):
         raise MalformedInput("file", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise MalformedInput("file", f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise MalformedInput("file", f"{path} nests too deeply to read")
 
 
 def _cmd_check(args):

@@ -630,6 +630,8 @@ def lts_from_dict(doc: dict) -> Lts:
             raise MalformedInput("products", f"bad product entry {entry!r}")
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
             raise MalformedInput("products", f"args must be integers in {entry!r}")
+        if len({p for p, _ in value}) < len(value):  # "3" and "03" both name e3
+            raise MalformedInput("products", f"a coordinate is named twice in {entry!r}")
         vec = [QI_ZERO] * dim
         for p, text in value:
             if not 1 <= p <= dim:

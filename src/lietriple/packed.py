@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import prod
 
 from .scalars import (_POLY_ONE, QI_ZERO, GaussianRational, Polynomial, RationalFunction, _reduced,
-                      _reduced_function, gaussian_integers, poly_gcd)
+                      gaussian_integers, poly_gcd)
 
 
 def _width(bound):
@@ -171,21 +171,9 @@ def _unpacked_function(value, width, scale, shift, rest):
     digits = _balanced_digits(value, width, 6 * (value.bit_length() // lane + 1))
     coeffs = [_reduced(c0 - c2 + c4, c1 - c3 + c5, scale)
               for c0, c1, c2, c3, c4, c5 in (digits[e:e + 6] for e in range(0, len(digits), 6))]
-    low = next((e for e, c in enumerate(coeffs) if c), None)
-    if low is None:
-        return RationalFunction.zero
-    num, shift = Polynomial(coeffs[low:]), shift + zero_lanes + low
-    if rest.degree > 0:  # num(0) != 0, so only rest can share a factor with it
-        quotient, remainder = divmod(num, rest)
-        if not remainder:
-            num, rest = quotient, _POLY_ONE
-        else:
-            common = poly_gcd(rest, remainder)  # gcd(num, rest), one division on
-            if common.degree > 0:
-                num, rest = num // common, rest // common
-    if shift >= 0:
-        return _reduced_function(Polynomial([QI_ZERO] * shift + list(num.coeffs)), rest)
-    return _reduced_function(num, Polynomial([QI_ZERO] * -shift + list(rest.coeffs)))
+    shift += zero_lanes
+    return RationalFunction(Polynomial([QI_ZERO] * shift + coeffs),
+                            Polynomial([QI_ZERO] * -shift + list(rest.coeffs)))
 
 
 def _fraction_free_inverse(matrix):

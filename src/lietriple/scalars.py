@@ -10,6 +10,7 @@ limits at t = 0 can be read off the reduced denominator.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from sys import hash_info
@@ -458,16 +459,21 @@ _POLY_ONE = Polynomial([QI_ONE])
 def _cancel(num, den):
     """num and den divided by a common divisor that leaves them coprime.
 
-    Both must have positive degree.  A denominator c*t^k only shares powers of
-    t with the numerator, so shifting coefficients replaces the gcd there.
+    Powers of t cancel by shifting coefficients; the rest of den, den / t^k,
+    is tried as a divisor of num before any gcd.
     """
-    if any(den.coeffs[:-1]):
-        g = poly_gcd(num, den)
-        return (num // g, den // g) if g.degree > 0 else (num, den)
-    shift = min(den.degree, next(k for k, c in enumerate(num.coeffs) if c))
-    if not shift:
-        return num, den
-    return Polynomial(num.coeffs[shift:]), Polynomial(den.coeffs[shift:])
+    low, k = (next(e for e, c in enumerate(p.coeffs) if c) for p in (num, den))
+    common = min(low, k)
+    num, rest = _polynomial(num.coeffs[common:]), _polynomial(den.coeffs[k:])
+    if rest.degree > 0:
+        quotient, remainder = divmod(num, rest)
+        if not remainder:
+            num, rest = quotient, _POLY_ONE
+        else:  # t is prime to num once k > common, so the gcd with rest is the gcd
+            g = poly_gcd(rest, remainder)
+            if g.degree > 0:
+                num, rest = num // g, rest // g
+    return num, _polynomial((QI_ZERO,) * (k - common) + rest.coeffs)
 
 
 class RationalFunction:
@@ -816,7 +822,9 @@ def rational_function_str(f: RationalFunction) -> str:
 # ---------------------------------------------------------------------------
 # parsing: one small expression grammar covers scalars and rational functions
 
-_TOKEN_CHARS = set("+-*/^()")
+_TOKEN = re.compile(r"\d+|\S")  # a run of decimal digits, or one character
+_SYMBOLS = frozenset("+-*/^()it")
+_MAX_NESTING = 100  # parentheses; each level takes four frames of recursion
 
 # Largest |e| * size(base) that "^" computes, the size being the base's
 # coefficient bits plus its degree; this bounds nested powers too.  A product
@@ -851,30 +859,19 @@ def _power_size(base):
 
 
 def _tokenize(text: str):
+    """The tokens of text, last first, above a None that marks the end: the parser pops them."""
     tokens = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-        elif ch in _TOKEN_CHARS:
-            tokens.append(ch)
-            k += 1
-        elif ch.isdigit():
-            j = k
-            while j < len(text) and text[j].isdigit():
-                j += 1
+    for tok in _TOKEN.findall(text):
+        if tok in _SYMBOLS:
+            tokens.append(tok)
+        elif tok.isdecimal():
             try:
-                tokens.append(int(text[k:j]))
+                tokens.append(int(tok))
             except ValueError:  # past the interpreter's limit on digits
-                raise ParseError(f"integer literal of {j - k} digits is too long") from None
-            k = j
-        elif ch in ("i", "t"):
-            tokens.append(ch)
-            k += 1
+                raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
         else:
-            raise ParseError(f"unexpected character {ch!r} in {text!r}")
-    return tokens
+            raise ParseError(f"unexpected character {tok!r} in {text!r}")
+    return [None, *reversed(tokens)]
 
 
 class _Parser:
@@ -885,56 +882,54 @@ class _Parser:
     def __init__(self, text: str, field):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
         self.field = field
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+        self.depth = 0
 
     def parse(self):
         node = self.expr()
-        if self.peek() is not None:
+        if self.tokens.pop() is not None:
             raise ParseError(f"trailing input in {self.text!r}")
         return node
 
     def expr(self):
+        tokens = self.tokens
         node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
+        while tokens[-1] in ("+", "-"):
+            op = tokens.pop()
             rhs = self.term()
             _bound_degree(node, rhs, op)
             node = node + rhs if op == "+" else node - rhs
         return node
 
     def term(self):
+        tokens = self.tokens
         node = self.power()
-        while self.peek() in ("*", "/"):
-            op = self.take()
+        while tokens[-1] in ("*", "/"):
+            op = tokens.pop()
             rhs = self.power()
             _bound_degree(node, rhs, op)
             if op == "*":
                 node = node * rhs
+            elif not rhs:
+                raise ParseError("division by zero in expression")
             else:
-                if not rhs:
-                    raise ParseError("division by zero in expression")
                 node = node / rhs if node.__class__ is rhs.__class__ is GaussianRational \
                     else node * rhs.inverse()
         return node
 
     def power(self):
+        """Unary signs, then an atom and its exponents: a sign applies to the power."""
+        tokens = self.tokens
+        neg = False
+        while tokens[-1] in ("+", "-"):
+            neg ^= tokens.pop() == "-"
         base = self.atom()
-        while self.peek() == "^":
-            self.take()
-            neg = False
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            e = self.take()
+        while tokens[-1] == "^":
+            tokens.pop()
+            inverse = tokens[-1] == "-"
+            if inverse:
+                tokens.pop()
+            e = tokens.pop()
             if not isinstance(e, int):
                 raise ParseError("exponent must be an integer")
             size, degree = _power_size(base)
@@ -942,24 +937,24 @@ class _Parser:
                 raise ParseError(f"power too large: exponent {e} on a base of size {size} "
                                  f"and degree {degree} exceeds {MAX_POWER_SIZE} in size "
                                  f"or {MAX_POWER_DEGREE} in degree")
-            if neg and not base:
+            if inverse and not base:
                 raise ParseError("division by zero in expression")
-            base = base ** (-e if neg else e)
-        return base
+            base = base ** (-e if inverse else e)
+        return -base if neg else base
 
     def atom(self):
-        tok = self.take()
-        if tok == "-":
-            return -self.power()
-        if tok == "+":
-            return self.power()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise ParseError("unbalanced parenthesis")
-            return node
-        if isinstance(tok, int):
+        tok = self.tokens.pop()
+        if tok.__class__ is int:
             return GaussianRational.of(tok)
+        if tok == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep")
+            self.depth += 1
+            node = self.expr()
+            if self.tokens.pop() != ")":
+                raise ParseError("unbalanced parenthesis")
+            self.depth -= 1
+            return node
         if tok == "i":
             return QI_I
         if tok == "t":

@@ -437,3 +437,47 @@ def test_huge_power_rejected_at_once(tmp_path, capsys, value):
     assert main(["check", str(path)]) == 2
     assert time.monotonic() - start < 1
     assert "ParseError" in capsys.readouterr().err
+
+
+DEEP_SIGNS, DEEP_PARENS = "-" * 5000 + "1", "(" * 1000 + "1" + ")" * 1000
+
+
+def deep_value_argv(tmp_path, entry, value):
+    """argv for an entry point that parses value, writing the document it reads."""
+    path = tmp_path / "deep.json"
+    if entry == "catalog show":
+        return ["catalog", "show", "T4,6", f"--lambda={value}"]
+    if entry == "check":
+        doc = {"dim": 3, "products": [{"args": [1, 2, 1], "value": {"3": value}}]}
+    elif entry == "extend":
+        doc = {"base": "T2,1", "thetas": [{"coeffs": [{"ijk": [1, 2, 1], "value": value}]}]}
+    else:
+        doc = {"source": {"name": "T3,2"}, "target": {"name": "T3,1"},
+               "basis": [[value, "0", "0"], ["0", "t", "0"], ["0", "0", "t"]]}
+    path.write_text(json.dumps(doc))
+    return [*entry.split(), str(path)]
+
+
+@pytest.mark.parametrize("entry", ["check", "extend", "catalog show", "degen verify"])
+def test_parentheses_nested_past_the_bound_exit_2(tmp_path, capsys, entry):
+    assert main(deep_value_argv(tmp_path, entry, DEEP_PARENS)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "parentheses nested more than 100 deep" in err
+
+
+@pytest.mark.parametrize("entry", ["check", "extend", "catalog show", "degen verify"])
+def test_a_long_run_of_signs_reads_as_one_sign(tmp_path, capsys, entry):
+    # 5000 minus signs are an even number of them: the value is 1
+    outcomes = []
+    for value in (DEEP_SIGNS, "1"):
+        outcomes.append((main(deep_value_argv(tmp_path, entry, value)), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_json_nested_past_the_interpreter_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedInput: file: ") and err.count("\n") == 1

@@ -442,6 +442,15 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError):
             lts_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [{"3": "1", "03": "5"}, {"03": "5", "3": "1"},
+                                       {"3": "1", " 3": "1"}])
+    def test_a_coordinate_named_twice_is_refused(self, value):
+        # "3" and "03" both name e3; which value won used to depend on the key order
+        doc = {"dim": 3, "products": [{"args": [1, 2, 1], "value": value}]}
+        with pytest.raises(MalformedInput) as info:
+            lts_from_dict(doc)
+        assert info.value.field == "products" and "named twice" in str(info.value)
+
     def test_boolean_dim_rejected(self):
         with pytest.raises(MalformedInput):
             lts_from_dict({"dim": True, "products": []})

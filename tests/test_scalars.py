@@ -205,6 +205,35 @@ class TestParsingPrinting:
         with pytest.raises(ParseError, match="division by zero"):
             parse(text)
 
+    @pytest.mark.parametrize("parse", [parse_scalar, parse_rational_function])
+    @pytest.mark.parametrize("text,value", [
+        ("-2^2", -4), ("--1", 1), ("2*-3", -6), ("2^-1", Fraction(1, 2)),
+        ("-(1+i)^-3", GaussianRational(Fraction(1, 4), Fraction(1, 4))), ("+-+i", -QI_I),
+        ("-" * 10000 + "1", 1), ("-" * 9999 + "1", -1), ("+" * 10000 + "i", QI_I),
+        ("(" * scalars._MAX_NESTING + "1+i" + ")" * scalars._MAX_NESTING, 1 + QI_I),
+        ("-(" * scalars._MAX_NESTING + "2" + ")" * scalars._MAX_NESTING, 2),
+        ("\u0663", 3), ("\u0661\u0662+i", 12 + QI_I),  # Arabic-Indic digits are decimal
+    ])
+    def test_signs_nesting_and_digits(self, parse, text, value):
+        # a sign applies to the power after it; signs repeat without recursion
+        assert parse(text) == value
+
+    @pytest.mark.parametrize("parse", [parse_scalar, parse_rational_function])
+    @pytest.mark.parametrize("text,message", [
+        ("2^--1", "exponent must be an integer"),
+        ("-", "unexpected token None"),
+        ("-" * 10000, "unexpected token None"),
+        ("(" * (scalars._MAX_NESTING + 1) + "1" + ")" * (scalars._MAX_NESTING + 1),
+         f"parentheses nested more than {scalars._MAX_NESTING} deep"),
+        ("-(" * 1000 + "1" + ")" * 1000, f"nested more than {scalars._MAX_NESTING} deep"),
+        ("\u00b2", "unexpected character '\u00b2'"),  # a superscript two is a digit, not a decimal
+        ("1\u00b2", "unexpected character '\u00b2'"),
+    ])
+    def test_signs_nesting_and_digits_refused(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert message in str(info.value)
+
     def test_zero_rational_function_to_a_negative_power_is_a_parse_error(self):
         with pytest.raises(ParseError, match="division by zero"):
             parse_rational_function("(t-t)^-1")
