@@ -39,12 +39,14 @@ EXIT_FAILED = 1
 EXIT_MALFORMED = 2
 
 
-def _emit(args, payload, text_lines):
+def _emit(args, payload, text_lines, ok=True):
+    """Print the payload as JSON or the text lines; the exit code is 0 if ok, else 1."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text_lines:
             print(line)
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 def _load_json(path):
@@ -68,8 +70,7 @@ def _cmd_check(args):
     payload = {"ok": report.ok}
     if not report.ok:
         payload.update({"identity": report.identity, "indices": list(report.indices)})
-    _emit(args, payload, [str(report)])
-    return EXIT_OK if report.ok else EXIT_FAILED
+    return _emit(args, payload, [str(report)], report.ok)
 
 
 def _cmd_invariants(args):
@@ -88,16 +89,12 @@ def _cmd_invariants(args):
         "dimH3": fp.dim_h3,
         "orbitDim": system.orbit_dimension(),
     }
-    lines = [f"dim          = {fp.dim}",
-             f"dim Ann      = {fp.dim_ann}",
-             f"dim [T,T,T]  = {fp.dim_derived}",
-             f"dim Der      = {fp.dim_der}",
-             f"nilpotent    = {nil.is_nilpotent} (index {fp.nilpotency_index}, series {list(nil.series_dims)})",
-             f"dim Z3       = {fp.dim_z3}",
-             f"dim H3       = {fp.dim_h3}",
-             f"orbit dim    = {system.orbit_dimension()}"]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    shown = dict(payload, nilpotent=f"{nil.is_nilpotent} (index {fp.nilpotency_index}, "
+                                    f"series {payload['seriesDims']})")
+    labels = {"dim": "dim", "dimAnn": "dim Ann", "dimDerived": "dim [T,T,T]", "dimDer": "dim Der",
+              "nilpotent": "nilpotent", "dimZ3": "dim Z3", "dimH3": "dim H3",
+              "orbitDim": "orbit dim"}
+    return _emit(args, payload, [f"{label:12s} = {shown[key]}" for key, label in labels.items()])
 
 
 def _cocycle_text(cocycle):
@@ -121,20 +118,13 @@ def _cmd_cohomology(args):
     z3 = cocycle_space(system)
     b3 = coboundary_space(system)
     dim_h3, reps = cohomology(system)
-    payload = {
-        "dimZ3": z3.dim,
-        "dimB3": b3.dim,
-        "dimH3": dim_h3,
-        "z3Basis": [_cocycle_text(c) for c in z3.basis],
-        "b3Basis": [_cocycle_text(c) for c in b3.basis],
-        "h3Representatives": [_cocycle_text(c) for c in reps.basis],
-    }
-    lines = [f"dim Z3 = {z3.dim}", f"dim B3 = {b3.dim}", f"dim H3 = {dim_h3}",
-             "Z3 basis:"] + [f"  {t}" for t in payload["z3Basis"]] + \
-            ["B3 basis:"] + [f"  {t}" for t in payload["b3Basis"]] + \
-            ["H3 representatives:"] + [f"  {t}" for t in payload["h3Representatives"]]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    payload = {"dimZ3": z3.dim, "dimB3": b3.dim, "dimH3": dim_h3}
+    lines = [f"dim Z3 = {z3.dim}", f"dim B3 = {b3.dim}", f"dim H3 = {dim_h3}"]
+    for title, key, space in (("Z3 basis:", "z3Basis", z3), ("B3 basis:", "b3Basis", b3),
+                              ("H3 representatives:", "h3Representatives", reps)):
+        payload[key] = [_cocycle_text(c) for c in space.basis]
+        lines += [title] + [f"  {text}" for text in payload[key]]
+    return _emit(args, payload, lines)
 
 
 def _cmd_extend(args):
@@ -157,181 +147,178 @@ def _cmd_extend(args):
     extended = extend(ExtensionSpec(base, thetas))
     payload = lts_to_dict(extended)
     lines = [f"extension has dimension {extended.dim}", json.dumps(payload, sort_keys=True)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 def _cmd_classify(args):
     system = lts_from_dict(_load_json(args.file))
     result = catalog.classify(system)
+    lam = None if result.lam is None else scalar_str(result.lam)
     payload = {
         "name": result.name,
-        "lambda": None if result.lam is None else scalar_str(result.lam),
+        "lambda": lam,
         "confidence": result.confidence,
         "xi": None if result.xi is None else scalar_str(result.xi),
     }
+    line = result.name + ("" if lam is None else f" (lambda = {lam})") + f" [{result.confidence}]"
     if result.note:
         payload["note"] = result.note
-    line = f"{result.name}"
-    if result.lam is not None:
-        line += f" (lambda = {scalar_str(result.lam)})"
-    line += f" [{result.confidence}]"
-    if result.note:
         line += f" - {result.note}"
-    _emit(args, payload, [line])
-    return EXIT_OK
+    return _emit(args, payload, [line])
 
 
-def _cmd_catalog(args):
-    if args.catalog_cmd == "list":
-        names = list(catalog.ENTRIES)
-        payload = {"entries": names}
-        _emit(args, payload, names)
-        return EXIT_OK
-    if args.catalog_cmd == "show":
-        lam = parse_scalar(args.lam) if args.lam is not None else None
-        system = catalog.instantiate(args.name, lam)
-        payload = lts_to_dict(system)
-        lines = [json.dumps(payload, sort_keys=True)]
-        _emit(args, payload, lines)
-        return EXIT_OK
-    if args.catalog_cmd == "table1":
-        rows = catalog.table1_report()
-        payload = {"rows": rows}
-        width = max(len(row["table"]) for row in rows)
-        lines = [f"{'system':8s} {'lambda':8s} {'multiplication table':{width}s} "
-                 f"{'computed':>8s} {'published':>9s}  match"]
-        for row in rows:
-            lam = row["lambda"] if row["lambda"] is not None else "-"
-            lines.append(f"{row['system']:8s} {lam:8s} {row['table']:{width}s} "
-                         f"{row['computed']:8d} {row['published']:9d}  "
-                         f"{'yes' if row['match'] else 'NO'}")
-        _emit(args, payload, lines)
-        return EXIT_OK if all(r["match"] for r in rows) else EXIT_FAILED
-    raise MalformedInput("catalog", f"unknown catalog command {args.catalog_cmd!r}")
+def _lambda(args):
+    """The ``--lambda`` value as a scalar, or None when it is not given."""
+    return None if args.lam is None else parse_scalar(args.lam)
 
 
-def _cmd_degen(args):
-    if args.degen_cmd == "verify":
-        witness = degeneration.witness_from_dict(_load_json(args.file))
-        report = degeneration.verify_degeneration(witness)
-        payload = {"ok": report.ok,
-                   "problems": [{"kind": kind, "indices": list(idx), "detail": detail}
-                                for kind, idx, detail in report.problems]}
-        _emit(args, payload, [str(report)])
-        return EXIT_OK if report.ok else EXIT_FAILED
-    if args.degen_cmd == "graph":
-        graph = degeneration.degeneration_graph(args.dim)
-        payload = {
-            "dim": graph.dim,
-            "nodes": [{"name": n.name, "orbitDim": n.orbit_dim,
-                       "figureStratum": n.figure_stratum, "kind": n.kind,
-                       "closureDim": n.closure_dim} for n in graph.nodes],
-            "edges": [{"source": e.source, "target": e.target, "kind": e.kind}
-                      for e in sorted(graph.edges, key=lambda e: (e.source, e.target))],
-            "maximal": graph.maximal,
-        }
-        lines = []
-        for stratum in sorted({n.figure_stratum for n in graph.nodes
-                               if n.figure_stratum is not None}, reverse=True):
-            members = [n for n in graph.nodes if n.figure_stratum == stratum]
-            names = ", ".join(f"{n.name} (orbit {n.orbit_dim})" for n in members)
-            lines.append(f"stratum {stratum:2d}: {names}")
-        lines.append("edges:")
-        for e in sorted(graph.edges, key=lambda e: (e.source, e.target)):
-            lines.append(f"  {e.source} -> {e.target}  [{e.kind}]")
-        lines.append(f"maximal nodes: {', '.join(graph.maximal)}")
-        _emit(args, payload, lines)
-        return EXIT_OK
-    if args.degen_cmd == "nondegen":
-        separating = degeneration.separating_set_from_dict(_load_json(args.file))
-        target = catalog.instantiate(args.target,
-                                     parse_scalar(args.lam) if args.lam else None)
-        if target.dim != separating.dim:
-            raise MalformedInput("target", "dimension mismatch with separating set")
-        stability = degeneration.borel_stability_evidence(separating)
-        violation = separating.first_violation(target.rows())
-        membership = degeneration.EvidenceReport(
-            "target-membership", violation is not None,
-            f"target outside the locus: {violation}" if violation else "target lies in the locus")
-        payload = {
-            "stability": {"kind": stability.kind, "ok": stability.ok, "detail": stability.detail},
-            "targetInLocus": violation is None,
-            "evidenceLevel": "separating-set (symbolic stability proof)",
-        }
-        lines = [str(stability), str(membership),
-                 "orbit question: not decided here (the target's orbit may still meet the locus)"]
-        _emit(args, payload, lines)
-        return EXIT_OK if stability.ok and membership.ok else EXIT_FAILED
-    raise MalformedInput("degen", f"unknown degen command {args.degen_cmd!r}")
+def _cmd_catalog_list(args):
+    names = list(catalog.ENTRIES)
+    return _emit(args, {"entries": names}, names)
+
+
+def _cmd_catalog_show(args):
+    payload = lts_to_dict(catalog.instantiate(args.name, _lambda(args)))
+    return _emit(args, payload, [json.dumps(payload, sort_keys=True)])
+
+
+def _cmd_catalog_table1(args):
+    rows = catalog.table1_report()
+    width = max(len(row["table"]) for row in rows)
+    lines = [f"{'system':8s} {'lambda':8s} {'multiplication table':{width}s} "
+             f"{'computed':>8s} {'published':>9s}  match"]
+    for row in rows:
+        lam = row["lambda"] if row["lambda"] is not None else "-"
+        lines.append(f"{row['system']:8s} {lam:8s} {row['table']:{width}s} "
+                     f"{row['computed']:8d} {row['published']:9d}  "
+                     f"{'yes' if row['match'] else 'NO'}")
+    return _emit(args, {"rows": rows}, lines, all(r["match"] for r in rows))
+
+
+def _cmd_degen_verify(args):
+    witness = degeneration.witness_from_dict(_load_json(args.file))
+    report = degeneration.verify_degeneration(witness)
+    payload = {"ok": report.ok,
+               "problems": [{"kind": kind, "indices": list(idx), "detail": detail}
+                            for kind, idx, detail in report.problems]}
+    return _emit(args, payload, [str(report)], report.ok)
+
+
+def _cmd_degen_graph(args):
+    graph = degeneration.degeneration_graph(args.dim)
+    edges = sorted(graph.edges, key=lambda e: (e.source, e.target))
+    payload = {
+        "dim": graph.dim,
+        "nodes": [{"name": n.name, "orbitDim": n.orbit_dim,
+                   "figureStratum": n.figure_stratum, "kind": n.kind,
+                   "closureDim": n.closure_dim} for n in graph.nodes],
+        "edges": [{"source": e.source, "target": e.target, "kind": e.kind} for e in edges],
+        "maximal": graph.maximal,
+    }
+    lines = []
+    for stratum in sorted({n.figure_stratum for n in graph.nodes
+                           if n.figure_stratum is not None}, reverse=True):
+        members = [n for n in graph.nodes if n.figure_stratum == stratum]
+        names = ", ".join(f"{n.name} (orbit {n.orbit_dim})" for n in members)
+        lines.append(f"stratum {stratum:2d}: {names}")
+    lines.append("edges:")
+    lines.extend(f"  {e.source} -> {e.target}  [{e.kind}]" for e in edges)
+    lines.append(f"maximal nodes: {', '.join(graph.maximal)}")
+    return _emit(args, payload, lines)
+
+
+def _cmd_degen_nondegen(args):
+    separating = degeneration.separating_set_from_dict(_load_json(args.file))
+    target = catalog.instantiate(args.target, _lambda(args))
+    if target.dim != separating.dim:
+        raise MalformedInput("target", "dimension mismatch with separating set")
+    stability = degeneration.borel_stability_evidence(separating)
+    violation = separating.first_violation(target.rows())
+    membership = degeneration.EvidenceReport(
+        "target-membership", violation is not None,
+        f"target outside the locus: {violation}" if violation else "target lies in the locus")
+    payload = {
+        "stability": {"kind": stability.kind, "ok": stability.ok, "detail": stability.detail},
+        "targetInLocus": violation is None,
+        "evidenceLevel": "separating-set (symbolic stability proof)",
+    }
+    lines = [str(stability), str(membership),
+             "orbit question: not decided here (the target's orbit may still meet the locus)"]
+    return _emit(args, payload, lines, stability.ok and membership.ok)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--lambda -1/2`` as ``--lambda=-1/2`` (argparse alone takes ``-2``, not ``-i``)
+    and refuses ``--option=--``, which argparse would hand on as an empty list."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if joined[-1:] == ["--lambda"] and token.startswith("-") and not token.startswith("--"):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="lts",
-        description="Exact computations with nilpotent Lie triple systems")
+    parser = _Parser(prog="lts", description="Exact computations with nilpotent Lie triple systems")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="axiom-check a system document")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("invariants", help="structural invariants and fingerprint")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("cohomology", help="Z3/B3/H3 bases and dimensions")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_cohomology)
-
-    p = sub.add_parser("extend", help="build an annihilator extension from a spec")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_extend)
-
-    p = sub.add_parser("classify", help="match a system against the catalog")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("catalog", help="catalog access")
-    catalog_sub = p.add_subparsers(dest="catalog_cmd", required=True)
-    catalog_sub.add_parser("list")
+    for name, help_text, handler in (
+            ("check", "axiom-check a system document", _cmd_check),
+            ("invariants", "structural invariants and fingerprint", _cmd_invariants),
+            ("cohomology", "Z3/B3/H3 bases and dimensions", _cmd_cohomology),
+            ("extend", "build an annihilator extension from a spec", _cmd_extend),
+            ("classify", "match a system against the catalog", _cmd_classify)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.set_defaults(func=handler)
+    catalog_sub = sub.add_parser("catalog", help="catalog access").add_subparsers(
+        dest="catalog_cmd", required=True)
+    catalog_sub.add_parser("list").set_defaults(func=_cmd_catalog_list)
     show = catalog_sub.add_parser("show")
     show.add_argument("name")
     show.add_argument("--lambda", dest="lam", default=None, metavar="VALUE")
-    catalog_sub.add_parser("table1")
-    p.set_defaults(func=_cmd_catalog)
+    show.set_defaults(func=_cmd_catalog_show)
+    catalog_sub.add_parser("table1").set_defaults(func=_cmd_catalog_table1)
 
-    p = sub.add_parser("degen", help="degeneration tooling")
-    degen_sub = p.add_subparsers(dest="degen_cmd", required=True)
+    degen_sub = sub.add_parser("degen", help="degeneration tooling").add_subparsers(
+        dest="degen_cmd", required=True)
     verify = degen_sub.add_parser("verify")
     verify.add_argument("file")
+    verify.set_defaults(func=_cmd_degen_verify)
     graph = degen_sub.add_parser("graph")
     graph.add_argument("--dim", type=int, choices=(3, 4), default=4)
+    graph.set_defaults(func=_cmd_degen_graph)
     nondegen = degen_sub.add_parser("nondegen")
     nondegen.add_argument("file")
     nondegen.add_argument("--target", required=True)
     nondegen.add_argument("--lambda", dest="lam", default=None, metavar="VALUE")
-    p.set_defaults(func=_cmd_degen)
-
+    nondegen.set_defaults(func=_cmd_degen_nondegen)
     return parser
 
 
 _MALFORMED = (MalformedInput, ParseError, UnknownName, MissingParameter,
-               SingularParameter, DimensionUnsupported, DimensionMismatch)
+              SingularParameter, DimensionUnsupported, DimensionMismatch)
+_MAX_LINE = 200  # a longer error line keeps its kind, field and reason around " ... "
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _MALFORMED as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except LietripleError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        line = f"error: {type(exc).__name__}: {exc}"
+        if len(line) > _MAX_LINE:
+            line = f"{line[:_MAX_LINE // 2 - 2]} ... {line[3 - _MAX_LINE // 2:]}"
+        print(line, file=sys.stderr)
+        return EXIT_MALFORMED if isinstance(exc, _MALFORMED) else EXIT_FAILED
 
 
 if __name__ == "__main__":

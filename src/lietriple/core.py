@@ -198,13 +198,10 @@ class Lts:
         """Ann(T) = {x : [x, T, T] = 0}, as a canonical subspace."""
         return _first_slot_kernel(self.dim, self._rows)
 
-    @_memo
     def derived(self) -> Subspace:
-        """T^(1) = [T, T, T], the span of all basis products."""
-        n = self.dim
-        vectors = [[row.get(p, self._zero) for p in range(n)]
-                   for (i, j, _k), row in self._rows.items() if i < j]
-        return Subspace(n, vectors)
+        """T^(1) = [T, T, T], the series' first step; T itself when the series stops at once."""
+        series = self.nilpotency().series
+        return series[1] if len(series) > 1 else series[0]
 
     @_memo
     def nilpotency(self) -> NilpotencyReport:
@@ -212,7 +209,6 @@ class Lts:
         n = self.dim
         current = Subspace(n, identity_matrix(n, field_of(self._zero)))
         series = [current]
-        nilpotent = True
         while current.dim > 0:
             vectors = []
             for v in current.basis:
@@ -223,11 +219,11 @@ class Lts:
                 vectors.extend([cell.get(p, self._zero) for p in range(n)]
                                for cell in cells.values() if any(cell.values()))
             nxt = Subspace(n, vectors)
-            if nxt.dim == current.dim:
-                nilpotent = False
+            if nxt.dim == current.dim:  # stabilized above zero
                 break
             current = nxt
             series.append(current)
+        nilpotent = current.dim == 0
         return NilpotencyReport(nilpotent, len(series) - 1 if nilpotent else None,
                                 tuple(series))
 

@@ -109,24 +109,11 @@ class DegenerationWitness:
 
     def source_system(self):
         """Source tensor, with the family parameter substituted when present."""
-        return _endpoint_system("source", self.source, self.source_lambda, self.index_fn)
+        return catalog.instantiate(
+            self.source, self.source_lambda if self.index_fn is None else self.index_fn)
 
     def target_system(self):
-        return _endpoint_system("target", self.target, self.target_lambda)
-
-
-def _endpoint_system(role, name, lam, index_fn=None):
-    """Catalog tensor at one end of a witness; a family end needs lam or an index_fn."""
-    entry = catalog.ENTRIES.get(name)
-    if entry is None:
-        raise MalformedInput(role, f"unknown system {name!r}")
-    if not entry.family:
-        return catalog.instantiate(name)
-    if index_fn is not None:
-        lam = index_fn
-    if lam is None:
-        raise MalformedInput(role, "a family end needs lambda (or, at the source, index_fn)")
-    return catalog.instantiate(name, lam)
+        return catalog.instantiate(self.target, self.target_lambda)
 
 
 def _transported_rows(system: Lts, basis: ParametrizedBasis):
@@ -683,24 +670,26 @@ def witness_from_dict(doc: dict) -> DegenerationWitness:
         basis = doc["basis"]
     except (KeyError, TypeError):
         raise MalformedInput("witness", "needs source, target and basis")
-    if not isinstance(source, dict) or not isinstance(source.get("name"), str):
-        raise MalformedInput("source", "needs a system name")
-    if not isinstance(target, dict) or not isinstance(target.get("name"), str):
-        raise MalformedInput("target", "needs a system name")
-    entry = catalog.ENTRIES.get(source["name"])
-    if entry is None:
-        raise MalformedInput("source", f"unknown system {source['name']!r}")
-    # refused before ParametrizedBasis inverts it over Q(i)(t)
-    if not (isinstance(basis, list) and len(basis) == entry.dim
-            and all(isinstance(row, list) and len(row) == entry.dim for row in basis)):
-        raise MalformedInput("basis", f"needs {entry.dim} rows of {entry.dim} entries "
-                             f"for {source['name']}")
-    # a lambda belongs on a family end and an index_fn on a family source only
+    # each end names a catalog entry; a family end names exactly one parameter,
+    # lambda or, at the source only, index_fn; no other end names one
     for end, spec in (("source", source), ("target", target)):
-        family = getattr(catalog.ENTRIES.get(spec["name"]), "family", False)
-        for key in ("lambda", "index_fn"):
-            if spec.get(key) is not None and (not family or (end, key) == ("target", "index_fn")):
+        if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+            raise MalformedInput(end, "needs a system name")
+        entry = catalog.ENTRIES.get(spec["name"])
+        if entry is None:
+            raise MalformedInput(end, f"unknown system {spec['name']!r}")
+        named = [key for key in ("lambda", "index_fn") if spec.get(key) is not None]
+        for key in named:
+            if not entry.family or (end, key) == ("target", "index_fn"):
                 raise MalformedInput(key, f"the {end} {spec['name']} takes no {key}")
+        if entry.family and len(named) != 1:
+            raise MalformedInput(end, "a family end takes lambda or index_fn, not both" if named
+                                 else "a family end needs lambda (or, at the source, index_fn)")
+    dim = catalog.ENTRIES[source["name"]].dim
+    # refused before ParametrizedBasis inverts it over Q(i)(t)
+    if not (isinstance(basis, list) and len(basis) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in basis)):
+        raise MalformedInput("basis", f"needs {dim} rows of {dim} entries for {source['name']}")
     lam = source.get("lambda")
     index_fn = source.get("index_fn")
     if not isinstance(index_fn, (str, type(None))):

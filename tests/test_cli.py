@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import argparse
 import importlib
 import json
 import shlex
@@ -13,6 +14,7 @@ from lietriple import degeneration as dg
 from lietriple.cli import build_parser, main
 from lietriple.cohomology import Cocycle, cocycle_space
 from lietriple.core import Lts, complete_table, lts_from_dict, lts_to_dict
+from lietriple.errors import MalformedInput
 from lietriple.linalg import nullspace
 from lietriple.scalars import GaussianRational, RationalFunction
 
@@ -341,14 +343,27 @@ def test_degen_nondegen_has_no_mode_flag(tmp_path, capsys, flag, value):
 
 
 def test_readme_usage_lines_parse():
-    # every `lts ...` line of the README must be accepted by the real parser
+    # every `lts ...` line of the README must be accepted by the real parser,
+    # and every leaf command the parser registers must have such a line
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [line for line in readme.read_text().splitlines() if line.startswith("lts ")]
     assert len(lines) >= 10
     parser = build_parser()
+    shown = set()
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert callable(args.func), line
+        shown.add(args.func)
+    leaves = _leaf_handlers(parser)
+    assert len(leaves) == 11 and leaves <= shown
+
+
+def _leaf_handlers(parser):
+    """The handlers bound to the leaf parsers under parser, one per leaf command."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        return {parser.get_default("func")}
+    return set().union(*(_leaf_handlers(sub) for a in actions for sub in a.choices.values()))
 
 
 def test_field_restriction(tmp_path, capsys):
@@ -481,3 +496,96 @@ def test_json_nested_past_the_interpreter_limit_exits_2(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedInput: file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["-1/2", "-i", "-2", "-(1+i)"])
+@pytest.mark.parametrize("command", [
+    ["catalog", "show", "T4,6"],
+    ["degen", "nondegen", "{r}", "--target", "T4,6"],
+], ids=["catalog-show", "degen-nondegen"])
+def test_a_negative_lambda_reads_as_with_an_equals_sign(tmp_path, capsys, command, value):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
+    argv = [arg.format(r=path) for arg in command]
+    assert build_parser().parse_args(argv + ["--lambda", value]).lam == value
+    outcomes = []
+    for option in (["--lambda", value], [f"--lambda={value}"]):
+        outcomes.append((main(argv + option), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (0, 1) and outcomes[0][1].err == ""
+
+
+def test_a_value_starting_with_two_dashes_stays_an_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["catalog", "show", "T4,6", "--lambda", "--format"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "show", "T4,6", "--lambda=--"],
+    ["catalog", "show", "T4,6", "--lam=--"],
+    ["degen", "nondegen", "r.json", "--target=--"],
+    ["degen", "graph", "--dim=--"],
+    ["--format=--", "catalog", "list"],
+])
+def test_an_option_given_the_value_double_dash_is_a_usage_error(capsys, argv):
+    # argparse drops an explicit "--" value and hands the handler an empty list
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_an_empty_lambda_is_a_parse_error_on_both_commands(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
+    for argv in (["catalog", "show", "T4,6"], ["degen", "nondegen", str(path), "--target", "T4,6"]):
+        assert main(argv + ["--lambda="]) == 2
+        assert capsys.readouterr().err.startswith("error: ParseError: ")
+
+
+@pytest.mark.parametrize("source,target,field", [
+    ({"name": "T4,6", "lambda": "2", "index_fn": "t"}, {"name": "T4,1"}, "source"),
+    ({"name": "T4,6"}, {"name": "T4,1"}, "source"),
+    ({"name": "T4,7"}, {"name": "T4,6"}, "target"),
+    ({"name": "T4,2"}, {"name": "T9,9"}, "target"),
+], ids=["both-parameters", "family-source-without-one", "family-target-without-one",
+        "unknown-target"])
+def test_degen_verify_refuses_an_end_at_load(tmp_path, capsys, monkeypatch, source, target,
+                                             field):
+    doc = {"source": source, "target": target, "basis": _SCALED}
+    with pytest.raises(MalformedInput) as info:
+        dg.witness_from_dict(doc)
+    assert info.value.field == field
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(dg, "verify_degeneration", None)  # refused before verification
+    assert main(["degen", "verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MalformedInput: {field}: ") and err.count("\n") == 1
+
+
+def _long_error_argv(tmp_path, case):
+    path = tmp_path / "long.json"
+    if case == "extend-deep-cocycle":
+        path.write_text(json.dumps({"base": "T2,1", "thetas": [
+            {"coeffs": [{"ijk": [1, 2, 1], "value": DEEP_PARENS}]}]}))
+        return ["extend", str(path)], "MalformedInput: coeffs: ", "nested more than 100 deep"
+    if case == "degen-verify-long-name":
+        path.write_text(json.dumps({"source": {"name": "T" * 5000}, "target": {"name": "T3,1"},
+                                    "basis": [["t"]]}))
+        return ["degen", "verify", str(path)], "MalformedInput: source: unknown system", "TTT'"
+    path.write_text(json.dumps({"dim": 3, "products": [
+        {"args": [1, 2, 1], "value": {"3": "1" + "+x" * 3000}}]}))
+    return ["check", str(path)], "ParseError: unexpected character 'x'", "+x+x'"
+
+
+@pytest.mark.parametrize("case", ["extend-deep-cocycle", "degen-verify-long-name",
+                                  "check-long-value"])
+def test_a_long_error_keeps_its_head_and_tail_in_200_characters(tmp_path, capsys, case):
+    argv, head, tail = _long_error_argv(tmp_path, case)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 201
+    assert err.startswith("error: " + head) and " ... " in err and err.endswith(tail + "\n")

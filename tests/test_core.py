@@ -177,6 +177,23 @@ class TestDerived:
     def test_abelian(self, t31):
         assert t31.derived().dim == 0
 
+    def test_perfect_system_is_its_own_derived_space(self):
+        # [T,T,T] = T for sl2: the nilpotency series stops at its first step
+        system = lts_from_lie(_sl2_bracket())
+        assert system.derived() == system.nilpotency().series[0]
+        assert system.derived().dim == 3 == oracle_derived_dim(system)
+
+    def test_dimension_zero(self):
+        system = Lts.from_rows(0, {})
+        assert system.derived().dim == 0 and system.nilpotency().index == 0
+
+    @pytest.mark.parametrize("name", list(catalog.ENTRIES))
+    def test_first_step_of_the_series_is_the_span_of_the_products(self, name):
+        system = catalog.instantiate(name, GaussianRational(3) if name == "T4,6" else None)
+        products = [[row.get(p, QI_ZERO) for p in range(system.dim)]
+                    for (i, j, _k), row in system.rows().items() if i < j]
+        assert system.derived() == Subspace(system.dim, products)
+
 
 class TestNilpotency:
     def test_t49_series(self):
