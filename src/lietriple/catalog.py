@@ -38,10 +38,10 @@ from .errors import (
     UnknownName,
 )
 from .cohomology import Cocycle, a_theta, delta_indices
-from .core import Lts, _memo, complete_table
+from .core import Lts, _memo, complete_table, lts_from_dict
 from .linalg import Subspace, determinant
 from .scalars import (GaussianRational, Polynomial, QI_ZERO, coerce, field_of, gaussian_integers,
-                      gaussian_roots, parse_scalar, scalar_str)
+                      gaussian_roots, scalar_str)
 
 __all__ = [
     "CatalogEntry",
@@ -138,20 +138,29 @@ def instantiate(name: str, lam=None) -> Lts:
     if name not in ENTRIES:
         raise UnknownName(name)
     entry = ENTRIES[name]
-    if entry.family:
-        if lam is None:
-            raise MissingParameter(f"{name} requires --lambda")
-        if isinstance(lam, str):
-            lam = parse_scalar(lam)
+    if lam is not None:
+        if not entry.family:
+            raise MissingParameter(f"{name} takes no family parameter")
         lam = coerce(lam)
-    elif lam is not None:
-        raise MissingParameter(f"{name} takes no family parameter")
     key = (name, field_of(lam), lam)  # a constant of Q(i)(t) equals its Q(i) value
     if key not in _instances:
         if len(_instances) >= _MAX_INSTANCES:  # the oldest family member; named systems stay
             del _instances[next(k for k in _instances if k[2] is not None)]
         _instances[key] = complete_table(entry.dim, entry.generators(lam))
     return _instances[key]
+
+
+def _system(reference, field):
+    """A system reference in a document: a fixed catalog name or a system document."""
+    if isinstance(reference, dict):
+        return lts_from_dict(reference)
+    if not isinstance(reference, str):
+        raise MalformedInput(field, "expected a system document or a catalog name")
+    if reference not in ENTRIES:
+        raise MalformedInput(field, f"unknown system {reference!r}")
+    if ENTRIES[reference].family:
+        raise MalformedInput(field, f"{reference} is a family, not a fixed system")
+    return instantiate(reference)
 
 
 def xi(lam):

@@ -20,17 +20,7 @@ from .cohomology import (
     cohomology,
 )
 from .core import AxiomReport, lts_from_dict, lts_to_dict
-from .errors import (
-    AxiomViolation,
-    DimensionMismatch,
-    DimensionUnsupported,
-    LietripleError,
-    MalformedInput,
-    MissingParameter,
-    ParseError,
-    SingularParameter,
-    UnknownName,
-)
+from .errors import AxiomViolation, InputError, LietripleError, MalformedInput
 from .extension import ExtensionSpec, extend
 from .scalars import parse_scalar, scalar_str
 
@@ -131,15 +121,10 @@ def _cmd_extend(args):
     doc = _load_json(args.file)
     if not isinstance(doc, dict) or "base" not in doc or "thetas" not in doc:
         raise MalformedInput("spec", "extension spec needs base and thetas")
-    base_doc = doc["base"]
-    if isinstance(base_doc, str):
-        base = catalog.instantiate(base_doc)
-    else:
-        base = lts_from_dict(base_doc)
-    if not isinstance(doc["thetas"], list) or not doc["thetas"] or not all(
+    base = catalog._system(doc["base"], "base")
+    if not isinstance(doc["thetas"], list) or not all(
             isinstance(entry, (list, dict)) for entry in doc["thetas"]):
-        raise MalformedInput("thetas", "expected a non-empty list of cocycle documents "
-                                       "or coeffs lists")
+        raise MalformedInput("thetas", "expected a list of cocycle documents or coeffs lists")
     thetas = []
     for entry in doc["thetas"]:
         entry = entry if isinstance(entry, dict) else {"coeffs": entry}
@@ -304,8 +289,6 @@ def build_parser():
     return parser
 
 
-_MALFORMED = (MalformedInput, ParseError, UnknownName, MissingParameter,
-              SingularParameter, DimensionUnsupported, DimensionMismatch)
 _MAX_LINE = 200  # a longer error line keeps its kind, field and reason around " ... "
 
 
@@ -318,7 +301,7 @@ def main(argv=None):
         if len(line) > _MAX_LINE:
             line = f"{line[:_MAX_LINE // 2 - 2]} ... {line[3 - _MAX_LINE // 2:]}"
         print(line, file=sys.stderr)
-        return EXIT_MALFORMED if isinstance(exc, _MALFORMED) else EXIT_FAILED
+        return EXIT_MALFORMED if isinstance(exc, InputError) else EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ from .errors import (
     RelationViolated,
     SingularMatrix,
 )
-from .core import (Lts, _axiom_residuals, _conjugate_rows, _memo, first_axiom_failure,
-                   lts_from_dict, lts_to_dict)
+from .core import (Lts, _axiom_residuals, _conjugate_rows, _index, _memo, _scalar,
+                   first_axiom_failure, lts_to_dict)
 from .linalg import Subspace, nullspace
 from .scalars import QI_ZERO, coerce, parse_scalar, scalar_str
 
@@ -246,14 +246,9 @@ def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:
         raise MalformedInput("coeffs", "cocycle document needs a coeffs list")
     system = ambient
     if "system" in doc:
-        if isinstance(doc["system"], dict):
-            loaded = lts_from_dict(doc["system"])
-        elif isinstance(doc["system"], str):
-            from . import catalog
+        from . import catalog
 
-            loaded = catalog.instantiate(doc["system"])
-        else:
-            raise MalformedInput("system", "expected a system document or a catalog name")
+        loaded = catalog._system(doc["system"], "system")
         if system is not None and loaded != system:
             raise MalformedInput("system", "cocycle system differs from the given ambient")
         system = loaded
@@ -263,13 +258,10 @@ def cocycle_from_dict(doc: dict, ambient: Lts = None) -> Cocycle:
         raise MalformedInput("coeffs", "expected a list")
     coeffs = {}
     for item in doc["coeffs"]:
-        try:
-            i, j, k = item["ijk"]
-            value = parse_scalar(str(item["value"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput("coeffs", f"bad entry {item!r}: {exc}")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
-            raise MalformedInput("coeffs", f"ijk must be integers in {item!r}")
+        if not (isinstance(item, dict) and "ijk" in item and "value" in item):
+            raise MalformedInput("coeffs", f"bad entry {item!r}")
+        i, j, k = _index(item["ijk"], 3, system.dim, "coeffs")
+        value = _scalar(item["value"], "coeffs", parse_scalar)
         if not i < j:
             raise MalformedInput("coeffs", f"indices must satisfy i < j, got {item['ijk']}")
         if coeffs.setdefault((i, j, k), value) != value:

@@ -27,6 +27,7 @@ from .errors import (
     InconsistentTable,
     MalformedInput,
     NotALieAlgebra,
+    ParseError,
     axiom_failure_text,
 )
 from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
@@ -51,6 +52,36 @@ __all__ = [
 # Documents may not ask for more: completion passes over dim^3 triples and the
 # derivation system has dim^2 unknowns.  The catalog stops at 4, extensions at 5.
 MAX_DIM = 16
+
+
+def _integer_in(value, least, most):
+    """Whether a JSON value is an integer from least to most; a boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and least <= value <= most
+
+
+def _dimension(value, least):
+    """A document's ``dim``: an integer from least to MAX_DIM."""
+    if not _integer_in(value, least, MAX_DIM):
+        raise MalformedInput("dim", f"must be an integer from {least} to {MAX_DIM}")
+    return value
+
+
+def _index(value, length, dim, field):
+    """An index tuple: a list of ``length`` integers from 1 to dim."""
+    if not (isinstance(value, list) and len(value) == length
+            and all(_integer_in(x, 1, dim) for x in value)):
+        raise MalformedInput(field, f"expected {length} integers from 1 to {dim}, got {value!r}")
+    return tuple(value)
+
+
+def _scalar(value, field, parse):
+    """A scalar: a JSON string, read by ``parse_scalar`` or ``parse_rational_function``."""
+    if not isinstance(value, str):
+        raise MalformedInput(field, f"expected a string, got {value!r}")
+    try:
+        return parse(value)
+    except ParseError as exc:
+        raise MalformedInput(field, str(exc)) from None
 
 
 def _memo(fn):
@@ -603,14 +634,7 @@ def lts_from_dict(doc: dict) -> Lts:
     """Parse in the declared field, complete and axiom-check a JSON Lts document."""
     if not isinstance(doc, dict):
         raise MalformedInput("document", "expected a JSON object")
-    try:
-        dim = doc["dim"]
-    except KeyError:
-        raise MalformedInput("dim", "missing")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-        raise MalformedInput("dim", "must be a non-negative integer")
-    if dim > MAX_DIM:
-        raise MalformedInput("dim", f"must be at most {MAX_DIM}")
+    dim = _dimension(doc.get("dim"), 0)
     field = doc.get("field", "Q(i)")
     if field not in ("Q", "Q(i)"):
         raise MalformedInput("field", f"unknown field {field!r}")
@@ -620,22 +644,18 @@ def lts_from_dict(doc: dict) -> Lts:
     generators = []  # (triple, vector) pairs, so that complete_table sees a repeated triple
     for entry in products:
         try:
-            i, j, k = entry["args"]
             value = [(int(key), text) for key, text in entry["value"].items()]
         except (KeyError, TypeError, ValueError, AttributeError):
             raise MalformedInput("products", f"bad product entry {entry!r}")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
-            raise MalformedInput("products", f"args must be integers in {entry!r}")
+        args = _index(entry.get("args"), 3, dim, "products")
         if len({p for p, _ in value}) < len(value):  # "3" and "03" both name e3
             raise MalformedInput("products", f"a coordinate is named twice in {entry!r}")
         vec = [QI_ZERO] * dim
         for p, text in value:
             if not 1 <= p <= dim:
                 raise MalformedInput("products", f"target index {p} out of range")
-            if not isinstance(text, str):
-                raise MalformedInput("products", f"value for e{p} must be a string")
-            vec[p - 1] = x = parse_scalar(text)
+            vec[p - 1] = x = _scalar(text, "products", parse_scalar)
             if field == "Q" and not x.is_rational:
                 raise MalformedInput("field", f"value {text!r} needs i in a document over Q")
-        generators.append(((i, j, k), vec))
+        generators.append((args, vec))
     return complete_table(dim, generators)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .core import MAX_DIM, Lts, _conjugate_rows, _dense_tensor, _lie_action
+from .core import Lts, _conjugate_rows, _dense_tensor, _dimension, _index, _lie_action, _scalar
 from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis
 from .linalg import nullspace
 from .packed import _cleared_basis, _packed_transport
@@ -85,7 +85,8 @@ class ParametrizedBasis:
 
     @staticmethod
     def from_strings(rows):
-        return ParametrizedBasis([[parse_rational_function(s) for s in row] for row in rows])
+        return ParametrizedBasis([[_scalar(x, "basis", parse_rational_function) for x in row]
+                                  for row in rows])
 
     def to_strings(self):
         return [[rational_function_str(x) for x in row] for row in self.rows]
@@ -410,7 +411,7 @@ def borel_stability_evidence(separating: SeparatingSet, mode="symbolic") -> Evid
 
 def _family_to_t44_document(lam):
     """The family -> T4,4 witness document at a member lam outside the orbit of 1."""
-    lam = parse_scalar(lam) if isinstance(lam, str) else GaussianRational.of(lam)
+    lam = GaussianRational.of(lam)
     if lam in catalog.FAMILY_SPECIAL_LAMBDAS:
         raise MalformedInput("lambda", f"witness undefined at lambda = {scalar_str(lam)}")
     c1 = scalar_str(1 / (lam - 1))
@@ -690,23 +691,18 @@ def witness_from_dict(doc: dict) -> DegenerationWitness:
     if not (isinstance(basis, list) and len(basis) == dim
             and all(isinstance(row, list) and len(row) == dim for row in basis)):
         raise MalformedInput("basis", f"needs {dim} rows of {dim} entries for {source['name']}")
-    lam = source.get("lambda")
-    index_fn = source.get("index_fn")
-    if not isinstance(index_fn, (str, type(None))):
-        raise MalformedInput("index_fn", "must be an expression string in t")
-    tgt_lam = target.get("lambda")
     try:
-        parsed = ParametrizedBasis.from_strings(basis)
-    except (TypeError, ValueError) as exc:
+        basis = ParametrizedBasis.from_strings(basis)
+    except SingularBasis as exc:
         raise MalformedInput("basis", str(exc))
-    return DegenerationWitness(
-        source=source["name"],
-        target=target["name"],
-        basis=parsed,
-        source_lambda=None if lam is None else parse_scalar(str(lam)),
-        index_fn=None if index_fn is None else parse_rational_function(index_fn),
-        target_lambda=None if tgt_lam is None else parse_scalar(str(tgt_lam)),
-    )
+
+    def parameter(spec, key, parse):
+        return None if spec.get(key) is None else _scalar(spec[key], key, parse)
+
+    return DegenerationWitness(source["name"], target["name"], basis,
+                               parameter(source, "lambda", parse_scalar),
+                               parameter(source, "index_fn", parse_rational_function),
+                               parameter(target, "lambda", parse_scalar))
 
 
 def separating_set_to_dict(separating: SeparatingSet) -> dict:
@@ -723,26 +719,18 @@ def separating_set_from_dict(doc: dict) -> SeparatingSet:
         rels = doc["equal"]
     except (KeyError, TypeError):
         raise MalformedInput("separating set", "needs dim and equal relations")
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
-        raise MalformedInput("dim", f"must be an integer from 1 to {MAX_DIM}")
+    dim = _dimension(dim, 1)
     zero_otherwise = doc.get("zero_otherwise", True)
     if not isinstance(zero_otherwise, bool):
         raise MalformedInput("zero_otherwise", "must be true or false")
     if not isinstance(rels, (list, tuple)):
         raise MalformedInput("equal", "expected a list of relations")
 
-    def index(idx):
-        if not (isinstance(idx, (list, tuple)) and len(idx) == 4
-                and all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= dim
-                        for x in idx)):
-            raise ValueError(f"index {idx!r} is not four integers from 1 to {dim}")
-        return tuple(idx)
-
     relations = []
     for item in rels:
-        try:
-            a, b, f = item
-            relations.append((index(a), index(b), parse_scalar(str(f))))
-        except (TypeError, ValueError) as exc:
-            raise MalformedInput("equal", f"bad relation {item!r}: {exc}")
+        if not (isinstance(item, list) and len(item) == 3):
+            raise MalformedInput("equal", f"a relation is [index, index, factor], got {item!r}")
+        a, b, f = item
+        relations.append((_index(a, 4, dim, "equal"), _index(b, 4, dim, "equal"),
+                          _scalar(f, "equal", parse_scalar)))
     return SeparatingSet(dim, relations, zero_otherwise)

@@ -5,6 +5,10 @@ class LietripleError(Exception):
     pass
 
 
+class InputError(LietripleError):
+    """The input is malformed: the command line exits 2 on these kinds, and 1 on the rest."""
+
+
 class PoleAtZero(LietripleError):
     """The reduced denominator vanishes at t = 0."""
 
@@ -13,11 +17,11 @@ class PoleAtPoint(LietripleError):
     """The reduced denominator vanishes at the evaluation point."""
 
 
-class ParseError(LietripleError, ValueError):
+class ParseError(InputError, ValueError):
     pass
 
 
-class DimensionMismatch(LietripleError, ValueError):
+class DimensionMismatch(InputError, ValueError):
     pass
 
 
@@ -68,15 +72,15 @@ class ZeroVector(LietripleError, ValueError):
     pass
 
 
-class UnknownName(LietripleError, KeyError):
+class UnknownName(InputError, KeyError):
     pass
 
 
-class MissingParameter(LietripleError, ValueError):
+class MissingParameter(InputError, ValueError):
     pass
 
 
-class SingularParameter(LietripleError, ValueError):
+class SingularParameter(InputError, ValueError):
     pass
 
 
@@ -84,7 +88,7 @@ class NotNilpotent(LietripleError, ValueError):
     pass
 
 
-class DimensionUnsupported(LietripleError, ValueError):
+class DimensionUnsupported(InputError, ValueError):
     pass
 
 
@@ -104,7 +108,7 @@ class InconsistentGraph(LietripleError, ValueError):
     """A verified degeneration contradicts a necessary condition."""
 
 
-class MalformedInput(LietripleError, ValueError):
+class MalformedInput(InputError, ValueError):
     """A JSON document does not match the expected schema."""
 
     def __init__(self, field, message):

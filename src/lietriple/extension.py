@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotClosed, PreconditionViolated, ZeroVector
+from .errors import MalformedInput, NotClosed, PreconditionViolated, ZeroVector
 from .core import Lts, _first_slot_kernel
 from .cohomology import coboundary_space, extension_rows
 from .linalg import Subspace
@@ -44,10 +44,10 @@ class ExtensionSpec:
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(self.thetas))
         if not self.thetas:
-            raise ValueError("extension needs at least one cocycle component")
+            raise MalformedInput("thetas", "extension needs at least one cocycle component")
         for theta in self.thetas:
             if theta.ambient != self.base:
-                raise ValueError("cocycle ambient differs from the extension base")
+                raise MalformedInput("thetas", "cocycle ambient differs from the extension base")
         self.base.require_axioms()
         for pos, theta in enumerate(self.thetas, start=1):
             ok, witness = theta.check_closed()

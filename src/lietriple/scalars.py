@@ -961,6 +961,8 @@ class _Parser:
             if self.field is GaussianRational:
                 raise ParseError(f"expected a constant scalar, got {self.text!r}")
             return _VARIABLE
+        if tok is None:
+            raise ParseError(f"input ended where an operand was expected in {self.text!r}")
         raise ParseError(f"unexpected token {tok!r}")
 
 

@@ -264,7 +264,7 @@ def seeded_specs():
     """
     bases = [(name, catalog.instantiate(name))
              for name, entry in catalog.ENTRIES.items() if not entry.family]
-    bases += [(f"T4,6^{lam}", catalog.instantiate("T4,6", lam)) for lam in ("1", "2")]
+    bases += [(f"T4,6^{lam}", catalog.instantiate("T4,6", GaussianRational(lam))) for lam in (1, 2)]
     rng = ExactRandom(67)
     specs = []
     for label, base in bases:

@@ -14,12 +14,14 @@ from lietriple import degeneration as dg
 from lietriple.cli import build_parser, main
 from lietriple.cohomology import Cocycle, cocycle_space
 from lietriple.core import Lts, complete_table, lts_from_dict, lts_to_dict
-from lietriple.errors import MalformedInput
+from lietriple import errors
+from lietriple.errors import InputError, MalformedInput, NoMatch
 from lietriple.linalg import nullspace
 from lietriple.scalars import GaussianRational, RationalFunction
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 cohomology_module = importlib.import_module("lietriple.cohomology")
+cli_module = importlib.import_module("lietriple.cli")
 
 
 @pytest.fixture()
@@ -105,6 +107,61 @@ def test_check_runs_the_axiom_kernel_once(monkeypatch, capsys, case):
     assert len(runs) == 1
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "invalid-json"])
+def test_an_unreadable_or_invalid_file_is_one_error_line(tmp_path, capsys, case):
+    path = tmp_path / "input.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "invalid-json":
+        path.write_text("{not json")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    reason = "is not valid JSON" if case == "invalid-json" else "cannot read"
+    assert err.startswith("error: MalformedInput: file: ") and reason in err
+    assert err.count("\n") == 1
+
+
+def test_extend_refuses_a_cocycle_on_another_system(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"base": "T2,1", "thetas": [
+        {"system": "T3,1", "coeffs": [{"ijk": [1, 2, 1], "value": "1"}]}]}))
+    assert main(["extend", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: MalformedInput: system: cocycle system differs from the given ambient\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_degen_verify_reports_ends_of_different_dimensions(tmp_path, capsys, fmt):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"source": {"name": "T3,2"}, "target": {"name": "T4,1"},
+                                "basis": [["t", "0", "0"], ["0", "t", "0"], ["0", "0", "t"]]}))
+    assert main(["--format", fmt, "degen", "verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert out == "T3,2 -> T4,1: FAILED\n  dimension at (): 3 vs 4\n"
+    else:
+        assert json.loads(out) == {"ok": False, "problems": [
+            {"kind": "dimension", "indices": [], "detail": "3 vs 4"}]}
+
+
+def test_the_exit_2_kinds_are_the_input_errors(monkeypatch, capsys):
+    declared = {name for name, kind in vars(errors).items() if isinstance(kind, type)
+                and issubclass(kind, InputError) and kind is not InputError}
+    assert declared == {"MalformedInput", "ParseError", "UnknownName", "MissingParameter",
+                        "SingularParameter", "DimensionUnsupported", "DimensionMismatch"}
+
+    class NewInputKind(InputError):
+        pass
+
+    # a kind declared as an input error exits 2 without being listed anywhere else
+    for exc, code in ((NewInputKind("refused"), 2), (NoMatch("no entry"), 1)):
+        def fail(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli_module, "_cmd_catalog_list", fail)
+        assert main(["catalog", "list"]) == code
+        assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+
+
 def test_malformed_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{\"products\": []}")
@@ -154,6 +211,22 @@ def test_classify(t47_file, capsys):
     assert main(["classify", t47_file]) == 0
     out = capsys.readouterr().out
     assert "T4,7" in out and "certified" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_prints_its_note(tmp_path, capsys, fmt):
+    # a dense conjugate of T4,6^0: the family path at the singular pair, xi undefined
+    g = [[GaussianRational(int(i <= j <= i + 1)) for j in range(4)] for i in range(4)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(lts_to_dict(
+        catalog.instantiate("T4,6", GaussianRational(0)).change_basis(g))))
+    assert main(["--format", fmt, "classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert out == "T4,6 (lambda = 0) [fingerprint-only] - xi singular at this parameter\n"
+    else:
+        assert json.loads(out) == {"name": "T4,6", "lambda": "0", "confidence": "fingerprint-only",
+                                   "xi": None, "note": "xi singular at this parameter"}
 
 
 def test_extend(tmp_path, capsys):
@@ -390,7 +463,7 @@ def test_check_refuses_values_outside_the_field(tmp_path, capsys, text):
     path.write_text(json.dumps({"dim": 3, "field": "Q",
                                 "products": [{"args": [1, 2, 1], "value": {"3": text}}]}))
     assert main(["check", str(path)]) == 2
-    assert "ParseError" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: MalformedInput: products: ")
 
 
 def test_json_output_deterministic(t47_file, capsys):
@@ -451,7 +524,7 @@ def test_huge_power_rejected_at_once(tmp_path, capsys, value):
     start = time.monotonic()
     assert main(["check", str(path)]) == 2
     assert time.monotonic() - start < 1
-    assert "ParseError" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: MalformedInput: products: ")
 
 
 DEEP_SIGNS, DEEP_PARENS = "-" * 5000 + "1", "(" * 1000 + "1" + ")" * 1000
@@ -541,8 +614,10 @@ def test_an_empty_lambda_is_a_parse_error_on_both_commands(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(dg.separating_set_to_dict(dg.table3_separating_set(3))))
     for argv in (["catalog", "show", "T4,6"], ["degen", "nondegen", str(path), "--target", "T4,6"]):
-        assert main(argv + ["--lambda="]) == 2
-        assert capsys.readouterr().err.startswith("error: ParseError: ")
+        for value, text in (("", "''"), ("1+", "'1+'"), ("(2*", "'(2*'")):
+            assert main(argv + [f"--lambda={value}"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: ParseError: input ended where an operand was expected in {text}\n")
 
 
 @pytest.mark.parametrize("source,target,field", [
@@ -568,20 +643,20 @@ def test_degen_verify_refuses_an_end_at_load(tmp_path, capsys, monkeypatch, sour
 
 def _long_error_argv(tmp_path, case):
     path = tmp_path / "long.json"
-    if case == "extend-deep-cocycle":
+    if case == "extend-long-cocycle-value":
         path.write_text(json.dumps({"base": "T2,1", "thetas": [
-            {"coeffs": [{"ijk": [1, 2, 1], "value": DEEP_PARENS}]}]}))
-        return ["extend", str(path)], "MalformedInput: coeffs: ", "nested more than 100 deep"
+            {"coeffs": [{"ijk": [1, 2, 1], "value": "1" + "+x" * 3000}]}]}))
+        return ["extend", str(path)], "MalformedInput: coeffs: unexpected character 'x'", "+x+x'"
     if case == "degen-verify-long-name":
         path.write_text(json.dumps({"source": {"name": "T" * 5000}, "target": {"name": "T3,1"},
                                     "basis": [["t"]]}))
         return ["degen", "verify", str(path)], "MalformedInput: source: unknown system", "TTT'"
     path.write_text(json.dumps({"dim": 3, "products": [
         {"args": [1, 2, 1], "value": {"3": "1" + "+x" * 3000}}]}))
-    return ["check", str(path)], "ParseError: unexpected character 'x'", "+x+x'"
+    return ["check", str(path)], "MalformedInput: products: unexpected character 'x'", "+x+x'"
 
 
-@pytest.mark.parametrize("case", ["extend-deep-cocycle", "degen-verify-long-name",
+@pytest.mark.parametrize("case", ["extend-long-cocycle-value", "degen-verify-long-name",
                                   "check-long-value"])
 def test_a_long_error_keeps_its_head_and_tail_in_200_characters(tmp_path, capsys, case):
     argv, head, tail = _long_error_argv(tmp_path, case)
@@ -589,3 +664,76 @@ def test_a_long_error_keeps_its_head_and_tail_in_200_characters(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) <= 201
     assert err.startswith("error: " + head) and " ... " in err and err.endswith(tail + "\n")
+
+
+
+# One rule per document element: the same bad element gets the same answer from every reader
+# that takes it.  A case is (command, document, path to the element, bad value, field).
+_SYSTEM = {"dim": 3, "products": [{"args": [1, 2, 1], "value": {"3": "1"}}]}
+_SPEC = {"base": "T2,1", "thetas": [{"system": "T2,1",
+                                     "coeffs": [{"ijk": [1, 2, 1], "value": "1"}]}]}
+_SEPARATING = {"dim": 4, "equal": [[[1, 2, 1, 3], [2, 1, 1, 3], "-1"]]}
+_INDEXED = [  # readers of a scalar and an index tuple: the field, where each sits, the tuple
+    ("check", _SYSTEM, "products", ("products", 0, "value", "3"), ("products", 0, "args"),
+     [1, 2, 1], 3),
+    ("extend", _SPEC, "coeffs", ("thetas", 0, "coeffs", 0, "value"),
+     ("thetas", 0, "coeffs", 0, "ijk"), [1, 2, 1], 2),
+    ("degen nondegen", _SEPARATING, "equal", ("equal", 0, 2), ("equal", 0, 0), [1, 2, 1, 3], 4),
+]
+
+
+def _bad_element_cases():
+    for command, doc, field, scalar, index, good, dim in _INDEXED:
+        yield f"{command}-scalar-int", command, doc, scalar, 1, field
+        for label, bad in (("zero", 0), ("above-dim", dim + 1), ("bool", True)):
+            yield f"{command}-index-{label}", command, doc, index, [bad] + good[1:], field
+    for name, doc, path in (("source-lambda", dg.TABLE2_WITNESSES[-1], ("source", "lambda")),
+                            ("target-lambda", dg.TABLE2_WITNESSES[0], ("target", "lambda")),
+                            ("index_fn", dg.TABLE4_WITNESS, ("source", "index_fn"))):
+        yield f"degen verify-{name}-int", "degen verify", doc, path, 2, path[1]
+    for label, bad in (("int", 1), ("null", None), ("list", ["t"])):
+        yield f"degen verify-basis-{label}", "degen verify", dg.DIM3_WITNESS, ("basis", 0, 0), \
+            bad, "basis"
+    for command, doc, bads in (("check", _SYSTEM, (17, -1, True, "3", None)),
+                               ("degen nondegen", _SEPARATING, (0, 17, True, "4"))):
+        for bad in bads:
+            yield f"{command}-dim-{bad!r}", command, doc, ("dim",), bad, "dim"
+    for bad in ("T4,6", 5, "T9,9", [1]):
+        yield f"extend-base-{bad!r}", "extend", _SPEC, ("base",), bad, "base"
+        yield f"extend-system-{bad!r}", "extend", _SPEC, ("thetas", 0, "system"), bad, "system"
+
+
+_BAD_ELEMENT_CASES = list(_bad_element_cases())
+
+
+def _element_argv(command, path):
+    return command.split() + [str(path)] + (["--target", "T4,2"] if command == "degen nondegen"
+                                            else [])
+
+
+@pytest.mark.parametrize("command,doc,path,bad,field", [case[1:] for case in _BAD_ELEMENT_CASES],
+                         ids=[case[0] for case in _BAD_ELEMENT_CASES])
+def test_a_bad_element_is_malformed_input_naming_its_field(tmp_path, capsys, command, doc, path,
+                                                           bad, field):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert main(_element_argv(command, file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MalformedInput: {field}: ") and err.count("\n") == 1
+    assert "--lambda" not in err
+    assert not any(text in err for text in ("bytes-like", "unpack", "NoneType", "object of type"))
+
+
+def test_a_well_formed_reference_document_still_loads(tmp_path, capsys):
+    # the documents the bad-element cases start from are accepted as they are
+    for command, doc in (("check", _SYSTEM), ("extend", _SPEC), ("degen verify", dg.DIM3_WITNESS),
+                         ("degen nondegen", _SEPARATING)):
+        file = tmp_path / "good.json"
+        file.write_text(json.dumps(doc))
+        assert main(_element_argv(command, file)) in (0, 1)
+        assert capsys.readouterr().err == ""

@@ -22,6 +22,7 @@ from lietriple import degeneration as dg
 from lietriple.cli import main
 from lietriple.cohomology import cocycle_to_dict, cohomology
 from lietriple.core import lts_to_dict
+from lietriple.scalars import QI_I
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MAX_LINE = 200
@@ -31,7 +32,7 @@ CONTRACT = settings(max_examples=50, deadline=None, derandomize=True,
 
 SYSTEMS = [json.loads((GOLDEN / f"input_{name}.json").read_text()) for name in ("t4_8", "sl2")] + [
     lts_to_dict(catalog.instantiate("T3,2")),
-    lts_to_dict(catalog.instantiate("T4,6", "i")),
+    lts_to_dict(catalog.instantiate("T4,6", QI_I)),
 ]
 SPECS = [
     {"base": "T2,1", "thetas": [{"coeffs": [{"ijk": [1, 2, 1], "value": "1"}]}]},

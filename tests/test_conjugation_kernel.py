@@ -27,6 +27,7 @@ from lietriple.scalars import (
     Polynomial,
     RationalFunction,
     parse_rational_function,
+    parse_scalar,
     poly_gcd,
 )
 
@@ -105,7 +106,7 @@ MEMBERS = [(name, None) for name, entry in catalog.ENTRIES.items() if not entry.
 
 @pytest.mark.parametrize("name,lam", MEMBERS)
 def test_change_basis_agrees_on_catalog(name, lam):
-    system = catalog.instantiate(name, lam)
+    system = catalog.instantiate(name, None if lam is None else parse_scalar(lam))
     rng = ExactRandom(sum(map(ord, f"{name}{lam}")))
     for g in (rng.invertible(system.dim, height=3), rng.unimodularish(system.dim)):
         expected = reference_change_basis_tensor(system, g)

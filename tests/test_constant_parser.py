@@ -103,3 +103,12 @@ def test_document_values_of_dense_conjugates(name, lam):
     doc = lts_to_dict(system.change_basis(rng.invertible(system.dim, height=7)))
     for text in (text for entry in doc["products"] for text in entry["value"].values()):
         assert assert_agrees(text) is not ParseError
+
+
+@pytest.mark.parametrize("text", ["", " ", "1+", "(2*", "-", "2*(1+"])
+def test_an_input_that_ends_early_says_so(text):
+    # the parser ran out of tokens where an operand belongs
+    for parse in (parse_scalar, parse_rational_function):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"input ended where an operand was expected in {text!r}"

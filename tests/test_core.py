@@ -32,7 +32,6 @@ from lietriple.errors import (
     InconsistentTable,
     MalformedInput,
     NotALieAlgebra,
-    ParseError,
     SingularMatrix,
 )
 from lietriple.linalg import Subspace
@@ -454,10 +453,11 @@ class TestJsonRoundTrip:
         assert lts_from_dict(doc).product(1, 2, 1) == [0, 0, GaussianRational(0, 2)]
 
     @pytest.mark.parametrize("text", ["t/t", "0^-1", "(1-1)^-2"])
-    def test_values_outside_the_field_are_parse_errors(self, text):
+    def test_values_outside_the_field_are_malformed_products(self, text):
         doc = {"dim": 3, "products": [{"args": [1, 2, 1], "value": {"3": text}}]}
-        with pytest.raises(ParseError):
+        with pytest.raises(MalformedInput) as info:
             lts_from_dict(doc)
+        assert info.value.field == "products"
 
     @pytest.mark.parametrize("value", [{"3": "1", "03": "5"}, {"03": "5", "3": "1"},
                                        {"3": "1", " 3": "1"}])

@@ -291,6 +291,15 @@ class TestNecessaryConditions:
         assert not report.derived_ok
         assert report.certifies_non_degeneration
 
+    @pytest.mark.parametrize("source,target,text", [
+        ("T4,5", "T4,9", "derived subspace dimension increases"),
+        ("T4,9", "T4,3", "Z flattening rank increases"),
+        ("T4,2", "T4,1", "all necessary conditions hold (no obstruction found)"),
+    ])
+    def test_text_of_a_non_isomorphic_pair(self, source, target, text):
+        report = dg.necessary_conditions(catalog.instantiate(source), catalog.instantiate(target))
+        assert not report.isomorphic and str(report) == text
+
     def test_identical_pair_trivially_fine(self):
         system = catalog.instantiate("T4,4")
         report = dg.necessary_conditions(system, system)

@@ -137,3 +137,33 @@ def test_gaussian_integer_encoding_lives_in_scalars_and_packed():
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Attribute) and node.attr in ("_t", "bit_length")]
     assert found == []
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_document_elements_are_read_by_the_shared_helpers():
+    # a scalar is a JSON string: no reader turns a value into one with str() before parsing it,
+    # and the JSON-integer test (an int that is not a bool) is core._integer_in's alone
+    parsers = {"parse_scalar", "parse_rational_function", "_scalar"}
+    coerced, integer_tests = [], []
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) in parsers:
+                coerced += [f"{path.name}:{node.lineno}" for arg in node.args
+                            if isinstance(arg, ast.Call) and _called_name(arg) == "str"]
+            if isinstance(node, ast.BoolOp):
+                kinds = {name.id for call in ast.walk(node) if isinstance(call, ast.Call)
+                         and _called_name(call) == "isinstance" and len(call.args) == 2
+                         for name in ast.walk(call.args[1]) if isinstance(name, ast.Name)}
+                if {"int", "bool"} <= kinds:
+                    owner = min((f for f in functions
+                                 if f.lineno <= node.lineno <= f.end_lineno),
+                                key=lambda f: f.end_lineno - f.lineno, default=None)
+                    integer_tests.append(f"{path.name}:{getattr(owner, 'name', None)}")
+    assert coerced == []
+    assert integer_tests == ["core.py:_integer_in"]

@@ -8,7 +8,8 @@ from conftest import ExactRandom, T32_EXTENSIONS, basis_vector, t32_extension
 from lietriple import catalog, core
 from lietriple.cohomology import Cocycle, coboundary_of, cocycle_space
 from lietriple.core import Lts, lts_from_lie
-from lietriple.errors import AxiomViolation, NotClosed, PreconditionViolated, ZeroVector
+from lietriple.errors import (AxiomViolation, LietripleError, MalformedInput, NotClosed,
+                              PreconditionViolated, ZeroVector)
 from lietriple.extension import (
     ExtensionSpec,
     extend,
@@ -56,6 +57,11 @@ class TestExtend:
         base = Lts.from_rows(2, {(0, 1, 0): {0: 1}})  # no (A1) partner at (2, 1, 1)
         with pytest.raises(AxiomViolation):
             extend(ExtensionSpec(base, [Cocycle(base, {})]))
+
+    def test_a_spec_without_cocycles_is_malformed_input(self, t21):
+        with pytest.raises(MalformedInput, match="at least one cocycle") as info:
+            ExtensionSpec(t21, [])
+        assert info.value.field == "thetas" and isinstance(info.value, LietripleError)
 
     def test_spec_is_frozen(self, t21):
         # the spec is checked when it is made, so it cannot change afterwards

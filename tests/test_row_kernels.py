@@ -249,7 +249,8 @@ MEMBERS = [(name, None) for name, entry in catalog.ENTRIES.items() if not entry.
 
 def systems():
     """Every catalog entry, five family members, seeded dense conjugates and sl2."""
-    out = {f"{name}^{lam}" if lam else name: catalog.instantiate(name, lam)
+    out = {f"{name}^{lam}" if lam else name:
+           catalog.instantiate(name, None if lam is None else parse_scalar(lam))
            for name, lam in MEMBERS}
     out["sl2"] = lts_from_lie(sl2_bracket())
     for seed, name in enumerate(("T3,2", "T4,5", "T4,6^1", "T4,8", "T4,9", "sl2")):
@@ -287,7 +288,8 @@ def test_nilpotency_agrees(name):
 @pytest.mark.parametrize("name,lam", MEMBERS)
 def test_completion_agrees_on_catalog_generators(name, lam):
     entry = catalog.ENTRIES[name]
-    generators = entry.generators(None if lam is None else parse_scalar(lam))
+    lam = None if lam is None else parse_scalar(lam)
+    generators = entry.generators(lam)
     got = unchecked_completion(entry.dim, generators)
     assert got == reference_completion(entry.dim, generators) == catalog.instantiate(name, lam)
 

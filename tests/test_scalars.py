@@ -221,8 +221,8 @@ class TestParsingPrinting:
     @pytest.mark.parametrize("parse", [parse_scalar, parse_rational_function])
     @pytest.mark.parametrize("text,message", [
         ("2^--1", "exponent must be an integer"),
-        ("-", "unexpected token None"),
-        ("-" * 10000, "unexpected token None"),
+        ("-", "input ended where an operand was expected in '-'"),
+        ("-" * 10000, "input ended where an operand was expected in '---"),
         ("(" * (scalars._MAX_NESTING + 1) + "1" + ")" * (scalars._MAX_NESTING + 1),
          f"parentheses nested more than {scalars._MAX_NESTING} deep"),
         ("-(" * 1000 + "1" + ")" * 1000, f"nested more than {scalars._MAX_NESTING} deep"),
