@@ -237,23 +237,25 @@ class Lts:
     @_memo
     def nilpotency(self) -> NilpotencyReport:
         """Series T^(0) = T, T^(m+1) = [T^(m), T, T] until zero or stabilization."""
-        n = self.dim
-        current = Subspace(n, identity_matrix(n, field_of(self._zero)))
+        n, zero = self.dim, self._zero
+        current = Subspace(n, identity_matrix(n, field_of(zero)))
         series = [current]
+        # T^(1) = [T, T, T] is spanned by the rows themselves
+        vectors = [[row.get(p, zero) for p in range(n)] for row in self._rows.values()]
         while current.dim > 0:
+            nxt = Subspace(n, vectors)
+            if nxt.dim == current.dim:  # stabilized above zero
+                break
+            current = nxt
+            series.append(current)
             vectors = []
             for v in current.basis:
                 cells = {}  # (j, k) -> [v, e_j, e_k] = sum_i v_i row(i, j, k)
                 for (i, j, k), row in self._rows.items():
                     if v[i]:
                         _add_row(cells, (j, k), row, v[i])
-                vectors.extend([cell.get(p, self._zero) for p in range(n)]
+                vectors.extend([cell.get(p, zero) for p in range(n)]
                                for cell in cells.values() if any(cell.values()))
-            nxt = Subspace(n, vectors)
-            if nxt.dim == current.dim:  # stabilized above zero
-                break
-            current = nxt
-            series.append(current)
         nilpotent = current.dim == 0
         return NilpotencyReport(nilpotent, len(series) - 1 if nilpotent else None,
                                 tuple(series))
@@ -290,13 +292,18 @@ class Lts:
         Each is GL-invariant with Zariski-closed sublevel sets, so it can only
         drop under degeneration (Burde-Steinhoff, J. Algebra 214, 1999;
         Grunewald-O'Halloran, J. Algebra 112, 1988).  Only nonzero columns are
-        built; the kernel of X is Ann(T), so X = dim - dim Ann.
+        built; the kernel of X is Ann(T), so X = dim - dim Ann.  On rows that
+        satisfy (A1), row (j, i) of L is minus row (i, j), column (j, i, p) of
+        Z is minus column (i, j, p), and nothing sits at i = j: only i < j is read.
         """
+        mirrored = _satisfies_a1(self._rows)
         ranks = []
         # positions in (i, j, k, p) of the row and of the column index of L and Z
         for row_at, column_at in (((0, 1), (2, 3)), ((2,), (0, 1, 3))):
             table = {}
             for *idx, val in self.nonzero_entries():
+                if mirrored and idx[0] >= idx[1]:
+                    continue
                 table.setdefault(tuple(idx[a] for a in row_at), {})[
                     tuple(idx[a] for a in column_at)] = val
             ranks.append(rank(table.values()))

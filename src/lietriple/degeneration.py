@@ -4,7 +4,13 @@ A degeneration witness transports the source structure constants into a
 t-dependent basis E_i(t) = sum_j A[i][j](t) e_j over Q(i)(t) and checks that
 every transported constant has a finite limit at t = 0 equal to the target
 constant.  Family witnesses first substitute a parametrized index f(t) for the
-family parameter.  Witnesses have one form, the document that
+family parameter.  Verification takes one of two paths.  When
+A(t) = diag(t^u) g0 diag(t^v), a contraction along a one-parameter subgroup
+composed with a constant basis change, and the source's constants lie in Q(i)
+(no parametrized index), they are split by v-weight, conjugated by g0 and
+read as Laurent polynomials with integer exponents; the basis's Z[i][t] form
+is then never built.  Any other witness, and ``transport_constants``,
+transport over Z[i][t].  Witnesses have one form, the document that
 ``witness_from_dict`` reads; the built-in tables are such documents, and a
 witness's label is read off its endpoints.
 
@@ -20,20 +26,23 @@ and the verified built-in witnesses, and reports its maximal nodes.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
 from .core import Lts, _conjugate_rows, _dense_tensor, _dimension, _index, _lie_action, _scalar
-from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis
-from .linalg import nullspace
+from .errors import InconsistentGraph, MalformedInput, PoleAtZero, SingularBasis, SingularMatrix
+from .linalg import mat_inverse, nullspace
 from .packed import _cleared_basis, _packed_transport
 from .scalars import (
     GaussianRational,
+    Polynomial,
     QI_ONE,
     QI_ZERO,
     RationalFunction,
+    field_of,
     parse_rational_function,
     parse_scalar,
     rational_function_str,
@@ -65,9 +74,12 @@ __all__ = [
 class ParametrizedBasis:
     """Square matrix A(t) over Q(i)(t); row i holds the coordinates of E_i(t).
 
-    Transport reads its cleared form over Z[i][t]: row i of A is f_i M_i, and
-    g = (A^T)^{-1} = diag(1/f) adj(M^T) / det M comes from a fraction-free
-    elimination (``packed._cleared_basis``); no inverse over Q(i)(t) is built.
+    When A = diag(t^u) g0 diag(t^v), with g0 constant and u, v integer vectors
+    (``_cartan_form``), the basis keeps (u, g0^T, (g0^T)^{-1}, v) and its
+    Z[i][t] form is built only when transport reads it.  Transport reads its
+    cleared form: row i of A is f_i M_i, and g = (A^T)^{-1} =
+    diag(1/f) adj(M^T) / det M comes from a fraction-free elimination
+    (``packed._cleared_basis``); no inverse over Q(i)(t) is built.
     """
 
     def __init__(self, rows):
@@ -75,9 +87,14 @@ class ParametrizedBasis:
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise MalformedInput("basis", "parametrized basis must be square")
-        self._cleared = _cleared_basis(self.rows)
-        if self._cleared is None:
+        self._form = _cartan_form(self.rows)
+        # g0 of a Cartan form decides singularity; otherwise the Z[i][t] form does
+        if (self._cleared if self._form is None else self._form[2]) is None:
             raise SingularBasis("parametrized basis is singular over Q(i)(t)")
+
+    @functools.cached_property
+    def _cleared(self):
+        return _cleared_basis(self.rows)
 
     @property
     def dim(self):
@@ -117,6 +134,99 @@ class DegenerationWitness:
         return catalog.instantiate(self.target, self.target_lambda)
 
 
+def _cartan_form(rows):
+    """(u, h, g, v) with A = diag(t^u) g0 diag(t^v), h = g0^T and g = h^{-1}
+    (None when g0 is singular), or None when A has no such form.
+
+    It exists when every nonzero entry is a Laurent monomial c t^e and
+    u_i + v_j = e_ij holds on the support; one propagation over the support
+    decides that, with u_i = 0 at the first row of each connected part.
+    """
+    n = len(rows)
+    h = [[QI_ZERO] * n for _ in range(n)]
+    edges = [[] for _ in range(2 * n)]  # row i is node i, column j node n + j
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                num, den = x.num.coeffs, x.den.coeffs
+                if any(num[:-1]) or any(den[:-1]):
+                    return None
+                h[j][i] = num[-1]
+                edges[i].append((n + j, len(num) - len(den)))
+                edges[n + j].append((i, len(num) - len(den)))
+    weight = [None] * (2 * n)
+    for start in range(2 * n):
+        if weight[start] is None:
+            weight[start], stack = 0, [start]
+            while stack:
+                a = stack.pop()
+                for b, e in edges[a]:
+                    if weight[b] is None:
+                        weight[b] = e - weight[a]
+                        stack.append(b)
+                    elif weight[b] != e - weight[a]:
+                        return None
+    try:
+        return weight[:n], h, mat_inverse(h), weight[n:]
+    except SingularMatrix:
+        return weight[:n], h, None, weight[n:]
+
+
+def _laurent_limits(system: Lts, basis: ParametrizedBasis):
+    """Limits at t = 0 of the nonzero constants of the product in a basis of
+    Cartan form, computed over Q(i) with integer exponents.
+
+    With A^T = diag(t^v) h diag(t^u), h = g0^T and g = h^{-1}, the constant
+    c_abc^q enters c'_ijk^p at the exponent w + u_i + u_j + u_k - u_p, where
+    w = v_a + v_b + v_c - v_q is its v-weight.  Each weight component is
+    conjugated once by (h, g) (``_conjugate_rows``), which sums every term of a
+    constant at one exponent; the components give a constant distinct
+    exponents, so its Laurent polynomial is read off before anything is
+    decided.  Returns {(i, j, k): {p: limit}}, the limit a Q(i) value, or the
+    constant's text at a pole.
+    """
+    u, h, g, v = basis._form
+    _require_dim(system, basis)
+    components = {}  # v-weight -> rows
+    for (a, b, c), row in system.rows().items():
+        weight = v[a] + v[b] + v[c]
+        for q, val in row.items():
+            components.setdefault(weight - v[q], {}).setdefault((a, b, c), {})[q] = val
+    laurent = {}  # (i, j, k) -> {p: {exponent: nonzero coefficient}}
+    for weight, rows in components.items():
+        for (i, j, k), row in _conjugate_rows(rows, h, g).items():
+            cells, shift = laurent.setdefault((i, j, k), {}), weight + u[i] + u[j] + u[k]
+            for p, val in row.items():
+                cells.setdefault(p, {})[shift - u[p]] = val
+    limits = {}
+    for key, cells in laurent.items():
+        limits[key] = out = {}
+        for p, terms in cells.items():
+            low = min(terms)
+            out[p] = terms.get(0, QI_ZERO) if low >= 0 else rational_function_str(RationalFunction(
+                Polynomial([terms.get(e, QI_ZERO) for e in range(low, max(terms) + 1)]),
+                Polynomial([QI_ZERO] * -low + [QI_ONE])))
+    return limits
+
+
+def _function_limits(system: Lts, basis: ParametrizedBasis):
+    """The limits of ``_laurent_limits``, read off the transported rational functions."""
+    limits = {}
+    for key, row in _transported_rows(system, basis).items():
+        cells = limits[key] = {}
+        for p, value in row.items():
+            try:
+                cells[p] = value.limit_at_zero()
+            except PoleAtZero:
+                cells[p] = rational_function_str(value)
+    return limits
+
+
+def _require_dim(system: Lts, basis: ParametrizedBasis):
+    if basis.dim != system.dim:
+        raise MalformedInput("basis", "basis dimension differs from the system")
+
+
 def _transported_rows(system: Lts, basis: ParametrizedBasis):
     """Nonzero rows of the product in the parametrized basis, over Q(i)(t).
 
@@ -125,8 +235,7 @@ def _transported_rows(system: Lts, basis: ParametrizedBasis):
     h[a][i] h[b][j] h[c][k] g[p][q] c_abc^q over (a, b, c, q), h = A^T, and
     ``_conjugate_rows`` computes it on the operands ``_packed_transport`` packs.
     """
-    if basis.dim != system.dim:
-        raise MalformedInput("basis", "basis dimension differs from the system")
+    _require_dim(system, basis)
     rows = system.rows()
     if not rows:
         return {}
@@ -156,7 +265,12 @@ class DegenerationReport:
 
 
 def verify_degeneration(witness: DegenerationWitness) -> DegenerationReport:
-    """Check finite limits at t = 0 and exact match with the target constants."""
+    """Check finite limits at t = 0 and exact match with the target constants.
+
+    A basis of Cartan form over a source with constants in Q(i), so without
+    ``index_fn``, is checked over Q(i) (``_laurent_limits``); any other runs
+    transport over Z[i][t].
+    """
     start = time.monotonic()
     source = witness.source_system()
     target = witness.target_system()
@@ -164,20 +278,18 @@ def verify_degeneration(witness: DegenerationWitness) -> DegenerationReport:
     if source.dim != target.dim:
         problems.append(("dimension", (), f"{source.dim} vs {target.dim}"))
         return DegenerationReport(False, witness, problems, time.monotonic() - start)
-    moved = _transported_rows(source, witness.basis)
+    # the Cartan path reads constants over Q(i); index_fn, or a lambda in Q(i)(t), gives others
+    cartan = witness.basis._form is not None and field_of(source._zero) is GaussianRational
+    moved = (_laurent_limits if cartan else _function_limits)(source, witness.basis)
     expected_rows = target.rows()
-    zero = RationalFunction.zero
     for key in sorted(moved.keys() | expected_rows.keys()):  # elsewhere both sides vanish
         row, expected_row = moved.get(key, {}), expected_rows.get(key, {})
         for p in sorted(row.keys() | expected_row.keys()):
-            value, expected = row.get(p, zero), expected_row.get(p, QI_ZERO)
+            lim, expected = row.get(p, QI_ZERO), expected_row.get(p, QI_ZERO)
             idx = tuple(x + 1 for x in key + (p,))
-            try:
-                lim = value.limit_at_zero()
-            except PoleAtZero:
-                problems.append(("pole", idx, rational_function_str(value)))
-                continue
-            if lim != expected:
+            if isinstance(lim, str):
+                problems.append(("pole", idx, lim))
+            elif lim != expected:
                 problems.append(("mismatch", idx,
                                  f"limit {scalar_str(lim)} != {scalar_str(expected)}"))
     return DegenerationReport(not problems, witness, problems, time.monotonic() - start)

@@ -12,12 +12,14 @@ the tests run on; no verdict of the library rests on it.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from lietriple import catalog
+from lietriple import degeneration as dg
 from lietriple.cohomology import CochainSpace, Cocycle, _theta_rows, cocycle_space
 from lietriple.core import _conjugate_rows, _first_slot_kernel
 from lietriple.extension import ExtensionSpec
@@ -145,6 +147,14 @@ def reference_transported_rows(system, basis):
               for key, row in system.rows().items()}
     transposed = [list(column) for column in zip(*basis.rows)]
     return _conjugate_rows(lifted, transposed, mat_inverse(transposed))
+
+
+def general_path_witness(witness):
+    """A copy of ``witness`` whose basis records no Cartan form, so that
+    ``verify_degeneration`` checks it by transport over Z[i][t]."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dg, "_cartan_form", lambda rows: None)
+        return dataclasses.replace(witness, basis=dg.ParametrizedBasis(witness.basis.rows))
 
 
 def span_coordinates(system, cochains):

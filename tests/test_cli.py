@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -296,6 +297,19 @@ def test_degen_graph_matches_golden_output(capsys, fmt, dim):
     golden = GOLDEN / f"degen_graph_dim{dim}.{'txt' if fmt == 'text' else 'json'}"
     assert main(["--format", fmt, "degen", "graph", "--dim", str(dim)]) == 0
     assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name,code", [("verified", 0), ("cartan_pole", 1), ("general_pole", 1)])
+def test_degen_verify_matches_golden_output(capsys, fmt, name, code):
+    # witness_verified.json is Table 2's row 11; witness_cartan_pole.json is of
+    # the form diag(t^u) g0 diag(t^v), with a pole summed over two v-weights;
+    # witness_general_pole.json has the entry 1+t, outside that form.  The
+    # elapsed time of a verified witness is masked.
+    golden = GOLDEN / f"degen_verify_{name}.{'txt' if fmt == 'text' else 'json'}"
+    assert main(["--format", fmt, "degen", "verify", str(GOLDEN / f"witness_{name}.json")]) == code
+    out = re.sub(r"\(\d+\.\d{3}s\)", "(elapsed)", capsys.readouterr().out)
+    assert out == golden.read_text()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -20,6 +20,7 @@ from lietriple.cohomology import Cocycle, coboundary_space, cocycle_space
 from lietriple.core import (
     MAX_DIM,
     Lts,
+    _satisfies_a1,
     complete_table,
     direct_sum,
     lts_from_dict,
@@ -34,7 +35,7 @@ from lietriple.errors import (
     NotALieAlgebra,
     SingularMatrix,
 )
-from lietriple.linalg import Subspace
+from lietriple.linalg import Subspace, rank
 from lietriple.scalars import GaussianRational, QI_ZERO, RationalFunction
 
 
@@ -395,6 +396,37 @@ class TestFingerprint:
         system = catalog.instantiate("T4,9")
         moved = system.change_basis(rng.unimodularish(4))
         assert moved.fingerprint() == system.fingerprint()
+
+
+class TestFlatteningRanks:
+    @staticmethod
+    def full_ranks(system):
+        """(L, X, Z) from the full tables, every (i, j) and every (i, j, p) read."""
+        tables = ({}, {}, {})
+        for i, j, k, p, val in system.nonzero_entries():
+            tables[0].setdefault((i, j), {})[(k, p)] = val
+            tables[1].setdefault(i, {})[(j, k, p)] = val
+            tables[2].setdefault(k, {})[(i, j, p)] = val
+        return tuple(rank(table.values()) for table in tables)
+
+    @pytest.mark.parametrize("rows", [
+        {(0, 1, 0): {2: 1}},                                  # no mirror row
+        {(0, 1, 0): {2: 1}, (1, 0, 0): {2: 1}},               # a mirror of the wrong sign
+        {(0, 0, 1): {2: 1}, (1, 2, 0): {0: 1}, (2, 1, 0): {0: -1}},  # a row at i = j
+        {(0, 1, 2): {0: 1}, (1, 0, 2): {0: -1}, (1, 0, 1): {2: 1}},  # a mirror missing
+    ])
+    def test_rows_that_break_a1_have_the_ranks_of_the_full_tables(self, rows):
+        system = Lts.from_rows(3, rows)
+        assert not _satisfies_a1(system.rows())
+        assert system.flattening_ranks() == self.full_ranks(system)
+
+    @pytest.mark.parametrize("name,lam", [(name, None) for name, entry in catalog.ENTRIES.items()
+                                          if not entry.family] + [("T4,6", 2)])
+    def test_catalog_systems_have_the_ranks_of_the_full_tables(self, name, lam):
+        system = catalog.instantiate(name, lam)
+        moved = system.change_basis(ExactRandom(7).unimodularish(system.dim))
+        for s in (system, moved):
+            assert s.flattening_ranks() == self.full_ranks(s)
 
 
 class TestMemo:

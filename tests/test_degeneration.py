@@ -98,14 +98,32 @@ class TestVerifyDegeneration:
         assert any(kind == "pole" for kind, _, _ in report.problems)
 
 
-    def test_only_poles_are_reported_as_poles(self, monkeypatch):
+    def test_only_poles_are_reported_as_poles_on_the_general_path(self, monkeypatch):
         # a fault in the transport must surface, not read as a pole verdict
         def broken(system, basis):
             return {(0, 1, 0): {2: object()}}
 
         monkeypatch.setattr(dg, "_transported_rows", broken)
+        doc = dict(dg.DIM3_WITNESS, basis=[["1+t", "0", "0"], ["0", "t", "0"], ["0", "0", "t"]])
         with pytest.raises(AttributeError):
-            dg.verify_degeneration(dg.witness_from_dict(dg.DIM3_WITNESS))
+            dg.verify_degeneration(dg.witness_from_dict(doc))
+
+    def test_only_poles_are_reported_as_poles_on_the_cartan_path(self, monkeypatch):
+        # every constant the conjugation returns is broken, at exponents 0
+        # (the target's constants) and below: the fault surfaces at each
+        conjugate = dg._conjugate_rows
+
+        def broken(rows, h, g):
+            return {key: {p: object() for p in row} for key, row in conjugate(rows, h, g).items()}
+
+        monkeypatch.setattr(dg, "_conjugate_rows", broken)
+        for basis in ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                      [["1/t", "0", "0"], ["0", "1/t", "0"], ["0", "0", "1/t"]]):
+            witness = dg.witness_from_dict(dict(dg.DIM3_WITNESS, target={"name": "T3,2"},
+                                                basis=basis))
+            assert witness.basis._form is not None
+            with pytest.raises(TypeError):
+                dg.verify_degeneration(witness)
 
 
 BUILTIN_DOCUMENTS = dg.TABLE2_WITNESSES + [dg.TABLE4_WITNESS, dg.DIM3_WITNESS]
