@@ -5,7 +5,9 @@ a Gaussian rational (a + b*i)/d is a reduced triple of Python integers;
 rational functions are reduced fractions of univariate polynomials over the
 Gaussian rationals with a monic denominator.  Canonical forms are restored
 eagerly after every operation, so equality is plain component comparison and
-limits at t = 0 can be read off the reduced denominator.
+limits at t = 0 can be read off the reduced denominator.  ``parse_scalar``
+and ``parse_rational_function`` share one memo of the last 1024 distinct
+strings read, keyed by field; a refused string is not stored.
 """
 
 from __future__ import annotations
@@ -966,11 +968,29 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
+_parsed: dict = {}  # (text, field) -> value, in the order the texts were first read
+_MAX_PARSED = 1024  # every distinct string a process reads would otherwise stay held
+
+
+def _read(text: str, field):
+    """The value of text in field, parsed once while it stays among the last _MAX_PARSED
+    texts read.  A refused text is not stored, so it is refused the same way on every
+    read; a value is immutable, so every reader can share it."""
+    key = (text, field)
+    value = _parsed.get(key)
+    if value is None:
+        value = field.of(_Parser(text, field).parse())
+        if len(_parsed) >= _MAX_PARSED:  # the first read goes first
+            del _parsed[next(iter(_parsed))]
+        _parsed[key] = value
+    return value
+
+
 def parse_rational_function(text: str) -> RationalFunction:
     """An element of Q(i)(t) written in the variable t and the unit i."""
-    return RationalFunction.of(_Parser(text, RationalFunction).parse())
+    return _read(text, RationalFunction)
 
 
 def parse_scalar(text: str) -> GaussianRational:
     """An element of Q(i), parsed without leaving Q(i); the variable t is refused."""
-    return _Parser(text, GaussianRational).parse()
+    return _read(text, GaussianRational)

@@ -167,3 +167,24 @@ def test_document_elements_are_read_by_the_shared_helpers():
                     integer_tests.append(f"{path.name}:{getattr(owner, 'name', None)}")
     assert coerced == []
     assert integer_tests == ["core.py:_integer_in"]
+
+
+def test_scalar_texts_are_parsed_only_through_the_memo():
+    # scalars._read alone builds a scalars._Parser, so every reader of a scalar string
+    # shares its memo; cli._Parser is an argparse class of the same name
+    found = []
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "scalars.py":
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+                          "scalars") and "_Parser" in [alias.name for alias in node.names]
+                      or isinstance(node, ast.Attribute) and node.attr == "_Parser"]
+            continue
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        found += [f"{path.name}:" + min((f for f in functions
+                                         if f.lineno <= node.lineno <= f.end_lineno),
+                                        key=lambda f: f.end_lineno - f.lineno).name
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "_Parser"]
+    assert found == ["scalars.py:_read"]

@@ -26,6 +26,7 @@ from lietriple.scalars import (
     rational_function_str,
     scalar_str,
 )
+from test_rational_parser import expressions
 
 T = RationalFunction.variable()
 BIG = Fraction(2 ** 70 + 1, 3 ** 30)  # the large-height family parameter
@@ -238,6 +239,62 @@ class TestParsingPrinting:
         with pytest.raises(ParseError, match="division by zero"):
             parse_rational_function("(t-t)^-1")
         assert parse_rational_function("(t-t)^0") == 1
+
+
+NESTED_101 = "(" * 101 + "1" + ")" * 101
+
+
+class TestParseMemo:
+    """parse_scalar and parse_rational_function share one bounded memo keyed by field."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(scalars, "_parsed", {})
+
+    @pytest.mark.parametrize("parse,text", [(parse_scalar, "1/2+i"),
+                                            (parse_rational_function, "1/(2*t)")])
+    def test_a_second_read_returns_the_same_value(self, parse, text):
+        assert parse(text) is parse(text)
+
+    def test_the_field_is_part_of_the_key(self):
+        assert parse_rational_function("t") == T
+        with pytest.raises(ParseError, match="expected a constant scalar"):
+            parse_scalar("t")
+        assert type(parse_rational_function("2")) is RationalFunction
+        assert type(parse_scalar("2")) is GaussianRational
+
+    @pytest.mark.parametrize("parse,text", [
+        (parse_scalar, "1/0"), (parse_rational_function, "1/0"),
+        (parse_scalar, NESTED_101), (parse_rational_function, NESTED_101), (parse_scalar, "t"),
+    ])
+    def test_a_refused_text_is_refused_again_and_not_stored(self, parse, text):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert scalars._parsed == {}
+
+    def test_the_first_read_goes_first(self):
+        texts = [f"{k}/7" for k in range(scalars._MAX_PARSED + 10)]
+        values = [parse_scalar(text) for text in texts]
+        assert list(scalars._parsed) == [(text, GaussianRational) for text in texts[10:]]
+        assert [parse_scalar(text) for text in texts[:10]] == values[:10]
+        assert len(scalars._parsed) == scalars._MAX_PARSED
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_generated_expressions_read_twice_give_their_value(pair):
+    text, value = pair
+    for _ in range(2):
+        try:
+            parsed = parse_rational_function(text)
+        except ParseError as error:
+            assert value is None or "division by zero" not in str(error), text
+            continue
+        assert parsed == value, text
 
 
 def square_roots(z):
