@@ -22,6 +22,8 @@ order.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     DimensionMismatch,
     MalformedInput,
@@ -156,10 +158,22 @@ class CochainSpace:
 
     def __init__(self, ambient: Lts, vectors):
         self.ambient = ambient
-        idx = delta_indices(ambient.dim)
-        self._space = Subspace(len(idx), vectors)
+        self._space = Subspace(len(delta_indices(ambient.dim)), vectors)
         self.coordinates = self._space.basis
-        self.basis = [Cocycle(ambient, dict(zip(idx, row))) for row in self.coordinates]
+
+    @classmethod
+    def _canonical(cls, ambient: Lts, rows):
+        """The span of rows already in canonical reduced echelon form, taken as they are."""
+        space = cls.__new__(cls)
+        space.ambient, space.coordinates = ambient, rows
+        space._space = Subspace._echelon(len(delta_indices(ambient.dim)), rows)
+        return space
+
+    @cached_property
+    def basis(self):
+        """The basis rows as Cocycle objects, built when first read."""
+        idx = delta_indices(self.ambient.dim)
+        return [Cocycle(self.ambient, dict(zip(idx, row))) for row in self.coordinates]
 
     @property
     def dim(self):
@@ -185,7 +199,7 @@ def cocycle_space(system: Lts) -> CochainSpace:
     units = [Cocycle(system, {t: 1}) for t in idx]
     equations = [{q - n: x for q, x in cell.items() if q >= n and x}
                  for _, _, cell in _axiom_residuals(extension_rows(system, units))]
-    return CochainSpace(system, nullspace(equations, len(idx)))
+    return CochainSpace._canonical(system, nullspace(equations, len(idx)))
 
 
 def coboundary_of(system: Lts, functional) -> Cocycle:

@@ -349,7 +349,7 @@ def _first_slot_kernel(n, rows):
     for (i, j, k), row in rows.items():
         for p, val in row.items():
             columns.setdefault((j, k, p), {})[i] = val
-    return Subspace(n, nullspace(columns.values(), n))
+    return Subspace._echelon(n, nullspace(columns.values(), n))
 
 
 def _add_row(cells, key, row, factor):

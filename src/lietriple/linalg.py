@@ -1,20 +1,22 @@
 """Exact linear algebra, generic over any of the scalar fields.
 
-Equations are sparse rows {column: value}, as their callers build them;
-``nullspace`` and ``rank`` make dense only the rows they eliminate.  ``rref``,
-``Subspace`` and ``mat_inverse`` take lists of lists, for small dense matrices.
-The routines only assume field elements that support +, -, *, / and
-comparison with 0/1, so the same code runs over Q(i), Q(i)(t), and anything
-with the same operator surface.
+Equations are sparse rows {column: value}, as their callers build them.
+``nullspace`` eliminates them sparse, Gauss-Jordan with each row pivoting on
+its highest column, and reads its canonical basis off the pivot rows; no row
+is made dense.  ``rank`` makes dense only the rows it eliminates, and
+``rref``, ``Subspace`` and ``mat_inverse`` take lists of lists, for small
+dense matrices.  The routines only assume field elements that support +, -,
+*, / and comparison with 0/1, so the same code runs over Q(i), Q(i)(t), and
+anything with the same operator surface.
 
 ``nullspace`` over Q(i) is modular-first.  Rows are mapped to F_p with
 p = 998244353, which is 1 mod 4, so i maps to iota = 3^((p-1)/4), a square
-root of -1 there.  Rows independent mod p are independent over Q(i), since a
-nonzero minor mod p is a nonzero minor; the exact kernel is taken of those
-rows only and then checked exactly, in Z[i], against every other row.  An
-unlucky prime can only lower the rank seen mod p: a check then fails and the
-full exact elimination decides.  Arithmetic mod p chooses rows; it never
-decides an answer.
+root of -1 there; the same sparse elimination mod p picks the rows.  Rows
+independent mod p are independent over Q(i), since a nonzero minor mod p is
+a nonzero minor; the exact kernel is taken of those rows only and then
+checked exactly, in Z[i], against every other row.  An unlucky prime can only
+lower the rank seen mod p: a check then fails and the full exact elimination
+decides.  Arithmetic mod p chooses rows; it never decides an answer.
 """
 
 from __future__ import annotations
@@ -72,47 +74,41 @@ def rref(rows):
 
 def rank(rows) -> int:
     """Rank of sparse rows {column: value}; the columns are any sortable keys."""
-    rows = _dedupe_nonzero(rows)
+    rows = list({frozenset(row.items()): row for row in _nonzero(rows)}.values())
     columns = sorted({c for row in rows for c in row})
     return len(rref([[row.get(c, 0) for c in columns] for row in rows])[1])
 
 
-def _dedupe_nonzero(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        if not all(row.values()):
-            row = {c: x for c, x in row.items() if x}
-        key = frozenset(row.items())
-        if row and key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
+def _nonzero(rows):
+    """The sparse rows without their zero entries; rows left empty are dropped."""
+    rows = (row if all(row.values()) else {c: x for c, x in row.items() if x} for row in rows)
+    return [row for row in rows if row]
 
 
 def nullspace(rows, ncols):
     """Canonical dense basis of {x : row . x = 0} for sparse rows {column: value}.
 
-    Columns are 0 .. ncols - 1.  When every entry is a GaussianRational, the
-    exact kernel is taken of the rows independent mod p (at most ``ncols`` of
-    them) and each basis vector is checked in Z[i] against every row left out;
-    a failed check (an unlucky prime) or a denominator divisible by p falls
-    back to the elimination of all rows.  The kernel is the same either way,
-    and the final ``rref`` makes its basis canonical.  The basis lies in
-    Q(i)(t) when an entry is a RationalFunction, in Q(i) otherwise.
+    Columns are 0 .. ncols - 1.  The vector ``_kernel`` reads off a free
+    column f has its leading 1 at f and its other entries at pivot columns
+    above f, so the basis is canonical as read.  When every entry is a
+    GaussianRational, the exact kernel is taken of the rows independent mod p
+    (at most ``ncols`` of them) and each basis vector is checked in Z[i]
+    against every row left out; a failed check (an unlucky prime) or a
+    denominator divisible by p falls back to the elimination of all rows.  The
+    basis lies in Q(i)(t) when an entry is a RationalFunction, in Q(i) otherwise.
     """
-    rows = _dedupe_nonzero(rows)
+    rows = _nonzero(rows)
     cleared = _cleared_rows(rows)
     if cleared is not None:
         kept = _independent_mod_p(cleared, ncols)
         if len(kept) == ncols:  # independent over Q(i) as well: the kernel is 0
             return []
         if len(kept) < len(rows):
-            basis = _kernel_basis([rows[r] for r in kept], ncols)
+            basis = _kernel([rows[r] for r in kept], ncols)
             kept = set(kept)
             if _kernel_holds(basis, [row for r, row in enumerate(cleared) if r not in kept]):
                 return basis
-    return _kernel_basis(rows, ncols)
+    return _kernel(rows, ncols)
 
 
 def _cleared_rows(rows):
@@ -130,31 +126,66 @@ def _cleared_rows(rows):
 
 
 def _independent_mod_p(cleared, ncols):
-    """Indices of the rows independent mod p, in scan order, at most ncols of them.
+    """Indices of the rows independent mod p, in scan order, at most ncols of them."""
+    return _eliminate([{c: x for c, a, b in row if (x := (a + b * _IOTA) % _P)}
+                       for row in cleared], ncols, _P)[1]
 
-    Each kept row, reduced mod p, joins a semi-echelon basis: it is zero at
-    the pivots of the rows kept before it, so one pass reduces a new row.
+
+def _kernel(rows, ncols):
+    """Canonical kernel basis of the sparse rows: one vector per free column, in column order."""
+    field = next((RationalFunction for row in rows for x in row.values()
+                  if isinstance(x, RationalFunction)), GaussianRational)
+    pivots, _ = _eliminate([{c: field.of(x) for c, x in row.items()} for row in rows], ncols)
+    basis = {f: [field.zero] * ncols for f in range(ncols) if f not in pivots}
+    for f, vec in basis.items():
+        vec[f] = field.one
+    for pc, row in pivots.items():
+        for f, x in row.items():
+            if f != pc:
+                basis[f][pc] = -x
+    return list(basis.values())
+
+
+def _eliminate(rows, ncols, modulus=0):
+    """Gauss-Jordan on sparse rows: ({pivot column: row}, indices of the rows that gave them).
+
+    Entries are integers mod ``modulus``, or field elements when it is 0.  A
+    row reduced by the pivot rows before it pivots on its highest column, with
+    a 1 there, and is cleared from the pivot rows; so every pivot row is zero
+    at the other pivots, and its entries sit at its pivot and at free columns
+    below it.  The rows are reduced in place; the scan stops once every column
+    is a pivot.
     """
-    echelon = []  # (pivot column, row mod p with 1 at the pivot)
-    kept = []
-    for r, row in enumerate(cleared):
-        v = [0] * ncols
-        for c, a, b in row:
-            v[c] = (a + b * _IOTA) % _P
-        for pc, e in echelon:
-            f = v[pc] % _P
-            if f:
-                v = [x - f * y for x, y in zip(v, e)]
-        v = [x % _P for x in v]
-        pc = next((c for c, x in enumerate(v) if x), None)
-        if pc is None:
+    pivots, kept = {}, []
+    for r, row in enumerate(rows):
+        for pc in [c for c in row if c in pivots]:
+            _add_multiple(row, -row[pc], pivots[pc], modulus)
+        if not row:
             continue
-        inv = pow(v[pc], -1, _P)
-        echelon.append((pc, [x * inv % _P for x in v]))
+        q = max(row)
+        if row[q] != 1:
+            inv = pow(row[q], -1, modulus) if modulus else 1 / row[q]
+            row = {c: x * inv % modulus if modulus else x * inv for c, x in row.items()}
+        for other in pivots.values():
+            if q in other:
+                _add_multiple(other, -other[q], row, modulus)
+        pivots[q] = row
         kept.append(r)
         if len(kept) == ncols:
             break
-    return kept
+    return pivots, kept
+
+
+def _add_multiple(row, f, pivot, modulus):
+    """row += f * pivot in place, on sparse rows; entries that cancel are dropped."""
+    for c, y in pivot.items():
+        x = row[c] + f * y if c in row else f * y
+        if modulus:
+            x %= modulus
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 def _kernel_holds(basis, cleared):
@@ -174,25 +205,6 @@ def _kernel_holds(basis, cleared):
             if re or im:
                 return False
     return True
-
-
-def _kernel_basis(rows, ncols):
-    """Canonical kernel basis from the exact reduced echelon form of the sparse ``rows``."""
-    field = next((RationalFunction for row in rows for x in row.values()
-                  if isinstance(x, RationalFunction)), GaussianRational)
-    reduced, pivots = rref([[field.of(row[c]) if c in row else field.zero for c in range(ncols)]
-                            for row in rows])
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    basis, _ = rref(basis)
-    return [row for row in basis if any(x != 0 for x in row)]
 
 
 def mat_mul(A, B):
@@ -250,6 +262,13 @@ class Subspace:
         self.ambient = ambient
         reduced, _ = rref([list(v) for v in vectors])
         self.basis = [row for row in reduced if any(x != 0 for x in row)]
+
+    @classmethod
+    def _echelon(cls, ambient, basis):
+        """The span of rows already in canonical reduced echelon form, taken as they are."""
+        space = cls.__new__(cls)
+        space.ambient, space.basis = ambient, basis
+        return space
 
     @property
     def dim(self) -> int:

@@ -970,16 +970,19 @@ class _Parser:
 
 _parsed: dict = {}  # (text, field) -> value, in the order the texts were first read
 _MAX_PARSED = 1024  # every distinct string a process reads would otherwise stay held
+_MAX_HELD_TEXT = 256  # characters; a longer text is parsed on every read, never held
 
 
 def _read(text: str, field):
     """The value of text in field, parsed once while it stays among the last _MAX_PARSED
-    texts read.  A refused text is not stored, so it is refused the same way on every
-    read; a value is immutable, so every reader can share it."""
+    texts read.  A refused text, or one longer than _MAX_HELD_TEXT, is not stored, so it
+    is parsed on every read; a value is immutable, so every reader can share it."""
     key = (text, field)
     value = _parsed.get(key)
     if value is None:
         value = field.of(_Parser(text, field).parse())
+        if len(text) > _MAX_HELD_TEXT:
+            return value
         if len(_parsed) >= _MAX_PARSED:  # the first read goes first
             del _parsed[next(iter(_parsed))]
         _parsed[key] = value

@@ -188,3 +188,14 @@ def test_scalar_texts_are_parsed_only_through_the_memo():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Name) and node.id == "_Parser"]
     assert found == ["scalars.py:_read"]
+
+
+def test_only_the_dense_helpers_call_rref():
+    # nullspace eliminates sparse rows and reads its basis off canonical, so a dense
+    # rref in linalg belongs to rref, Subspace (with contains), rank and mat_inverse alone
+    tree = ast.parse((ROOT / "src" / "lietriple" / "linalg.py").read_text())
+    users = {getattr(node, "name", "<module>") for node in tree.body for name in ast.walk(node)
+             if isinstance(name, ast.Name) and name.id == "rref"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert users <= {"rref", "Subspace", "rank", "mat_inverse"}
+    assert "_kernel_basis" not in defined

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from conftest import T32_EXTENSIONS, ExactRandom, oracle_rank, sparse_rows
 from lietriple import catalog, linalg
 from lietriple import degeneration as dg
-from lietriple.cohomology import Cocycle
-from lietriple.core import lts_from_dict, lts_to_dict
+from lietriple.cohomology import (Cocycle, cocycle_space, cohomology, delta_indices,
+                                  extension_rows)
+from lietriple.core import _axiom_residuals, direct_sum, lts_from_dict, lts_to_dict
 from lietriple.errors import SingularMatrix
 from lietriple.extension import ExtensionSpec, extend, in_ts
 from lietriple.linalg import (
@@ -61,6 +62,7 @@ def test_nullspace_is_kernel():
 
 
 P = 998244353  # the prime of the modular path
+T = RationalFunction.variable()
 
 
 def full_rref_nullspace(rows, ncols):
@@ -75,6 +77,12 @@ def full_rref_nullspace(rows, ncols):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return [row for row in rref(basis)[0] if any(x != 0 for x in row)]
+
+
+def sparse_nullspace(rows, ncols):
+    """nullspace with ``linalg.rref`` made to raise: the kernel takes no dense path."""
+    with mock.patch.object(linalg, "rref", side_effect=AssertionError("nullspace called rref")):
+        return nullspace(rows, ncols)
 
 
 def tall_system(rng, nrows, ncols, rank, scalar):
@@ -118,21 +126,21 @@ def test_unlucky_prime_falls_back_to_full_elimination():
             [g(0), g(P), g(0)], [g(2 * P, P), g(0), g(0)]]
     expected = [[g(0), g(0), g(1)]]
     assert full_rref_nullspace(rows, 3) == expected
-    assert nullspace(sparse_rows(rows), 3) == expected
+    assert sparse_nullspace(sparse_rows(rows), 3) == expected
     # an unlucky row among generic ones: rank 2 mod p, rank 3 over Q(i)
     rows = [[g(1), g(1), g(0), g(0)], [g(2), g(2), g(0), g(0)],
             [g(0), g(1), g(P + 1), g(0)], [g(1), g(2), g(P + 1), g(0)]]
     rows.append([g(1), g(1), g(P), g(0)])
     assert full_rref_nullspace(rows, 4) == [[g(0), g(0), g(0), g(1)]]
-    assert nullspace(sparse_rows(rows), 4) == [[g(0), g(0), g(0), g(1)]]
+    assert sparse_nullspace(sparse_rows(rows), 4) == [[g(0), g(0), g(0), g(1)]]
 
 
 def test_denominator_divisible_by_the_prime_takes_the_full_path():
     g = GaussianRational
     rows = [[g(1) / P, g(1), g(0)], [g(2) / P, g(2), g(0)], [g(0), g(0, 1) / (3 * P), g(1)]]
     assert linalg._cleared_rows(sparse_rows(rows[:1])) is None
-    assert nullspace(sparse_rows(rows), 3) == full_rref_nullspace(rows, 3)
-    assert len(nullspace(sparse_rows(rows), 3)) == 1
+    assert sparse_nullspace(sparse_rows(rows), 3) == full_rref_nullspace(rows, 3)
+    assert len(sparse_nullspace(sparse_rows(rows), 3)) == 1
 
 
 small_gaussians = st.builds(lambda a, b, d: GaussianRational(a, b) / d,
@@ -166,26 +174,68 @@ def test_sparse_rows_match_dense_elimination(system):
     ncols, rows, unlucky = system
     dense = [[row.get(c, QI_ZERO) for c in range(ncols)] for row in rows]
     with mock.patch.object(linalg, "_independent_mod_p", wraps=linalg._independent_mod_p) as modular:
-        basis = nullspace(rows, ncols)
+        basis = sparse_nullspace(rows, ncols)
     assert basis == full_rref_nullspace(dense, ncols)
+    assert rref(basis)[0] == basis  # canonical as read: reduced echelon form already
     assert len(basis) == ncols - oracle_rank(dense)
     assert modular.called is not unlucky  # a denominator divisible by p takes the full path
     keyed = [{(c % 2, -c): x for c, x in row.items()} for row in rows]  # sortable, not 0..ncols-1
     assert rank(keyed) == oracle_rank(dense)
 
 
+small_functions = st.builds(lambda a, b, c: (a + b * T) / (1 + c * T),
+                            small_gaussians, small_gaussians, st.integers(0, 2)).filter(bool)
+
+
+@st.composite
+def function_systems(draw):
+    """(ncols, sparse Q(i)(t) rows), some of them combinations of the others over Q(i)(t)."""
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), small_functions,
+                                         min_size=1, max_size=ncols), min_size=1, max_size=4))
+    if rows and draw(st.booleans()):
+        a, b, f = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(small_functions)
+        rows.append({c: a.get(c, 0) + f * b.get(c, 0) for c in {*a, *b}})
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(function_systems())
+def test_rational_function_rows_match_dense_elimination(system):
+    ncols, rows = system
+    dense = [[RationalFunction.of(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    basis = sparse_nullspace(rows, ncols)
+    assert basis == full_rref_nullspace(dense, ncols)
+    assert rref(basis)[0] == basis
+    assert len(basis) == ncols - oracle_rank(dense)
+    assert {type(x) for vec in basis for x in vec} <= {RationalFunction}
+
+
+def test_dense_conjugate_cocycles_match_full_elimination():
+    # every (B2)/(B3) equation of a dense conjugate is long, so elimination fills in
+    system = direct_sum(catalog.instantiate("T4,9"), catalog.instantiate("T1,1")).change_basis(
+        ExactRandom(2).invertible(5, height=2))
+    n, ncols = system.dim, len(delta_indices(system.dim))
+    units = [Cocycle(system, {t: 1}) for t in delta_indices(n)]
+    equations = [[cell.get(n + c, QI_ZERO) for c in range(ncols)]
+                 for _, _, cell in _axiom_residuals(extension_rows(system, units))]
+    full = full_rref_nullspace(equations, ncols)
+    assert cocycle_space(system).coordinates == full
+    assert cohomology(system)[0] == len(full) - system.derived().dim  # dim B^3 = dim [T,T,T]
+
+
 def test_other_fields_keep_full_elimination():
     rng = ExactRandom(23)
     ints = tall_system(rng, 20, 5, 3, lambda: rng.rng.randint(-5, 5))
-    assert nullspace(sparse_rows(ints), 5) == full_rref_nullspace(ints, 5)
-    assert len(nullspace(sparse_rows(ints), 5)) == 2
+    assert sparse_nullspace(sparse_rows(ints), 5) == full_rref_nullspace(ints, 5)
+    assert len(sparse_nullspace(sparse_rows(ints), 5)) == 2
     fractions = tall_system(rng, 20, 5, 2, lambda: Fraction(rng.rng.randint(-5, 5), rng.rng.randint(1, 4)))
-    assert nullspace(sparse_rows(fractions), 5) == full_rref_nullspace(fractions, 5)
-    assert len(nullspace(sparse_rows(fractions), 5)) == 3
+    assert sparse_nullspace(sparse_rows(fractions), 5) == full_rref_nullspace(fractions, 5)
+    assert len(sparse_nullspace(sparse_rows(fractions), 5)) == 3
     t = RationalFunction.variable()
     one, zero = RationalFunction.of(1), RationalFunction.of(0)
     rows = [[t, one, zero], [t * t, t, zero], [one, one / t, zero], [zero, zero, zero]]
-    basis = nullspace(sparse_rows(rows), 3)
+    basis = sparse_nullspace(sparse_rows(rows), 3)
     assert basis == full_rref_nullspace(rows, 3)
     assert len(basis) == 2 and {type(x) for row in basis for x in row} == {RationalFunction}
 

@@ -283,6 +283,22 @@ class TestParseMemo:
         assert [parse_scalar(text) for text in texts[:10]] == values[:10]
         assert len(scalars._parsed) == scalars._MAX_PARSED
 
+    @pytest.mark.parametrize("length,held", [(256, True), (257, False)])
+    def test_only_texts_up_to_256_characters_are_stored(self, length, held):
+        text = "1" + "0" * (length - 3) + "+i"
+        assert len(text) == length == scalars._MAX_HELD_TEXT + (not held)
+        value = parse_scalar(text)
+        assert value == GaussianRational(10 ** (length - 3), 1)
+        assert ((text, GaussianRational) in scalars._parsed) is held
+
+    def test_long_texts_are_parsed_on_every_read_and_never_held(self):
+        # more distinct texts than the memo holds, each four times the longest it stores
+        texts = [f"{k}/7+" + "0" * 1_000 for k in range(1100)]
+        for _ in range(2):
+            assert [parse_scalar(text) for text in texts] == [
+                GaussianRational(Fraction(k, 7)) for k in range(1100)]
+        assert scalars._parsed == {}
+
 
 @settings(max_examples=200, deadline=None)
 @given(expressions)
