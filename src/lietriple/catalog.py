@@ -39,7 +39,7 @@ from .errors import (
 )
 from .cohomology import Cocycle, a_theta, delta_indices
 from .core import Lts, _memo, complete_table, lts_from_dict
-from .linalg import Subspace, determinant
+from .linalg import Subspace
 from .scalars import (GaussianRational, Polynomial, QI_ZERO, coerce, field_of, gaussian_integers,
                       gaussian_roots, scalar_str)
 
@@ -279,8 +279,9 @@ def _t31_pq(system: Lts):
             or system.nilpotency().index != 2:
         return None
     m = family_cocycle_matrix(system)
-    p = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a, b in ((0, 1), (0, 2), (1, 2)))
-    return p, -determinant(m)
+    (a, b, c), (d, e, f), (g, h, k) = m
+    p = a * e - b * d + a * k - c * g + e * k - f * h  # the principal 2x2 minors
+    return p, a * (f * h - e * k) + b * (d * k - f * g) + c * (e * g - d * h)  # q = -det m
 
 
 @_memo

@@ -1,13 +1,15 @@
 """Exact linear algebra, generic over any of the scalar fields.
 
-Equations are sparse rows {column: value}, as their callers build them.
-``nullspace`` eliminates them sparse, Gauss-Jordan with each row pivoting on
-its highest column, and reads its canonical basis off the pivot rows; no row
-is made dense.  ``rank`` makes dense only the rows it eliminates, and
-``rref``, ``Subspace`` and ``mat_inverse`` take lists of lists, for small
-dense matrices.  The routines only assume field elements that support +, -,
-*, / and comparison with 0/1, so the same code runs over Q(i), Q(i)(t), and
-anything with the same operator surface.
+Equations are sparse rows {column: value}, as their callers build them.  One
+sparse Gauss-Jordan elimination, ``_eliminate``, does every row reduction:
+each row pivots on its highest column, and the pivot rows stay zero at each
+other's pivots.  ``nullspace`` reads its canonical basis off the pivot rows
+and ``rank`` counts them; neither makes a row dense.  ``Subspace`` and
+``rref`` take dense rows and eliminate them with the columns negated, so
+each row pivots on its lowest column: the reduced echelon form.
+``mat_inverse`` eliminates the sparse rows [I | A].  Entries are first taken
+into one field, Q(i)(t) if one is a RationalFunction and Q(i) otherwise, so
+an int matrix gives exact GaussianRationals, never floats.
 
 ``nullspace`` over Q(i) is modular-first.  Rows are mapped to F_p with
 p = 998244353, which is 1 mod 4, so i maps to iota = 3^((p-1)/4), a square
@@ -22,61 +24,56 @@ decides.  Arithmetic mod p chooses rows; it never decides an answer.
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .scalars import GaussianRational, RationalFunction, coerce, field_of, gaussian_integers
+from .scalars import GaussianRational, RationalFunction, field_of, gaussian_integers
 
 _P = 998244353  # prime, 1 mod 4
 _IOTA = pow(3, (_P - 1) // 4, _P)  # 3 generates F_p^*, so this squares to -1
 
-__all__ = [
-    "rref",
-    "rank",
-    "nullspace",
-    "mat_mul",
-    "identity_matrix",
-    "mat_inverse",
-    "determinant",
-    "Subspace",
-]
+__all__ = ["rref", "rank", "nullspace", "mat_mul", "identity_matrix", "mat_inverse", "Subspace"]
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form: (rows, pivot columns), the zero rows kept at the end.
+
+    Nothing in the package calls it; it stays public as the dense entry point
+    for callers outside it, such as the benchmark's row counter.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][c] != 0:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if rows[r][c] != 1:
-            inv = 1 / coerce(rows[r][c])  # an int pivot gives Q(i), never a float
-            rows[r] = [x * inv if x else x for x in rows[r]]
-        pivot_row_vals = rows[r]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [a - f * b if b else a
-                           for a, b in zip(rows[k], pivot_row_vals)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    field, reduced = _reduced_echelon(rows, ncols)
+    zeros = [[field.zero] * ncols for _ in range(len(rows) - len(reduced))]
+    return list(reduced.values()) + zeros, list(reduced)
+
+
+def _reduced_echelon(rows, ncols):
+    """(field, {pivot column: row}) of dense rows' canonical reduced echelon form, in column order.
+
+    ``_eliminate`` runs on the columns negated, so each row pivots on its
+    lowest column and every row is zero at the other pivots.
+    """
+    field, rows = _in_field([{-c: x for c, x in enumerate(row) if x} for row in rows])
+    reduced = {}
+    for q, row in sorted(_eliminate(rows, ncols)[0].items(), reverse=True):
+        dense = reduced[-q] = [field.zero] * ncols
+        for c, x in row.items():
+            dense[-c] = x
+    return field, reduced
 
 
 def rank(rows) -> int:
     """Rank of sparse rows {column: value}; the columns are any sortable keys."""
-    rows = list({frozenset(row.items()): row for row in _nonzero(rows)}.values())
-    columns = sorted({c for row in rows for c in row})
-    return len(rref([[row.get(c, 0) for c in columns] for row in rows])[1])
+    _, rows = _in_field(_nonzero(rows))
+    return len(_eliminate(rows, len({c for row in rows for c in row}))[1])
+
+
+def _in_field(rows):
+    """(field, the sparse rows with their entries in it): Q(i)(t) if an entry is a
+    RationalFunction, Q(i) otherwise."""
+    field = next((RationalFunction for row in rows for x in row.values()
+                  if isinstance(x, RationalFunction)), GaussianRational)
+    return field, [{c: field.of(x) for c, x in row.items()} for row in rows]
 
 
 def _nonzero(rows):
@@ -133,9 +130,8 @@ def _independent_mod_p(cleared, ncols):
 
 def _kernel(rows, ncols):
     """Canonical kernel basis of the sparse rows: one vector per free column, in column order."""
-    field = next((RationalFunction for row in rows for x in row.values()
-                  if isinstance(x, RationalFunction)), GaussianRational)
-    pivots, _ = _eliminate([{c: field.of(x) for c, x in row.items()} for row in rows], ncols)
+    field, rows = _in_field(rows)
+    pivots, _ = _eliminate(rows, ncols)
     basis = {f: [field.zero] * ncols for f in range(ncols) if f not in pivots}
     for f, vec in basis.items():
         vec[f] = field.one
@@ -218,39 +214,17 @@ def identity_matrix(n, field=GaussianRational):
 
 
 def mat_inverse(A):
+    """A^-1 from the elimination of the sparse rows [I | A]: the pivot row at column
+    n + j holds row j of A^-1 in the I block, and a pivot in the I block means A is singular."""
     n = len(A)
-    field = field_of(A[0][0]) if n else GaussianRational  # the identity block's field
-    aug = [list(row) + ident for row, ident in zip(A, identity_matrix(n, field))]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
+    rows = [{n + c: x for c, x in enumerate(row) if x} for row in A]
+    for j, row in enumerate(rows):
+        row[j] = 1
+    field, rows = _in_field(rows)
+    pivots, _ = _eliminate(rows, 2 * n)
+    if any(q < n for q in pivots):
         raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in reduced]
-
-
-def determinant(A):
-    n = len(A)
-    rows = [list(r) for r in A]
-    det = 1
-    sign = 1
-    for c in range(n):
-        pivot_row = None
-        for k in range(c, n):
-            if rows[k][c] != 0:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            return field_of(A[0][0]).zero
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        det = det * p
-        inv = 1 / coerce(p)
-        for k in range(c + 1, n):
-            if rows[k][c] != 0:
-                f = rows[k][c] * inv
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[c])]
-    return det * sign
+    return [[pivots[n + j].get(c, field.zero) for c in range(n)] for j in range(n)]
 
 
 class Subspace:
@@ -260,8 +234,7 @@ class Subspace:
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        reduced, _ = rref([list(v) for v in vectors])
-        self.basis = [row for row in reduced if any(x != 0 for x in row)]
+        self.basis = list(_reduced_echelon(vectors, ambient)[1].values())
 
     @classmethod
     def _echelon(cls, ambient, basis):
@@ -275,20 +248,12 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector) -> bool:
-        if all(x == 0 for x in vector):
-            return True
-        stacked, _ = rref(self.basis + [list(vector)])
-        nonzero = [row for row in stacked if any(x != 0 for x in row)]
-        return len(nonzero) == self.dim
+        return len(_reduced_echelon(self.basis + [vector], self.ambient)[1]) == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.ambient != other.ambient or self.dim != other.dim:
-            return False
-        return all(
-            a == b for ra, rb in zip(self.basis, other.basis) for a, b in zip(ra, rb)
-        )
+        return self.ambient == other.ambient and self.basis == other.basis
 
     def __hash__(self):
         return hash((self.ambient, tuple(tuple(r) for r in self.basis)))

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own elimination code: rank is
 computed by fraction-free cross-multiplication with a different pivoting
-strategy, so dimension claims are checked through two unrelated routes.  The
+strategy, so dimension claims are checked through two unrelated routes, and
+``reference_rref`` and ``reference_determinant`` are the textbook dense loops.  The
 trilinear evaluators ``lts_eval`` and ``cochain_eval`` extend a system's or a
 cochain's constants to coordinate vectors, as the reference that the row
 kernels are tested against, and ``reference_transported_rows`` is transport
@@ -23,8 +24,8 @@ from lietriple import degeneration as dg
 from lietriple.cohomology import CochainSpace, Cocycle, _theta_rows, cocycle_space
 from lietriple.core import _conjugate_rows, _first_slot_kernel
 from lietriple.extension import ExtensionSpec
-from lietriple.linalg import Subspace, determinant, identity_matrix, mat_inverse, nullspace
-from lietriple.scalars import QI_ZERO, GaussianRational, RationalFunction
+from lietriple.linalg import Subspace, identity_matrix, mat_inverse, nullspace
+from lietriple.scalars import QI_ZERO, GaussianRational, RationalFunction, coerce, field_of
 
 # The published cocycles on T3,2 whose extensions are T4,7, T4,8 and T4,9.  For
 # T4,9, Rad D[1,3,1] = <e2> is not inside Ann(T3,2) = <e3>: only the Ann(T) half
@@ -72,7 +73,7 @@ class ExactRandom:
     def invertible(self, n, height=DEFAULT_HEIGHT, imaginary=True):
         while True:
             m = self.matrix(n, height, imaginary)
-            if determinant(m) != 0:
+            if reference_determinant(m) != 0:
                 return m
 
     def unimodularish(self, n, steps=6):
@@ -99,7 +100,7 @@ class ExactRandom:
                 i, j = self.rng.sample(range(n), 2)
                 f = GaussianRational(self.rng.randint(-2, 2), self.rng.choice((0, 0, 1)))
                 m[i] = [a + f * b for a, b in zip(m[i], m[j])]
-        if determinant(m) == 0:  # cannot happen; defensive
+        if reference_determinant(m) == 0:  # cannot happen; defensive
             return identity_matrix(n)
         return m
 
@@ -196,6 +197,66 @@ def oracle_rank(rows):
                 f = rows[r][col]
                 rows[r] = [pv * a - f * b for a, b in zip(rows[r], rows[pivot])]
     return rank
+
+
+def reference_rref(rows):
+    """Textbook dense Gauss-Jordan, column by column: (reduced rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for k in range(r, len(rows)):
+            if rows[k][c] != 0:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if rows[r][c] != 1:
+            inv = 1 / coerce(rows[r][c])  # an int pivot gives Q(i), never a float
+            rows[r] = [x * inv if x else x for x in rows[r]]
+        pivot_row_vals = rows[r]
+        for k in range(len(rows)):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [a - f * b if b else a
+                           for a, b in zip(rows[k], pivot_row_vals)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_determinant(A):
+    """Textbook determinant by Gaussian elimination with row swaps."""
+    n = len(A)
+    rows = [list(r) for r in A]
+    det = 1
+    sign = 1
+    for c in range(n):
+        pivot_row = None
+        for k in range(c, n):
+            if rows[k][c] != 0:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            return field_of(A[0][0]).zero
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            sign = -sign
+        p = rows[c][c]
+        det = det * p
+        inv = 1 / coerce(p)
+        for k in range(c + 1, n):
+            if rows[k][c] != 0:
+                f = rows[k][c] * inv
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[c])]
+    return det * sign
 
 
 def oracle_annihilator_dim(system):

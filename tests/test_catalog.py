@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ExactRandom
+from conftest import ExactRandom, reference_determinant
 from lietriple import catalog
 from lietriple.errors import (
     DimensionUnsupported,
@@ -21,7 +21,6 @@ from lietriple.errors import (
 from lietriple.cohomology import Cocycle
 from lietriple.core import Lts, complete_table, lts_from_lie
 from lietriple.extension import ExtensionSpec
-from lietriple.linalg import determinant
 from lietriple.scalars import GaussianRational, QI_I, RationalFunction
 
 
@@ -250,7 +249,7 @@ def _height(z):
 def _char_pq(m):
     """(p, q) with char(x) = x^3 + p x + q, from the principal minors of m."""
     p = sum(m[a][a] * m[b][b] - m[a][b] * m[b][a] for a in range(3) for b in range(a + 1, 3))
-    return p, -determinant(m)
+    return p, -reference_determinant(m)
 
 
 class TestFamilyCocycleMatrix:

@@ -10,7 +10,9 @@ from conftest import (
     basis_vector,
     kernel_radical,
     oracle_derived_dim,
+    reference_determinant,
     reference_radical,
+    reference_rref,
     span_coordinates,
 )
 from lietriple import catalog
@@ -28,7 +30,7 @@ from lietriple.cohomology import (
 )
 from lietriple.errors import DimensionMismatch, NotAbelianDim3, NotAnAutomorphism, RelationViolated
 from lietriple.core import Lts, direct_sum
-from lietriple.linalg import Subspace, determinant, mat_inverse, mat_mul, nullspace, rref
+from lietriple.linalg import Subspace, mat_inverse, mat_mul, nullspace
 from lietriple.scalars import GaussianRational, QI_ZERO, RationalFunction
 
 
@@ -177,12 +179,12 @@ def _rank_tracking_representatives(system):
     z3, b3 = cocycle_space(system), coboundary_space(system)
     if b3.dim == 0:
         return z3.coordinates
-    b_rows, b_pivots = rref([list(r) for r in b3.coordinates])
+    b_rows, b_pivots = reference_rref([list(r) for r in b3.coordinates])
     current = [list(r) for r in b3.coordinates]
     current_rank = b3.dim
     reps = []
     for row in z3.coordinates:
-        stacked, _ = rref(current + [list(row)])
+        stacked, _ = reference_rref(current + [list(row)])
         new_rank = len([r for r in stacked if any(x != 0 for x in r)])
         if new_rank == current_rank:
             continue
@@ -194,7 +196,7 @@ def _rank_tracking_representatives(system):
             if f != 0:
                 reduced = [a - f * b for a, b in zip(reduced, br)]
         reps.append(reduced)
-    reps, _ = rref(reps)
+    reps, _ = reference_rref(reps)
     return [r for r in reps if any(x != 0 for x in r)]
 
 
@@ -369,7 +371,7 @@ class TestATheta:
             phi = rng.invertible(3, height=4)
             theta = rng.cocycle(z3)
             lhs = a_theta(aut_action(phi, theta, check=False))
-            det = determinant([list(r) for r in phi])
+            det = reference_determinant([list(r) for r in phi])
             inv = mat_inverse(phi)
             rhs = mat_mul(mat_mul(inv, a_theta(theta)), phi)
             rhs = [[det * x for x in row] for row in rhs]

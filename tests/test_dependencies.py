@@ -190,12 +190,17 @@ def test_scalar_texts_are_parsed_only_through_the_memo():
     assert found == ["scalars.py:_read"]
 
 
-def test_only_the_dense_helpers_call_rref():
-    # nullspace eliminates sparse rows and reads its basis off canonical, so a dense
-    # rref in linalg belongs to rref, Subspace (with contains), rank and mat_inverse alone
+def test_only_eliminate_reduces_rows():
+    # _eliminate is the package's one row reduction: rref stays public for callers
+    # outside the package, no module names it, and no dense determinant loop is left
+    found = []
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "rref"]
+    assert found == []
     tree = ast.parse((ROOT / "src" / "lietriple" / "linalg.py").read_text())
-    users = {getattr(node, "name", "<module>") for node in tree.body for name in ast.walk(node)
-             if isinstance(name, ast.Name) and name.id == "rref"}
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert users <= {"rref", "Subspace", "rank", "mat_inverse"}
-    assert "_kernel_basis" not in defined
+    assert "rref" in defined
+    assert not defined & {"determinant", "_kernel_basis"}

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T32_EXTENSIONS, ExactRandom, oracle_rank, sparse_rows
+from conftest import (T32_EXTENSIONS, ExactRandom, oracle_rank, reference_determinant,
+                      reference_rref, sparse_rows)
 from lietriple import catalog, linalg
 from lietriple import degeneration as dg
 from lietriple.cohomology import (Cocycle, cocycle_space, cohomology, delta_indices,
@@ -20,7 +21,6 @@ from lietriple.errors import SingularMatrix
 from lietriple.extension import ExtensionSpec, extend, in_ts
 from lietriple.linalg import (
     Subspace,
-    determinant,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -35,7 +35,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def test_rref_canonical():
     rows, pivots = rref([[2, 4], [1, 2]])
-    assert pivots == [0]
+    assert pivots == [0] and len(rows) == 2
     assert rows[0] == [1, 2]
     assert all(x == 0 for x in rows[1])
 
@@ -67,7 +67,7 @@ T = RationalFunction.variable()
 
 def full_rref_nullspace(rows, ncols):
     """Kernel basis from the reduced echelon form of every row, made canonical."""
-    reduced, pivots = rref([row for row in rows if any(x != 0 for x in row)])
+    reduced, pivots = reference_rref([row for row in rows if any(x != 0 for x in row)])
     zero = next((x - x for row in rows for x in row), GaussianRational(0))
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -76,7 +76,7 @@ def full_rref_nullspace(rows, ncols):
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
-    return [row for row in rref(basis)[0] if any(x != 0 for x in row)]
+    return [row for row in reference_rref(basis)[0] if any(x != 0 for x in row)]
 
 
 def sparse_nullspace(rows, ncols):
@@ -111,6 +111,26 @@ def test_nullspace_of_tall_rank_deficient_systems_matches_full_elimination():
         assert len(basis) == ncols - oracle_rank(rows)
 
 
+def test_dense_complex_systems_take_the_modular_path():
+    # the common case: the rows kept mod p give the kernel and the Z[i] check of the
+    # others accepts it, so the exact elimination runs once, on at most ncols rows
+    rng = ExactRandom(23)
+    for _ in range(6):
+        ncols = rng.rng.randint(4, 8)
+        rows = tall_system(rng, 4 * ncols, ncols, ncols - 2, lambda: rng.nonzero_gaussian(4))
+        assert any(not x.is_rational for row in rows for x in row)
+        with mock.patch.object(linalg, "_kernel", wraps=linalg._kernel) as kernel:
+            basis = nullspace(sparse_rows(rows), ncols)
+        assert kernel.call_count == 1 and len(kernel.call_args.args[0]) <= ncols
+        assert basis == full_rref_nullspace(rows, ncols)
+
+
+def test_i_maps_to_a_square_root_of_minus_one_mod_p():
+    # (i, -1) = i * (1, i): the rows stay dependent mod p only if i squares to -1 there
+    i = GaussianRational(0, 1)
+    assert nullspace([{0: QI_ONE, 1: i}, {0: i, 1: -QI_ONE}], 2) == [[QI_ONE, i]]
+
+
 def test_nullspace_of_full_rank_tall_system_is_zero():
     rng = ExactRandom(19)
     rows = [[rng.gaussian(3) for _ in range(5)] for _ in range(40)]
@@ -133,6 +153,10 @@ def test_unlucky_prime_falls_back_to_full_elimination():
     rows.append([g(1), g(1), g(P), g(0)])
     assert full_rref_nullspace(rows, 4) == [[g(0), g(0), g(0), g(1)]]
     assert sparse_nullspace(sparse_rows(rows), 4) == [[g(0), g(0), g(0), g(1)]]
+    # the kept row's kernel has denominator p, so no Z[i] check can accept it
+    rows = [[g(1), g(P), g(0)], [g(2), g(0), g(0)]]
+    assert full_rref_nullspace(rows, 3) == expected
+    assert sparse_nullspace(sparse_rows(rows), 3) == expected
 
 
 def test_denominator_divisible_by_the_prime_takes_the_full_path():
@@ -176,7 +200,7 @@ def test_sparse_rows_match_dense_elimination(system):
     with mock.patch.object(linalg, "_independent_mod_p", wraps=linalg._independent_mod_p) as modular:
         basis = sparse_nullspace(rows, ncols)
     assert basis == full_rref_nullspace(dense, ncols)
-    assert rref(basis)[0] == basis  # canonical as read: reduced echelon form already
+    assert reference_rref(basis)[0] == basis  # canonical as read: reduced echelon form already
     assert len(basis) == ncols - oracle_rank(dense)
     assert modular.called is not unlucky  # a denominator divisible by p takes the full path
     keyed = [{(c % 2, -c): x for c, x in row.items()} for row in rows]  # sortable, not 0..ncols-1
@@ -206,7 +230,7 @@ def test_rational_function_rows_match_dense_elimination(system):
     dense = [[RationalFunction.of(row.get(c, 0)) for c in range(ncols)] for row in rows]
     basis = sparse_nullspace(rows, ncols)
     assert basis == full_rref_nullspace(dense, ncols)
-    assert rref(basis)[0] == basis
+    assert reference_rref(basis)[0] == basis
     assert len(basis) == ncols - oracle_rank(dense)
     assert {type(x) for vec in basis for x in vec} <= {RationalFunction}
 
@@ -248,7 +272,7 @@ def test_inverse_and_determinant():
         inv = mat_inverse(g)
         prod = mat_mul(g, inv)
         assert prod == identity_matrix(n)
-        assert determinant(g) * determinant(inv) == 1
+        assert reference_determinant(g) * reference_determinant(inv) == 1
 
 
 def test_inverse_holds_field_elements_only():
@@ -283,9 +307,6 @@ def test_int_input_gives_exact_field_elements():
     reduced, pivots = rref(a)
     assert pivots == [0, 1, 2] and {type(x) for row in reduced for x in row} <= exact
     assert {type(x) for row in rref([[2, 4], [1, 2]])[0] for x in row} <= exact
-    det = determinant(a)
-    assert det == 63 and type(det) in exact
-    assert type(determinant([[1, 2], [2, 4]])) in exact
     inv = mat_inverse(a)
     assert mat_mul(a, inv) == identity_matrix(3)
     assert {type(x) for row in inv for x in row} <= exact
@@ -298,7 +319,6 @@ def test_int_input_gives_exact_field_elements():
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrix):
         mat_inverse([[1, 2], [2, 4]])
-    assert determinant([[1, 2], [2, 4]]) == 0
 
 
 class TestSubspace:
@@ -306,6 +326,11 @@ class TestSubspace:
         a = Subspace(3, [[1, 1, 0], [0, 0, 1]])
         b = Subspace(3, [[2, 2, 2], [0, 0, 5]])
         assert a == b and a.dim == 2
+
+    def test_a_basis_prefix_spans_a_different_subspace(self):
+        line, plane = Subspace(3, [[1, 0, 0]]), Subspace(3, [[1, 0, 0], [0, 1, 0]])
+        assert line.basis == plane.basis[:1]
+        assert line != plane and plane != line
 
     def test_contains(self):
         s = Subspace(3, [[1, 0, 1]])
