@@ -4,10 +4,11 @@
 
 Every mutant is written into a copy of the repository (made under ``--workdir``,
 a temporary directory by default; the checkout itself is never changed).  The
-test files that import the module run against it first, the module's own test
-file leading, stopping at the first failure; a mutant they all pass then runs
-against the full tier-1.  The mutants that survive both are printed with their
-line, to be pinned by a test or recorded as equivalent.  Not part of tier-1.
+test files that import the module must pass unmutated; they run against each
+mutant first, the module's own test file leading, stopping at the first
+failure, and a mutant they all pass then runs against the full tier-1.  The
+mutants that survive both are printed with their line, to be pinned by a test
+or recorded as equivalent.  Not part of tier-1.
 """
 
 import argparse
@@ -28,35 +29,37 @@ FLIPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
 
 
 def sites(tree):
-    """(node, field, index or None) of every operator or boolean constant, in walk order."""
+    """(node, index) of every flippable operator or boolean constant, in walk order;
+    the index picks one operator of a comparison chain."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in FLIPS:
-            yield node, "op", None
+            yield node, None
         elif isinstance(node, ast.Compare):
-            yield from ((node, "ops", k) for k, op in enumerate(node.ops) if type(op) in FLIPS)
+            yield from ((node, k) for k, op in enumerate(node.ops) if type(op) in FLIPS)
         elif isinstance(node, ast.Constant) and isinstance(node.value, bool):
-            yield node, "value", None
+            yield node, None
 
 
 def mutate(source, k):
     """The source with its k-th site flipped, and a description of the flip."""
     tree = ast.parse(source)
-    node, field, index = list(sites(tree))[k]
-    if field == "value":
-        old, node.value = node.value, not node.value
-        new = node.value
+    node, index = list(sites(tree))[k]
+    if isinstance(node, ast.Constant):
+        old = node.value
+        new = node.value = not old
+    elif isinstance(node, ast.Compare):
+        old = node.ops[index]
+        new = node.ops[index] = FLIPS[type(old)]()
     else:
-        old = getattr(node, field)[index] if index is not None else getattr(node, field)
-        new = FLIPS[type(old)]()
-        if index is None:
-            setattr(node, field, new)
-        else:
-            node.ops[index] = new
+        old = node.op
+        new = node.op = FLIPS[type(old)]()
     name = lambda x: x if isinstance(x, bool) else type(x).__name__
     return ast.unparse(tree), f"line {node.lineno}: {name(old)} -> {name(new)}"
 
 
 def passes(work, files):
+    """Whether pytest passes in the copy: on the given files, or on everything when none
+    are given.  A run that times out counts as failing."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"))
     try:
         return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -66,18 +69,15 @@ def passes(work, files):
         return False
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("module", type=Path)
-    parser.add_argument("--workdir", type=Path, default=None)
-    args = parser.parse_args()
-    module = args.module.resolve().relative_to(ROOT)
-    work = Path(tempfile.mkdtemp(dir=args.workdir)) / "repo"
+def run(work, module):
+    """(number of mutants, the flips that survived) of the module, in a copy at ``work``."""
     shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
     stem, source = module.stem, (ROOT / module).read_text()
     imports = re.compile(rf"lietriple\.{stem}\b|from lietriple import [^\n]*\b{stem}\b")
     files = sorted((str(p.relative_to(work)) for p in (work / "tests").glob("test_*.py")
                     if imports.search(p.read_text())), key=lambda f: stem not in f)
+    if not passes(work, files):
+        sys.exit(f"{' '.join(files)} fail before any mutation")
     count, survivors = len(list(sites(ast.parse(source)))), []
     for k in range(count):
         mutant, flip = mutate(source, k)
@@ -85,8 +85,22 @@ def main():
         survived = passes(work, files) and passes(work, [])
         survivors += [flip] * survived
         print(f"{k + 1}/{count} {flip}: {'SURVIVED' if survived else 'killed'}", flush=True)
-    (work / module).write_text(source)
-    shutil.rmtree(work.parent)
+    return count, survivors
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("module", type=Path)
+    parser.add_argument("--workdir", type=Path, default=None)
+    args = parser.parse_args()
+    if args.workdir and args.workdir.resolve().is_relative_to(ROOT):
+        parser.error("--workdir must lie outside the repository, which is copied into it")
+    module = args.module.resolve().relative_to(ROOT)
+    work = Path(tempfile.mkdtemp(dir=args.workdir)) / "repo"
+    try:
+        count, survivors = run(work, module)
+    finally:
+        shutil.rmtree(work.parent)
     print(f"{module}: {count - len(survivors)} of {count} mutants killed")
     print("\n".join(f"  survivor {flip}" for flip in survivors))
 
