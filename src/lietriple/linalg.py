@@ -7,9 +7,9 @@ other's pivots.  ``nullspace`` reads its canonical basis off the pivot rows
 and ``rank`` counts them; neither makes a row dense.  ``Subspace`` and
 ``rref`` take dense rows and eliminate them with the columns negated, so
 each row pivots on its lowest column: the reduced echelon form.
-``mat_inverse`` reduces [A | I] the same way.  Entries are first taken
-into one field, Q(i)(t) if one is a RationalFunction and Q(i) otherwise, so
-an int matrix gives exact GaussianRationals, never floats.
+``mat_inverse`` reduces the sparse rows [A | I] the same way.  Entries are
+taken into one field, Q(i)(t) if one is a RationalFunction and Q(i)
+otherwise, so an int matrix gives exact GaussianRationals, never floats.
 
 ``nullspace`` over Q(i) is modular-first.  Rows are mapped to F_p with
 p = 998244353, which is 1 mod 4, so i maps to iota = 3^((p-1)/4), a square
@@ -214,14 +214,18 @@ def identity_matrix(n, field=GaussianRational):
 
 
 def mat_inverse(A):
-    """A^-1 from the reduced echelon form of [A | I]: the pivot row at column j holds row j
-    of A^-1 in the I block, and a pivot in the I block means A is singular."""
+    """A^-1 from the sparse rows [A | I], reduced as in ``_reduced_echelon`` on the columns
+    negated: the pivot row at column j holds row j of A^-1 in the I block, and a pivot in
+    the I block means A is singular."""
     n = len(A)
-    _, reduced = _reduced_echelon([list(row) + [int(i == j) for i in range(n)]
-                                   for j, row in enumerate(A)], 2 * n)
-    if list(reduced) != list(range(n)):
+    rows = [{-c: x for c, x in enumerate(row) if x} for row in A]
+    for j, row in enumerate(rows):
+        row[-n - j] = 1
+    field, rows = _in_field(rows)
+    pivots, _ = _eliminate(rows, 2 * n)
+    if any(q <= -n for q in pivots):
         raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in reduced.values()]
+    return [[pivots[-j].get(-n - c, field.zero) for c in range(n)] for j in range(n)]
 
 
 class Subspace:
