@@ -34,7 +34,7 @@ from .errors import (
 )
 from .core import (Lts, _axiom_residuals, _conjugate_rows, _index, _memo, _scalar,
                    first_axiom_failure, lts_to_dict)
-from .linalg import Subspace, nullspace
+from .linalg import Subspace, identity_matrix, nullspace
 from .scalars import QI_ZERO, coerce, parse_scalar, scalar_str
 
 __all__ = [
@@ -135,21 +135,22 @@ class Cocycle:
         return f"Cocycle({{{terms}}})"
 
 
-def _theta_rows(theta, p=0):
-    """theta as 0-based rows (i, j, k) -> {p: value}, in both orders of (i, j)."""
+def _theta_rows(thetas, p=0):
+    """The thetas as 0-based rows (i, j, k) -> {p + r: value of theta_r}, in both
+    orders of (i, j)."""
     rows = {}
-    for (i, j, k), val in theta.coeffs.items():
-        rows[(i - 1, j - 1, k - 1)] = {p: val}
-        rows[(j - 1, i - 1, k - 1)] = {p: -val}
+    for r, theta in enumerate(thetas, p):
+        for (i, j, k), val in theta.coeffs.items():
+            rows.setdefault((i - 1, j - 1, k - 1), {})[r] = val
+            rows.setdefault((j - 1, i - 1, k - 1), {})[r] = -val
     return rows
 
 
 def extension_rows(base: Lts, thetas):
     """Nonzero rows of T_theta: theta_r is read on the new coordinate dim(base) + r."""
     rows = {key: dict(row) for key, row in base.rows().items()}
-    for r, theta in enumerate(thetas):
-        for key, cell in _theta_rows(theta, base.dim + r).items():
-            rows.setdefault(key, {}).update(cell)
+    for key, cell in _theta_rows(thetas, base.dim).items():
+        rows.setdefault(key, {}).update(cell)
     return rows
 
 
@@ -192,14 +193,33 @@ def cocycle_space(system: Lts) -> CochainSpace:
 
     One extension carries every elementary cochain on a coordinate of its
     own; each axiom residual of it, read on those coordinates, is one
-    (B2) or (B3) equation.
+    (B2) or (B3) equation.  With an adapted basis the sparse equations of g*T
+    are solved: theta' is in Z^3(g*T) exactly when theta(x, y, z) =
+    theta'(gx, gy, gz) is in Z^3(T).
     """
-    n = system.dim
+    n, adapted = system.dim, system._adapted()
+    _, g, image = adapted or (None, None, system)
     idx = delta_indices(n)
-    units = [Cocycle(system, {t: 1}) for t in idx]
+    units = [Cocycle(image, {t: 1}) for t in idx]
     equations = [{q - n: x for q, x in cell.items() if q >= n and x}
-                 for _, _, cell in _axiom_residuals(extension_rows(system, units))]
-    return CochainSpace._canonical(system, nullspace(equations, len(idx)))
+                 for _, _, cell in _axiom_residuals(extension_rows(image, units))]
+    basis = nullspace(equations, len(idx))
+    if not adapted:
+        return CochainSpace._canonical(system, basis)
+    thetas = _pulled_back([Cocycle(image, dict(zip(idx, row))) for row in basis], g)
+    return CochainSpace(system, [[coeffs.get(t, system._zero) for t in idx] for coeffs in thetas])
+
+
+def _pulled_back(thetas, phi):
+    """The coefficients of theta(phi x, phi y, phi z) for each theta: one pass of
+    ``_conjugate_rows``, theta_r on coordinate r, h = phi and g the identity."""
+    coeffs = [{} for _ in thetas]
+    rows = _conjugate_rows(_theta_rows(thetas), phi, identity_matrix(len(thetas)))
+    for (i, j, k), row in rows.items():
+        if i < j:
+            for r, val in row.items():
+                coeffs[r][(i + 1, j + 1, k + 1)] = val
+    return coeffs
 
 
 def coboundary_of(system: Lts, functional) -> Cocycle:
@@ -294,18 +314,14 @@ def is_automorphism(system: Lts, phi) -> bool:
 def aut_action(phi, theta: Cocycle, check=True) -> Cocycle:
     """(phi theta)(x,y,z) = theta(phi x, phi y, phi z); phi in Aut(T) by default.
 
-    Columns of phi are the images of the basis vectors.  The rows of theta, on
-    one coordinate, go through ``_conjugate_rows`` with h = phi and g = [[1]].
+    Columns of phi are the images of the basis vectors.
     """
     system = theta.ambient
     if len(phi) != system.dim or any(len(row) != system.dim for row in phi):
         raise DimensionMismatch(f"phi must be {system.dim}x{system.dim}")
     if check and not is_automorphism(system, phi):
         raise NotAnAutomorphism("matrix does not preserve the product")
-    coeffs = {(i + 1, j + 1, k + 1): row[0]
-              for (i, j, k), row in _conjugate_rows(_theta_rows(theta), phi, [[1]]).items()
-              if i < j}
-    return Cocycle(system, coeffs)
+    return Cocycle(system, _pulled_back([theta], phi)[0])
 
 
 def matrix_form(theta: Cocycle):

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     axiom_failure_text,
 )
-from .linalg import Subspace, identity_matrix, mat_inverse, nullspace, rank
+from .linalg import Subspace, _eliminate, identity_matrix, mat_inverse, mat_mul, nullspace, rank
 from .packed import _add_lanes, _packed_gaussian_rows, _unpacked_residual
 from .scalars import QI_ONE, QI_ZERO, GaussianRational, coerce, field_of, parse_scalar, scalar_str
 
@@ -238,7 +238,7 @@ class Lts:
     def nilpotency(self) -> NilpotencyReport:
         """Series T^(0) = T, T^(m+1) = [T^(m), T, T] until zero or stabilization."""
         n, zero = self.dim, self._zero
-        current = Subspace(n, identity_matrix(n, field_of(zero)))
+        current = Subspace._echelon(n, identity_matrix(n, field_of(zero)))
         series = [current]
         # T^(1) = [T, T, T] is spanned by the rows themselves
         vectors = [[row.get(p, zero) for p in range(n)] for row in self._rows.values()]
@@ -261,6 +261,32 @@ class Lts:
                                 tuple(series))
 
     @_memo
+    def adapted_basis(self):
+        """Rows of a basis through Ann(T) and the series, or None for the standard basis.
+
+        The canonical rows of Ann and then of the series terms, deepest first,
+        are stacked, and the independent ones sorted by first nonzero coordinate.
+        A system whose every product is a multiple of one basis vector, as a
+        catalog table is, keeps its basis.
+        """
+        if all(len(row) == 1 for row in self._rows.values()):
+            return None
+        stacked = [*self.annihilator().basis,
+                   *(v for term in reversed(self.nilpotency().series) for v in term.basis)]
+        kept = _eliminate([{c: x for c, x in enumerate(v) if x} for v in stacked], self.dim)[1]
+        basis = sorted((stacked[r] for r in kept),
+                       key=lambda v: next(c for c, x in enumerate(v) if x))
+        return None if basis == identity_matrix(self.dim, field_of(self._zero)) else basis
+
+    @_memo
+    def _adapted(self):
+        """(h, g, g*T) with h = g^-1 the transposed ``adapted_basis``, or None without one."""
+        if (basis := self.adapted_basis()) is not None:
+            h = [list(column) for column in zip(*basis)]
+            g = mat_inverse(h)
+            return h, g, self.change_basis(g)
+
+    @_memo
     def derivations(self):
         """Dimension and matrix basis of Der(T), the stabilizer Lie algebra of the product.
 
@@ -269,20 +295,25 @@ class Lts:
         the infinitesimal action, unknowns D_ab in the order a*n + b.  The
         action keeps (A1), so on rows that satisfy it the equation at (j, i, k)
         is minus the one at (i, j, k) and the one at (i, i, k) is zero: only
-        keys with i < j are read.
+        keys with i < j are read.  With an adapted basis the sparse equations of
+        g*T are solved: Der(g*T) = g Der(T) g^-1, so each D' maps back to h D' g.
         """
-        n = self.dim
-        mirrored = _satisfies_a1(self._rows)
+        n, adapted = self.dim, self._adapted()
+        h, g, image = adapted or (None, None, self)
+        mirrored = _satisfies_a1(image._rows)
         forms = {}  # (i, j, k, p) -> {a*n + b: coefficient}
         for a in range(n):
             for b in range(n):
-                for (i, j, k), row in _lie_action(self._rows, a, b).items():
+                for (i, j, k), row in _lie_action(image._rows, a, b).items():
                     if mirrored and i >= j:
                         continue
                     for p, val in row.items():
                         forms.setdefault((i, j, k, p), {})[a * n + b] = val
-        matrices = [[vec[a * n:(a + 1) * n] for a in range(n)]
-                    for vec in nullspace(forms.values(), n * n)]
+        vectors = nullspace(forms.values(), n * n)
+        if adapted:
+            squares = ([vec[a * n:(a + 1) * n] for a in range(n)] for vec in vectors)
+            vectors = Subspace(n * n, [sum(mat_mul(mat_mul(h, d), g), []) for d in squares]).basis
+        matrices = [[vec[a * n:(a + 1) * n] for a in range(n)] for vec in vectors]
         return len(matrices), matrices
 
     @_memo

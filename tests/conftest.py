@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own elimination code: rank is
 computed by fraction-free cross-multiplication with a different pivoting
 strategy, so dimension claims are checked through two unrelated routes, and
-``reference_rref`` and ``reference_determinant`` are the textbook dense loops.  The
+``reference_rref`` and ``reference_determinant`` are the textbook dense loops;
+``full_rref_nullspace`` is the kernel that ``reference_rref`` gives.  The
 trilinear evaluators ``lts_eval`` and ``cochain_eval`` extend a system's or a
 cochain's constants to coordinate vectors, as the reference that the row
 kernels are tested against, and ``reference_transported_rows`` is transport
@@ -232,6 +233,20 @@ def reference_rref(rows):
     return rows, pivots
 
 
+def full_rref_nullspace(rows, ncols):
+    """Kernel basis from the reduced echelon form of every row, made canonical."""
+    reduced, pivots = reference_rref([row for row in rows if any(x != 0 for x in row)])
+    zero = next((x - x for row in rows for x in row), GaussianRational(0))
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = zero + 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return [row for row in reference_rref(basis)[0] if any(x != 0 for x in row)]
+
+
 def reference_determinant(A):
     """Textbook determinant by Gaussian elimination with row swaps."""
     n = len(A)
@@ -295,7 +310,7 @@ def reference_radical(theta):
 
 def kernel_radical(theta):
     """Rad(theta) as ``extension._radical_meet`` reads it: the first-slot kernel of theta's rows."""
-    return _first_slot_kernel(theta.ambient.dim, _theta_rows(theta))
+    return _first_slot_kernel(theta.ambient.dim, _theta_rows([theta]))
 
 
 def basis_vector(n, k, scale=1):

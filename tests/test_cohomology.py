@@ -165,8 +165,8 @@ class TestCohomology:
 
     @pytest.mark.parametrize("summands", [("T4,9", "T1,1"), ("T3,2", "T2,1")])
     def test_dense_conjugates_in_dimension_5_keep_h3_and_der(self, summands):
-        # hundreds of (B3) equations of rank far below their count: the modular
-        # nullspace keeps few rows and checks all the others exactly
+        # hundreds of dense (B3) equations of rank far below their count: Z^3 and
+        # Der are solved in the adapted basis and mapped back
         literal = direct_sum(*(catalog.instantiate(name) for name in summands))
         dense = literal.change_basis(ExactRandom(2).invertible(5, height=2))
         assert cohomology(dense)[0] == cohomology(literal)[0]
@@ -212,6 +212,36 @@ class TestFieldOfCochains:
         values += (theta + D(system, {(1, 2, 3): RationalFunction.of(2)})).coordinates()
         assert {type(x) for x in values} == {RationalFunction}
         assert {type(x) for x in D(t32, {(1, 3, 1): 1}).coordinates()} == {GaussianRational}
+
+
+def test_cochain_indices_are_checked(t32):
+    # i < j and every index within the dimension, k as well as i and j
+    for index in ((1, 1, 2), (2, 1, 2), (0, 1, 1), (1, 4, 1), (1, 2, 0), (1, 2, 4)):
+        with pytest.raises(DimensionMismatch, match="bad cochain index"):
+            D(t32, {index: 1})
+
+
+def test_closedness_is_checked_on_the_extension(t32, monkeypatch):
+    # the packed axiom check sizes its digits by the dimension it is given: that of T_theta
+    module = importlib.import_module("lietriple.cohomology")
+    original, seen = module.first_axiom_failure, []
+
+    def spy(dim, rows):
+        seen.append((dim, max(p for row in rows.values() for p in row)))
+        return original(dim, rows)
+
+    monkeypatch.setattr(module, "first_axiom_failure", spy)
+    assert D(t32, {(1, 3, 1): 1}).check_closed() == (True, None)
+    assert seen == [(4, 3)]
+
+
+def test_cochains_add_on_one_system_only(t31, t32):
+    # an equal copy of the ambient is the same system; another system of its dimension is not
+    copy = Lts.from_rows(3, t32.rows())
+    total = D(t32, {(1, 3, 1): 1}) + D(copy, {(1, 2, 3): 2})
+    assert total == D(t32, {(1, 3, 1): 1, (1, 2, 3): 2})
+    with pytest.raises(DimensionMismatch, match="different systems"):
+        D(t32, {(1, 3, 1): 1}) + D(t31, {(1, 2, 3): 2})
 
 
 class TestRadical:
@@ -412,6 +442,17 @@ class TestCocycleJson:
         doc = {"system": "T3,1", "coeffs": [{"ijk": [2, 1, 1], "value": "1"}]}
         with pytest.raises(MalformedInput):
             cocycle_from_dict(doc)
+        doc["coeffs"][0]["ijk"] = [1, 1, 2]
+        with pytest.raises(MalformedInput, match="i < j"):
+            cocycle_from_dict(doc)
+
+    def test_needs_a_coeffs_list(self):
+        from lietriple.cohomology import cocycle_from_dict
+        from lietriple.errors import MalformedInput
+
+        for doc in ({"system": "T3,1"}, ["coeffs"]):
+            with pytest.raises(MalformedInput, match="needs a coeffs list"):
+                cocycle_from_dict(doc)
 
     def test_repeated_indices_need_one_value(self, t31):
         from lietriple.cohomology import cocycle_from_dict

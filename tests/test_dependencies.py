@@ -191,8 +191,9 @@ def test_scalar_texts_are_parsed_only_through_the_memo():
 
 
 def test_only_eliminate_reduces_rows():
-    # _eliminate is the package's one row reduction: rref stays public for callers
-    # outside the package, no module names it, and no dense determinant loop is left
+    # _eliminate is the package's one row reduction, and it is exact: rref stays public
+    # for callers outside the package, no module names it, no dense determinant loop is
+    # left, and linalg does no arithmetic mod p
     found = []
     for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -201,6 +202,16 @@ def test_only_eliminate_reduces_rows():
             found += [f"{path.name}:{node.lineno}" for name in names if name == "rref"]
     assert found == []
     tree = ast.parse((ROOT / "src" / "lietriple" / "linalg.py").read_text())
-    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert "rref" in defined
-    assert not defined & {"determinant", "_kernel_basis"}
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "rref" in functions
+    assert not set(functions) & {"determinant", "_kernel_basis"}
+    # every elimination is exact: no modular row picking, no prime, no residue arithmetic
+    assert not set(functions) & {"_cleared_rows", "_independent_mod_p", "_kernel_holds"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"_P", "_IOTA"}
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+                and len(node.args) == 3]
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(getattr(node, "op", None), ast.Mod)]
+    assert [arg.arg for arg in functions["_eliminate"].args.args] == ["rows", "ncols"]

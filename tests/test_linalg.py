@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (T32_EXTENSIONS, ExactRandom, oracle_rank, reference_determinant,
-                      reference_rref, sparse_rows)
+from conftest import (T32_EXTENSIONS, ExactRandom, full_rref_nullspace, oracle_rank,
+                      reference_determinant, reference_rref, sparse_rows)
 from lietriple import catalog, linalg
 from lietriple import degeneration as dg
 from lietriple.cohomology import (Cocycle, cocycle_space, cohomology, delta_indices,
@@ -61,22 +61,8 @@ def test_nullspace_is_kernel():
         assert len(basis) == m - oracle_rank(rows)
 
 
-P = 998244353  # the prime of the modular path
+P = 998244353  # a large prime, as a denominator
 T = RationalFunction.variable()
-
-
-def full_rref_nullspace(rows, ncols):
-    """Kernel basis from the reduced echelon form of every row, made canonical."""
-    reduced, pivots = reference_rref([row for row in rows if any(x != 0 for x in row)])
-    zero = next((x - x for row in rows for x in row), GaussianRational(0))
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [zero] * ncols
-        vec[fc] = zero + 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return [row for row in reference_rref(basis)[0] if any(x != 0 for x in row)]
 
 
 def sparse_nullspace(rows, ncols):
@@ -98,8 +84,7 @@ def tall_system(rng, nrows, ncols, rank, scalar):
 
 
 def test_nullspace_of_tall_rank_deficient_systems_matches_full_elimination():
-    # rows >> cols and rank < cols: the modular path keeps at most rank rows and
-    # must check every other row before it answers
+    # rows >> cols and rank < cols: most rows reduce to zero against the pivot rows
     rng = ExactRandom(17)
     for _ in range(12):
         ncols = rng.rng.randint(3, 10)
@@ -111,60 +96,11 @@ def test_nullspace_of_tall_rank_deficient_systems_matches_full_elimination():
         assert len(basis) == ncols - oracle_rank(rows)
 
 
-def test_dense_complex_systems_take_the_modular_path():
-    # the common case: the rows kept mod p give the kernel and the Z[i] check of the
-    # others accepts it, so the exact elimination runs once, on at most ncols rows
-    rng = ExactRandom(23)
-    for _ in range(6):
-        ncols = rng.rng.randint(4, 8)
-        rows = tall_system(rng, 4 * ncols, ncols, ncols - 2, lambda: rng.nonzero_gaussian(4))
-        assert any(not x.is_rational for row in rows for x in row)
-        with mock.patch.object(linalg, "_kernel", wraps=linalg._kernel) as kernel:
-            basis = nullspace(sparse_rows(rows), ncols)
-        assert kernel.call_count == 1 and len(kernel.call_args.args[0]) <= ncols
-        assert basis == full_rref_nullspace(rows, ncols)
-
-
-def test_i_maps_to_a_square_root_of_minus_one_mod_p():
-    # (i, -1) = i * (1, i): the rows stay dependent mod p only if i squares to -1 there
-    i = GaussianRational(0, 1)
-    assert nullspace([{0: QI_ONE, 1: i}, {0: i, 1: -QI_ONE}], 2) == [[QI_ONE, i]]
-
-
 def test_nullspace_of_full_rank_tall_system_is_zero():
     rng = ExactRandom(19)
     rows = [[rng.gaussian(3) for _ in range(5)] for _ in range(40)]
     assert oracle_rank(rows) == 5
     assert nullspace(sparse_rows(rows), 5) == [] == full_rref_nullspace(rows, 5)
-
-
-def test_unlucky_prime_falls_back_to_full_elimination():
-    # [p, 0, 0] vanishes mod p, so the rows independent mod p span only e2 and
-    # their kernel holds e1; the exact check against [p, 0, 0] must reject it
-    g = GaussianRational
-    rows = [[g(P), g(0), g(0)], [g(0), g(1), g(0)], [g(0), g(2), g(0)],
-            [g(0), g(P), g(0)], [g(2 * P, P), g(0), g(0)]]
-    expected = [[g(0), g(0), g(1)]]
-    assert full_rref_nullspace(rows, 3) == expected
-    assert sparse_nullspace(sparse_rows(rows), 3) == expected
-    # an unlucky row among generic ones: rank 2 mod p, rank 3 over Q(i)
-    rows = [[g(1), g(1), g(0), g(0)], [g(2), g(2), g(0), g(0)],
-            [g(0), g(1), g(P + 1), g(0)], [g(1), g(2), g(P + 1), g(0)]]
-    rows.append([g(1), g(1), g(P), g(0)])
-    assert full_rref_nullspace(rows, 4) == [[g(0), g(0), g(0), g(1)]]
-    assert sparse_nullspace(sparse_rows(rows), 4) == [[g(0), g(0), g(0), g(1)]]
-    # the kept row's kernel has denominator p, so no Z[i] check can accept it
-    rows = [[g(1), g(P), g(0)], [g(2), g(0), g(0)]]
-    assert full_rref_nullspace(rows, 3) == expected
-    assert sparse_nullspace(sparse_rows(rows), 3) == expected
-
-
-def test_denominator_divisible_by_the_prime_takes_the_full_path():
-    g = GaussianRational
-    rows = [[g(1) / P, g(1), g(0)], [g(2) / P, g(2), g(0)], [g(0), g(0, 1) / (3 * P), g(1)]]
-    assert linalg._cleared_rows(sparse_rows(rows[:1])) is None
-    assert sparse_nullspace(sparse_rows(rows), 3) == full_rref_nullspace(rows, 3)
-    assert len(sparse_nullspace(sparse_rows(rows), 3)) == 1
 
 
 small_gaussians = st.builds(lambda a, b, d: GaussianRational(a, b) / d,
@@ -173,7 +109,7 @@ small_gaussians = st.builds(lambda a, b, d: GaussianRational(a, b) / d,
 
 @st.composite
 def sparse_systems(draw):
-    """(ncols, sparse Q(i) rows, whether an entry has a denominator divisible by p)."""
+    """(ncols, sparse Q(i) rows), an entry sometimes over the large prime P."""
     ncols = draw(st.integers(1, 6))
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), small_gaussians, max_size=ncols),
                          max_size=8))
@@ -185,24 +121,21 @@ def sparse_systems(draw):
     if draw(st.booleans()):
         rows.append({})
     nonzero = [(r, c) for r, row in enumerate(rows) for c, x in row.items() if x]
-    unlucky = bool(nonzero) and draw(st.booleans())
-    if unlucky:
+    if nonzero and draw(st.booleans()):
         r, c = draw(st.sampled_from(nonzero))
         rows[r] = {**rows[r], c: rows[r][c] / P}
-    return ncols, draw(st.permutations(rows)), unlucky
+    return ncols, draw(st.permutations(rows))
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_systems())
 def test_sparse_rows_match_dense_elimination(system):
-    ncols, rows, unlucky = system
+    ncols, rows = system
     dense = [[row.get(c, QI_ZERO) for c in range(ncols)] for row in rows]
-    with mock.patch.object(linalg, "_independent_mod_p", wraps=linalg._independent_mod_p) as modular:
-        basis = sparse_nullspace(rows, ncols)
+    basis = sparse_nullspace(rows, ncols)
     assert basis == full_rref_nullspace(dense, ncols)
     assert reference_rref(basis)[0] == basis  # canonical as read: reduced echelon form already
     assert len(basis) == ncols - oracle_rank(dense)
-    assert modular.called is not unlucky  # a denominator divisible by p takes the full path
     keyed = [{(c % 2, -c): x for c, x in row.items()} for row in rows]  # sortable, not 0..ncols-1
     assert rank(keyed) == oracle_rank(dense)
 
