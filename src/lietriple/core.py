@@ -12,6 +12,11 @@ that vanishes has no row.  Public indices, table keys and JSON documents are
 Partial multiplication tables list only generating products; completion closes
 them in one pass under (A1) and the two-known-one-forced case of (A2),
 zero-fills the rest and then checks all three identities on the rows they touch.
+The (A3) residual at (u, v, x, y, z) is linear in ad(u, v) = [u, v, .], so
+``Lts.check_axioms``, and no other caller, reads it only at the pairs whose
+ad(u, v) span the inner derivations L(T, T) (Lister, Trans. AMS 72, 1952).  A
+pair left out has ad(u, v) in the span of the kept pairs before it, so the
+first failing pair is a kept one: the report is the full scan's, with no fallback.
 """
 
 from __future__ import annotations
@@ -210,7 +215,9 @@ class Lts:
 
     @_memo
     def check_axioms(self) -> AxiomReport:
-        failure = first_axiom_failure(self.dim, self._rows)
+        """The first failing identity of an exhaustive scan, or a pass; (A3) is
+        read at the ``_inner_pairs`` only, as the module docstring says."""
+        failure = first_axiom_failure(self.dim, self._rows, self._inner_pairs())
         if failure is not None:
             return AxiomReport(False, *failure)
         return AxiomReport(True)
@@ -237,11 +244,12 @@ class Lts:
     @_memo
     def nilpotency(self) -> NilpotencyReport:
         """Series T^(0) = T, T^(m+1) = [T^(m), T, T] until zero or stabilization."""
-        n, zero = self.dim, self._zero
+        n, zero, mirrored = self.dim, self._zero, self._satisfies_a1()
         current = Subspace._echelon(n, identity_matrix(n, field_of(zero)))
         series = [current]
-        # T^(1) = [T, T, T] is spanned by the rows themselves
-        vectors = [[row.get(p, zero) for p in range(n)] for row in self._rows.values()]
+        # T^(1) = [T, T, T] is spanned by the rows, by those at i < j under (A1)
+        vectors = [[row.get(p, zero) for p in range(n)]
+                   for (i, j, _), row in self._rows.items() if not mirrored or i < j]
         while current.dim > 0:
             nxt = Subspace(n, vectors)
             if nxt.dim == current.dim:  # stabilized above zero
@@ -300,7 +308,7 @@ class Lts:
         """
         n, adapted = self.dim, self._adapted()
         h, g, image = adapted or (None, None, self)
-        mirrored = _satisfies_a1(image._rows)
+        mirrored = image._satisfies_a1()
         forms = {}  # (i, j, k, p) -> {a*n + b: coefficient}
         for a in range(n):
             for b in range(n):
@@ -323,22 +331,45 @@ class Lts:
         Each is GL-invariant with Zariski-closed sublevel sets, so it can only
         drop under degeneration (Burde-Steinhoff, J. Algebra 214, 1999;
         Grunewald-O'Halloran, J. Algebra 112, 1988).  Only nonzero columns are
-        built; the kernel of X is Ann(T), so X = dim - dim Ann.  On rows that
-        satisfy (A1), row (j, i) of L is minus row (i, j), column (j, i, p) of
-        Z is minus column (i, j, p), and nothing sits at i = j: only i < j is read.
+        built; L's rank is the number of ``_inner_pairs``, and the kernel of X
+        is Ann(T), so X = dim - dim Ann.  On rows that satisfy (A1), column
+        (j, i, p) of Z is minus column (i, j, p), and nothing sits at i = j:
+        only i < j is read.
         """
-        mirrored = _satisfies_a1(self._rows)
-        ranks = []
-        # positions in (i, j, k, p) of the row and of the column index of L and Z
-        for row_at, column_at in (((0, 1), (2, 3)), ((2,), (0, 1, 3))):
-            table = {}
-            for *idx, val in self.nonzero_entries():
-                if mirrored and idx[0] >= idx[1]:
-                    continue
-                table.setdefault(tuple(idx[a] for a in row_at), {})[
-                    tuple(idx[a] for a in column_at)] = val
-            ranks.append(rank(table.values()))
-        return ranks[0], self.dim - self.annihilator().dim, ranks[1]
+        mirrored, table = self._satisfies_a1(), {}
+        for i, j, k, p, val in self.nonzero_entries():
+            if not mirrored or i < j:
+                table.setdefault(k, {})[(i, j, p)] = val
+        return len(self._inner_pairs()), self.dim - self.annihilator().dim, rank(table.values())
+
+    @_memo
+    def _inner_pairs(self):
+        """The pairs (u, v) whose L-flattening rows (u, v) -> {(w, p): c_uvw^p}, in
+        sorted order, one ``_eliminate`` keeps; their number is the rank of L.
+
+        A pair is kept when its row is independent of the rows before it.  On
+        rows that satisfy (A1), ad(v, u) = -ad(u, v) and ad(u, u) = 0, so only
+        u < v is read, and the kept ad(u, v) span the inner derivations.
+        """
+        mirrored, table = self._satisfies_a1(), {}
+        for (u, v, w), row in self._rows.items():
+            if not mirrored or u < v:
+                cell = table.setdefault((u, v), {})
+                for p, val in row.items():
+                    cell[(w, p)] = val
+        pairs = list(table)
+        return [pairs[r] for r in _eliminate(list(table.values()), len(pairs))[1]]
+
+    @_memo
+    def _satisfies_a1(self):
+        """(A1) on nonzero rows: no (i, i, k) row, and row (j, i, k) is minus row (i, j, k)."""
+        rows = self._rows
+        for (i, j, k), row in rows.items():
+            mirror = rows.get((j, i, k))
+            if i == j or mirror is None or len(mirror) != len(row) \
+                    or any(mirror.get(p) != -val for p, val in row.items()):
+                return False
+        return True
 
     def orbit_dimension(self) -> int:
         """dim O(T) = n^2 - dim Der(T) for the conjugation action of GL_n."""
@@ -391,17 +422,7 @@ def _add_row(cells, key, row, factor):
         cell[q] = cell[q] + val if q in cell else val
 
 
-def _satisfies_a1(rows):
-    """(A1) on nonzero rows: no (i, i, k) row, and row (j, i, k) is minus row (i, j, k)."""
-    for (i, j, k), row in rows.items():
-        mirror = rows.get((j, i, k))
-        if i == j or mirror is None or len(mirror) != len(row) \
-                or any(mirror.get(p) != -val for p, val in row.items()):
-            return False
-    return True
-
-
-def _axiom_residuals(rows, lanes=None):
+def _axiom_residuals(rows, lanes=None, pairs=None):
     """Residual of every (A1)-(A3) cell the nonzero rows touch, in scan order.
 
     ``rows`` maps 0-based (i, j, k) to {p: value}.  Yields (identity, 0-based
@@ -409,7 +430,8 @@ def _axiom_residuals(rows, lanes=None):
     ``lanes`` from ``_packed_gaussian_rows``.  (A1) is read once per pair
     at i <= j and (A2) once per cyclic class at its least rotation, where an
     exhaustive scan first meets the same residual; (A3) comes per pair u < v,
-    then by (x, y, z), lexicographically.
+    then by (x, y, z), lexicographically; ``pairs``, a sorted list, limits
+    (A3) to the pairs it lists.
 
     On rows that satisfy (A1), (A3) is read only at x < y: there the
     residual at (u, v, y, x, z) is minus the one at (u, v, x, y, z) and the
@@ -447,7 +469,7 @@ def _axiom_residuals(rows, lanes=None):
     for key, vector in vectors.items():
         for s in range(3):
             by_slot[s].setdefault(key[s], []).append((key[:s], key[s + 1:], vector))
-    for u, v in sorted(pair for pair in ad if pair[0] < pair[1]):
+    for u, v in sorted(pair for pair in ad if pair[0] < pair[1]) if pairs is None else pairs:
         residuals = {}  # (x, y, z) -> cell
         for p, (_, vector) in ad[(u, v)].items():  # ad(u,v) [x,y,z]
             for key, val in by_target.get(p, ()):
@@ -465,18 +487,19 @@ def _axiom_residuals(rows, lanes=None):
             yield "A3", (u, v) + key, residuals[key]
 
 
-def first_axiom_failure(dim, rows):
+def first_axiom_failure(dim, rows, pairs=None):
     """The lexicographically first failing identity, read from nonzero rows.
 
     Returns None or (identity, 1-based indices, residual of length ``dim``),
     with (A1) before (A2) before (A3) and (u, v, x, y, z), u < v, ordered
-    lexicographically as in an exhaustive scan.  Rows over Q(i) run the
-    kernel on lane-packed Gaussian integers (``lietriple.packed``) and
-    read back only the first nonzero cell; any other field runs it on the
-    rows as they are.
+    lexicographically as in an exhaustive scan; ``pairs`` limits (A3) to the
+    pairs it lists, as ``Lts.check_axioms`` does.  Rows over Q(i) run the
+    kernel on lane-packed Gaussian integers (``lietriple.packed``) and read
+    back only the first nonzero cell; any other field runs it on the rows as
+    they are.
     """
     (rows, lanes), scale, width = _packed_gaussian_rows(dim, rows) or ((rows, None), 1, 0)
-    for identity, indices, cell in _axiom_residuals(rows, lanes):
+    for identity, indices, cell in _axiom_residuals(rows, lanes, pairs):
         if lanes is not None and cell:
             residual = _unpacked_residual(identity, cell, dim, scale, width)
         elif lanes is None and any(cell.values()):

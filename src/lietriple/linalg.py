@@ -2,14 +2,15 @@
 
 Equations are sparse rows {column: value}, as their callers build them.  One
 sparse Gauss-Jordan elimination, ``_eliminate``, does every row reduction:
-each row pivots on its highest column, and the pivot rows stay zero at each
-other's pivots.  ``nullspace`` reads its canonical basis off the pivot rows
-and ``rank`` counts them; neither makes a row dense.  ``Subspace`` and
-``rref`` take dense rows and eliminate them with the columns negated, so
-each row pivots on its lowest column: the reduced echelon form.
-``mat_inverse`` reduces the sparse rows [A | I] the same way.  Entries are
-taken into one field, Q(i)(t) if one is a RationalFunction and Q(i)
-otherwise, so an int matrix gives exact GaussianRationals, never floats.
+each row pivots on its highest column, the pivot rows stay zero at each
+other's pivots, and the 1 at a row's own pivot is not stored, so no row
+subtraction computes the 0 it leaves there.  ``nullspace`` reads its
+canonical basis off the pivot rows and ``rank`` counts them; neither makes a
+row dense.  ``Subspace`` and ``rref`` take dense rows and eliminate them with
+the columns negated, so each row pivots on its lowest column: the reduced
+echelon form.  ``mat_inverse`` reduces the sparse rows [A | I] the same way.
+Entries are taken into one field, Q(i)(t) if one is a RationalFunction and
+Q(i) otherwise, so an int matrix gives exact GaussianRationals, never floats.
 Every elimination is exact and reads all of its rows.
 """
 
@@ -46,6 +47,7 @@ def _reduced_echelon(rows, ncols):
     reduced = {}
     for q, row in sorted(_eliminate(rows, ncols)[0].items(), reverse=True):
         dense = reduced[-q] = [field.zero] * ncols
+        dense[-q] = field.one
         for c, x in row.items():
             dense[-c] = x
     return field, reduced
@@ -93,33 +95,34 @@ def nullspace(rows, ncols):
         vec[f] = field.one
     for pc, row in pivots.items():
         for f, x in row.items():
-            if f != pc:
-                basis[f][pc] = -x
+            basis[f][pc] = -x
     return list(basis.values())
 
 
 def _eliminate(rows, ncols):
     """Gauss-Jordan on sparse rows: ({pivot column: row}, indices of the rows that gave them).
 
-    A row reduced by the pivot rows before it pivots on its highest column,
-    with a 1 there, and is cleared from the pivot rows; so every pivot row is
-    zero at the other pivots, and its entries sit at its pivot and at free
-    columns below it.  The rows are reduced in place; the scan stops once
-    every column is a pivot.
+    A row reduced by the pivot rows before it pivots on its highest column
+    and is cleared from the pivot rows; so every pivot row is zero at the
+    other pivots, and its entries sit at free columns below its pivot.  The
+    pivot's own entry, 1, is not stored, so a subtraction of a pivot row
+    never computes the 0 it leaves there.  The rows are reduced in place;
+    the scan stops once every column is a pivot.
     """
     pivots, kept = {}, []
     for r, row in enumerate(rows):
         for pc in [c for c in row if c in pivots]:
-            _add_multiple(row, -row[pc], pivots[pc])
+            _subtract(row, row.pop(pc), pivots[pc])
         if not row:
             continue
         q = max(row)
-        if row[q] != 1:
-            inv = 1 / row[q]
+        lead = row.pop(q)
+        if lead != 1:
+            inv = 1 / lead
             row = {c: x * inv for c, x in row.items()}
         for other in pivots.values():
             if q in other:
-                _add_multiple(other, -other[q], row)
+                _subtract(other, other.pop(q), row)
         pivots[q] = row
         kept.append(r)
         if len(kept) == ncols:
@@ -127,10 +130,10 @@ def _eliminate(rows, ncols):
     return pivots, kept
 
 
-def _add_multiple(row, f, pivot):
-    """row += f * pivot in place, on sparse rows; entries that cancel are dropped."""
-    for c, y in pivot.items():
-        x = row[c] + f * y if c in row else f * y
+def _subtract(row, f, tail):
+    """row -= f * tail in place, on sparse rows; entries that cancel are dropped."""
+    for c, y in tail.items():
+        x = row[c] - f * y if c in row else -(f * y)
         if x:
             row[c] = x
         else:
@@ -139,7 +142,7 @@ def _add_multiple(row, f, pivot):
 
 def mat_mul(A, B):
     m, inner = len(B[0]), len(B)
-    return [[sum((row[k] * B[k][j] for k in range(inner)), start=field_of(row[0]).zero)
+    return [[sum((row[k] * B[k][j] for k in range(inner) if row[k]), start=field_of(row[0]).zero)
              for j in range(m)] for row in A]
 
 

@@ -6,16 +6,21 @@ only nonzero rows, must report the same first failing identity, the same
 indices and the same residual.
 """
 
+import functools
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ExactRandom, cochain_eval
-from lietriple import catalog
+from conftest import ExactRandom, cochain_eval, oracle_rank
+from lietriple import catalog, core
 from lietriple.errors import AxiomViolation
 from lietriple.cohomology import Cocycle, cocycle_space, delta_indices
-from lietriple.core import Lts, complete_table
+from lietriple.core import Lts, complete_table, lts_from_dict
 from lietriple.packed import _packed_gaussian_rows
 from lietriple.scalars import GaussianRational, RationalFunction
 
@@ -344,3 +349,91 @@ def test_rational_function_rows_take_the_generic_path():
             tensor = perturb(base, kind, rng, delta=RationalFunction.variable() + rng.rng.choice([1, 2]))
             seen.add(assert_same(tensor))
     assert {"A1", "A2", "A3"} <= seen
+
+
+# -- (A3) at the pairs whose ad(u, v) span the inner derivations -----------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _kernel_without_full_scan(monkeypatch):
+    """Patch the axiom kernel to raise on a scan of every (A3) pair; returns the
+    list that collects the pair lists it is given."""
+    kernel, seen = core._axiom_residuals, []
+
+    def listed_only(rows, lanes=None, pairs=None):
+        if pairs is None:
+            raise AssertionError("(A3) scanned at every pair")
+        seen.append(list(pairs))
+        return kernel(rows, lanes, pairs)
+
+    monkeypatch.setattr(core, "_axiom_residuals", listed_only)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["dense-document", "family-table"])
+def test_a_passing_system_reads_a3_at_its_kept_pairs_only(monkeypatch, case):
+    seen = _kernel_without_full_scan(monkeypatch)
+    if case == "dense-document":  # over Q(i): the lanes
+        system = lts_from_dict(json.loads((GOLDEN / "input_t4_9_dense.json").read_text()))
+    else:  # over Q(i)(t): the rows as they are
+        system = complete_table(4, catalog._family_generators(RationalFunction.variable()))
+    assert system.check_axioms().ok
+    pairs = system._inner_pairs()
+    assert seen == [pairs]
+    assert len(pairs) == system.flattening_ranks()[0]
+    nonzero = {(u, v) for u, v, _ in system.rows() if u < v}
+    assert len(pairs) < len(nonzero) if case == "dense-document" else len(pairs) == len(nonzero)
+
+
+def _full_l_rank(system):
+    """Rank of L with every (i, j) row read, by the fraction-free oracle."""
+    n, table = system.dim, {}
+    for i, j, k, p, val in system.nonzero_entries():
+        table.setdefault((i, j), [0] * n * n)[k * n + p] = val
+    return oracle_rank(list(table.values()))
+
+
+_CONJUGATED = [("T3,2", None), ("T4,2", None), ("T4,5", None), ("T4,8", None), ("T4,9", None),
+               ("T4,6", 2), ("T4,6", GaussianRational(1, 1))]
+
+
+@functools.cache
+def _dense_conjugate(case, seed):
+    system = catalog.instantiate(*case)
+    return dense(system.change_basis(ExactRandom(seed).invertible(system.dim, height=2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(_CONJUGATED), seed=st.integers(0, 2), data=st.data())
+def test_perturbations_that_keep_a1_and_a2_get_the_full_scan_report(case, seed, data):
+    # delta at (i,j,k) and (k,j,i), minus delta at (j,i,k) and (j,k,i): (A1) and (A2)
+    # still hold, and (A3) mostly fails; the first failing pair is always a kept one,
+    # so no input scans every pair
+    tensor = [[[list(row) for row in plane] for plane in block]
+              for block in _dense_conjugate(case, seed)]
+    n = len(tensor)
+    i, j, k, p = (data.draw(st.integers(0, n - 1)) for _ in range(4))
+    delta = GaussianRational(data.draw(st.integers(-3, 3).filter(bool)),
+                             data.draw(st.integers(-1, 1)))
+    for (a, b, c), sign in (((i, j, k), 1), ((k, j, i), 1), ((j, i, k), -1), ((j, k, i), -1)):
+        tensor[a][b][c][p] += sign * delta
+    system = Lts(tensor)
+    assert system._satisfies_a1()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = _kernel_without_full_scan(monkeypatch)
+        failure = kernel_failure(tensor)
+    assert seen == [system._inner_pairs()]
+    assert failure == reference_check_axioms(system)
+    assert failure is None or failure[0] == "A3"
+    assert system.flattening_ranks()[0] == _full_l_rank(system)
+
+
+def test_a3_is_read_at_x_below_y_once_a1_holds():
+    # the kernel skips (u, v, y, x, z), minus the cell at (u, v, x, y, z), only under (A1)
+    tensor = _dense_conjugate(("T4,9", None), 0)
+    a3_cells = lambda t: [idx for identity, idx, _ in core._axiom_residuals(Lts(t).rows())
+                          if identity == "A3"]
+    assert a3_cells(tensor) and all(x < y for _, _, x, y, _ in a3_cells(tensor))
+    broken = perturb(tensor, "A1", ExactRandom(3))
+    assert any(x >= y for _, _, x, y, _ in a3_cells(broken))

@@ -78,7 +78,7 @@ class TestExtend:
         dims = []
         real = core.first_axiom_failure
         monkeypatch.setattr(core, "first_axiom_failure",
-                            lambda dim, rows: dims.append(dim) or real(dim, rows))
+                            lambda dim, rows, *args: dims.append(dim) or real(dim, rows, *args))
         for _ in range(2):
             spec = ExtensionSpec(extended, [D(extended, {(1, 3, 1): 1})])
             extend(spec), extension_annihilator(spec), in_ts(spec)
