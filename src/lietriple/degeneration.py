@@ -10,9 +10,10 @@ composed with a constant basis change, and the source's constants lie in Q(i)
 (no parametrized index), they are split by v-weight, conjugated by g0 and
 read as Laurent polynomials with integer exponents; the basis's Z[i][t] form
 is then never built.  Any other witness, and ``transport_constants``,
-transport over Z[i][t].  Witnesses have one form, the document that
-``witness_from_dict`` reads; the built-in tables are such documents, and a
-witness's label is read off its endpoints.
+transport over Z[i][t], with the inverse basis read off the Cartan form when
+there is one and inverted over Q(i)(t) otherwise.  Witnesses have one form,
+the document that ``witness_from_dict`` reads; the built-in tables are such
+documents, and a witness's label is read off its endpoints.
 
 Non-degenerations come at two exact levels: necessary-condition certificates
 (annihilator / derived-subspace / derivation dimensions, the three flattening
@@ -75,11 +76,11 @@ class ParametrizedBasis:
     """Square matrix A(t) over Q(i)(t); row i holds the coordinates of E_i(t).
 
     When A = diag(t^u) g0 diag(t^v), with g0 constant and u, v integer vectors
-    (``_cartan_form``), the basis keeps (u, g0^T, (g0^T)^{-1}, v) and its
-    Z[i][t] form is built only when transport reads it.  Transport reads its
-    cleared form: row i of A is f_i M_i, and g = (A^T)^{-1} =
-    diag(1/f) adj(M^T) / det M comes from a fraction-free elimination
-    (``packed._cleared_basis``); no inverse over Q(i)(t) is built.
+    (``_cartan_form``), the basis keeps (u, g0^T, (g0^T)^{-1}, v).  Transport
+    reads its cleared form (``packed._cleared_basis``), built when first read:
+    the rows of A and of g = (A^T)^{-1} over Z[i][t], each with its own
+    denominator.  g is read off the Cartan form when there is one, and is
+    otherwise inverted over Q(i)(t), which also decides singularity.
     """
 
     def __init__(self, rows):
@@ -88,13 +89,13 @@ class ParametrizedBasis:
         if any(len(r) != n for r in self.rows):
             raise MalformedInput("basis", "parametrized basis must be square")
         self._form = _cartan_form(self.rows)
-        # g0 of a Cartan form decides singularity; otherwise the Z[i][t] form does
+        # g0 of a Cartan form decides singularity; otherwise the inverse over Q(i)(t) does
         if (self._cleared if self._form is None else self._form[2]) is None:
             raise SingularBasis("parametrized basis is singular over Q(i)(t)")
 
     @functools.cached_property
     def _cleared(self):
-        return _cleared_basis(self.rows)
+        return _cleared_basis(self.rows, self._form)
 
     @property
     def dim(self):

@@ -7,18 +7,15 @@ kernel's bound on every digit:
     kernel                    lane             digits per lane   2^(k-1) >
     (A3) residual over Q(i)   coordinate q     a_q, then b_q     8 n M^2
     transport over Q(i)(t)    power t^e        c_0, ..., c_5     n^4 M_h^3 M_g M_r
-    inverse over Z[i][t]      power t^e        a_e; b_e apart    prod_i L1(row i)
 
 For (A3), M = max(|a|, |b|) over the cleared constants a + b*i; for transport,
 M is the largest L1 norm sum |a_e| + |b_e| of a cleared entry of h, g or rows.
-The inverse keeps minors of [matrix | I], each a minor of the matrix, whose
-L1 norm is at most the product of the L1 norms of the matrix's rows.
 """
 
 from __future__ import annotations
 
-from math import prod
-
+from .errors import SingularMatrix
+from .linalg import mat_inverse
 from .scalars import (_POLY_ONE, QI_ZERO, GaussianRational, Polynomial, RationalFunction, _reduced,
                       gaussian_integers, poly_gcd)
 
@@ -176,115 +173,41 @@ def _unpacked_function(value, width, scale, shift, rest):
                             Polynomial([QI_ZERO] * -shift + list(rest.coeffs)))
 
 
-def _fraction_free_inverse(matrix):
-    """(det, adj) of a square matrix over Z[i][t], as pair lists; None when singular.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss) of [matrix | I] at
-    t = X = 2^k, each entry held as the ints (sum a_e X^e, sum b_e X^e): an
-    entry becomes (p*x - f*y) / prev, an exact division.  Reading at X is a
-    ring homomorphism, so the products before a division may overflow lanes;
-    every kept entry is a minor, bounded by the width rule above.
-    """
-    n = len(matrix)
-    width = _width(prod(sum(abs(x) for poly in row if poly for pair in poly for x in pair)
-                        for row in matrix))
-
-    def at_x(poly):
-        re = im = 0
-        for a, b in reversed(poly):
-            re, im = (re << width) + a, (im << width) + b
-        return re, im
-
-    # rows of [matrix | I] as {column: entry}, zeros left out
-    rows = [{j: at_x(poly) for j, poly in enumerate(row) if poly} | {n + i: (1, 0)}
-            for i, row in enumerate(matrix)]
-    (pr, pi), sign = (1, 0), 1
-    for k in range(n):
-        r = next((r for r in range(k, n) if k in rows[r]), None)
-        if r is None:
-            return None
-        if r != k:
-            rows[k], rows[r], sign = rows[r], rows[k], -sign
-        pivot = rows[k]
-        (xr, xi), norm = pivot[k], pr * pr + pi * pi
-        for i, row in enumerate(rows):
-            fr, fi = row.get(k, (0, 0))
-            if i == k or not (fr or fi) and xr == pr and xi == pi:  # the row stays
-                continue
-            rows[i] = updated = {}
-            for j in row.keys() | pivot.keys():
-                if j > k:
-                    (yr, yi), (zr, zi) = pivot.get(j, (0, 0)), row.get(j, (0, 0))
-                    ur = xr * zr - xi * zi - fr * yr + fi * yi
-                    ui = xr * zi + xi * zr - fr * yi - fi * yr
-                    if ur or ui:  # divided by prev, through its conjugate and norm
-                        updated[j] = (ur // pr, ui // pr) if not pi else \
-                            ((ur * pr + ui * pi) // norm, (ui * pr - ur * pi) // norm)
-        pr, pi = xr, xi
-
-    def read_back(entry):
-        if entry is None:
-            return None
-        count = max(abs(x).bit_length() for x in entry) // width + 1
-        poly = list(zip(*(_balanced_digits(sign * x, width, count) for x in entry)))
-        while poly[-1] == (0, 0):
-            poly.pop()
-        return poly
-    return read_back((pr, pi)), [[read_back(row.get(n + j)) for j in range(n)] for row in rows]
+def _cleared_monomials(coeffs, exponents):
+    """(polys, factor) of the values c_j t^(e_j), c_j in Q(i), as ``_cleared``
+    gives them, with rest = 1: no rational function is built."""
+    lowest = min((e for c, e in zip(coeffs, exponents) if c), default=0)
+    scale, pairs = gaussian_integers(c for c in coeffs if c)
+    pairs = iter(pairs)
+    polys = [[(0, 0)] * (e - lowest) + [next(pairs)] if c else None
+             for c, e in zip(coeffs, exponents)]
+    return polys, (scale, lowest, _POLY_ONE)
 
 
-def _pair_product(p, q):
-    """The product of two Z[i][t] polynomials given as pair lists."""
-    out = [(0, 0)] * (len(p) + len(q) - 1)
-    for e, (a, b) in enumerate(p):
-        for f, (c, d) in enumerate(q):
-            x, y = out[e + f]
-            out[e + f] = (x + a * c - b * d, y + a * d + b * c)
-    return out
-
-
-def _cleared_basis(rows):
+def _cleared_basis(rows, form):
     """(h_rows, h_factors, g_rows, g_factors) for ``_packed_transport``, or None
-    when A is singular: h = A^T and g = (A^T)^-1 over Z[i][t], with factors.
+    when A is singular: the rows of A and of g = (A^T)^-1, each cleared on its own.
 
-    Row i of A is f_i M_i by ``_cleared``, so A^T = M^T diag(f) and
-    g = diag(1/f) adj(M^T) / det M by ``_fraction_free_inverse``.  With
-    det M = t^m D, D(0) != 0, l the leading coefficient of D, and
-    rest_p = R_p / d_p over Z[i], row p of g is scale_p R_p conj(l) adj(M^T)[p]
-    times t^(-shift_p - m) / (d_p N(l) D/l); a row whose every entry D/l
-    divides is divided by it, so that its values read back without a gcd.
+    With the Cartan form (u, h, h^-1, v) of A, h = g0^T, A^T is
+    diag(t^v) h diag(t^u): row i of A is h[j][i] t^(u_i + v_j) and row p of g
+    is h^-1[p][q] t^(-u_p - v_q), both cleared directly.  Without it, g comes
+    from ``mat_inverse`` over Q(i)(t) and each row is cleared by ``_cleared``.
     """
-    cleared = [_cleared(row) for row in rows]
-    h_rows, h_factors = [polys for polys, _, _ in cleared], [factor for *_, factor in cleared]
-    inverse = _fraction_free_inverse([list(column) for column in zip(*h_rows)])
-    if inverse is None:
-        return None
-    det, adj = inverse
-    low = next(e for e, pair in enumerate(det) if pair != (0, 0))
-    lr, li = det[-1]
-    norm = lr * lr + li * li
-    over_lead = Polynomial([_reduced(a * lr + b * li, b * lr - a * li, norm) for a, b in det[low:]])
-    g_rows, g_factors = [], []
-    for (scale, shift, rest), row in zip(h_factors, adj):
-        d, pairs = gaussian_integers(rest.coeffs)
-        times = [(scale * (a * lr + b * li), scale * (b * lr - a * li)) for a, b in pairs]
-        row, row_rest = [poly and _pair_product(times, poly) for poly in row], over_lead
-        if over_lead.degree > 0:
-            quotients = []
-            for poly in row:
-                q, r = divmod(Polynomial([GaussianRational(a, b) for a, b in poly]), over_lead) \
-                    if poly else (None, None)
-                if r:
-                    break
-                quotients.append(q)
-            else:
-                den, flat = gaussian_integers(c for q in quotients if q for c in q.coeffs)
-                flat = iter(flat)
-                row = [q and [next(flat) for _ in q.coeffs] for q in quotients]
-                d, row_rest = d * den, _POLY_ONE
-        g_rows.append(row)
-        g_factors.append((d * norm, -shift - low, row_rest))
-    return h_rows, h_factors, g_rows, g_factors
+    if form is None:
+        try:
+            inverse = mat_inverse([list(column) for column in zip(*rows)])
+        except SingularMatrix:
+            return None
+        a_rows = [(polys, factor) for polys, _, factor in map(_cleared, rows)]
+        g_rows = [(polys, factor) for polys, _, factor in map(_cleared, inverse)]
+    else:
+        u, h, h_inv, v = form
+        a_rows = [_cleared_monomials([row[i] for row in h], [u_i + v_j for v_j in v])
+                  for i, u_i in enumerate(u)]
+        g_rows = [_cleared_monomials(row, [-u_p - v_q for v_q in v])
+                  for row, u_p in zip(h_inv, u)]
+    return ([polys for polys, _ in a_rows], [factor for _, factor in a_rows],
+            [polys for polys, _ in g_rows], [factor for _, factor in g_rows])
 
 
 def _packed_transport(h_rows, h_factors, g_rows, g_factors, rows):

@@ -25,7 +25,7 @@ from lietriple import degeneration as dg
 from lietriple.cohomology import CochainSpace, Cocycle, _theta_rows, cocycle_space
 from lietriple.core import _conjugate_rows, _first_slot_kernel
 from lietriple.extension import ExtensionSpec
-from lietriple.linalg import Subspace, identity_matrix, mat_inverse, nullspace
+from lietriple.linalg import Subspace, identity_matrix, nullspace
 from lietriple.scalars import QI_ZERO, GaussianRational, RationalFunction, coerce, field_of
 
 # The published cocycles on T3,2 whose extensions are T4,7, T4,8 and T4,9.  For
@@ -143,12 +143,21 @@ def cochain_eval(theta, x, y, z):
 def reference_transported_rows(system, basis):
     """Rows of ``system`` in a parametrized basis: the conjugation kernel run on
     the constants lifted to Q(i)(t), as transport did before it was packed, by
-    A^T and its inverse from ``mat_inverse`` over Q(i)(t), which shares no code
-    with the basis's own cleared inverse."""
+    A^T and its inverse by cofactors over Q(i)(t) (``reference_inverse``), which
+    shares no elimination with the basis's own cleared inverse."""
     lifted = {key: {p: RationalFunction.of(val) for p, val in row.items()}
               for key, row in system.rows().items()}
     transposed = [list(column) for column in zip(*basis.rows)]
-    return _conjugate_rows(lifted, transposed, mat_inverse(transposed))
+    return _conjugate_rows(lifted, transposed, reference_inverse(transposed))
+
+
+def reference_inverse(A):
+    """A^-1 = adj(A) / det A by cofactors, each minor a ``reference_determinant``."""
+    n = len(A)
+    det = reference_determinant(A)
+    minor = [[reference_determinant([row[:q] + row[q + 1:] for r, row in enumerate(A) if r != p])
+              for q in range(n)] for p in range(n)]
+    return [[(-1) ** (p + q) * minor[q][p] / det for q in range(n)] for p in range(n)]
 
 
 def general_path_witness(witness):

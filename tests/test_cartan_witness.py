@@ -11,14 +11,17 @@ same witness runs on the general path.
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import general_path_witness
+from conftest import general_path_witness, reference_transported_rows
+from lietriple import catalog
 from lietriple import degeneration as dg
+from lietriple.core import Lts
 from lietriple.errors import MalformedInput, SingularBasis
 from lietriple.scalars import GaussianRational, RationalFunction, rational_function_str
 
@@ -65,8 +68,11 @@ def test_both_paths_agree_on_random_cartan_forms(data):
     except SingularBasis as exc:
         assert_singular_on_both_paths(rows, str(exc))
         return
-    cartan, general = paths(*data.draw(st.sampled_from(ENDS[n])), rows)
+    source, target = data.draw(st.sampled_from(ENDS[n]))
+    cartan, general = paths(source, target, rows)
     assert cartan == general
+    system, basis = catalog.instantiate(source), dg.ParametrizedBasis(rows)
+    assert dg._transported_rows(system, basis) == reference_transported_rows(system, basis)
 
 
 def assert_singular_on_both_paths(rows, message):
@@ -178,3 +184,41 @@ def test_builtin_witnesses_never_build_the_z_i_t_form(doc, monkeypatch):
     monkeypatch.setattr(dg, "_cleared_basis", refused)
     witness = dg.witness_from_dict(doc)
     assert dg.verify_degeneration(witness).ok
+
+
+def refuse_inverses_over_q_i_t(monkeypatch):
+    """Make every ``mat_inverse`` the package holds raise on a matrix over Q(i)(t)."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "lietriple"]:
+        if hasattr(module, "mat_inverse"):
+            def refused(matrix, inverse=module.mat_inverse):
+                if any(isinstance(x, RationalFunction) for row in matrix for x in row):
+                    raise AssertionError("mat_inverse over Q(i)(t)")
+                return inverse(matrix)
+            monkeypatch.setattr(module, "mat_inverse", refused)
+
+
+@pytest.mark.parametrize("witness", [dg.witness_from_dict(doc) for doc in BUILTIN_CARTAN]
+                         + [dg.table4_witness()], ids=lambda w: w.label)
+def test_transport_reads_the_cartan_form(witness, monkeypatch):
+    # transport_constants takes (A^T)^-1 from the form, not from an inverse over Q(i)(t)
+    system = witness.source_system()
+    refuse_inverses_over_q_i_t(monkeypatch)
+    basis = dg.ParametrizedBasis(witness.basis.rows)
+    assert basis._form is not None
+    moved = dg.transport_constants(system, basis)
+    assert Lts(moved).rows() == reference_transported_rows(system, basis)
+
+
+def test_transport_reads_the_cartan_form_of_laurent_bases(monkeypatch):
+    # shaped like the benchmark's transport bases: an elementary matrix I + c e_ij with
+    # row i scaled by t^k, k in -1..n-2, the second applied to constants over Q(i)(t)
+    first = [[T ** -1, 0, 0, 0], [0, T ** 2, G(2, -1) * T ** 2, 0], [0, 0, 1, 0], [0, 0, 0, T]]
+    second = [[T, 0, 0, 0], [0, 1, 0, 0], [0, 0, T ** 2, 0], [G(0, 1) / T, 0, 0, T ** -1]]
+    system = catalog.instantiate("T4,8")
+    refuse_inverses_over_q_i_t(monkeypatch)
+    for rows in (first, second):
+        basis = dg.ParametrizedBasis(rows)
+        assert basis._form is not None
+        moved = Lts(dg.transport_constants(system, basis))
+        assert moved.rows() == reference_transported_rows(system, basis)
+        system = moved

@@ -237,9 +237,9 @@ def test_packed_transport_agrees_on_rows_over_q_i_t():
 @pytest.mark.parametrize("entry", ["3", "3*i/t"])
 def test_transport_packing_width_has_no_spare_bit(entry):
     # transport takes any trilinear product; in dimension 1 the one output
-    # digit is h^3 g c over the cleared entries, 3^3 * 3 * 5 = 405 up to sign
-    # (g is conj(l) adj(M^T), 3 or -3i), the bound n^4 M_h^3 M_g M_r itself,
-    # so it needs the width's top bit and a packing one bit narrower misreads it
+    # digit is h^3 g c over the cleared entries, 3^3 * 1 * 5 = 135 up to sign
+    # (g is 1/3 or -i*t/3, cleared to 1 or -i), the bound n^4 M_h^3 M_g M_r
+    # itself, so it needs the width's top bit and a packing one bit narrower misreads it
     system = Lts.from_rows(1, {(0, 0, 0): {0: G(5)}})
     basis = dg.ParametrizedBasis([[parse_rational_function(entry)]])
     h = basis.rows[0][0]

@@ -215,3 +215,15 @@ def test_only_eliminate_reduces_rows():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(getattr(node, "op", None), ast.Mod)]
     assert [arg.arg for arg in functions["_eliminate"].args.args] == ["rows", "ncols"]
+
+
+def test_mat_inverse_is_the_only_matrix_inverse():
+    # witness bases take (A^T)^-1 from their Cartan form or from linalg.mat_inverse;
+    # packed.py keeps no inverse of its own over Z[i][t]
+    tree = ast.parse((ROOT / "src" / "lietriple" / "packed.py").read_text())
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not functions & {"_fraction_free_inverse", "_pair_product"}
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "prod" not in imported
+    assert "mat_inverse" in imported

@@ -1,9 +1,11 @@
-"""Witness bases over Z[i][t]: the fraction-free inverse against Q(i)(t) elimination.
+"""Witness bases over Z[i][t]: the cleared rows of A and (A^T)^-1 against Q(i)(t).
 
-``ParametrizedBasis`` clears A(t) to a Gaussian-integer polynomial matrix and
-inverts its transpose by fraction-free Gauss-Jordan elimination
-(``packed._fraction_free_inverse``).  The reference inverts A^T over Q(i)(t)
-with ``linalg.mat_inverse`` and runs the conjugation kernel there
+``ParametrizedBasis`` clears each row of A(t) and of g = (A^T)^-1 to a
+Gaussian-integer polynomial row with its own denominator
+(``packed._cleared_basis``): g is read off the Cartan form
+diag(t^u) g0 diag(t^v) when the basis has one, and comes from
+``linalg.mat_inverse`` over Q(i)(t) otherwise.  The reference inverts A^T by
+cofactors over Q(i)(t) and runs the conjugation kernel there
 (``reference_transported_rows``); the two must give the same rows, the same
 verdicts and the same refusal of a singular basis.
 """
@@ -21,56 +23,11 @@ from lietriple import degeneration as dg
 from lietriple.core import direct_sum
 from lietriple.errors import SingularBasis, SingularMatrix
 from lietriple.linalg import mat_inverse
-from lietriple.packed import _fraction_free_inverse
-from lietriple.scalars import QI_I, GaussianRational, Polynomial, RationalFunction
+from lietriple.scalars import QI_I, GaussianRational, RationalFunction
 
 G = GaussianRational
 T = RationalFunction.variable()
 SINGULAR = re.escape("parametrized basis is singular over Q(i)(t)")
-
-
-def as_function(poly):
-    """The element of Q(i)(t) of a pair list (a_e, b_e), 0 for None."""
-    return RationalFunction(Polynomial([G(a, b) for a, b in poly or ()]))
-
-
-def assert_inverse(matrix, det, adj):
-    """det and adj of ``matrix`` (pair lists) are those of Q(i)(t) elimination."""
-    square = [[as_function(poly) for poly in row] for row in matrix]
-    assert as_function(det) == reference_determinant(square)
-    inverse = mat_inverse(square)
-    assert [[as_function(poly) / as_function(det) for poly in row] for row in adj] == inverse
-    assert all(poly is None or poly[-1] != (0, 0) for row in adj for poly in row)
-
-
-@pytest.mark.parametrize("matrix,det,adj", [
-    # monomial matrices reach the width bound: |det| = 2 * 3 = the product of the row norms
-    ([[[(2, 0)], None], [None, [(0, 3)]]], [(0, 6)], [[[(0, 3)], None], [None, [(2, 0)]]]),
-    # a pivot swap: det = -(2 * 3i) and the adjugate changes sign with it
-    ([[None, [(2, 0)]], [[(0, 3)], None]], [(0, -6)], [[None, [(-2, 0)]], [[(0, -3)], None]]),
-    ([[None, [(0, 0), (0, 0), (7, 0)]], [[(0, 0), (-5, 0)], None]],
-     [(0, 0), (0, 0), (0, 0), (35, 0)],
-     [[None, [(0, 0), (0, 0), (-7, 0)]], [[(0, 0), (5, 0)], None]]),
-])
-def test_inverse_at_the_width_bound(matrix, det, adj):
-    # every digit the elimination keeps is at most prod_i L1(row i), here
-    # reached, so the read-back needs the width's top bit
-    assert _fraction_free_inverse(matrix) == (det, adj)
-    assert_inverse(matrix, det, adj)
-
-
-def test_inverse_of_a_dense_matrix_with_gaussian_pivots():
-    matrix = [[[(1, 1), (0, 2)], [(3, 0)], [(0, -1), (1, 0)]],
-              [[(2, -1)], None, [(1, 1), (0, 0), (4, 0)]],
-              [None, [(0, 5), (1, 0)], [(-2, 3)]]]
-    det, adj = _fraction_free_inverse(matrix)
-    assert_inverse(matrix, det, adj)
-
-
-def test_singular_matrices_have_no_inverse():
-    assert _fraction_free_inverse([[None, None], [None, [(1, 0)]]]) is None
-    assert _fraction_free_inverse([[[(1, 0), (1, 0)], [(2, 0), (2, 0)]],
-                                   [[(0, 1)], [(0, 2)]]]) is None
 
 
 def test_rows_of_g_that_the_determinant_divides_carry_none_of_it():
@@ -82,7 +39,6 @@ def test_rows_of_g_that_the_determinant_divides_carry_none_of_it():
 
 
 def test_the_empty_basis_is_invertible():
-    assert _fraction_free_inverse([]) == ([(1, 0)], [])
     assert dg.ParametrizedBasis([]).dim == 0
 
 
@@ -166,7 +122,6 @@ def test_cleared_inverse_agrees_with_q_i_t_elimination(data):
     [[T, 0, 1], [0, QI_I, 0], [T * QI_I, 0, QI_I]],
 ])
 def test_singular_bases_are_refused_with_the_same_message(rows):
-    with pytest.raises(SingularMatrix):
-        mat_inverse([list(column) for column in zip(*rows)])
+    assert not reference_determinant([[RationalFunction.of(x) for x in row] for row in rows])
     with pytest.raises(SingularBasis, match=SINGULAR):
         dg.ParametrizedBasis(rows)
