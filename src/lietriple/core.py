@@ -12,6 +12,9 @@ that vanishes has no row.  Public indices, table keys and JSON documents are
 Partial multiplication tables list only generating products; completion closes
 them in one pass under (A1) and the two-known-one-forced case of (A2),
 zero-fills the rest and then checks all three identities on the rows they touch.
+The check settles (A1) first, comparing each row with its mirror (j, i, k);
+when every row passes it reads no (A1) cell, (A2) only at i < j < k and (A3)
+only at x < y, since the other cells are zero or minus one of those.
 The (A3) residual at (u, v, x, y, z) is linear in ad(u, v) = [u, v, .], so
 ``Lts.check_axioms``, and no other caller, reads it only at the pairs whose
 ad(u, v) span the inner derivations L(T, T) (Lister, Trans. AMS 72, 1952).  A
@@ -362,14 +365,8 @@ class Lts:
 
     @_memo
     def _satisfies_a1(self):
-        """(A1) on nonzero rows: no (i, i, k) row, and row (j, i, k) is minus row (i, j, k)."""
-        rows = self._rows
-        for (i, j, k), row in rows.items():
-            mirror = rows.get((j, i, k))
-            if i == j or mirror is None or len(mirror) != len(row) \
-                    or any(mirror.get(p) != -val for p, val in row.items()):
-                return False
-        return True
+        """(A1) on nonzero rows, by ``_antisymmetric``."""
+        return _antisymmetric(self._rows)
 
     def orbit_dimension(self) -> int:
         """dim O(T) = n^2 - dim Der(T) for the conjugation action of GL_n."""
@@ -422,6 +419,18 @@ def _add_row(cells, key, row, factor):
         cell[q] = cell[q] + val if q in cell else val
 
 
+def _antisymmetric(rows, lanes=None):
+    """Whether each row (i, j, k) has a mirror (j, i, k) equal to minus it, so (A1) holds:
+    one int comparison a row, P(j, i, k) == -P(i, j, k), with ``lanes`` from
+    ``_packed_gaussian_rows``, else entry by entry, where a row at i = j fails."""
+    if lanes is not None:
+        return all((mirror := lanes.get((j, i, k))) is not None and mirror[0] == -lane[0]
+                   for (i, j, k), lane in lanes.items())
+    return all(i != j and (mirror := rows.get((j, i, k))) is not None and len(mirror) == len(row)
+               and all(mirror.get(p) == -val for p, val in row.items())
+               for (i, j, k), row in rows.items())
+
+
 def _axiom_residuals(rows, lanes=None, pairs=None):
     """Residual of every (A1)-(A3) cell the nonzero rows touch, in scan order.
 
@@ -433,15 +442,19 @@ def _axiom_residuals(rows, lanes=None, pairs=None):
     then by (x, y, z), lexicographically; ``pairs``, a sorted list, limits
     (A3) to the pairs it lists.
 
-    On rows that satisfy (A1), (A3) is read only at x < y: there the
-    residual at (u, v, y, x, z) is minus the one at (u, v, x, y, z) and the
-    one at (u, v, x, x, z) is zero, so the scan's first failing (A3) cell
-    has x < y.  Rows that break (A1) have every (x, y, z) read.
+    (A1) is settled first: when every row is minus its mirror (``_antisymmetric``),
+    no (A1) cell is yielded and (A2) is read at i < j < k only, as class
+    (i, k, j) is minus class (i, j, k) and a class with a repeated index
+    vanishes.  (A3) is then read and indexed only at x < y: the residual at
+    (u, v, y, x, z) is minus the one at (u, v, x, y, z) and the one at
+    (u, v, x, x, z) is zero, so the scan's first failing (A3) cell has x < y.
+    Any other rows have every cell read; on the rows of a system, or on
+    lanes, a failed comparison means a nonzero (A1) cell.
     """
     if lanes is None:
-        add, vectors, one, nonzero = _add_row, rows, 1, lambda cell: any(cell.values())
+        add, vectors, one = _add_row, rows, 1
     else:
-        add, vectors, one, nonzero = _add_lanes, lanes, QI_ONE, bool
+        add, vectors, one = _add_lanes, lanes, QI_ONE
 
     def row_sum(keys):
         cells = {}
@@ -450,31 +463,33 @@ def _axiom_residuals(rows, lanes=None, pairs=None):
                 add(cells, None, vectors[key], one)
         return cells[None]
 
-    mirrored = True  # until an (A1) cell is nonzero
-    for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in rows}):
-        cell = row_sum(((i, j, k), (j, i, k)))
-        mirrored = mirrored and not nonzero(cell)
-        yield "A1", (i, j, k), cell
-    for i, j, k in sorted({min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in rows}):
+    mirrored = _antisymmetric(rows, lanes)
+    if mirrored:  # (A2) classes at i < j < k, (A3) at x < y
+        classes = {tuple(sorted(key)) for key in rows if len(set(key)) == 3}
+    else:
+        for i, j, k in sorted({(min(i, j), max(i, j), k) for i, j, k in rows}):
+            yield "A1", (i, j, k), row_sum(((i, j, k), (j, i, k)))
+        classes = {min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in rows}
+    for i, j, k in sorted(classes):
         yield "A2", (i, j, k), row_sum(((i, j, k), (j, k, i), (k, i, j)))
 
     ad = {}  # (u, v) -> {w: (row (u, v, w), its vector)}
     for key, row in rows.items():
         ad.setdefault(key[:2], {})[key[2]] = row, vectors[key]
-    by_target = {}  # p -> [((x, y, z), c_{xyz}^p)] over rows
+    by_target = {}  # p -> [((x, y, z), c_{xyz}^p)] over the rows read
     for key, row in rows.items():
-        for p, val in row.items():
-            by_target.setdefault(p, []).append((key, val))
+        if not mirrored or key[0] < key[1]:
+            for p, val in row.items():
+                by_target.setdefault(p, []).append((key, val))
     by_slot = ({}, {}, {})  # slot s, index p -> [(key[:s], key[s+1:], vector)] with key[s] = p
     for key, vector in vectors.items():
-        for s in range(3):
+        for s in range(3) if not mirrored or key[0] < key[1] else range(2):
             by_slot[s].setdefault(key[s], []).append((key[:s], key[s + 1:], vector))
     for u, v in sorted(pair for pair in ad if pair[0] < pair[1]) if pairs is None else pairs:
         residuals = {}  # (x, y, z) -> cell
         for p, (_, vector) in ad[(u, v)].items():  # ad(u,v) [x,y,z]
             for key, val in by_target.get(p, ()):
-                if not mirrored or key[0] < key[1]:
-                    add(residuals, key, vector, val)
+                add(residuals, key, vector, val)
         for w, (ad_w, _) in ad[(u, v)].items():  # ad(u,v) e_w put in each slot
             for p, val in ad_w.items():
                 val = -val

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .errors import SingularMatrix
 from .linalg import mat_inverse
-from .scalars import (_POLY_ONE, QI_ZERO, GaussianRational, Polynomial, RationalFunction, _reduced,
-                      gaussian_integers, poly_gcd)
+from .scalars import (_POLY_ONE, QI_ZERO, GaussianRational, Polynomial, RationalFunction, _make,
+                      _reduced, gaussian_integers, poly_gcd)
 
 
 def _width(bound):
@@ -53,8 +53,9 @@ def _packed_gaussian_rows(dim, rows):
     if cleared is None:
         return None
     scale, pairs = cleared
-    if scale != 1:
-        rows = {key: {p: val * scale for p, val in row.items()} for key, row in rows.items()}
+    if scale != 1:  # the rows D*z, read off the cleared pairs
+        values = iter(pairs)
+        rows = {key: {p: _make(*next(values), 1) for p in row} for key, row in rows.items()}
     bound = max((abs(x) for pair in pairs for x in pair), default=0)
     width = _width(8 * dim * bound * bound)
     pairs = iter(pairs)

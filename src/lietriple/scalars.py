@@ -7,7 +7,9 @@ Gaussian rationals with a monic denominator.  Canonical forms are restored
 eagerly after every operation, so equality is plain component comparison and
 limits at t = 0 can be read off the reduced denominator.  ``parse_scalar``
 and ``parse_rational_function`` share one memo of the last 1024 distinct
-strings read, keyed by field; a refused string is not stored.
+strings read, keyed by field; a refused string is not stored.  A string in a
+form ``scalar_str`` prints (``p/q``, ``p/q+r/s*i``, ``-i``, ...) is read by one
+regular expression, and any other string by the expression grammar.
 """
 
 from __future__ import annotations
@@ -968,6 +970,30 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
+# The texts scalar_str prints, in ASCII digits: p or p/q, then nothing, +-i or +-r[/s]*i;
+# or i, -i and [-]r[/s]*i alone.  The groups are p, q, the sign of i, r, s and i.
+_NUMERAL = re.compile(r"(?:(-?[0-9]+)(?:/([0-9]+))?)?"
+                      r"(?:((?(1)[+-]|-?))(?:([0-9]+)(?:/([0-9]+))?\*)?(i))?")
+
+
+def _numeral(text: str):
+    """The value of a text in a form scalar_str prints, or None: every other text, a zero
+    denominator and a literal past the interpreter's limit on digits go to the grammar,
+    which reads or refuses them with its own message."""
+    match = _NUMERAL.fullmatch(text)
+    if match is None:
+        return None
+    p, q, sign, r, s, i = match.groups()
+    try:
+        a, d1 = int(p or 0), int(q or 1)
+        b, d2 = (int(sign + (r or "1")), int(s or 1)) if i else (0, 1)
+    except ValueError:
+        return None
+    if (p is None and i is None) or not (d1 and d2):  # the empty text, or a division by 0
+        return None
+    return _reduced(a * d2, b * d1, d1 * d2)
+
+
 _parsed: dict = {}  # (text, field) -> value, in the order the texts were first read
 _MAX_PARSED = 1024  # every distinct string a process reads would otherwise stay held
 _MAX_HELD_TEXT = 256  # characters; a longer text is parsed on every read, never held
@@ -975,12 +1001,14 @@ _MAX_HELD_TEXT = 256  # characters; a longer text is parsed on every read, never
 
 def _read(text: str, field):
     """The value of text in field, parsed once while it stays among the last _MAX_PARSED
-    texts read.  A refused text, or one longer than _MAX_HELD_TEXT, is not stored, so it
-    is parsed on every read; a value is immutable, so every reader can share it."""
+    texts read: by ``_numeral`` when it takes the text, else by the grammar.  A refused
+    text, or one longer than _MAX_HELD_TEXT, is not stored, so it is parsed on every read;
+    a value is immutable, so every reader can share it."""
     key = (text, field)
     value = _parsed.get(key)
     if value is None:
-        value = field.of(_Parser(text, field).parse())
+        value = _numeral(text)
+        value = field.of(_Parser(text, field).parse() if value is None else value)
         if len(text) > _MAX_HELD_TEXT:
             return value
         if len(_parsed) >= _MAX_PARSED:  # the first read goes first

@@ -8,6 +8,7 @@ indices and the same residual.
 
 import functools
 import itertools
+import math
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -437,3 +438,77 @@ def test_a3_is_read_at_x_below_y_once_a1_holds():
     assert a3_cells(tensor) and all(x < y for _, _, x, y, _ in a3_cells(tensor))
     broken = perturb(tensor, "A1", ExactRandom(3))
     assert any(x >= y for _, _, x, y, _ in a3_cells(broken))
+
+
+# -- (A1) settled before the kernel yields a cell ---------------------------------
+
+def plain_failure(system):
+    """The first nonzero cell of a full kernel run on the rows as they are, no lanes."""
+    for identity, indices, cell in core._axiom_residuals(system.rows()):
+        if any(cell.values()):
+            residual = tuple(cell.get(q, GaussianRational(0)) for q in range(system.dim))
+            return identity, tuple(x + 1 for x in indices), residual
+    return None
+
+
+@settings(max_examples=90, deadline=None)
+@given(case=st.sampled_from(_CONJUGATED), seed=st.integers(0, 2),
+       kind=st.sampled_from(["A1", "A2", "A3"]), data=st.data())
+def test_perturbations_of_one_identity_get_the_dense_scan_report(case, seed, kind, data):
+    # one constant changed breaks (A1) at a random row; an antisymmetric change at a
+    # distinct triple keeps (A1) and breaks (A2); one at (i, j, i) keeps both, and (A3)
+    # may fail.  The checked report and the full kernel, on lanes and on plain rows,
+    # all give the dense scan's first failure.
+    tensor = [[[list(row) for row in plane] for plane in block]
+              for block in _dense_conjugate(case, seed)]
+    n = len(tensor)
+    index = st.integers(0, n - 1)
+    p = data.draw(index)
+    delta = GaussianRational(data.draw(st.integers(-3, 3).filter(bool)),
+                             data.draw(st.integers(-1, 1)))
+    if kind == "A1":
+        changes = [((data.draw(index), data.draw(index), data.draw(index)), 1)]
+    else:
+        i = data.draw(index)
+        j = data.draw(st.sampled_from([t for t in range(n) if t != i]))
+        k = data.draw(st.sampled_from([t for t in range(n) if t not in (i, j)])) \
+            if kind == "A2" else i
+        changes = [((i, j, k), 1), ((j, i, k), -1)]
+    for (a, b, c), sign in changes:
+        tensor[a][b][c][p] += sign * delta
+    system = Lts(tensor)
+    expected = reference_check_axioms(system)
+    assert system._satisfies_a1() == (kind != "A1")
+    assert kernel_failure(tensor) == expected
+    assert core.first_axiom_failure(n, system.rows()) == expected
+    assert plain_failure(system) == expected
+    assert (expected is None and kind == "A3") or expected[0] == kind
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["lanes", "rows"])
+@pytest.mark.parametrize("case", [("T4,9", None), ("T4,6", GaussianRational(1, 1))])
+def test_a_system_that_satisfies_a1_yields_no_a1_cell(case, packed):
+    def cells(system):
+        rows, lanes = system.rows(), None
+        if packed:
+            (rows, lanes), _, _ = _packed_gaussian_rows(system.dim, rows)
+        return list(core._axiom_residuals(rows, lanes))
+
+    base = catalog.instantiate(*case)
+    for system in (base.change_basis(ExactRandom(5).invertible(4, height=2)),
+                   core.direct_sum(base, catalog.instantiate("T2,1")).change_basis(
+                       ExactRandom(6).invertible(6, height=1))):
+        read = cells(system)
+        a2 = [indices for identity, indices, _ in read if identity == "A2"]
+        assert all(identity != "A1" for identity, _, _ in read)
+        assert all(i < j < k for i, j, k in a2)
+        assert len(a2) == len(set(a2)) <= math.comb(system.dim, 3)
+        assert {tuple(sorted(key)) for key in system.rows() if len(set(key)) == 3} == set(a2)
+    # a system that breaks (A1) has every (A1) cell read, and its first one reported
+    broken = perturb(_dense_conjugate(case, 1), "A1", ExactRandom(9))
+    expected = reference_check_axioms(Lts(broken))
+    assert expected[0] == "A1"
+    read = cells(Lts(broken))
+    assert [identity for identity, _, _ in read][0] == "A1"
+    assert core.first_axiom_failure(4, Lts(broken).rows()) == expected
+    assert plain_failure(Lts(broken)) == expected

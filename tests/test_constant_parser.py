@@ -5,16 +5,18 @@ ParseError on both: the grammar, the size bound on "^" and the refusals agree.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ExactRandom
-from lietriple import catalog
+from lietriple import catalog, scalars
 from lietriple.core import lts_to_dict
 from lietriple.errors import ParseError
-from lietriple.scalars import GaussianRational, parse_rational_function, parse_scalar
+from lietriple.scalars import (GaussianRational, _numeral, parse_rational_function, parse_scalar,
+                               scalar_str)
 
 
 def reference(text):
@@ -112,3 +114,58 @@ def test_an_input_that_ends_early_says_so(text):
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == f"input ended where an operand was expected in {text!r}"
+
+
+# -- the texts scalar_str prints are read without the grammar ---------------------
+
+parts = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 30, 10 ** 30),
+                  st.fractions(max_denominator=10 ** 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(real=parts, imag=parts)
+@example(real=0, imag=1)
+@example(real=0, imag=-1)
+@example(real=Fraction(-1, 2), imag=-1)
+def test_printed_scalars_are_read_without_the_grammar(real, imag):
+    z = GaussianRational(real, imag)
+    text = scalar_str(z)
+
+    def grammar(*args):
+        raise AssertionError(f"the grammar read {text!r}")
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(scalars, "_parsed", {})
+        monkeypatch.setattr(scalars, "_Parser", grammar)
+        assert parse_scalar(text) == z
+        assert parse_rational_function(text).constant_value() == z
+    assert _numeral(text)._t == z._t
+
+
+LONG_LITERAL = "7" * 5_000
+
+
+@pytest.mark.parametrize("text,value", [
+    ("3i", "trailing input in '3i'"),
+    ("1+2i", "trailing input in '1+2i'"),
+    ("1/0", "division by zero in expression"),
+    ("1/0*i", "division by zero in expression"),
+    ("+3", GaussianRational(3)),
+    (" 1", GaussianRational(1)),
+    ("\u0661", GaussianRational(1)),  # ARABIC-INDIC DIGIT ONE: not an ASCII digit
+    ("1/2*3", GaussianRational(Fraction(3, 2))),
+    ("2^3", GaussianRational(8)),
+    ("i+1", GaussianRational(1, 1)),
+    (LONG_LITERAL, "integer literal of 5000 digits is too long"),
+    ("1/" + LONG_LITERAL, "integer literal of 5000 digits is too long"),
+    ("", "input ended where an operand was expected in ''"),
+])
+def test_other_texts_go_to_the_grammar(monkeypatch, text, value):
+    monkeypatch.setattr(scalars, "_parsed", {})
+    assert _numeral(text) is None
+    if isinstance(value, str):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text)
+        assert str(info.value) == value
+    else:
+        assert parse_scalar(text) == value

@@ -190,6 +190,34 @@ def test_scalar_texts_are_parsed_only_through_the_memo():
     assert found == ["scalars.py:_read"]
 
 
+def test_a1_is_compared_in_one_helper():
+    # core._antisymmetric alone compares a row with its mirror, a value equal to a negated
+    # one (on lanes and on plain rows), and Lts._satisfies_a1 and the axiom kernel both
+    # call it; scalars.py compares parts of a canonical form that way, and is left out
+    compared, callers = [], set()
+    for path in sorted((ROOT / "src" / "lietriple").glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+        def owner(node):
+            return path.name + ":" + min((f for f in functions
+                                          if f.lineno <= node.lineno <= f.end_lineno),
+                                         key=lambda f: f.end_lineno - f.lineno).name
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
+                if any(isinstance(side, ast.UnaryOp) and isinstance(side.op, ast.USub)
+                       and not isinstance(side.operand, ast.Constant)
+                       for side in [node.left, *node.comparators]):
+                    compared.append(owner(node))
+            if isinstance(node, ast.Call) and _called_name(node) == "_antisymmetric":
+                callers.add(owner(node))
+    assert compared == ["core.py:_antisymmetric"] * 2
+    assert callers == {"core.py:_satisfies_a1", "core.py:_axiom_residuals"}
+
+
 def test_only_eliminate_reduces_rows():
     # _eliminate is the package's one row reduction, and it is exact: rref stays public
     # for callers outside the package, no module names it, no dense determinant loop is
